@@ -17,20 +17,16 @@
 //!   or property with a sub-hierarchy expands the query into the union of
 //!   all substitution combinations;
 //! * [`exec`] — a shared BGP executor for the baselines, reusing the
-//!   se-sparql parser, AST and expression evaluator;
-//! * [`hdt::HdtStyleStore`] — an HDT-style SPO Bitmap-Triples layout
-//!   (related work, §6), used by the layout ablation.
+//!   se-sparql parser, AST and expression evaluator.
 
 pub mod btree;
 pub mod dict;
 pub mod disk;
 pub mod exec;
-pub mod hdt;
 pub mod memory;
 pub mod pager;
 pub mod rewrite;
 
 pub use disk::DiskStore;
-pub use hdt::HdtStyleStore;
 pub use memory::MultiIndexStore;
 pub use rewrite::rewrite_with_ontology;

@@ -187,7 +187,7 @@ fn query_experiments(report: &mut String, ds: &se_bench::Datasets, runs: usize) 
             workload::m_queries(graph),
             "Paper shape: SuccinctEdge and the best baseline trade wins; the disk \
              store always loses. A single-index system staying level with \
-             multi-index systems is the paper's success criterion here.",
+             multi-index systems is the paper's bar for success here.",
         ),
         (
             "Figure 14 — queries with RDFS reasoning (ms)",

@@ -1,8 +1,8 @@
 //! # se-bench — shared harness code for the paper's experiments
 //!
-//! Dataset preparation, system-under-test wrappers and timing helpers used
-//! by both the criterion benches (`benches/`) and the `tables` binary that
-//! regenerates every table and figure of §7.
+//! Dataset preparation, system-under-test wrappers and timing helpers for
+//! the `tables` binary that regenerates every table and figure of §7.
+//! Regression benchmarking lives in the top-level `benchmark/` crate.
 
 use se_baselines::{DiskStore, MultiIndexStore};
 use se_core::SuccinctEdgeStore;

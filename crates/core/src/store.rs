@@ -412,7 +412,7 @@ impl SuccinctEdgeStore {
         self.dicts.serialized_size()
     }
 
-    /// Direct access to the object layer (benches/ablations).
+    /// Direct access to the object layer.
     pub fn object_layer(&self) -> &TripleLayer {
         &self.object_layer
     }

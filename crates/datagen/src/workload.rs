@@ -19,7 +19,7 @@
 
 use se_rdf::vocab::lubm;
 use se_rdf::{Graph, Term};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const PREFIXES: &str = "PREFIX lubm: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\nPREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n";
 
@@ -55,7 +55,7 @@ pub const PO_TARGETS: [usize; 5] = [5, 17, 135, 283, 521];
 /// answer sizes approximate the Table 1 series.
 pub fn spo_queries(graph: &Graph) -> Vec<WorkloadQuery> {
     // Object count per (subject, predicate) pair.
-    let mut counts: HashMap<(&Term, &Term), usize> = HashMap::new();
+    let mut counts: BTreeMap<(&Term, &Term), usize> = BTreeMap::new();
     for t in graph {
         if !t.is_type_triple() {
             *counts.entry((&t.subject, &t.predicate)).or_insert(0) += 1;
@@ -65,23 +65,16 @@ pub fn spo_queries(graph: &Graph) -> Vec<WorkloadQuery> {
         .iter()
         .enumerate()
         .map(|(i, &target)| {
-            let ((s, p), actual) = counts
-                .iter()
-                .min_by_key(|(_, &c)| c.abs_diff(target))
-                .map(|((s, p), c)| ((*s, *p), *c))
-                .expect("graph has non-type triples");
+            let (s, p) = closest(&counts, target);
             let text = format!("{PREFIXES}SELECT ?X WHERE {{ {s} {p} ?X }}");
-            let mut wq = q(&format!("S{}", i + 1), text, false, Some(target));
-            wq.paper_cardinality = Some(target);
-            let _ = actual;
-            wq
+            q(&format!("S{}", i + 1), text, false, Some(target))
         })
         .collect()
 }
 
 /// S6–S10: `SELECT ?X WHERE { ?X <P1> <O1> }` approximating Table 2.
 pub fn po_queries(graph: &Graph) -> Vec<WorkloadQuery> {
-    let mut counts: HashMap<(&Term, &Term), usize> = HashMap::new();
+    let mut counts: BTreeMap<(&Term, &Term), usize> = BTreeMap::new();
     for t in graph {
         if !t.is_type_triple() && t.object.is_resource() {
             *counts.entry((&t.predicate, &t.object)).or_insert(0) += 1;
@@ -91,15 +84,24 @@ pub fn po_queries(graph: &Graph) -> Vec<WorkloadQuery> {
         .iter()
         .enumerate()
         .map(|(i, &target)| {
-            let ((p, o), _actual) = counts
-                .iter()
-                .min_by_key(|(_, &c)| c.abs_diff(target))
-                .map(|((p, o), c)| ((*p, *o), *c))
-                .expect("graph has object triples");
+            let (p, o) = closest(&counts, target);
             let text = format!("{PREFIXES}SELECT ?X WHERE {{ ?X {p} {o} }}");
             q(&format!("S{}", i + 6), text, false, Some(target))
         })
         .collect()
+}
+
+/// The pair whose count is closest to `target`; ties go to the first
+/// pair in term order, so one graph always yields the same query texts.
+fn closest<'g>(
+    counts: &BTreeMap<(&'g Term, &'g Term), usize>,
+    target: usize,
+) -> (&'g Term, &'g Term) {
+    counts
+        .iter()
+        .min_by_key(|(_, &c)| c.abs_diff(target))
+        .map(|(&pair, _)| pair)
+        .expect("graph has non-type triples")
 }
 
 /// S11–S15: `?s,P,?o` over the paper's fixed predicates.
@@ -329,6 +331,23 @@ mod tests {
         // The collaborative reports guarantee the large targets exist.
         for wq in &queries {
             assert!(wq.text.contains("SELECT ?X WHERE"));
+        }
+    }
+
+    #[test]
+    fn s1_to_s10_texts_are_deterministic() {
+        let g = lubm::generate(1, 42);
+        let texts = || {
+            spo_queries(&g)
+                .into_iter()
+                .chain(po_queries(&g))
+                .map(|wq| wq.text)
+                .collect::<Vec<_>>()
+        };
+        let first = texts();
+        assert_eq!(first.len(), 10);
+        for _ in 0..3 {
+            assert_eq!(texts(), first);
         }
     }
 

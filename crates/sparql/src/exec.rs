@@ -22,7 +22,7 @@ use se_litemat::IdInterval;
 use se_rdf::Term;
 use std::collections::{HashMap, HashSet};
 
-/// Execution options (the ablation switches of the benchmark suite).
+/// Execution options: reasoning on/off plus the optimizer switches.
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
     /// LiteMat interval reasoning over concept/property hierarchies

@@ -335,20 +335,6 @@ impl ContinuousQueryRegistry {
             .any(|q| q.strategy == EvalStrategy::Incremental)
     }
 
-    /// Demotes the query registered under `id` to full re-evaluation
-    /// (dropping its materialized counts); returns whether it existed.
-    /// Benchmarks use this to compare the two paths on equal footing.
-    pub fn force_full(&mut self, id: &str) -> bool {
-        match self.queries.iter_mut().find(|q| q.id == id) {
-            Some(q) => {
-                q.strategy = EvalStrategy::Full;
-                q.state = MaterializedState::default();
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Whether evaluations materialize the full answer set on the delta
     /// path (on by default). Turning it off makes [`ContinuousResult::
     /// results`] empty for delta-served batches — subscribers that only
@@ -377,19 +363,6 @@ impl ContinuousQueryRegistry {
         source: &S,
     ) -> Result<Vec<ContinuousResult>, QueryError> {
         self.evaluate_with(source, None, EvalMode::Sequential)
-    }
-
-    /// Evaluates every registered query against `source`, one scoped
-    /// worker per query sharing `&S` (sound because [`TripleSource`]
-    /// carries `Send + Sync`). Falls back to the sequential path when at
-    /// most one query is registered or the host has a single core (a
-    /// thread spawn costs more than a cheap query). Results keep
-    /// registration order.
-    pub fn evaluate_all_parallel<S: TripleSource + ?Sized>(
-        &mut self,
-        source: &S,
-    ) -> Result<Vec<ContinuousResult>, QueryError> {
-        self.evaluate_with(source, None, EvalMode::Scoped)
     }
 
     /// Evaluates every registered query against `source` as jobs on a
@@ -805,13 +778,11 @@ mod tests {
         assert_eq!(stats.full_evals, 1, "only the seeding run was full");
         assert_eq!(stats.delta_added, 6);
         assert_eq!(stats.last_delta_added, 1);
-        // Evaluating again without a batch gives the same answers —
-        // parallel and sequential paths agree.
+        // Evaluating again without a batch re-seeds to the same answers.
         let (store, reg) = session.parts_mut();
         let seq = reg.evaluate_all(store).unwrap();
-        let par = reg.evaluate_all_parallel(store).unwrap();
-        assert_eq!(seq.len(), par.len());
-        assert_eq!(seq[0].results.rows.len(), par[0].results.rows.len());
+        assert_eq!(seq.len(), 1);
+        assert_eq!(seq[0].results.rows.len(), expected);
     }
 
     /// The sharded store drives the same generic session.

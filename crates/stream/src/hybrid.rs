@@ -1031,23 +1031,9 @@ impl HybridStore {
     // -------------------------------------------------------------- persistence
     //
     // The v02 directory format — `save` is `&self`, O(delta) and never
-    // compacts — lives in [`crate::persist`]. The two methods below are
-    // the legacy v01 single-file path, kept so stores written by older
-    // builds stay loadable.
-
-    /// Compacts, then writes the baseline in the standard
-    /// `SuccinctEdgeStore` v01 format — the legacy shutdown path, O(rebuild).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `HybridStore::save` (v02): `&self`, O(delta), never compacts"
-    )]
-    pub fn save_to_file(&mut self, path: &Path) -> Result<(), StreamError> {
-        if !self.delta.is_empty() {
-            self.compact()?;
-        }
-        self.base.save_to_file(path)?;
-        Ok(())
-    }
+    // compacts — lives in [`crate::persist`]. The method below is the
+    // legacy v01 single-file load, kept so stores written by older builds
+    // stay loadable.
 
     /// Loads a persisted v01 baseline file and wraps it with an empty
     /// overlay. [`HybridStore::load`](crate::persist) accepts both this

@@ -49,7 +49,7 @@
 //!              │    layouts)              │        content-interned table
 //!              ▼                          ▼
 //!        ┌─────────┐                ┌─────────┐
-//!        │ shard 0 │       …        │ shard N │   one scoped worker each:
+//!        │ shard 0 │       …        │ shard N │   one pool worker each:
 //!        │ layers  │                │ layers  │   baseline probes + rbtree
 //!        │ + delta │                │ + delta │   overlay insertion in parallel
 //!        └────┬────┘                └────┬────┘

@@ -1,11 +1,11 @@
 //! Delta-aware v02 persistence: overlay snapshots + sharded manifest,
 //! making shutdown/restart O(delta) instead of O(rebuild).
 //!
-//! The v01 path ([`HybridStore::save_to_file`]) collapses the paper's
-//! baseline/overlay split at shutdown: it **compacts** (a full succinct
-//! rebuild) and dumps the result, so saving a dirty store costs as much
-//! as rebuilding it — and the sharded engine had no persistence at all.
-//! v02 keeps the split on disk:
+//! The retired v01 save collapsed the paper's baseline/overlay split at
+//! shutdown: it **compacted** (a full succinct rebuild) and dumped the
+//! result, so saving a dirty store cost as much as rebuilding it — and
+//! the sharded engine had no persistence at all. v01 files stay loadable
+//! ([`HybridStore::load_from_file`]); v02 keeps the split on disk:
 //!
 //! * the immutable **baseline layers** are written once per compaction
 //!   generation and *reused* by every later save (the store remembers

@@ -33,10 +33,9 @@
 //!   per-batch `std::thread::scope` spawns, which pushes the parallel
 //!   break-even down to [`POOL_MIN_OPS`] — into the small frequent
 //!   sensor batches of the paper's streaming scenario. [`IngestMode`]
-//!   forces the pool on or off (the scoped-spawn comparator survives for
-//!   benchmarks); batches are shape-validated up front, so a malformed
-//!   triple rejects the whole batch before any mutation — identically in
-//!   every mode.
+//!   forces the pool on or off; batches are shape-validated up front, so
+//!   a malformed triple rejects the whole batch before any mutation —
+//!   identically in every mode.
 //! * **Scatter/gather queries.** A predicate-bound pattern routes to
 //!   exactly one shard. Unbound-predicate scans and LiteMat
 //!   property-interval patterns fan out to every shard whose predicates
@@ -96,13 +95,6 @@ pub const LIT_SHARD_STRIDE: u64 = 1 << 44;
 /// `OVERFLOW_BASE` with room to spare).
 pub const MAX_SHARDS: usize = 1 << 16;
 
-/// Minimum routed operations before the **legacy** scoped-spawn path of
-/// [`IngestMode::Scoped`]'s predecessor fanned out; kept as the
-/// historical reference point the persistent runtime is measured against
-/// (a thread spawn costs ~100µs — more than the transition work of a
-/// small batch, so scoped spawning could never pay off below ~1k ops).
-pub const PARALLEL_MIN_OPS: usize = 1024;
-
 /// Minimum estimated operations before an [`IngestMode::Auto`] batch is
 /// handed to the persistent worker pool. Waking a parked worker costs
 /// microseconds instead of the ~100µs spawn, which moves the parallel
@@ -129,14 +121,6 @@ pub enum IngestMode {
     /// whatever the batch size or core count. Used by tests to force the
     /// pool onto small batches.
     Pooled,
-    /// Spawn `std::thread::scope` workers per batch — the pre-runtime
-    /// parallel path, forced **unconditionally** here (the legacy code
-    /// only engaged it above [`PARALLEL_MIN_OPS`] and fell back inline
-    /// otherwise) so the break-even sweep can measure the spawn cost at
-    /// small batch sizes the old adaptive gate refused to pay it for.
-    /// The sweep therefore reports [`Inline`](IngestMode::Inline) — the
-    /// legacy small-batch behaviour — alongside this comparator.
-    Scoped,
 }
 
 /// A custom routing function: `(iri, n_shards) -> shard`.
@@ -420,9 +404,6 @@ pub struct ShardedStats {
     pub pooled_batches: usize,
     /// Batches applied on the calling thread.
     pub inline_batches: usize,
-    /// Batches fanned out to per-batch scoped spawns
-    /// ([`IngestMode::Scoped`], the benchmarking comparator).
-    pub scoped_batches: usize,
     /// Logical write epoch: successful `apply` batches over the store's
     /// lifetime (restored across v02 save/load). Compactions do not
     /// advance it — they preserve content.
@@ -971,7 +952,7 @@ impl ShardedHybridStore {
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         let estimated = inserts.len() + deletes.len();
         let pooled = match self.ingest_mode {
-            IngestMode::Inline | IngestMode::Scoped => false,
+            IngestMode::Inline => false,
             IngestMode::Pooled => true,
             IngestMode::Auto => n > 1 && cores > 1 && estimated >= POOL_MIN_OPS,
         };
@@ -1036,9 +1017,8 @@ impl ShardedHybridStore {
         Ok(report)
     }
 
-    /// The single-threaded (or scoped-spawn comparator) path: route the
-    /// whole batch, then apply each shard's list inline — or on per-batch
-    /// scoped spawns under [`IngestMode::Scoped`].
+    /// The single-threaded path: route the whole batch, then apply each
+    /// shard's list inline.
     fn apply_unpooled(
         &mut self,
         inserts: &Graph,
@@ -1057,22 +1037,13 @@ impl ShardedHybridStore {
                 report.noops += 1;
             }
         }
-        let scoped = self.ingest_mode == IngestMode::Scoped
-            && staging.iter().filter(|o| !o.is_empty()).count() > 1;
-        if scoped {
-            self.stats.scoped_batches += 1;
-            Ok(self.run_ops_scoped(staging, effects))
-        } else {
-            self.stats.inline_batches += 1;
-            Ok(self
-                .shards
-                .iter_mut()
-                .zip(staging.iter())
-                .map(|(shard, ops)| {
-                    run_shard_ops(&shard.base, &mut shard.delta, ops, effects.as_mut())
-                })
-                .fold((0, 0, 0), add_counts))
-        }
+        self.stats.inline_batches += 1;
+        Ok(self
+            .shards
+            .iter_mut()
+            .zip(staging.iter())
+            .map(|(shard, ops)| run_shard_ops(&shard.base, &mut shard.delta, ops, effects.as_mut()))
+            .fold((0, 0, 0), add_counts))
     }
 
     /// The pooled pipeline: route on the caller, drain on the workers.
@@ -1477,49 +1448,6 @@ impl ShardedHybridStore {
         Ok(true)
     }
 
-    /// Runs the routed operation lists on per-batch `std::thread::scope`
-    /// workers, one per shard with work — the pre-runtime parallel
-    /// ingest path, kept (minus its [`PARALLEL_MIN_OPS`]/core-count
-    /// gate, see [`IngestMode::Scoped`]) as the benchmarking comparator:
-    /// its ~100µs-per-spawn cost is exactly what the persistent pool
-    /// amortizes away.
-    fn run_ops_scoped(&mut self, ops: &[ShardOps], effects: &mut Option<Vec<EffOp>>) -> OpCounts {
-        let capture = effects.is_some();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(ops)
-                .map(|(shard, ops)| {
-                    if ops.is_empty() {
-                        None
-                    } else {
-                        let Shard { base, delta, .. } = shard;
-                        let base = Arc::clone(base);
-                        Some(scope.spawn(move || {
-                            let mut eff = capture.then(Vec::new);
-                            let c = run_shard_ops(&base, delta, ops, eff.as_mut());
-                            (c, eff)
-                        }))
-                    }
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h {
-                    Some(h) => {
-                        let (c, eff) = h.join().expect("ingest worker panicked");
-                        if let (Some(dst), Some(mut e)) = (effects.as_mut(), eff) {
-                            dst.append(&mut e);
-                        }
-                        c
-                    }
-                    None => (0, 0, 0),
-                })
-                .fold((0, 0, 0), add_counts)
-        })
-    }
-
     // ------------------------------------------------------------ compaction
 
     /// Compacts one shard inline: fold baseline + overlay into fresh
@@ -1899,7 +1827,7 @@ fn validate_triple(t: &Triple) -> Result<(), StreamError> {
 }
 
 /// Applies one shard's routed operations against its baseline + overlay.
-/// Runs on a pool worker (or a scoped/inline fallback); everything it
+/// Runs on a pool worker (or inline); everything it
 /// touches is either moved into the job (`delta`, `ops` — literal ops
 /// carry their content) or frozen for the phase (`base`).
 fn run_shard_ops(
@@ -3032,27 +2960,5 @@ mod tests {
         // Rebuilds may still be in flight; drop must reap, join and
         // release every worker regardless.
         drop(h);
-    }
-
-    /// Scoped mode still works (it is the benchmarking comparator) and
-    /// agrees with the pooled result.
-    #[test]
-    fn scoped_comparator_matches_pooled() {
-        let mut scoped = sharded(4)
-            .with_ingest_mode(IngestMode::Scoped)
-            .with_background_compaction(false);
-        let mut pooled = sharded(4)
-            .with_ingest_mode(IngestMode::Pooled)
-            .with_background_compaction(false);
-        let preds = ["knows", "memberOf", "worksFor"];
-        let ins = Graph::from_triples(
-            (0..42).map(|i| t(&format!("s{i}"), preds[i % 3], iri(&format!("o{}", i % 5)))),
-        );
-        let rs = scoped.apply(&ins, &Graph::new()).unwrap();
-        let rp = pooled.apply(&ins, &Graph::new()).unwrap();
-        assert_eq!((rs.inserted, rs.deleted), (rp.inserted, rp.deleted));
-        assert_eq!(norm(&scoped.materialize()), norm(&pooled.materialize()));
-        assert_eq!(scoped.stats().scoped_batches, 1);
-        assert_eq!(pooled.stats().pooled_batches, 1);
     }
 }

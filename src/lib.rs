@@ -16,7 +16,7 @@
 //! | [`store`] | `se-core` | the SuccinctEdge store (layers, RDFType store, persistence) and the [`store::TripleSource`] access trait |
 //! | [`sparql`] | `se-sparql` | SPARQL subset parser, Algorithm-1 optimizer, `TripleSource`-generic executor |
 //! | [`stream`] | `se-stream` | incremental ingestion: delta overlay, hybrid view, compaction, continuous queries |
-//! | [`baselines`] | `se-baselines` | multi-index memory store, disk B+tree store, HDT layout, UNION rewriting |
+//! | [`baselines`] | `se-baselines` | multi-index memory store, disk B+tree store, UNION rewriting |
 //! | [`datagen`] | `se-datagen` | LUBM & water-network generators, streaming batches, the 26-query workload |
 //!
 //! ## Entry points

@@ -389,15 +389,16 @@ fn custom_policy_roundtrip_keeps_routes() {
 // ------------------------------------------------------- v01 compatibility
 
 #[test]
-#[allow(deprecated)]
 fn v01_single_file_stays_loadable() {
     let dir = scratch("v01-compat");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("legacy.v01");
     let mut h = HybridStore::build(&ontology(), &seed_graph()).unwrap();
     h.insert_triple(&t("c", "knows", iri("a"))).unwrap();
-    h.save_to_file(&path).unwrap(); // compacts, dumps v01
-                                    // Both entry points accept the legacy file.
+    // A v01 file is a bare SuccinctEdgeStore dump of the compacted store.
+    h.compact().unwrap();
+    h.baseline().save_to_file(&path).unwrap();
+    // Both entry points accept the legacy file.
     let a = HybridStore::load_from_file(&path, ontology()).unwrap();
     let b = HybridStore::load(&path, &ontology()).unwrap();
     assert_eq!(norm(&a.materialize()), norm(&h.materialize()));
