@@ -7,8 +7,8 @@
 //!
 //! * the immutable [`SuccinctEdgeStore`](crate::SuccinctEdgeStore) —
 //!   wavelet trees, bitmaps and red-black trees;
-//! * the streaming `HybridStore` of `se-stream` — the same baseline plus a
-//!   mutable delta overlay of inserted/deleted triples.
+//! * the streaming `ShardedHybridStore` of `se-stream` — succinct layers
+//!   plus a mutable delta overlay of inserted/deleted triples.
 //!
 //! # Contract
 //!

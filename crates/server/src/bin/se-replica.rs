@@ -15,6 +15,7 @@
 
 use se_server::ontology_text::load_ontology;
 use se_server::{Replica, ReplicaConfig};
+use se_stream::MAX_SHARDS;
 use std::time::Duration;
 
 fn main() {
@@ -35,7 +36,11 @@ fn main() {
         match flag.as_str() {
             "--leader" => leader = Some(value("--leader")),
             "--addr" => addr = value("--addr"),
-            "--shards" => shards = parse(&value("--shards"), "--shards"),
+            "--shards" => {
+                shards = parse_if(&value("--shards"), "--shards", |n| {
+                    (1..=MAX_SHARDS).contains(n)
+                })
+            }
             "--reconnect-ms" => reconnect_ms = parse(&value("--reconnect-ms"), "--reconnect-ms"),
             "--ontology" => ontology_file = Some(value("--ontology")),
             "--help" | "-h" => {
@@ -86,8 +91,17 @@ fn main() {
 }
 
 fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value '{s}' for {flag}");
-        std::process::exit(2);
-    })
+    parse_if(s, flag, |_| true)
+}
+
+/// Parses a flag value that must also satisfy `ok`; anything else exits
+/// with status 2 and the same message as an unparseable value.
+fn parse_if<T: std::str::FromStr>(s: &str, flag: &str, ok: impl Fn(&T) -> bool) -> T {
+    match s.parse() {
+        Ok(v) if ok(&v) => v,
+        _ => {
+            eprintln!("invalid value '{s}' for {flag}");
+            std::process::exit(2);
+        }
+    }
 }

@@ -23,7 +23,7 @@
 use se_rdf::Graph;
 use se_server::ontology_text::load_ontology;
 use se_server::{Server, ServerConfig};
-use se_stream::ShardedHybridStore;
+use se_stream::{ShardedHybridStore, MAX_SHARDS};
 use std::time::Duration;
 
 fn main() {
@@ -42,7 +42,11 @@ fn main() {
         };
         match flag.as_str() {
             "--addr" => addr = value("--addr"),
-            "--shards" => shards = parse(&value("--shards"), "--shards"),
+            "--shards" => {
+                shards = parse_if(&value("--shards"), "--shards", |n| {
+                    (1..=MAX_SHARDS).contains(n)
+                })
+            }
             "--tick-ms" => tick_ms = parse(&value("--tick-ms"), "--tick-ms"),
             "--ontology" => ontology_file = Some(value("--ontology")),
             "--help" | "-h" => {
@@ -96,8 +100,17 @@ fn main() {
 }
 
 fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value '{s}' for {flag}");
-        std::process::exit(2);
-    })
+    parse_if(s, flag, |_| true)
+}
+
+/// Parses a flag value that must also satisfy `ok`; anything else exits
+/// with status 2 and the same message as an unparseable value.
+fn parse_if<T: std::str::FromStr>(s: &str, flag: &str, ok: impl Fn(&T) -> bool) -> T {
+    match s.parse() {
+        Ok(v) if ok(&v) => v,
+        _ => {
+            eprintln!("invalid value '{s}' for {flag}");
+            std::process::exit(2);
+        }
+    }
 }

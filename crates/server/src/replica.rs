@@ -46,7 +46,7 @@ use crate::server::{
 use se_ontology::Ontology;
 use se_rdf::Graph;
 use se_sparql::{PlanCache, QueryOptions};
-use se_stream::{ShardedHybridStore, StoreSnapshot, StreamSession};
+use se_stream::{ShardedHybridStore, StoreSnapshot, StreamSession, MAX_SHARDS};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -183,6 +183,12 @@ impl Replica {
 }
 
 fn build_store(ontology: &Ontology, data: &Graph, shards: usize) -> io::Result<ShardedHybridStore> {
+    if !(1..=MAX_SHARDS).contains(&shards) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("shard count {shards} outside 1..={MAX_SHARDS}"),
+        ));
+    }
     ShardedHybridStore::build(ontology, data, shards)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }

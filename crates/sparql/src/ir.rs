@@ -476,7 +476,6 @@ struct PlanEntry {
 struct TextEntry {
     plan: Arc<CompiledPlan>,
     consts: Arc<Vec<Term>>,
-    shape: String,
     last_used: u64,
 }
 
@@ -612,7 +611,6 @@ impl PlanCache {
                 TextEntry {
                     plan: plan.clone(),
                     consts: consts.clone(),
-                    shape: plan.shape().to_string(),
                     last_used: tick,
                 },
             );
@@ -756,15 +754,6 @@ impl PlanCache {
             evict_lru(&mut inner.texts, |e: &TextEntry| e.last_used);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-    }
-}
-
-// `shape` on TextEntry documents the text→shape mapping for debugging;
-// keep the field exercised even though lookups go through the Arc.
-impl TextEntry {
-    #[allow(dead_code)]
-    fn shape(&self) -> &str {
-        &self.shape
     }
 }
 

@@ -1,5 +1,5 @@
 //! Continuous queries: parsed SPARQL queries registered once and
-//! kept answered against the hybrid view after every ingested batch —
+//! kept answered against the live store after every ingested batch —
 //! the paper's execution model ("these queries are executed once per
 //! graph instance", §1) without rebuilding the store per instance, and
 //! without re-running the query per instance either: eligible queries
@@ -8,18 +8,17 @@
 //! O(delta), not O(store).
 //!
 //! [`StreamSession`] is generic over any ingestible [`TripleSource`]
-//! (the [`StreamStore`] seam): the single-overlay [`HybridStore`] and the
-//! scatter/gather [`ShardedHybridStore`](crate::ShardedHybridStore) drive
-//! the same registry. With more than one registered query the registry
-//! evaluates them concurrently over the shared view — as jobs on the
-//! store's persistent [`ShardRuntime`] when it runs one, on scoped
-//! spawns otherwise.
+//! (the [`StreamStore`] seam); [`ShardedHybridStore`] — at any shard
+//! count — is the store that implements it. With more than one
+//! registered query the registry evaluates them concurrently over the
+//! shared view — as jobs on the store's persistent [`ShardRuntime`] when
+//! it runs one, on scoped spawns otherwise.
 
+use crate::delta::BatchDelta;
 use crate::error::StreamError;
-use crate::hybrid::{BatchDelta, HybridStore, IngestReport};
 use crate::incremental::{self, choose_strategy, EvalStrategy, MaterializedState};
 use crate::runtime::ShardRuntime;
-use crate::shard::ShardedHybridStore;
+use crate::shard::{IngestReport, ShardedHybridStore};
 use crate::wal::{WalHealth, WalRecord};
 use se_core::TripleSource;
 use se_rdf::Graph;
@@ -102,36 +101,6 @@ pub fn replay_record<S: StreamStore>(
     let report = store.apply_batch(&inserts, &deletes)?;
     debug_assert_eq!(store.epoch(), rec.epoch, "apply advances exactly one epoch");
     Ok(report)
-}
-
-impl StreamStore for HybridStore {
-    fn apply_batch(
-        &mut self,
-        inserts: &Graph,
-        deletes: &Graph,
-    ) -> Result<IngestReport, StreamError> {
-        self.apply(inserts, deletes)
-    }
-
-    fn set_delta_capture(&mut self, on: bool) {
-        HybridStore::set_delta_capture(self, on);
-    }
-
-    fn wal_flush(&self) -> Result<(), StreamError> {
-        HybridStore::wal_flush(self)
-    }
-
-    fn epoch(&self) -> u64 {
-        HybridStore::epoch(self)
-    }
-
-    fn align_epoch(&mut self, epoch: u64) {
-        HybridStore::align_epoch(self, epoch);
-    }
-
-    fn wal_health(&self) -> WalHealth {
-        HybridStore::wal_health(self)
-    }
 }
 
 impl StreamStore for ShardedHybridStore {
@@ -515,12 +484,11 @@ impl StreamStats {
     }
 }
 
-/// A streaming session: an ingestible store (single-overlay
-/// [`HybridStore`] by default, or the scatter/gather
-/// [`ShardedHybridStore`](crate::ShardedHybridStore)) plus a
-/// [`ContinuousQueryRegistry`], driven batch by batch.
+/// A streaming session: an ingestible store (a [`ShardedHybridStore`]
+/// at any shard count) plus a [`ContinuousQueryRegistry`], driven batch
+/// by batch.
 #[derive(Debug, Clone)]
-pub struct StreamSession<S: StreamStore = HybridStore> {
+pub struct StreamSession<S: StreamStore> {
     store: S,
     registry: ContinuousQueryRegistry,
     stats: StreamStats,
@@ -649,7 +617,7 @@ impl<S: StreamStore> StreamSession<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::CompactionPolicy;
+    use crate::shard::{CompactionPolicy, IngestMode};
     use se_ontology::Ontology;
     use se_rdf::{Term, Triple};
 
@@ -668,8 +636,13 @@ mod tests {
         o
     }
 
-    fn store_with(triples: impl IntoIterator<Item = Triple>) -> HybridStore {
-        HybridStore::build(&ontology(), &Graph::from_triples(triples)).unwrap()
+    /// The single-store configuration: one shard, inline ingest and
+    /// inline compaction.
+    fn store_with(triples: impl IntoIterator<Item = Triple>) -> ShardedHybridStore {
+        ShardedHybridStore::build(&ontology(), &Graph::from_triples(triples), 1)
+            .unwrap()
+            .with_ingest_mode(IngestMode::Inline)
+            .with_background_compaction(false)
     }
 
     #[test]
@@ -1048,37 +1021,28 @@ mod tests {
         let q = "PREFIX e: <http://x/> SELECT ?o WHERE { e:a e:knows ?o }";
         let opts = QueryOptions::default();
 
-        let mut store = store_with([t("a", "knows", iri("b"))]);
-        let cache = Arc::new(PlanCache::with_config(config()));
-        store.set_plan_cache(Arc::clone(&cache));
-        cache.execute_text(&store, q, &opts).unwrap();
-        assert_eq!(cache.stats().recosts, 0);
-        for i in 0..3 {
-            let g = Graph::from_triples([t("a", "knows", iri(&format!("n{i}")))]);
-            store.apply(&g, &Graph::new()).unwrap();
+        for shards in [1, 2] {
+            let mut store = ShardedHybridStore::build(
+                &ontology(),
+                &Graph::from_triples([t("a", "knows", iri("b"))]),
+                shards,
+            )
+            .unwrap();
+            let cache = Arc::new(PlanCache::with_config(config()));
+            store.set_plan_cache(Arc::clone(&cache));
+            cache.execute_text(&store, q, &opts).unwrap();
+            assert_eq!(cache.stats().recosts, 0);
+            for i in 0..3 {
+                let g = Graph::from_triples([t("a", "knows", iri(&format!("n{i}")))]);
+                store.apply(&g, &Graph::new()).unwrap();
+            }
+            cache.execute_text(&store, q, &opts).unwrap();
+            assert_eq!(
+                cache.stats().recosts,
+                1,
+                "{shards} shard(s): the plan compiled at epoch 0 re-costs after 3 direct applies"
+            );
         }
-        cache.execute_text(&store, q, &opts).unwrap();
-        assert_eq!(
-            cache.stats().recosts,
-            1,
-            "hybrid: the plan compiled at epoch 0 re-costs after 3 direct applies"
-        );
-
-        let mut sharded = ShardedHybridStore::build(
-            &ontology(),
-            &Graph::from_triples([t("a", "knows", iri("b"))]),
-            2,
-        )
-        .unwrap();
-        let cache = Arc::new(PlanCache::with_config(config()));
-        sharded.set_plan_cache(Arc::clone(&cache));
-        cache.execute_text(&sharded, q, &opts).unwrap();
-        for i in 0..3 {
-            let g = Graph::from_triples([t("a", "knows", iri(&format!("n{i}")))]);
-            sharded.apply(&g, &Graph::new()).unwrap();
-        }
-        cache.execute_text(&sharded, q, &opts).unwrap();
-        assert_eq!(cache.stats().recosts, 1, "sharded: same staleness clock");
     }
 
     /// The session's stats surface WAL durability degradation instead of

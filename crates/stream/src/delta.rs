@@ -16,18 +16,68 @@
 //! | `Restored` | yes          | yes (tombstone undone)  |
 //! | `Cancelled`| no           | no (insert undone)      |
 //!
-//! The [`HybridStore`](crate::HybridStore) performs the transitions (it
-//! knows baseline membership); the `DeltaStore` enforces none of it and
-//! simply stores what it is told.
+//! The [`ShardedHybridStore`](crate::ShardedHybridStore) performs the
+//! transitions (it knows baseline membership); the `DeltaStore` enforces
+//! none of it and simply stores what it is told.
 //!
-//! Literals are interned in a content-deduplicated side table; a delta
-//! literal id is local to this overlay and is surfaced to the query layer
-//! offset by [`crate::OVERFLOW_BASE`].
+//! Literal objects are keyed by their id in the store's content-interned
+//! `LiteralTable` — one table shared by every shard's overlay — and
+//! surface to the query layer offset by [`crate::OVERFLOW_BASE`].
 
 use se_rbtree::RbTree;
-use se_rdf::Literal;
+use se_rdf::{Literal, Triple};
 use std::collections::HashMap;
 use std::ops::Bound::{Excluded, Included};
+use std::sync::Arc;
+
+/// The net visibility changes of one batch, in term space: what the
+/// incremental continuous-query evaluator feeds through the delta rules
+/// and what the write-ahead log records.
+///
+/// "Net" means intra-batch churn cancels out — a triple deleted and
+/// re-inserted by riders of the same batch (`Restored` in overlay terms)
+/// appears in neither list, and a triple that was already present (or
+/// already absent) contributes nothing. `added` and `removed` are
+/// therefore disjoint, and replaying them against the pre-batch state
+/// reproduces the post-batch state exactly.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BatchDelta {
+    /// Triples that became visible in this batch.
+    pub added: Vec<Triple>,
+    /// Triples that stopped being visible in this batch.
+    pub removed: Vec<Triple>,
+}
+
+impl BatchDelta {
+    /// `true` when the batch changed nothing visible.
+    pub fn is_empty(&self) -> bool {
+        self.added.is_empty() && self.removed.is_empty()
+    }
+
+    /// Total net changes (insertions plus removals).
+    pub fn len(&self) -> usize {
+        self.added.len() + self.removed.len()
+    }
+
+    /// Folds raw per-operation events (`+1` became visible, `-1` stopped
+    /// being visible) into net lists. Per-triple nets stay in `{-1, 0, +1}`
+    /// because effective operations strictly alternate visibility.
+    pub(crate) fn from_events(events: Vec<(Triple, i64)>) -> Self {
+        let mut net: HashMap<Triple, i64> = HashMap::with_capacity(events.len());
+        for (t, w) in events {
+            *net.entry(t).or_insert(0) += w;
+        }
+        let mut delta = BatchDelta::default();
+        for (t, w) in net {
+            match w.cmp(&0) {
+                std::cmp::Ordering::Greater => delta.added.push(t),
+                std::cmp::Ordering::Less => delta.removed.push(t),
+                std::cmp::Ordering::Equal => {}
+            }
+        }
+        delta
+    }
+}
 
 /// How a delta entry relates to the immutable baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,14 +100,50 @@ impl DeltaState {
 }
 
 /// Object position of a delta triple: an instance id or an interned
-/// delta-local literal id. Instances order before literals, matching the
+/// overlay-literal id. Instances order before literals, matching the
 /// "object layer before datatype layer" convention of the baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeltaObj {
     /// Instance identifier (shared id space with the baseline).
     Inst(u64),
-    /// Delta-local literal id (index into the overlay's literal table).
+    /// Overlay-literal id (index into the store's `LiteralTable`).
     Lit(u64),
+}
+
+/// Content-interned table of overlay literals, shared by every shard;
+/// ids surface as `Value::Literal(OVERFLOW_BASE + id)`. Entries are
+/// `Arc`-shared so a routed op can carry its literal's content to a pool
+/// worker for one refcount bump, not a deep clone.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LiteralTable {
+    pub(crate) literals: Vec<Arc<Literal>>,
+    ids: HashMap<Arc<Literal>, u64>,
+}
+
+impl LiteralTable {
+    pub(crate) fn intern(&mut self, lit: &Literal) -> u64 {
+        if let Some(&id) = self.ids.get(lit) {
+            return id;
+        }
+        let id = self.literals.len() as u64;
+        let arc = Arc::new(lit.clone());
+        self.literals.push(Arc::clone(&arc));
+        self.ids.insert(arc, id);
+        id
+    }
+
+    pub(crate) fn id(&self, lit: &Literal) -> Option<u64> {
+        self.ids.get(lit).copied()
+    }
+
+    pub(crate) fn get(&self, id: u64) -> Option<&Literal> {
+        self.literals.get(id as usize).map(Arc::as_ref)
+    }
+
+    /// The shared content of an interned id (for shipping with an op).
+    pub(crate) fn arc(&self, id: u64) -> Arc<Literal> {
+        Arc::clone(&self.literals[id as usize])
+    }
 }
 
 /// The mutable overlay of inserted/deleted triples, in identifier space.
@@ -71,9 +157,6 @@ pub struct DeltaStore {
     type_cs: RbTree<(u64, u64), DeltaState>,
     /// `rdf:type` triples, `(subject, concept)` order.
     type_sc: RbTree<(u64, u64), DeltaState>,
-    /// Content-deduplicated literal table.
-    literals: Vec<Literal>,
-    literal_ids: HashMap<Literal, u64>,
     /// Number of entries currently in [`DeltaState::Added`].
     n_added: usize,
     /// Number of entries currently in [`DeltaState::Deleted`].
@@ -110,41 +193,6 @@ impl DeltaStore {
     /// `true` if the overlay holds no entries at all.
     pub fn is_empty(&self) -> bool {
         self.overlay_len() == 0
-    }
-
-    // ------------------------------------------------------------- literals
-
-    /// Interns a literal, returning its delta-local id.
-    pub fn intern_literal(&mut self, lit: &Literal) -> u64 {
-        if let Some(&id) = self.literal_ids.get(lit) {
-            return id;
-        }
-        let id = self.literals.len() as u64;
-        self.literals.push(lit.clone());
-        self.literal_ids.insert(lit.clone(), id);
-        id
-    }
-
-    /// The delta-local id of a literal, if interned.
-    pub fn literal_id(&self, lit: &Literal) -> Option<u64> {
-        self.literal_ids.get(lit).copied()
-    }
-
-    /// The literal at delta-local id `id`.
-    pub fn literal(&self, id: u64) -> Option<&Literal> {
-        self.literals.get(id as usize)
-    }
-
-    /// Number of interned literals.
-    pub fn literal_count(&self) -> usize {
-        self.literals.len()
-    }
-
-    /// The interned literals in id order (position = delta-local id) —
-    /// the persistence layer serializes them in this order so re-interning
-    /// on load reproduces identical ids.
-    pub fn literals(&self) -> impl Iterator<Item = &Literal> + '_ {
-        self.literals.iter()
     }
 
     // ---------------------------------------------------------- transitions
@@ -270,11 +318,6 @@ impl DeltaStore {
     pub fn type_iter(&self) -> impl Iterator<Item = (u64, u64, DeltaState)> + '_ {
         self.type_sc.iter().map(|(&(s, c), &st)| (s, c, st))
     }
-
-    /// Drops every overlay entry (after a compaction).
-    pub fn clear(&mut self) {
-        *self = Self::default();
-    }
 }
 
 #[cfg(test)]
@@ -321,21 +364,22 @@ mod tests {
 
     #[test]
     fn literal_interning_deduplicates() {
-        let mut d = DeltaStore::new();
-        let a = d.intern_literal(&Literal::string("x"));
-        let b = d.intern_literal(&Literal::string("x"));
-        let c = d.intern_literal(&Literal::string("y"));
+        let mut table = LiteralTable::default();
+        let a = table.intern(&Literal::string("x"));
+        let b = table.intern(&Literal::string("x"));
+        let c = table.intern(&Literal::string("y"));
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(d.literal(a), Some(&Literal::string("x")));
-        assert_eq!(d.literal_id(&Literal::string("y")), Some(c));
-        assert_eq!(d.literal(99), None);
+        assert_eq!(table.get(a), Some(&Literal::string("x")));
+        assert_eq!(*table.arc(c), Literal::string("y"));
+        assert_eq!(table.id(&Literal::string("y")), Some(c));
+        assert_eq!(table.get(99), None);
     }
 
     #[test]
     fn instances_order_before_literals() {
         let mut d = DeltaStore::new();
-        let l = d.intern_literal(&Literal::string("v"));
+        let l = 0;
         d.set(1, 5, DeltaObj::Lit(l), DeltaState::Added);
         d.set(1, 5, DeltaObj::Inst(9), DeltaState::Added);
         let objs: Vec<DeltaObj> = d.objects(1, 5).into_iter().map(|(o, _)| o).collect();

@@ -53,7 +53,7 @@
 //! via the registry.
 
 use crate::continuous::{ContinuousQuery, ContinuousResult};
-use crate::hybrid::BatchDelta;
+use crate::delta::BatchDelta;
 use se_core::{TripleSource, Value};
 use se_rdf::{Term, Triple};
 use se_sparql::ast::{GroupPattern, Query, TermPattern, TriplePattern};

@@ -8,26 +8,25 @@
 //!
 //! * [`DeltaStore`](delta::DeltaStore) — a mutable overlay of
 //!   inserted/deleted triples in identifier space, held in red-black
-//!   trees (`se-rbtree`) with PSO/POS access paths and a
-//!   content-interned literal table;
-//! * [`HybridStore`] — the merged query view over baseline + overlay. It
-//!   implements `se-core`'s [`TripleSource`](se_core::TripleSource), so
-//!   the unmodified `se-sparql` executor (merge joins, LiteMat interval
-//!   reasoning, Algorithm 1 ordering) runs against live data. Terms
-//!   unseen at build time go to *overflow dictionaries*
+//!   trees (`se-rbtree`) with PSO/POS access paths;
+//! * [`ShardedHybridStore`] — the one streaming store: succinct layers
+//!   plus overlay, merged at pattern-access granularity behind `se-core`'s
+//!   [`TripleSource`](se_core::TripleSource), so the unmodified
+//!   `se-sparql` executor (merge joins, LiteMat interval reasoning,
+//!   Algorithm 1 ordering) runs against live data. `build(…, 1)` is the
+//!   single-store configuration; more shards partition the write path.
+//!   Terms unseen at build time go to *overflow dictionaries*
 //!   ([`OVERFLOW_BASE`]);
-//! * **compaction** — past a [`CompactionPolicy`] threshold the overlay
-//!   is folded back: baseline + delta are materialized to a term graph
-//!   and the succinct layers are rebuilt (overflow terms gain LiteMat
-//!   codes via ontology augmentation);
-//! * [`persist`] — delta-aware v02 persistence: baseline layer files
-//!   (raw v01 `SuccinctEdgeStore` bytes, reused save to save) plus a raw
-//!   overlay snapshot (tombstones, overflow dictionaries, interned
-//!   literals) and a sharded manifest, so `save` is `&self`, never
-//!   compacts, and shutdown/restart is O(delta) — see the byte-level
-//!   format spec in the module docs;
+//! * **compaction** — past a [`CompactionPolicy`] threshold a shard's
+//!   overlay is folded back into fresh succinct layers in the same id
+//!   space (overflow terms keep their ids);
+//! * [`persist`] — delta-aware v02 persistence: layer files reused save
+//!   to save, plus a raw overlay snapshot (tombstones, overflow
+//!   dictionaries, interned literals) and a manifest, so `save` is
+//!   `&self`, never compacts, and shutdown/restart is O(delta) — see the
+//!   byte-level format spec in the module docs;
 //! * [`ContinuousQueryRegistry`] / [`StreamSession`] — SPARQL queries
-//!   parsed once, re-evaluated over the hybrid view after every ingested
+//!   parsed once, re-evaluated over the live store after every ingested
 //!   batch: the paper's "one query per graph instance" loop without the
 //!   per-instance rebuild.
 //!
@@ -104,16 +103,12 @@
 //! layers (pure, id-stable), and a later `apply` **atomically swaps** the
 //! result in, rebasing any writes that raced the rebuild via a pure
 //! visibility rule. `apply` latency is therefore bounded by routing +
-//! overlay insertion + swap — never by layer construction. The single
-//! [`HybridStore`] exposes the same split (`plan_compaction` /
-//! [`CompactionPlan::build`] / `swap_baseline`) for callers that manage
-//! their own threads.
+//! overlay insertion + swap — never by layer construction.
 
 pub mod continuous;
 pub mod delta;
 pub mod error;
 pub mod fault;
-pub mod hybrid;
 pub mod incremental;
 pub mod persist;
 pub mod runtime;
@@ -125,18 +120,14 @@ pub use continuous::{
     replay_record, BatchOutcome, ContinuousQuery, ContinuousQueryRegistry, ContinuousResult,
     StreamSession, StreamStats, StreamStore,
 };
-pub use delta::{DeltaObj, DeltaState, DeltaStore};
+pub use delta::{BatchDelta, DeltaObj, DeltaState, DeltaStore};
 pub use error::StreamError;
-pub use hybrid::{
-    BatchDelta, CompactionPlan, CompactionPolicy, HybridStats, HybridStore, IngestReport,
-    OVERFLOW_BASE,
-};
 pub use incremental::EvalStrategy;
-pub use persist::{PersistentStore, SaveReport};
+pub use persist::SaveReport;
 pub use runtime::ShardRuntime;
 pub use shard::{
-    IngestMode, ShardPolicy, ShardedHybridStore, ShardedStats, LIT_SHARD_STRIDE, MAX_SHARDS,
-    PIPELINE_CHUNK, POOL_MIN_OPS,
+    CompactionPolicy, IngestMode, IngestReport, ShardPolicy, ShardedHybridStore, ShardedStats,
+    LIT_SHARD_STRIDE, MAX_SHARDS, OVERFLOW_BASE, PIPELINE_CHUNK, POOL_MIN_OPS,
 };
 pub use snapshot::StoreSnapshot;
 pub use wal::{
@@ -184,13 +175,44 @@ mod tests {
         ])
     }
 
-    fn hybrid() -> HybridStore {
-        HybridStore::build(&ontology(), &seed_graph()).unwrap()
+    /// The single-store configuration: one shard, inline ingest and
+    /// inline compaction.
+    fn single(onto: &Ontology, graph: &Graph) -> ShardedHybridStore {
+        ShardedHybridStore::build(onto, graph, 1)
+            .unwrap()
+            .with_ingest_mode(IngestMode::Inline)
+            .with_background_compaction(false)
+    }
+
+    fn store() -> ShardedHybridStore {
+        single(&ontology(), &seed_graph())
+    }
+
+    /// Inserts one triple; `true` if it became visible.
+    fn insert(h: &mut ShardedHybridStore, t: Triple) -> bool {
+        h.apply(&Graph::from_triples([t]), &Graph::new())
+            .unwrap()
+            .inserted
+            == 1
+    }
+
+    /// Deletes one triple; `true` if it stopped being visible.
+    fn delete(h: &mut ShardedHybridStore, t: Triple) -> bool {
+        h.apply(&Graph::new(), &Graph::from_triples([t]))
+            .unwrap()
+            .deleted
+            == 1
+    }
+
+    fn norm(g: &Graph) -> Vec<String> {
+        let mut v: Vec<String> = g.iter().map(|t| t.to_string()).collect();
+        v.sort();
+        v
     }
 
     #[test]
     fn baseline_answers_pass_through() {
-        let h = hybrid();
+        let h = store();
         assert_eq!(h.len(), 6);
         let knows = h.property_id("http://x/knows").unwrap();
         let a = h.instance_id(&iri("a")).unwrap();
@@ -201,10 +223,10 @@ mod tests {
 
     #[test]
     fn insert_then_query_without_rebuild() {
-        let mut h = hybrid();
-        assert!(h.insert_triple(&t("b", "knows", iri("a"))).unwrap());
+        let mut h = store();
+        assert!(insert(&mut h, t("b", "knows", iri("a"))));
         // Duplicate insert is a no-op.
-        assert!(!h.insert_triple(&t("b", "knows", iri("a"))).unwrap());
+        assert!(!insert(&mut h, t("b", "knows", iri("a"))));
         assert_eq!(h.len(), 7);
         let knows = h.property_id("http://x/knows").unwrap();
         let a = h.instance_id(&iri("a")).unwrap();
@@ -216,9 +238,9 @@ mod tests {
 
     #[test]
     fn delete_baseline_triple_tombstones_it() {
-        let mut h = hybrid();
-        assert!(h.delete_triple(&t("a", "knows", iri("b"))).unwrap());
-        assert!(!h.delete_triple(&t("a", "knows", iri("b"))).unwrap());
+        let mut h = store();
+        assert!(delete(&mut h, t("a", "knows", iri("b"))));
+        assert!(!delete(&mut h, t("a", "knows", iri("b"))));
         assert_eq!(h.len(), 5);
         let knows = h.property_id("http://x/knows").unwrap();
         let a = h.instance_id(&iri("a")).unwrap();
@@ -226,16 +248,16 @@ mod tests {
         assert_eq!(h.predicate_count(knows), 0);
         // Re-insert restores visibility through the baseline copy (no
         // duplicate in scans).
-        assert!(h.insert_triple(&t("a", "knows", iri("b"))).unwrap());
+        assert!(insert(&mut h, t("a", "knows", iri("b"))));
         assert_eq!(h.objects(knows, a).len(), 1);
         assert_eq!(h.scan_predicate(knows).len(), 1);
     }
 
     #[test]
     fn insert_then_delete_overlay_triple_cancels() {
-        let mut h = hybrid();
-        h.insert_triple(&t("c", "knows", iri("a"))).unwrap();
-        assert!(h.delete_triple(&t("c", "knows", iri("a"))).unwrap());
+        let mut h = store();
+        insert(&mut h, t("c", "knows", iri("a")));
+        assert!(delete(&mut h, t("c", "knows", iri("a"))));
         assert_eq!(h.len(), 6);
         let knows = h.property_id("http://x/knows").unwrap();
         let c = h.instance_id(&iri("c")).unwrap();
@@ -244,12 +266,11 @@ mod tests {
 
     #[test]
     fn overflow_terms_are_queryable() {
-        let mut h = hybrid();
+        let mut h = store();
         // Unknown subject, property and class.
-        h.insert_triple(&t("newSensor", "emits", iri("a"))).unwrap();
-        h.insert_triple(&ty("newSensor", "NewKind")).unwrap();
-        h.insert_triple(&t("newSensor", "reading", Term::literal("7.5")))
-            .unwrap();
+        insert(&mut h, t("newSensor", "emits", iri("a")));
+        insert(&mut h, ty("newSensor", "NewKind"));
+        insert(&mut h, t("newSensor", "reading", Term::literal("7.5")));
         let p = h.property_id("http://x/emits").unwrap();
         assert!(p >= OVERFLOW_BASE);
         let ns = h.instance_id(&iri("newSensor")).unwrap();
@@ -273,9 +294,9 @@ mod tests {
 
     #[test]
     fn type_queries_with_reasoning_see_overlay() {
-        let mut h = hybrid();
-        h.insert_triple(&ty("c", "C2")).unwrap();
-        h.delete_triple(&ty("b", "C1")).unwrap();
+        let mut h = store();
+        insert(&mut h, ty("c", "C2"));
+        delete(&mut h, ty("b", "C1"));
         let iv = h.concept_interval("http://x/C1").unwrap();
         let a = h.instance_id(&iri("a")).unwrap();
         let c = h.instance_id(&iri("c")).unwrap();
@@ -290,8 +311,8 @@ mod tests {
 
     #[test]
     fn property_interval_reasoning_sees_overlay() {
-        let mut h = hybrid();
-        h.insert_triple(&t("c", "worksFor", iri("org"))).unwrap();
+        let mut h = store();
+        insert(&mut h, t("c", "worksFor", iri("org")));
         let iv = h.property_interval("http://x/memberOf").unwrap();
         let org = h.instance_id(&iri("org")).unwrap();
         let subs = h.subjects_interval(iv, &Value::Instance(org));
@@ -301,46 +322,46 @@ mod tests {
 
     #[test]
     fn literal_tombstone_and_overlay_literals() {
-        let mut h = hybrid();
+        let mut h = store();
         let age = h.property_id("http://x/age").unwrap();
         // Delete the baseline literal triple.
-        h.delete_triple(&t("a", "age", Term::literal("42")))
-            .unwrap();
+        delete(&mut h, t("a", "age", Term::literal("42")));
         assert!(h
             .subjects_by_literal(age, &Literal::string("42"))
             .is_empty());
         // Add a fresh one for another subject.
-        h.insert_triple(&t("b", "age", Term::literal("42")))
-            .unwrap();
+        insert(&mut h, t("b", "age", Term::literal("42")));
         let b = h.instance_id(&iri("b")).unwrap();
         assert_eq!(h.subjects_by_literal(age, &Literal::string("42")), vec![b]);
     }
 
+    /// Compaction folds the overlay — overflow-term triples included —
+    /// into fresh layers without changing the view or any id.
     #[test]
     fn compaction_preserves_view_and_folds_overflow() {
-        let mut h = hybrid();
-        h.insert_triple(&t("newSensor", "emits", iri("a"))).unwrap();
-        h.insert_triple(&ty("newSensor", "NewKind")).unwrap();
-        h.delete_triple(&t("a", "knows", iri("b"))).unwrap();
-        let before = h.materialize();
-        h.compact().unwrap();
-        assert!(h.delta().is_empty());
+        let mut h = store();
+        insert(&mut h, t("newSensor", "emits", iri("a")));
+        insert(&mut h, ty("newSensor", "NewKind"));
+        delete(&mut h, t("a", "knows", iri("b")));
+        let emits = h.property_id("http://x/emits").unwrap();
+        let new_kind = h.concept_id("http://x/NewKind").unwrap();
+        let before = norm(&h.materialize());
+        h.compact_shard(0);
+        assert_eq!(h.overlay_len(), 0);
         assert_eq!(h.stats().compactions, 1);
-        let after = h.materialize();
-        let norm = |g: &Graph| {
-            let mut v: Vec<String> = g.iter().map(|t| t.to_string()).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(norm(&before), norm(&after));
-        // Overflow terms now live in the rebuilt dictionaries.
-        assert!(h.property_id("http://x/emits").unwrap() < OVERFLOW_BASE);
-        assert!(h.concept_id("http://x/NewKind").unwrap() < OVERFLOW_BASE);
+        assert_eq!(norm(&h.materialize()), before);
+        // The overflow terms now live in the layers under unchanged ids.
+        assert!(emits >= OVERFLOW_BASE && new_kind >= OVERFLOW_BASE);
+        assert_eq!(h.property_id("http://x/emits"), Some(emits));
+        let ns = h.instance_id(&iri("newSensor")).unwrap();
+        let a = h.instance_id(&iri("a")).unwrap();
+        assert_eq!(h.subjects(emits, &Value::Instance(a)), vec![ns]);
+        assert_eq!(h.subjects_of_concept(new_kind), vec![ns]);
     }
 
     #[test]
     fn policy_triggers_compaction_during_apply() {
-        let mut h = hybrid().with_policy(CompactionPolicy { max_overlay: 3 });
+        let mut h = store().with_policy(CompactionPolicy { max_overlay: 3 });
         let inserts = Graph::from_triples([
             t("c", "knows", iri("a")),
             t("d", "knows", iri("a")),
@@ -354,47 +375,48 @@ mod tests {
         assert_eq!(h.len(), 10);
     }
 
-    /// The v02 directory save/load path round-trips a dirty overlay.
+    /// The v02 directory save/load path round-trips compacted layers plus
+    /// a dirty overlay on top of them.
     #[test]
     fn persist_roundtrip_through_compaction() {
-        let mut h = hybrid();
-        h.insert_triple(&t("c", "knows", iri("a"))).unwrap();
-        h.delete_triple(&ty("b", "C1")).unwrap();
+        let mut h = store();
+        insert(&mut h, t("c", "knows", iri("a")));
+        h.compact_shard(0);
+        delete(&mut h, ty("b", "C1"));
         let mut path = std::env::temp_dir();
         path.push(format!("se-stream-persist-{}.v02", std::process::id()));
         h.save(&path).unwrap();
-        let back = HybridStore::load(&path, &ontology()).unwrap();
+        let back = ShardedHybridStore::load(&path, &ontology()).unwrap();
         std::fs::remove_dir_all(&path).ok();
         assert_eq!(back.len(), h.len());
-        let norm = |g: &Graph| {
-            let mut v: Vec<String> = g.iter().map(|t| t.to_string()).collect();
-            v.sort();
-            v
-        };
+        assert_eq!(back.overlay_len(), h.overlay_len());
         assert_eq!(norm(&back.materialize()), norm(&h.materialize()));
     }
 
+    /// A malformed triple rejects its whole batch before any mutation.
     #[test]
     fn malformed_triples_rejected() {
-        let mut h = hybrid();
+        let mut h = store();
         let bad = Triple {
             subject: Term::literal("bad"),
             predicate: Term::iri("http://x/p"),
             object: iri("o"),
         };
-        assert!(matches!(
-            h.insert_triple(&bad),
-            Err(StreamError::Malformed(_))
-        ));
         let bad_type = Triple {
             subject: iri("s"),
             predicate: Term::iri(se_rdf::vocab::rdf::TYPE),
             object: Term::literal("bad"),
         };
-        assert!(matches!(
-            h.insert_triple(&bad_type),
-            Err(StreamError::Malformed(_))
-        ));
+        for bad in [bad, bad_type] {
+            let batch = Graph::from_triples([t("c", "knows", iri("a")), bad]);
+            assert!(matches!(
+                h.apply(&batch, &Graph::new()),
+                Err(StreamError::Malformed(_))
+            ));
+        }
+        assert_eq!(h.len(), 6);
+        assert_eq!(h.overlay_len(), 0);
+        assert_eq!(h.epoch(), 0, "rejected batches do not advance the epoch");
     }
 
     #[test]
@@ -411,16 +433,16 @@ mod tests {
             g.insert(t(&format!("s{i}"), "q", iri("hub")));
             g.insert(t(&format!("s{i}"), "p", iri("target")));
         }
-        let mut h = HybridStore::build(&o, &g).unwrap();
-        for i in 0..20 {
-            h.insert_triple(&t(&format!("s{i}"), "p", Term::literal(format!("v{i}"))))
-                .unwrap();
-        }
+        let mut h = single(&o, &g);
+        let literals = Graph::from_triples(
+            (0..20).map(|i| t(&format!("s{i}"), "p", Term::literal(format!("v{i}")))),
+        );
+        h.apply(&literals, &Graph::new()).unwrap();
         let p = h.property_id("http://x/p").unwrap();
         let subjects: Vec<u64> = h.scan_predicate(p).iter().map(|(s, _)| *s).collect();
         let mut sorted = subjects.clone();
         sorted.sort_unstable();
-        assert_eq!(subjects, sorted, "hybrid scan must stay subject-sorted");
+        assert_eq!(subjects, sorted, "merged scan must stay subject-sorted");
 
         let q = "PREFIX e: <http://x/> SELECT ?s ?o WHERE { ?s e:q e:hub . ?s e:p ?o }";
         let with_merge = se_sparql::execute_query(&h, q, &QueryOptions::default()).unwrap();
@@ -442,66 +464,86 @@ mod tests {
         assert_eq!(norm(&with_merge), norm(&without));
     }
 
+    /// No-op operations — deletes of triples over unknown terms and a
+    /// duplicate insert of a baseline literal triple — leave no
+    /// dictionary entry, overlay entry or overlay literal behind.
     #[test]
     fn noop_operations_allocate_nothing() {
-        let mut h = hybrid();
-        // Delete of an absent triple whose terms are all unknown.
-        assert!(!h
-            .delete_triple(&t("ghost", "phantom", iri("nowhere")))
-            .unwrap());
-        assert!(!h.delete_triple(&ty("ghost", "NoClass")).unwrap());
-        assert!(!h
-            .delete_triple(&t("ghost", "reading", Term::literal("404")))
-            .unwrap());
+        let mut h = store();
+        let report = h
+            .apply(
+                &Graph::from_triples([t("a", "age", Term::literal("42"))]),
+                &Graph::from_triples([
+                    t("ghost", "phantom", iri("nowhere")),
+                    ty("ghost", "NoClass"),
+                    t("ghost", "reading", Term::literal("404")),
+                ]),
+            )
+            .unwrap();
+        assert_eq!((report.inserted, report.deleted, report.noops), (0, 0, 4));
         assert_eq!(h.instance_id(&iri("ghost")), None, "no instance allocated");
         assert_eq!(h.property_id("http://x/phantom"), None);
         assert_eq!(h.concept_id("http://x/NoClass"), None);
-        assert_eq!(h.delta().literal_id(&Literal::string("404")), None);
-        // Duplicate insert of a baseline literal triple interns nothing.
-        assert!(!h
-            .insert_triple(&t("a", "age", Term::literal("42")))
-            .unwrap());
-        assert_eq!(h.delta().literal_id(&Literal::string("42")), None);
-        assert!(h.delta().is_empty());
+        assert!(h.literals.literals.is_empty(), "no overlay literal kept");
+        assert_eq!(h.overlay_len(), 0);
         assert_eq!(h.len(), 6);
     }
 
+    /// Split compaction — snapshot the shard, rebuild on the pool worker,
+    /// swap the result in — lands on the same view as an inline rebuild.
     #[test]
     fn split_compaction_plan_build_swap_equals_inline() {
-        let mut split = hybrid();
-        let mut inline = hybrid();
+        let policy = CompactionPolicy { max_overlay: 2 };
+        let mut split = ShardedHybridStore::build(&ontology(), &seed_graph(), 1)
+            .unwrap()
+            .with_policy(policy)
+            .with_background_compaction(true);
+        let mut inline = store().with_policy(policy);
         for h in [&mut split, &mut inline] {
-            h.insert_triple(&t("newSensor", "emits", iri("a"))).unwrap();
-            h.delete_triple(&t("a", "knows", iri("b"))).unwrap();
+            h.apply(
+                &Graph::from_triples([t("newSensor", "emits", iri("a"))]),
+                &Graph::from_triples([t("a", "knows", iri("b"))]),
+            )
+            .unwrap();
         }
-        let plan = split.plan_compaction();
-        assert_eq!(plan.len(), split.materialize().len());
-        let rebuilt = plan.build().unwrap();
-        split.swap_baseline(rebuilt).unwrap();
-        inline.compact().unwrap();
-        assert!(split.delta().is_empty(), "covered overlay collapses away");
-        let norm = |g: &Graph| {
-            let mut v: Vec<String> = g.iter().map(|t| t.to_string()).collect();
-            v.sort();
-            v
-        };
+        assert_eq!(
+            split.pending_compactions(),
+            1,
+            "rebuild handed to the worker"
+        );
+        assert_eq!(split.flush_compactions(), 1);
+        assert_eq!(split.overlay_len(), 0, "covered overlay collapses away");
+        assert_eq!(inline.overlay_len(), 0);
         assert_eq!(norm(&split.materialize()), norm(&inline.materialize()));
         assert_eq!(split.stats().compactions, 1);
+        assert_eq!(split.stats().background_compactions, 1);
     }
 
+    /// Writes that land while a background rebuild is in flight survive
+    /// the swap: the rebuild covers only its snapshot, and the swap
+    /// rebases the live overlay onto the new layers. Whether the worker
+    /// finishes before the racing batch (swap first) or after it (rebase
+    /// at the flush), the overlay ends up holding exactly the raced
+    /// writes.
     #[test]
     fn swap_baseline_rebases_writes_raced_between_plan_and_swap() {
-        let mut h = hybrid();
-        h.insert_triple(&t("c", "knows", iri("a"))).unwrap();
-        let plan = h.plan_compaction();
-        // Writes landing while the (simulated) worker rebuilds: a fresh
-        // insert, a delete of a planned triple, and a delete of a
-        // baseline triple.
-        h.insert_triple(&t("d", "knows", iri("a"))).unwrap();
-        h.delete_triple(&t("c", "knows", iri("a"))).unwrap();
-        h.delete_triple(&t("a", "worksFor", iri("org"))).unwrap();
-        let rebuilt = plan.build().unwrap();
-        h.swap_baseline(rebuilt).unwrap();
+        let mut h = ShardedHybridStore::build(&ontology(), &seed_graph(), 1)
+            .unwrap()
+            .with_policy(CompactionPolicy { max_overlay: 1 })
+            .with_background_compaction(true);
+        insert(&mut h, t("c", "knows", iri("a")));
+        assert_eq!(h.pending_compactions(), 1);
+        // Raise the threshold so the racing batch starts no second
+        // rebuild, then race: a fresh insert, a delete of a triple the
+        // rebuild covers, and a delete of a baseline triple.
+        let mut h = h.with_policy(CompactionPolicy::default());
+        h.apply(
+            &Graph::from_triples([t("d", "knows", iri("a"))]),
+            &Graph::from_triples([t("c", "knows", iri("a")), t("a", "worksFor", iri("org"))]),
+        )
+        .unwrap();
+        h.flush_compactions();
+        assert_eq!(h.stats().compactions, 1);
         // The raced writes survive the swap.
         let knows = h.property_id("http://x/knows").unwrap();
         let a = h.instance_id(&iri("a")).unwrap();
@@ -511,15 +553,15 @@ mod tests {
         assert_eq!(h.predicate_count(works), 0);
         assert_eq!(h.len(), 6, "6 seed + c + d - c - worksFor = 6");
         // And the overlay holds exactly the raced writes, nothing stale:
-        // d→a as an insert; tombstones for the two deletes (c→a was in
-        // the plan, so its raced delete rebases to a tombstone).
-        assert_eq!(h.delta().added(), 1);
-        assert_eq!(h.delta().deleted(), 2);
+        // d→a as an insert; tombstones for the two deletes (c→a is in
+        // the rebuilt layers, so its raced delete rebases to a tombstone).
+        assert_eq!(h.shards[0].delta.added(), 1);
+        assert_eq!(h.shards[0].delta.deleted(), 2);
     }
 
     #[test]
     fn apply_reports_batch_timings() {
-        let mut h = hybrid().with_policy(CompactionPolicy { max_overlay: 2 });
+        let mut h = store().with_policy(CompactionPolicy { max_overlay: 2 });
         let report = h
             .apply(
                 &Graph::from_triples([
@@ -539,7 +581,7 @@ mod tests {
 
     #[test]
     fn continuous_queries_run_per_batch() {
-        let mut session = StreamSession::new(hybrid());
+        let mut session = StreamSession::new(store());
         session
             .register_query(
                 "members",

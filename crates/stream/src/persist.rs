@@ -1,16 +1,16 @@
-//! Delta-aware v02 persistence: overlay snapshots + sharded manifest,
+//! Delta-aware v02 persistence: overlay snapshots + a store manifest,
 //! making shutdown/restart O(delta) instead of O(rebuild).
 //!
 //! The retired v01 save collapsed the paper's baseline/overlay split at
 //! shutdown: it **compacted** (a full succinct rebuild) and dumped the
-//! result, so saving a dirty store cost as much as rebuilding it — and
-//! the sharded engine had no persistence at all. v01 files stay loadable
-//! ([`HybridStore::load_from_file`]); v02 keeps the split on disk:
+//! result, so saving a dirty store cost as much as rebuilding it. v01
+//! files stay loadable as static stores
+//! (`SuccinctEdgeStore::load_from_file`); v02 keeps the split on disk:
 //!
-//! * the immutable **baseline layers** are written once per compaction
-//!   generation and *reused* by every later save (the store remembers
-//!   what it already wrote — a steady-state save never re-serializes
-//!   them);
+//! * the immutable **shard layers** and the frozen LiteMat dictionaries
+//!   are written once per compaction generation and *reused* by every
+//!   later save (the store remembers what it already wrote — a
+//!   steady-state save never re-serializes them);
 //! * the mutable **overlay** — added triples, deletion tombstones with
 //!   full [`DeltaState`] semantics, overflow dictionaries and the
 //!   interned overlay-literal table — is snapshotted raw on every save,
@@ -20,7 +20,7 @@
 //!   manifest pointing at the old files.
 //!
 //! `save` therefore takes `&self`, performs **no compaction**, and costs
-//! O(delta) once the baseline files exist. `load` rebuilds the store with
+//! O(delta) once the layer files exist. `load` rebuilds the store with
 //! every identifier stable — no re-encoding — so continuous queries
 //! resume over the reloaded store bit-identically
 //! ([`StreamSession::resume`]).
@@ -34,34 +34,12 @@
 //! as a distinct, clean [`StreamError`] — never a panic. All integers
 //! are little-endian; strings are length-prefixed UTF-8 (`write_str`).
 //!
-//! # Single-store layout (`HybridStore`), one directory
-//!
-//! ```text
-//! baseline-g<seq>.v01      raw, unchanged v01 SuccinctEdgeStore bytes
-//!                          (loadable by SuccinctEdgeStore::load);
-//!                          rewritten only after a compaction swapped the
-//!                          baseline, under a directory-unique <seq> so a
-//!                          file the current manifest references is never
-//!                          overwritten
-//! hybrid.manifest          magic "SEHYBv02", version 2, sections:
-//!   META  baseline file name (str), baseline gen (u64),
-//!         baseline FNV-1a checksum (u64), baseline byte length (u64),
-//!         compaction policy max_overlay (u64)
-//!   OVFI  overflow instances: base_len (u64), count (u64), keys (str…)
-//!         — ids are `base_len + position`
-//!   OVFP  overflow properties: count (u64), IRIs (str…) — ids are
-//!         `OVERFLOW_BASE + position`
-//!   OVFC  overflow concepts, same shape
-//!   DELT  overlay: interned literal table (count + literals, id =
-//!         position), then the delta entries (see *Overlay encoding*)
-//! ```
-//!
-//! # Sharded layout (`ShardedHybridStore`), one directory
+//! # Directory layout (one store per directory)
 //!
 //! ```text
 //! dicts-g<seq>.bin         magic "SESHDv02": sections CONC, PROP — the
 //!                          frozen global LiteMat dictionaries (written
-//!                          once; the sharded store never re-encodes)
+//!                          once; the store never re-encodes)
 //! instances-<a>-<b>.seg    magic "SESHIv02": section INST — instance
 //!                          dictionary entries [a, b): (key str,
 //!                          count u64)…  Append-only segments: each save
@@ -92,7 +70,9 @@
 //!   ISEG  instance segments: count, then (file str, from u64, to u64)…
 //!   ROUT  routing table: property assignments (count + (id, shard)…,
 //!         sorted by id), then concept assignments, same shape
-//!   OVFP / OVFC  shared overflow dictionaries (as above)
+//!   OVFP  overflow properties: count (u64), IRIs (str…) — ids are
+//!         `OVERFLOW_BASE + position`
+//!   OVFC  overflow concepts, same shape
 //!   LITS  shared overlay-literal table: count + literals (id = position)
 //!   SHRD  per shard: layer file (str), shard gen (u64), overlay file
 //!         (str)
@@ -139,21 +119,21 @@
 //! instead of rewriting the overlay snapshot) and per-batch group
 //! commit on top of the PR 3 ingest pipeline.
 
-use crate::continuous::{StreamSession, StreamStore};
+use crate::continuous::StreamSession;
 use crate::delta::{DeltaObj, DeltaState, DeltaStore};
 use crate::error::StreamError;
-use crate::hybrid::{CompactionPolicy, HybridStore, OverflowDict, OverflowInstances};
-use crate::shard::{ShardBase, ShardPolicy, ShardedHybridStore, LIT_SHARD_STRIDE};
+use crate::shard::{
+    CompactionPolicy, OverflowDict, ShardBase, ShardPolicy, ShardedHybridStore, LIT_SHARD_STRIDE,
+};
 use se_core::datatype::DatatypeLayer;
 use se_core::layer::TripleLayer;
 use se_core::typestore::RdfTypeStore;
-use se_core::SuccinctEdgeStore;
 use se_litemat::{Dictionaries, InstanceDictionary, LiteMatDictionary};
 use se_ontology::Ontology;
 use se_rdf::{Graph, Literal};
 use se_sds::{
-    checksum64, expect_section, read_container_header, write_container_header, write_section,
-    ReadBin, Serialize, WriteBin,
+    expect_section, read_container_header, write_container_header, write_section, ReadBin,
+    Serialize, WriteBin,
 };
 use std::collections::HashMap;
 use std::io;
@@ -164,14 +144,11 @@ use std::sync::MutexGuard;
 /// Highest format version this build reads and the version it writes.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Root manifest file name of a persisted [`HybridStore`] directory.
-pub const HYBRID_MANIFEST: &str = "hybrid.manifest";
 /// Root manifest file name of a persisted [`ShardedHybridStore`] directory.
 pub const SHARD_MANIFEST: &str = "store.manifest";
 /// Session checkpoint file name ([`StreamSession::save`]).
 pub const SESSION_FILE: &str = "session.v02";
 
-const HYBRID_MAGIC: &[u8; 8] = b"SEHYBv02";
 const SHARD_MANIFEST_MAGIC: &[u8; 8] = b"SESHMv02";
 const LAYER_MAGIC: &[u8; 8] = b"SESHLv02";
 const OVERLAY_MAGIC: &[u8; 8] = b"SESHOv02";
@@ -180,19 +157,17 @@ const SEG_MAGIC: &[u8; 8] = b"SESHIv02";
 const SESSION_MAGIC: &[u8; 8] = b"SESSNv02";
 
 /// Allocates a process-unique generation number. Generations identify a
-/// particular immutable baseline (or shard-layer) incarnation: every
-/// build, load and compaction swap takes a fresh one, so two stores —
-/// or two diverged clones — can never claim each other's on-disk layer
-/// files.
+/// particular immutable shard-layer incarnation: every build, load and
+/// compaction swap takes a fresh one, so two stores can never claim each
+/// other's on-disk layer files.
 pub(crate) fn next_generation() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// What one [`HybridStore::save`] / [`ShardedHybridStore::save`] did —
-/// the observable shape of the O(delta) contract: in the steady state
-/// `baseline_files_written` is 0 and only `delta_bytes` scale with the
-/// overlay.
+/// What one [`ShardedHybridStore::save`] did — the observable shape of
+/// the O(delta) contract: in the steady state `baseline_files_written`
+/// is 0 and only `delta_bytes` scale with the overlay.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SaveReport {
     /// Baseline-side files (layers, frozen dictionaries) (re)written by
@@ -205,16 +180,6 @@ pub struct SaveReport {
     pub delta_bytes: u64,
     /// Overlay entries captured in this snapshot.
     pub overlay_entries: usize,
-}
-
-/// Where a [`HybridStore`] baseline generation already lives on disk.
-#[derive(Debug, Clone)]
-pub(crate) struct BaselineMark {
-    pub(crate) dir: PathBuf,
-    pub(crate) file: String,
-    pub(crate) gen: u64,
-    pub(crate) checksum: u64,
-    pub(crate) bytes: u64,
 }
 
 /// One persisted instance-dictionary segment (ids `[from, to)`).
@@ -395,8 +360,8 @@ fn state_from_u8(b: u8) -> io::Result<DeltaState> {
     })
 }
 
-/// Serializes the delta *entries* (not the literal table — the sharded
-/// store keeps literals in a shared table outside the per-shard deltas).
+/// Serializes the delta *entries* (literal ids point into the store's
+/// shared literal table, persisted separately as `LITS`).
 fn write_delta_entries(w: &mut Vec<u8>, d: &DeltaStore) -> io::Result<()> {
     let entries: Vec<_> = d.iter().collect();
     w.write_u64(entries.len() as u64)?;
@@ -425,8 +390,7 @@ fn write_delta_entries(w: &mut Vec<u8>, d: &DeltaStore) -> io::Result<()> {
     Ok(())
 }
 
-/// Replays persisted delta entries into `d` (whose literal table, if
-/// any, must already be interned so ids resolve).
+/// Replays persisted delta entries into `d`.
 fn read_delta_entries(r: &mut &[u8], d: &mut DeltaStore) -> io::Result<()> {
     let n = r.read_u64()?;
     for _ in 0..n {
@@ -448,32 +412,6 @@ fn read_delta_entries(r: &mut &[u8], d: &mut DeltaStore) -> io::Result<()> {
         d.set_type(s, c, st);
     }
     Ok(())
-}
-
-/// The single store's DELT payload: its own literal table + the entries.
-fn hybrid_delta_bytes(d: &DeltaStore) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.write_u64(d.literal_count() as u64)
-        .expect("serializing to Vec cannot fail");
-    for lit in d.literals() {
-        write_literal(&mut buf, lit).expect("serializing to Vec cannot fail");
-    }
-    write_delta_entries(&mut buf, d).expect("serializing to Vec cannot fail");
-    buf
-}
-
-fn hybrid_delta_from_bytes(mut r: &[u8]) -> io::Result<DeltaStore> {
-    let mut d = DeltaStore::new();
-    let n = r.read_u64()?;
-    for i in 0..n {
-        let lit = read_literal(&mut r)?;
-        let id = d.intern_literal(&lit);
-        if id != i {
-            return invalid("duplicate literal in persisted table");
-        }
-    }
-    read_delta_entries(&mut r, &mut d)?;
-    Ok(d)
 }
 
 // ------------------------------------------- overflow dictionary encoding
@@ -498,214 +436,7 @@ fn ovf_dict_from_bytes(mut r: &[u8]) -> io::Result<OverflowDict> {
     Ok(d)
 }
 
-fn ovf_instances_bytes(d: &OverflowInstances) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.write_u64(d.base_len())
-        .expect("serializing to Vec cannot fail");
-    let mut rest = ovf_dict_bytes(d.terms());
-    buf.append(&mut rest);
-    buf
-}
-
-fn ovf_instances_from_bytes(mut r: &[u8]) -> io::Result<OverflowInstances> {
-    let base_len = r.read_u64()?;
-    let n = r.read_u64()?;
-    let mut keys = Vec::with_capacity(capped(n));
-    for _ in 0..n {
-        keys.push(r.read_str()?);
-    }
-    Ok(OverflowInstances::from_keys(base_len, keys.into_iter()))
-}
-
-// -------------------------------------------------- HybridStore save/load
-
-impl HybridStore {
-    /// Writes the v02 snapshot of this store into `dir` — `&self`,
-    /// **no compaction**, O(delta) once the baseline layer file exists
-    /// (it is rewritten only after a compaction swapped the baseline).
-    /// The directory is created if needed; the manifest is replaced
-    /// atomically. One store per directory.
-    pub fn save(&self, dir: &Path) -> Result<SaveReport, StreamError> {
-        std::fs::create_dir_all(dir)?;
-        let mut report = SaveReport {
-            overlay_entries: self.delta.overlay_len(),
-            ..SaveReport::default()
-        };
-        let mut guard = lock(&self.persist_mark);
-        let reusable = guard
-            .as_ref()
-            .filter(|m| m.dir == dir && m.gen == self.generation && dir.join(&m.file).is_file())
-            .cloned();
-        let mark = match reusable {
-            Some(m) => m,
-            None => {
-                // The baseline changed (or was never written here):
-                // serialize the unchanged v01 bytes once, under a
-                // directory-unique name so the file the current on-disk
-                // manifest references is never touched.
-                let mut bytes = Vec::new();
-                self.base.save(&mut bytes)?;
-                let file = format!("baseline-g{}.v01", next_file_seq(dir)?);
-                write_file_atomic(&dir.join(&file), &bytes)?;
-                report.baseline_files_written = 1;
-                report.baseline_bytes = bytes.len() as u64;
-                BaselineMark {
-                    dir: dir.to_path_buf(),
-                    checksum: checksum64(&bytes),
-                    bytes: bytes.len() as u64,
-                    gen: self.generation,
-                    file,
-                }
-            }
-        };
-
-        let mut buf = Vec::new();
-        write_container_header(&mut buf, HYBRID_MAGIC, FORMAT_VERSION)?;
-        let mut meta = Vec::new();
-        meta.write_str(&mark.file)?;
-        meta.write_u64(mark.gen)?;
-        meta.write_u64(mark.checksum)?;
-        meta.write_u64(mark.bytes)?;
-        meta.write_u64(self.policy().max_overlay as u64)?;
-        meta.write_u64(self.epoch)?;
-        write_section(&mut buf, b"META", &meta)?;
-        write_section(&mut buf, b"OVFI", &ovf_instances_bytes(&self.ovf_instances))?;
-        write_section(
-            &mut buf,
-            b"OVFP",
-            &ovf_dict_bytes(self.ovf_properties.terms()),
-        )?;
-        write_section(
-            &mut buf,
-            b"OVFC",
-            &ovf_dict_bytes(self.ovf_concepts.terms()),
-        )?;
-        write_section(&mut buf, b"DELT", &hybrid_delta_bytes(&self.delta))?;
-        write_file_atomic(&dir.join(HYBRID_MANIFEST), &buf)?;
-        report.delta_bytes = buf.len() as u64;
-        // Garbage only after the new manifest landed: a crash anywhere
-        // earlier leaves the previous manifest + its baseline intact.
-        remove_matching(dir, |n| {
-            n.starts_with("baseline-g") && n.ends_with(".v01") && n != mark.file
-        })?;
-        // WAL maintenance, also only after the rename: the new manifest
-        // covers every record up to `self.epoch`, so sealed segments at
-        // or below it are dead weight.
-        if let Some(wal) = lock(&self.wal).as_mut() {
-            if wal.dir() == dir {
-                wal.checkpoint(self.epoch)?;
-            }
-        }
-        *guard = Some(mark);
-        Ok(report)
-    }
-
-    /// Loads a persisted store: a v02 directory written by
-    /// [`HybridStore::save`], or — for backward compatibility — a single
-    /// v01 file written by the deprecated compact-then-dump path (which
-    /// loads with an empty overlay). Ids are stable across the round
-    /// trip; corruption surfaces as [`StreamError::Corrupt`] /
-    /// [`StreamError::UnsupportedVersion`], never a panic.
-    pub fn load(path: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
-        if path.is_file() {
-            return Self::load_from_file(path, ontology.clone());
-        }
-        let manifest = std::fs::read(path.join(HYBRID_MANIFEST))?;
-        let mut r = manifest.as_slice();
-        read_container_header(&mut r, HYBRID_MAGIC, FORMAT_VERSION)?;
-
-        let meta = expect_section(&mut r, b"META")?;
-        let mut m = meta.as_slice();
-        let (file, checksum, bytes_len, max_overlay, epoch) = (|| -> io::Result<_> {
-            let file = m.read_str()?;
-            let _gen_at_save = m.read_u64()?;
-            let checksum = m.read_u64()?;
-            let bytes_len = m.read_u64()?;
-            let max_overlay = m.read_u64()?;
-            // Epoch was appended to META later; files written before it
-            // simply restart the epoch counter at zero.
-            let epoch = if m.is_empty() { 0 } else { m.read_u64()? };
-            Ok((file, checksum, bytes_len, max_overlay, epoch))
-        })()
-        .map_err(corrupt("META"))?;
-
-        let base_bytes = read_referenced(path, &file)?;
-        if base_bytes.len() as u64 != bytes_len || checksum64(&base_bytes) != checksum {
-            return Err(StreamError::Corrupt(format!(
-                "baseline file '{file}' does not match the manifest checksum"
-            )));
-        }
-        let base = SuccinctEdgeStore::load(&mut base_bytes.as_slice())
-            .map_err(|e| StreamError::Corrupt(format!("baseline file '{file}': {e}")))?;
-
-        let ovf_instances =
-            ovf_instances_from_bytes(&expect_section(&mut r, b"OVFI")?).map_err(corrupt("OVFI"))?;
-        if ovf_instances.base_len() != base.dictionaries().instances.len() as u64 {
-            return Err(StreamError::Corrupt(format!(
-                "overflow base_len {} disagrees with the baseline instance dictionary ({})",
-                ovf_instances.base_len(),
-                base.dictionaries().instances.len()
-            )));
-        }
-        let ovf_properties =
-            ovf_dict_from_bytes(&expect_section(&mut r, b"OVFP")?).map_err(corrupt("OVFP"))?;
-        let ovf_concepts =
-            ovf_dict_from_bytes(&expect_section(&mut r, b"OVFC")?).map_err(corrupt("OVFC"))?;
-        let delta =
-            hybrid_delta_from_bytes(&expect_section(&mut r, b"DELT")?).map_err(corrupt("DELT"))?;
-
-        let generation = next_generation();
-        let mark = BaselineMark {
-            dir: path.to_path_buf(),
-            file,
-            gen: generation,
-            checksum,
-            bytes: bytes_len,
-        };
-        let mut store = HybridStore::from_loaded(
-            base,
-            ontology.clone(),
-            delta,
-            ovf_instances,
-            ovf_properties,
-            ovf_concepts,
-            CompactionPolicy {
-                max_overlay: max_overlay as usize,
-            },
-            generation,
-            epoch,
-            Some(mark),
-        );
-        replay_wal(&mut store, path, epoch, |s, ins, del| {
-            s.apply(ins, del).map(|_| ())
-        })?;
-        Ok(store)
-    }
-}
-
-/// Replays the WAL tail past `manifest_epoch` into a freshly loaded
-/// store. Each record is one batch whose net delta replays through the
-/// ordinary `apply` — the epoch counter advances exactly to the last
-/// record's epoch because [`crate::wal::recover`] verified the records
-/// are consecutive. The store has no WAL attached at this point, so
-/// replaying does not re-append.
-fn replay_wal<S>(
-    store: &mut S,
-    dir: &Path,
-    manifest_epoch: u64,
-    mut apply: impl FnMut(&mut S, &Graph, &Graph) -> Result<(), StreamError>,
-) -> Result<(), StreamError> {
-    for rec in crate::wal::recover(dir, manifest_epoch)? {
-        apply(
-            store,
-            &Graph::from_triples(rec.delta.added),
-            &Graph::from_triples(rec.delta.removed),
-        )?;
-    }
-    Ok(())
-}
-
-// ------------------------------------------- sharded store file encoding
+// ------------------------------------------------------ store file encoding
 
 /// One shard's layer file: the succinct layers, self-checksummed.
 fn layer_file_bytes(base: &ShardBase) -> Vec<u8> {
@@ -879,10 +610,10 @@ fn routing_from_bytes(r: &mut &[u8], n_shards: usize) -> io::Result<HashMap<u64,
     Ok(map)
 }
 
-// ------------------------------------- ShardedHybridStore save/load
+// ------------------------------------------------------------- save/load
 
 impl ShardedHybridStore {
-    /// Writes the v02 sharded manifest snapshot into `dir` — `&self`, no
+    /// Writes the v02 manifest snapshot into `dir` — `&self`, no
     /// compaction, no blocking on in-flight background rebuilds (the
     /// snapshot captures the current layers + overlay, which is a
     /// consistent view by construction). Layer files, the frozen
@@ -1100,7 +831,7 @@ impl ShardedHybridStore {
         Ok(report)
     }
 
-    /// Loads a persisted sharded store, restoring the persisted routing
+    /// Loads a persisted store, restoring the persisted routing
     /// policy tag ("custom" falls back to [`ShardPolicy::HashIri`] for
     /// terms not yet routed — every persisted assignment survives
     /// verbatim). Use [`ShardedHybridStore::load_with_policy`] to
@@ -1109,7 +840,7 @@ impl ShardedHybridStore {
         Self::load_with_policy(dir, ontology, None)
     }
 
-    /// Loads a persisted sharded store; `policy`, when given, replaces
+    /// Loads a persisted store; `policy`, when given, replaces
     /// the persisted policy tag for routing terms first seen after the
     /// restart (already-assigned routes always come from the manifest).
     pub fn load_with_policy(
@@ -1206,9 +937,9 @@ impl ShardedHybridStore {
 
         let lits = expect_section(&mut r, b"LITS")?;
         let mut l = lits.as_slice();
-        let literals = (|| -> io::Result<crate::shard::LiteralTable> {
+        let literals = (|| -> io::Result<crate::delta::LiteralTable> {
             let n = l.read_u64()?;
-            let mut table = crate::shard::LiteralTable::default();
+            let mut table = crate::delta::LiteralTable::default();
             for i in 0..n {
                 let lit = read_literal(&mut l)?;
                 if table.intern(&lit) != i {
@@ -1303,47 +1034,24 @@ impl ShardedHybridStore {
             epoch,
             Some(mark),
         );
-        replay_wal(&mut store, dir, epoch, |s, ins, del| {
-            s.apply(ins, del).map(|_| ())
-        })?;
+        // Replay the WAL tail past the manifest: each record is one batch
+        // whose net delta replays through the ordinary `apply`, so the
+        // epoch advances exactly to the last record's (`wal::recover`
+        // verified the records are consecutive). No WAL is attached yet,
+        // so replaying does not re-append.
+        for rec in crate::wal::recover(dir, epoch)? {
+            store.apply(
+                &Graph::from_triples(rec.delta.added),
+                &Graph::from_triples(rec.delta.removed),
+            )?;
+        }
         Ok(store)
     }
 }
 
-// --------------------------------------------------------- trait + session
+// --------------------------------------------------------------- session
 
-/// The persistence seam shared by both engines: v02 `save` is `&self`,
-/// O(delta) and compaction-free; `load` restores the store with every
-/// identifier stable. [`StreamSession`] uses it for whole-session
-/// checkpoints.
-pub trait PersistentStore: Sized {
-    /// Writes the store's v02 snapshot into `dir`.
-    fn save(&self, dir: &Path) -> Result<SaveReport, StreamError>;
-    /// Restores a store saved by [`PersistentStore::save`].
-    fn load(dir: &Path, ontology: &Ontology) -> Result<Self, StreamError>;
-}
-
-impl PersistentStore for HybridStore {
-    fn save(&self, dir: &Path) -> Result<SaveReport, StreamError> {
-        HybridStore::save(self, dir)
-    }
-
-    fn load(dir: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
-        HybridStore::load(dir, ontology)
-    }
-}
-
-impl PersistentStore for ShardedHybridStore {
-    fn save(&self, dir: &Path) -> Result<SaveReport, StreamError> {
-        ShardedHybridStore::save(self, dir)
-    }
-
-    fn load(dir: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
-        ShardedHybridStore::load(dir, ontology)
-    }
-}
-
-impl<S: StreamStore + PersistentStore> StreamSession<S> {
+impl StreamSession<ShardedHybridStore> {
     /// Checkpoints the whole session: the store's v02 snapshot plus the
     /// registered continuous queries (`session.v02`), so a restarted
     /// process resumes the same queries over the same state.
@@ -1370,14 +1078,14 @@ impl<S: StreamStore + PersistentStore> StreamSession<S> {
     /// [`apply_batch`](StreamSession::apply_batch) evaluates them against
     /// the reloaded state exactly as the pre-restart session would have.
     pub fn resume(dir: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
-        let store = S::load(dir, ontology)?;
+        let store = ShardedHybridStore::load(dir, ontology)?;
         Self::resume_with_store(dir, store)
     }
 
     /// Like [`StreamSession::resume`], but over a store the caller
     /// already loaded — the hook for
     /// [`ShardedHybridStore::load_with_policy`].
-    pub fn resume_with_store(dir: &Path, store: S) -> Result<Self, StreamError> {
+    pub fn resume_with_store(dir: &Path, store: ShardedHybridStore) -> Result<Self, StreamError> {
         let bytes = std::fs::read(dir.join(SESSION_FILE))?;
         let mut r = bytes.as_slice();
         read_container_header(&mut r, SESSION_MAGIC, FORMAT_VERSION)?;

@@ -1,21 +1,22 @@
-//! The sharded hybrid store: the write-parallel engine over the
+//! The streaming store: an immutable succinct baseline plus a mutable
+//! overlay, partitioned by predicate into one or more shards behind the
 //! [`TripleSource`] seam.
 //!
-//! [`HybridStore`](crate::HybridStore) is a single-threaded prototype: one
-//! overlay absorbs every write, and compaction rebuilds the whole baseline
-//! inline in `apply`, so one hot predicate stalls every ingest.
-//! [`ShardedHybridStore`] partitions the triple space **by predicate**
-//! (`rdf:type` triples by concept) into N shards:
+//! `ShardedHybridStore::build(ontology, graph, 1)` is the single-store
+//! configuration — one shard, one overlay; with [`IngestMode::Inline`]
+//! and inline compaction it never spawns its worker pool. With N shards
+//! the triple space is partitioned **by predicate** (`rdf:type` triples
+//! by concept):
 //!
 //! * **One global identifier space.** The store owns the dictionaries:
 //!   instances get dense, append-only global ids; properties and concepts
 //!   carry the LiteMat codes of one global, build-time encoding (new terms
-//!   go to shared overflow dictionaries above
-//!   [`OVERFLOW_BASE`](crate::OVERFLOW_BASE)); overlay literals live in a
-//!   shared content-interned table. Because every shard stores triples in
-//!   this shared id space, the scatter/gather view needs **no id
-//!   translation** — a subject id bound from one shard joins directly
-//!   against pairs gathered from another. Baseline literal indices are
+//!   go to shared overflow dictionaries above [`OVERFLOW_BASE`]);
+//!   overlay literals live in a shared content-interned table. Because
+//!   every shard stores triples in this shared id space, the
+//!   scatter/gather view needs **no id translation** — a subject id
+//!   bound from one shard joins directly against pairs gathered from
+//!   another. Baseline literal indices are
 //!   shard-local and disambiguated by a fixed per-shard block of size
 //!   [`LIT_SHARD_STRIDE`]; literal joins are content-based per the
 //!   `TripleSource` contract, so distinct ids for equal content are sound.
@@ -60,15 +61,12 @@
 //!
 //! The price of never re-encoding: properties and concepts first seen in
 //! the stream keep their overflow singleton intervals even after
-//! compaction (the single `HybridStore` folds them into the hierarchy on
-//! rebuild). The ROADMAP's "overflow-term reasoning" item — incremental
-//! LiteMat re-encoding — would close that window for both stores.
+//! compaction, so subsumption reasoning over a stream-born term sees only
+//! its own assertions. The ROADMAP's "overflow-term reasoning" item —
+//! incremental LiteMat re-encoding — would close that gap.
 
-use crate::delta::{DeltaObj, DeltaState, DeltaStore};
+use crate::delta::{BatchDelta, DeltaObj, DeltaState, DeltaStore, LiteralTable};
 use crate::error::StreamError;
-use crate::hybrid::{
-    transition, BatchDelta, CompactionPolicy, IngestReport, OverflowDict, OVERFLOW_BASE,
-};
 use crate::runtime::ShardRuntime;
 use se_core::builder::{instance_key, key_to_term_arc};
 use se_core::datatype::DatatypeLayer;
@@ -85,10 +83,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// First identifier of the overflow id space for properties, concepts and
+/// overlay literals. LiteMat codes and baseline literal ids stay far below
+/// this in any realistic store.
+pub const OVERFLOW_BASE: u64 = 1 << 62;
+
 /// Size of the baseline-literal id block reserved per shard. Global
 /// baseline literal id = `shard * LIT_SHARD_STRIDE + local`; all blocks
-/// stay far below [`OVERFLOW_BASE`](crate::OVERFLOW_BASE) (shared overlay
-/// literals) for any realistic shard count.
+/// stay far below [`OVERFLOW_BASE`] (shared overlay literals) for any
+/// realistic shard count.
 pub const LIT_SHARD_STRIDE: u64 = 1 << 44;
 
 /// Hard ceiling on the shard count (keeps every literal block below
@@ -106,6 +109,91 @@ pub const POOL_MIN_OPS: usize = 64;
 /// lists to the workers: stage two of the ingest pipeline (workers drain
 /// chunk *i* while the caller encodes chunk *i+1*).
 pub const PIPELINE_CHUNK: usize = 256;
+
+/// When to fold a shard's overlay into its succinct layers.
+#[derive(Debug, Clone, Copy)]
+pub struct CompactionPolicy {
+    /// Rebuild once a shard's overlay holds at least this many entries
+    /// (inserted or tombstoned triples).
+    pub max_overlay: usize,
+}
+
+impl Default for CompactionPolicy {
+    fn default() -> Self {
+        Self { max_overlay: 4096 }
+    }
+}
+
+/// Outcome of one [`ShardedHybridStore::apply`] batch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IngestReport {
+    /// Triples that became visible.
+    pub inserted: usize,
+    /// Triples that became invisible.
+    pub deleted: usize,
+    /// Operations with no effect (duplicate inserts, deletes of absent
+    /// triples).
+    pub noops: usize,
+    /// `true` if this batch compacted a shard (inline, or by swapping in
+    /// a finished background rebuild).
+    pub compacted: bool,
+    /// Time spent routing + applying the overlay mutations of this batch
+    /// (compaction excluded).
+    pub ingest: Duration,
+    /// Time this batch's `apply` call spent blocked on compaction work
+    /// (inline rebuild, or the atomic swap of a finished background
+    /// rebuild). Zero while a background rebuild is still running.
+    pub compaction: Duration,
+    /// The batch's net term-space changes, captured only when the store's
+    /// delta capture is enabled (see `StreamStore::set_delta_capture`) —
+    /// `None` otherwise, so plain ingest paths pay nothing for it.
+    pub delta: Option<BatchDelta>,
+}
+
+/// Locks a store's WAL slot, surviving a poisoned mutex (the WAL's own
+/// state is fail-stop: a panicked appender leaves it no worse than a
+/// crash, which recovery is built for).
+pub(crate) fn lock_wal(
+    m: &std::sync::Mutex<Option<crate::wal::Wal>>,
+) -> std::sync::MutexGuard<'_, Option<crate::wal::Wal>> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Overflow dictionary for properties or concepts: ids above
+/// [`OVERFLOW_BASE`], no hierarchy, one global space across all shards.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OverflowDict {
+    ids: HashMap<Arc<str>, u64>,
+    terms: Vec<Arc<str>>,
+}
+
+impl OverflowDict {
+    pub(crate) fn get_or_insert(&mut self, iri: &str) -> u64 {
+        if let Some(&id) = self.ids.get(iri) {
+            return id;
+        }
+        let id = OVERFLOW_BASE + self.terms.len() as u64;
+        let arc: Arc<str> = Arc::from(iri);
+        self.ids.insert(arc.clone(), id);
+        self.terms.push(arc);
+        id
+    }
+
+    pub(crate) fn id(&self, iri: &str) -> Option<u64> {
+        self.ids.get(iri).copied()
+    }
+
+    pub(crate) fn term(&self, id: u64) -> Option<Arc<str>> {
+        self.terms
+            .get(id.checked_sub(OVERFLOW_BASE)? as usize)
+            .cloned()
+    }
+
+    /// The overflow IRIs in id order (`OVERFLOW_BASE + position`).
+    pub(crate) fn terms(&self) -> &[Arc<str>] {
+        &self.terms
+    }
+}
 
 /// Where a batch's routed operations are applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -235,42 +323,6 @@ impl RoutingTable {
             .get(&id)
             .copied()
             .unwrap_or((id % self.n as u64) as usize)
-    }
-}
-
-/// Shared content-interned literal table for overlay literals; ids are
-/// global across shards and surface as `Value::Literal(OVERFLOW_BASE + id)`.
-/// Entries are `Arc`-shared so a routed op can carry its literal's
-/// content to a pool worker for one refcount bump, not a deep clone.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LiteralTable {
-    pub(crate) literals: Vec<Arc<Literal>>,
-    ids: HashMap<Arc<Literal>, u64>,
-}
-
-impl LiteralTable {
-    pub(crate) fn intern(&mut self, lit: &Literal) -> u64 {
-        if let Some(&id) = self.ids.get(lit) {
-            return id;
-        }
-        let id = self.literals.len() as u64;
-        let arc = Arc::new(lit.clone());
-        self.literals.push(Arc::clone(&arc));
-        self.ids.insert(arc, id);
-        id
-    }
-
-    fn id(&self, lit: &Literal) -> Option<u64> {
-        self.ids.get(lit).copied()
-    }
-
-    fn get(&self, id: u64) -> Option<&Literal> {
-        self.literals.get(id as usize).map(Arc::as_ref)
-    }
-
-    /// The shared content of an interned id (for shipping with an op).
-    fn arc(&self, id: u64) -> Arc<Literal> {
-        Arc::clone(&self.literals[id as usize])
     }
 }
 
@@ -733,8 +785,8 @@ impl ShardedHybridStore {
 
     /// Chooses where compactions run: `true` (default) rebuilds on the
     /// shard's pool worker and swaps atomically on a later `apply`;
-    /// `false` rebuilds inline (the old `HybridStore` behaviour, per
-    /// shard).
+    /// `false` rebuilds inline, inside the `apply` that crossed the
+    /// threshold.
     pub fn with_background_compaction(mut self, background: bool) -> Self {
         self.background = background;
         self
@@ -805,7 +857,7 @@ impl ShardedHybridStore {
     /// Operator-visible WAL durability state (see
     /// [`crate::wal::WalHealth`]).
     pub fn wal_health(&self) -> crate::wal::WalHealth {
-        crate::hybrid::lock_wal(&self.wal)
+        lock_wal(&self.wal)
             .as_ref()
             .map(|w| w.health())
             .unwrap_or_default()
@@ -814,9 +866,7 @@ impl ShardedHybridStore {
     /// The directory the attached WAL appends into, if any — replication
     /// catch-up reads the tail from here.
     pub fn wal_dir(&self) -> Option<std::path::PathBuf> {
-        crate::hybrid::lock_wal(&self.wal)
-            .as_ref()
-            .map(|w| w.dir().to_path_buf())
+        lock_wal(&self.wal).as_ref().map(|w| w.dir().to_path_buf())
     }
 
     /// Snapshots currently pinning this store's resources.
@@ -839,11 +889,7 @@ impl ShardedHybridStore {
     /// same content on the live store).
     pub fn snapshot(&self) -> crate::snapshot::StoreSnapshot {
         self.snapshots_taken.fetch_add(1, Ordering::Relaxed);
-        crate::snapshot::StoreSnapshot::from_sharded(
-            self.frozen_view(),
-            self.epoch,
-            Arc::clone(&self.pins),
-        )
+        crate::snapshot::StoreSnapshot::pin(self.frozen_view(), self.epoch, Arc::clone(&self.pins))
     }
 
     /// A read-only deep-frozen clone backing [`snapshot`](Self::snapshot):
@@ -1007,7 +1053,7 @@ impl ShardedHybridStore {
         }
         if wal_on {
             let d = delta.as_ref().expect("wal_on forces effect capture");
-            if let Some(wal) = crate::hybrid::lock_wal(&self.wal).as_mut() {
+            if let Some(wal) = lock_wal(&self.wal).as_mut() {
                 wal.append(self.epoch, d)?;
             }
         }
@@ -1222,20 +1268,20 @@ impl ShardedHybridStore {
     ) -> Result<crate::persist::SaveReport, StreamError> {
         let report = self.save(dir)?;
         let wal = crate::wal::Wal::open(dir, config)?;
-        *crate::hybrid::lock_wal(&self.wal) = Some(wal);
+        *lock_wal(&self.wal) = Some(wal);
         Ok(report)
     }
 
     /// Whether a write-ahead log is attached.
     pub fn wal_attached(&self) -> bool {
-        crate::hybrid::lock_wal(&self.wal).is_some()
+        lock_wal(&self.wal).is_some()
     }
 
     /// Fsyncs any buffered log records (a no-op without an attached log
     /// or under [`SyncPolicy::EveryBatch`](crate::wal::SyncPolicy)) —
     /// the graceful-shutdown drain.
     pub fn wal_flush(&self) -> Result<(), StreamError> {
-        match crate::hybrid::lock_wal(&self.wal).as_mut() {
+        match lock_wal(&self.wal).as_mut() {
             Some(wal) => wal.flush(),
             None => Ok(()),
         }
@@ -1338,7 +1384,7 @@ impl ShardedHybridStore {
     /// Encodes one triple and routes it to its shard's operation list.
     /// Returns `false` for deletes that are provably no-ops (an involved
     /// term is unknown everywhere, so the triple cannot be visible) —
-    /// mirroring `HybridStore`'s no-allocation discipline. `apply`
+    /// such deletes allocate no dictionary or literal-table entry. `apply`
     /// already validated the batch; the re-validation here is the cheap
     /// defensive second line keeping the shape rules in one place.
     fn route_op(
@@ -1885,6 +1931,29 @@ fn run_shard_ops(
     (ins, del, noop)
 }
 
+/// State transition of one triple given its overlay state, baseline
+/// membership and the requested operation. `None` means no-op.
+fn transition(old: Option<DeltaState>, base_has: bool, insert: bool) -> Option<DeltaState> {
+    use DeltaState::*;
+    if insert {
+        match old {
+            None if base_has => None,
+            None => Some(Added),
+            Some(Added) | Some(Restored) => None,
+            Some(Deleted) => Some(Restored),
+            Some(Cancelled) => Some(Added),
+        }
+    } else {
+        match old {
+            None if base_has => Some(Deleted),
+            None => None,
+            Some(Added) => Some(Cancelled),
+            Some(Restored) => Some(Deleted),
+            Some(Deleted) | Some(Cancelled) => None,
+        }
+    }
+}
+
 fn apply_op(base: &ShardBase, delta: &mut DeltaStore, op: &Op, insert: bool) -> bool {
     let (key, base_has) = match &op.o {
         OpObj::Inst(o) => (DeltaObj::Inst(*o), base.objects.contains(op.p, op.s, *o)),
@@ -2408,7 +2477,6 @@ impl TripleSource for ShardedHybridStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::HybridStore;
     use se_sparql::QueryOptions;
     use std::collections::BTreeSet;
 
@@ -2446,6 +2514,14 @@ mod tests {
 
     fn sharded(n: usize) -> ShardedHybridStore {
         ShardedHybridStore::build(&ontology(), &seed_graph(), n).unwrap()
+    }
+
+    /// The single-store configuration: one shard, inline ingest and
+    /// inline compaction.
+    fn single() -> ShardedHybridStore {
+        sharded(1)
+            .with_ingest_mode(IngestMode::Inline)
+            .with_background_compaction(false)
     }
 
     fn norm(g: &Graph) -> Vec<String> {
@@ -2486,12 +2562,12 @@ mod tests {
         }
     }
 
-    /// The central parity property at unit scale: a sharded store and a
-    /// single HybridStore fed the same batches answer identically.
+    /// The central parity property at unit scale: a 4-shard store and the
+    /// 1-shard single store fed the same batches answer identically.
     #[test]
     fn parallel_apply_matches_single_hybrid() {
         let mut sh = sharded(4).with_background_compaction(false);
-        let mut single = HybridStore::build(&ontology(), &seed_graph()).unwrap();
+        let mut single = single();
         let batches: Vec<(Graph, Graph)> = vec![
             (
                 Graph::from_triples([
@@ -2876,7 +2952,7 @@ mod tests {
     /// The tentpole's small-batch regime: with the pool forced on, every
     /// tiny batch goes through the persistent workers (no adaptive
     /// fallback) and the result is bit-identical to the inline path and
-    /// the single-overlay store.
+    /// the 1-shard single store.
     #[test]
     fn forced_pool_small_batches_match_inline_and_single() {
         let mut pooled = sharded(4)
@@ -2887,7 +2963,7 @@ mod tests {
             .with_ingest_mode(IngestMode::Inline)
             .with_background_compaction(false)
             .with_policy(CompactionPolicy { max_overlay: 6 });
-        let mut single = HybridStore::build(&ontology(), &seed_graph()).unwrap();
+        let mut single = single();
         assert_eq!(pooled.worker_threads(), 0, "runtime spawns lazily");
         for round in 0..10 {
             // 2–4 ops per batch: far below POOL_MIN_OPS.

@@ -1,31 +1,30 @@
-//! Epoch-pinned MVCC snapshots of the streaming stores.
+//! Epoch-pinned MVCC snapshots of the streaming store.
 //!
-//! [`StoreSnapshot`] is an immutable view of a [`HybridStore`] or
-//! [`ShardedHybridStore`] frozen at one logical write epoch. Taking one
-//! shares the succinct baseline layers by `Arc` (O(1)) and freezes the
-//! overlay, overflow dictionaries and literal table by value
-//! (O(overlay + dictionaries)); cloning one is an `Arc` bump (O(1)), so a
-//! server hands the same snapshot to any number of reader threads. The
-//! view implements the full [`TripleSource`] trait, so SPARQL execution
-//! and continuous-query evaluation run against it unchanged — and, being
-//! immutable, it never blocks (and is never blocked by) `apply` or
-//! compaction on the live store.
+//! [`StoreSnapshot`] is an immutable view of a [`ShardedHybridStore`]
+//! frozen at one logical write epoch. Taking one shares the succinct
+//! shard layers by `Arc` (O(1) per shard) and freezes the overlays,
+//! dictionaries and literal table by value (O(overlay + dictionaries));
+//! cloning one is an `Arc` bump (O(1)), so a server hands the same
+//! snapshot to any number of reader threads. The view implements the
+//! full [`TripleSource`] trait by direct delegation to the frozen store,
+//! so SPARQL execution and continuous-query evaluation run against it
+//! unchanged — and, being immutable, it never blocks (and is never
+//! blocked by) `apply` or compaction on the live store.
 //!
 //! # Pin lifecycle
 //!
 //! Every snapshot holds a *pin* on its origin store, released when the
 //! last clone drops:
 //!
-//! * swapped-out baseline generations stay alive exactly as long as a
-//!   snapshot references them — `Arc` reclamation, no epoch bookkeeping
-//!   on the read path;
-//! * the sharded store's quiescence-only literal GC treats a non-zero
-//!   pin count as non-quiescent, so `Value::Literal` ids decoded from a
-//!   snapshot keep meaning the same content on the live store;
-//! * the pin count is observable via `stats().live_pins` on both stores,
-//!   making snapshot leaks visible.
+//! * swapped-out shard layers stay alive exactly as long as a snapshot
+//!   references them — `Arc` reclamation, no epoch bookkeeping on the
+//!   read path;
+//! * the store's quiescence-only literal GC treats a non-zero pin count
+//!   as non-quiescent, so `Value::Literal` ids decoded from a snapshot
+//!   keep meaning the same content on the live store;
+//! * the pin count is observable via `stats().live_pins`, making
+//!   snapshot leaks visible.
 
-use crate::hybrid::HybridStore;
 use crate::shard::ShardedHybridStore;
 use se_core::{TripleSource, Value};
 use se_litemat::IdInterval;
@@ -33,21 +32,10 @@ use se_rdf::{Literal, Term};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// The frozen store behind a snapshot. Both variants are full stores
-/// that will never be written again: their `TripleSource` impls answer
-/// every access over baseline + frozen overlay.
-// The enum lives once per snapshot behind `Arc<SnapshotInner>`, so the
-// variant size difference costs one heap allocation, not per-clone copies.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum SnapshotView {
-    Hybrid(HybridStore),
-    Sharded(ShardedHybridStore),
-}
-
 #[derive(Debug)]
 struct SnapshotInner {
-    view: SnapshotView,
+    /// A frozen store that is never written again.
+    view: ShardedHybridStore,
     epoch: u64,
     /// The origin store's pin counter; incremented on construction,
     /// decremented on drop.
@@ -68,19 +56,7 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
-    pub(crate) fn from_hybrid(view: HybridStore, epoch: u64, pins: Arc<AtomicUsize>) -> Self {
-        Self::pin(SnapshotView::Hybrid(view), epoch, pins)
-    }
-
-    pub(crate) fn from_sharded(
-        view: ShardedHybridStore,
-        epoch: u64,
-        pins: Arc<AtomicUsize>,
-    ) -> Self {
-        Self::pin(SnapshotView::Sharded(view), epoch, pins)
-    }
-
-    fn pin(view: SnapshotView, epoch: u64, pins: Arc<AtomicUsize>) -> Self {
+    pub(crate) fn pin(view: ShardedHybridStore, epoch: u64, pins: Arc<AtomicUsize>) -> Self {
         pins.fetch_add(1, Ordering::AcqRel);
         Self {
             inner: Arc::new(SnapshotInner { view, epoch, pins }),
@@ -93,105 +69,99 @@ impl StoreSnapshot {
         self.inner.epoch
     }
 
-    /// The frozen view as a trait object (all delegation funnels here).
-    fn source(&self) -> &dyn TripleSource {
-        match &self.inner.view {
-            SnapshotView::Hybrid(h) => h,
-            SnapshotView::Sharded(s) => s,
-        }
+    /// The frozen store (all delegation funnels here).
+    fn view(&self) -> &ShardedHybridStore {
+        &self.inner.view
     }
 }
 
 impl TripleSource for StoreSnapshot {
     fn instance_id(&self, term: &Term) -> Option<u64> {
-        self.source().instance_id(term)
+        self.view().instance_id(term)
     }
     fn property_id(&self, iri: &str) -> Option<u64> {
-        self.source().property_id(iri)
+        self.view().property_id(iri)
     }
     fn concept_id(&self, iri: &str) -> Option<u64> {
-        self.source().concept_id(iri)
+        self.view().concept_id(iri)
     }
     fn property_interval(&self, iri: &str) -> Option<IdInterval> {
-        self.source().property_interval(iri)
+        self.view().property_interval(iri)
     }
     fn concept_interval(&self, iri: &str) -> Option<IdInterval> {
-        self.source().concept_interval(iri)
+        self.view().concept_interval(iri)
     }
     fn value_to_term(&self, value: Value) -> Option<Term> {
-        self.source().value_to_term(value)
+        self.view().value_to_term(value)
     }
     fn literal(&self, idx: u64) -> Option<&Literal> {
-        match &self.inner.view {
-            SnapshotView::Hybrid(h) => h.literal(idx),
-            SnapshotView::Sharded(s) => s.literal(idx),
-        }
+        self.view().literal(idx)
     }
     fn values_join(&self, a: Value, b: Value) -> bool {
-        self.source().values_join(a, b)
+        self.view().values_join(a, b)
     }
     fn objects(&self, p: u64, s: u64) -> Vec<Value> {
-        self.source().objects(p, s)
+        self.view().objects(p, s)
     }
     fn subjects(&self, p: u64, o: &Value) -> Vec<u64> {
-        self.source().subjects(p, o)
+        self.view().subjects(p, o)
     }
     fn subjects_by_literal(&self, p: u64, lit: &Literal) -> Vec<u64> {
-        self.source().subjects_by_literal(p, lit)
+        self.view().subjects_by_literal(p, lit)
     }
     fn scan_predicate(&self, p: u64) -> Vec<(u64, Value)> {
-        self.source().scan_predicate(p)
+        self.view().scan_predicate(p)
     }
     fn contains(&self, p: u64, s: u64, o: &Value) -> bool {
-        self.source().contains(p, s, o)
+        self.view().contains(p, s, o)
     }
     fn objects_interval(&self, p_iv: IdInterval, s: u64) -> Vec<Value> {
-        self.source().objects_interval(p_iv, s)
+        self.view().objects_interval(p_iv, s)
     }
     fn subjects_interval(&self, p_iv: IdInterval, o: &Value) -> Vec<u64> {
-        self.source().subjects_interval(p_iv, o)
+        self.view().subjects_interval(p_iv, o)
     }
     fn subjects_by_literal_interval(&self, p_iv: IdInterval, lit: &Literal) -> Vec<u64> {
-        self.source().subjects_by_literal_interval(p_iv, lit)
+        self.view().subjects_by_literal_interval(p_iv, lit)
     }
     fn scan_interval(&self, p_iv: IdInterval) -> Vec<(u64, Value)> {
-        self.source().scan_interval(p_iv)
+        self.view().scan_interval(p_iv)
     }
     fn subjects_of_concept(&self, c: u64) -> Vec<u64> {
-        self.source().subjects_of_concept(c)
+        self.view().subjects_of_concept(c)
     }
     fn subjects_of_concept_interval(&self, iv: IdInterval) -> Vec<u64> {
-        self.source().subjects_of_concept_interval(iv)
+        self.view().subjects_of_concept_interval(iv)
     }
     fn concepts_of_subject(&self, s: u64) -> Vec<u64> {
-        self.source().concepts_of_subject(s)
+        self.view().concepts_of_subject(s)
     }
     fn has_type(&self, s: u64, c: u64) -> bool {
-        self.source().has_type(s, c)
+        self.view().has_type(s, c)
     }
     fn has_type_in_interval(&self, s: u64, iv: IdInterval) -> bool {
-        self.source().has_type_in_interval(s, iv)
+        self.view().has_type_in_interval(s, iv)
     }
     fn type_pairs(&self) -> Vec<(u64, u64)> {
-        self.source().type_pairs()
+        self.view().type_pairs()
     }
     fn len(&self) -> usize {
-        self.source().len()
+        self.view().len()
     }
     fn is_empty(&self) -> bool {
-        self.source().is_empty()
+        self.view().is_empty()
     }
     fn predicate_count(&self, p: u64) -> usize {
-        self.source().predicate_count(p)
+        self.view().predicate_count(p)
     }
     fn predicate_interval_count(&self, iv: IdInterval) -> usize {
-        self.source().predicate_interval_count(iv)
+        self.view().predicate_interval_count(iv)
     }
     fn type_count(&self, iv: IdInterval) -> usize {
-        self.source().type_count(iv)
+        self.view().type_count(iv)
     }
     fn type_total(&self) -> usize {
-        self.source().type_total()
+        self.view().type_total()
     }
 }
 
@@ -222,20 +192,25 @@ mod tests {
         Graph::from_triples(triples)
     }
 
+    /// The single-store configuration: one shard, inline compaction.
+    fn single_store() -> ShardedHybridStore {
+        ShardedHybridStore::build(&ontology(), &Graph::new(), 1)
+            .unwrap()
+            .with_background_compaction(false)
+    }
+
     /// A snapshot keeps answering at its epoch while the live store moves
     /// on — through a write *and* a compaction that swaps the baseline.
     #[test]
     fn hybrid_snapshot_is_isolated_from_later_writes_and_compaction() {
-        let mut h = crate::HybridStore::build(&ontology(), &Graph::new())
-            .unwrap()
-            .with_policy(CompactionPolicy { max_overlay: 2 });
+        let mut h = single_store().with_policy(CompactionPolicy { max_overlay: 2 });
         h.apply(&batch(vec![t("a", "knows", iri("b"))]), &Graph::new())
             .unwrap();
         let snap = h.snapshot();
         assert_eq!(snap.epoch(), 1);
         assert_eq!(h.live_pins(), 1);
         // Two inserts cross max_overlay: the live store compacts and its
-        // baseline Arc is replaced under the snapshot.
+        // shard-layer Arc is replaced under the snapshot.
         let r = h
             .apply(
                 &batch(vec![
@@ -265,7 +240,7 @@ mod tests {
         assert_eq!(stats.epoch, 2);
     }
 
-    /// Same isolation property for the sharded engine, including shard
+    /// Same isolation property across several shards, including shard
     /// compactions racing the pinned reader.
     #[test]
     fn sharded_snapshot_is_isolated_from_later_writes() {
@@ -308,7 +283,7 @@ mod tests {
     /// Snapshots are Send + Sync + 'static: a reader thread can own one.
     #[test]
     fn snapshot_crosses_threads() {
-        let mut h = crate::HybridStore::build(&ontology(), &Graph::new()).unwrap();
+        let mut h = single_store();
         h.apply(&batch(vec![t("a", "knows", iri("b"))]), &Graph::new())
             .unwrap();
         let snap = h.snapshot();

@@ -3,11 +3,11 @@
 //! v02 persistence (see [`crate::persist`]) made `save` O(delta), but
 //! durability stayed checkpoint-granular — every batch applied since the
 //! last `save` died with the process. The WAL closes that gap: once
-//! attached (`HybridStore::attach_wal` / `ShardedHybridStore::attach_wal`),
-//! every successful `apply` appends one *record* — the batch's net
-//! [`BatchDelta`] plus the post-apply epoch — to a segmented, checksummed
-//! log in the same directory as the snapshot, and recovery becomes
-//! *last manifest + replay tail*.
+//! attached (`ShardedHybridStore::attach_wal`), every successful `apply`
+//! appends one *record* — the batch's net [`BatchDelta`] plus the
+//! post-apply epoch — to a segmented, checksummed log in the same
+//! directory as the snapshot, and recovery becomes *last manifest +
+//! replay tail*.
 //!
 //! # On-disk format
 //!
@@ -62,9 +62,9 @@
 //!   with [`StreamError::Corrupt`]: silently dropping acknowledged
 //!   records would be worse than refusing to load.
 
+use crate::delta::BatchDelta;
 use crate::error::StreamError;
 use crate::fault;
-use crate::hybrid::BatchDelta;
 use crate::persist::{next_file_seq, read_literal, write_literal};
 use se_rdf::{Term, Triple};
 use se_sds::{

@@ -5,14 +5,15 @@
 //! per instance. This example runs the same pipeline through `se-stream`
 //! twice:
 //!
-//! 1. a single long-lived [`HybridStore`] (delta overlay, inline
-//!    compaction), and
-//! 2. the sharded engine — [`ShardedHybridStore`] with the water
-//!    workload's per-station-group routing policy, **background**
-//!    per-shard compaction, and the **persistent worker pool forced on**
-//!    (these sensor batches are far below the adaptive break-even, which
-//!    is precisely the regime the parked per-shard workers exist for) —
-//!    behind the same [`StreamSession`] API.
+//! 1. the single-store configuration — a long-lived 1-shard
+//!    [`ShardedHybridStore`] with inline ingest and inline compaction —
+//!    and
+//! 2. three shards with the water workload's per-station-group routing
+//!    policy, **background** per-shard compaction, and the **persistent
+//!    worker pool forced on** (these sensor batches are far below the
+//!    adaptive break-even, which is precisely the regime the parked
+//!    per-shard workers exist for) — behind the same [`StreamSession`]
+//!    API.
 //!
 //! Both ingest the same measurement batches (with a sliding retention
 //! window deleting expired observations), evaluate the same registered
@@ -38,8 +39,7 @@ use succinct_edge::rdf::Graph;
 use succinct_edge::sparql::QueryOptions;
 use succinct_edge::store::TripleSource;
 use succinct_edge::stream::{
-    CompactionPolicy, HybridStore, IngestMode, ShardPolicy, ShardedHybridStore, StreamSession,
-    StreamStore,
+    CompactionPolicy, IngestMode, ShardPolicy, ShardedHybridStore, StreamSession, StreamStore,
 };
 
 /// Registers the §2 anomaly query on a session.
@@ -118,10 +118,12 @@ fn main() {
         water_anomaly_query()
     );
 
-    // ---- engine 1: single hybrid store, inline compaction ------------------
-    let store = HybridStore::build(&onto, &Graph::new())
+    // ---- engine 1: one shard, inline ingest and compaction ----------------
+    let store = ShardedHybridStore::build(&onto, &Graph::new(), 1)
         .expect("empty baseline builds")
-        .with_policy(policy);
+        .with_policy(policy)
+        .with_ingest_mode(IngestMode::Inline)
+        .with_background_compaction(false);
     let mut single = StreamSession::new(store);
     register(&mut single);
     let (rows_single, lat_single) = drive("single ", &mut single, &batches, 0, |_| String::new());
@@ -236,10 +238,10 @@ fn main() {
         "recovery must agree on the store"
     );
     println!(
-        "note: both engines raise identical alerts — the sliding window \
+        "note: both configurations raise identical alerts — the sliding window \
          retires old observations, both differently-annotated stations keep \
          being caught by the single reasoning-enabled query (§2), the \
-         sharded engine keeps layer rebuilds off the ingest hot path, and a \
+         3-shard store keeps layer rebuilds off the ingest hot path, and a \
          mid-stream kill + v02 reload reproduces the alert stream exactly."
     );
 }

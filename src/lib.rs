@@ -15,7 +15,7 @@
 //! | [`ontology`] | `se-ontology` | ρdf ontologies; LUBM and water ontologies |
 //! | [`store`] | `se-core` | the SuccinctEdge store (layers, RDFType store, persistence) and the [`store::TripleSource`] access trait |
 //! | [`sparql`] | `se-sparql` | SPARQL subset parser, Algorithm-1 optimizer, `TripleSource`-generic executor |
-//! | [`stream`] | `se-stream` | incremental ingestion: delta overlay, hybrid view, compaction, continuous queries |
+//! | [`stream`] | `se-stream` | incremental ingestion: delta overlay, merged live view, compaction, continuous queries |
 //! | [`baselines`] | `se-baselines` | multi-index memory store, disk B+tree store, UNION rewriting |
 //! | [`datagen`] | `se-datagen` | LUBM & water-network generators, streaming batches, the 26-query workload |
 //!
@@ -23,14 +23,14 @@
 //!
 //! * Build once, query: [`store::SuccinctEdgeStore::build`] +
 //!   [`sparql::execute_query`].
-//! * Stream: [`stream::HybridStore::build`] →
+//! * Stream: [`stream::ShardedHybridStore::build`]`(…, 1)` →
 //!   [`stream::StreamSession::apply_batch`] with registered continuous
 //!   queries; the overlay compacts back into the succinct layers
 //!   automatically (see [`stream::CompactionPolicy`]).
-//! * Scale the write path: [`stream::ShardedHybridStore::build`]
-//!   partitions by predicate into parallel shards behind the same
-//!   session API, with background per-shard compaction keeping `apply`
-//!   tail latency bounded (see `se-stream`'s architecture docs).
+//! * Scale the write path: a shard count above 1 partitions by
+//!   predicate into parallel shards behind the same session API, with
+//!   background per-shard compaction keeping `apply` tail latency
+//!   bounded (see `se-stream`'s architecture docs).
 //! * Reproduce the paper's tables: `cargo run --release -p se-bench --bin
 //!   tables`; examples under `examples/` cover the §2 anomaly scenario in
 //!   both rebuild-per-instance and incremental form.

@@ -1,7 +1,8 @@
 //! The WAL crash matrix: kill the persistence I/O at **every** single
 //! operation of a scripted workload — in both "torn write" and "died
-//! just before" flavors, for both engines — and assert that recovery
-//! always lands on a prefix-consistent store:
+//! just before" flavors, for the 1-shard single store and a 2-shard
+//! store — and assert that recovery always lands on a prefix-consistent
+//! store:
 //!
 //! * no acknowledged batch is ever lost (`recovered >= last acked`);
 //! * at most the one in-flight batch is in question
@@ -24,8 +25,8 @@ use se_ontology::Ontology;
 use se_rdf::{Graph, Term, Triple};
 use se_sparql::QueryOptions;
 use se_stream::fault::{self, FaultMode};
-use se_stream::persist::{HYBRID_MANIFEST, SHARD_MANIFEST};
-use se_stream::{wal, HybridStore, ShardedHybridStore, StreamError, SyncPolicy, WalConfig};
+use se_stream::persist::SHARD_MANIFEST;
+use se_stream::{wal, ShardedHybridStore, StreamError, SyncPolicy, WalConfig};
 use std::path::{Path, PathBuf};
 
 fn iri(s: &str) -> Term {
@@ -151,62 +152,13 @@ fn wal_config() -> WalConfig {
     }
 }
 
-/// The two engines behind one face, so the matrix runs verbatim on both.
-trait Engine: TripleSource + Sized {
-    const TAG: &'static str;
-    const MANIFEST: &'static str;
-    fn fresh() -> Self;
-    fn attach(&mut self, dir: &Path) -> Result<(), StreamError>;
-    fn step(&mut self, ins: &Graph, del: &Graph) -> Result<(), StreamError>;
-    fn checkpoint(&self, dir: &Path) -> Result<(), StreamError>;
-    fn restore(dir: &Path) -> Result<Self, StreamError>;
-    fn at_epoch(&self) -> u64;
+/// A freshly built store over the seed graph with `shards` shards.
+fn fresh(shards: usize) -> ShardedHybridStore {
+    ShardedHybridStore::build(&ontology(), &seed_graph(), shards).unwrap()
 }
 
-impl Engine for HybridStore {
-    const TAG: &'static str = "hybrid";
-    const MANIFEST: &'static str = HYBRID_MANIFEST;
-    fn fresh() -> Self {
-        HybridStore::build(&ontology(), &seed_graph()).unwrap()
-    }
-    fn attach(&mut self, dir: &Path) -> Result<(), StreamError> {
-        self.attach_wal(dir, wal_config()).map(|_| ())
-    }
-    fn step(&mut self, ins: &Graph, del: &Graph) -> Result<(), StreamError> {
-        self.apply(ins, del).map(|_| ())
-    }
-    fn checkpoint(&self, dir: &Path) -> Result<(), StreamError> {
-        self.save(dir).map(|_| ())
-    }
-    fn restore(dir: &Path) -> Result<Self, StreamError> {
-        HybridStore::load(dir, &ontology())
-    }
-    fn at_epoch(&self) -> u64 {
-        self.epoch()
-    }
-}
-
-impl Engine for ShardedHybridStore {
-    const TAG: &'static str = "sharded";
-    const MANIFEST: &'static str = SHARD_MANIFEST;
-    fn fresh() -> Self {
-        ShardedHybridStore::build(&ontology(), &seed_graph(), 2).unwrap()
-    }
-    fn attach(&mut self, dir: &Path) -> Result<(), StreamError> {
-        self.attach_wal(dir, wal_config()).map(|_| ())
-    }
-    fn step(&mut self, ins: &Graph, del: &Graph) -> Result<(), StreamError> {
-        self.apply(ins, del).map(|_| ())
-    }
-    fn checkpoint(&self, dir: &Path) -> Result<(), StreamError> {
-        self.save(dir).map(|_| ())
-    }
-    fn restore(dir: &Path) -> Result<Self, StreamError> {
-        ShardedHybridStore::load(dir, &ontology())
-    }
-    fn at_epoch(&self) -> u64 {
-        self.epoch()
-    }
+fn restore(dir: &Path) -> Result<ShardedHybridStore, StreamError> {
+    ShardedHybridStore::load(dir, &ontology())
 }
 
 /// Runs the scripted workload over `dir`, stopping at the first failed
@@ -214,20 +166,20 @@ impl Engine for ShardedHybridStore {
 /// Checkpoint failures don't stop the script: a real writer keeps
 /// appending after a failed background save (until the dead scope makes
 /// its next apply fail too).
-fn workload<S: Engine>(dir: &Path) -> u64 {
-    let mut store = S::fresh();
-    if store.attach(dir).is_err() {
+fn workload(shards: usize, dir: &Path) -> u64 {
+    let mut store = fresh(shards);
+    if store.attach_wal(dir, wal_config()).is_err() {
         return 0;
     }
-    let mut acked = store.at_epoch();
+    let mut acked = store.epoch();
     for i in 0..N_BATCHES {
         let (ins, del) = batch(i);
-        if store.step(&ins, &del).is_err() {
+        if store.apply(&ins, &del).is_err() {
             return acked;
         }
-        acked = store.at_epoch();
+        acked = store.epoch();
         if SAVE_AFTER.contains(&i) {
-            let _ = store.checkpoint(dir);
+            let _ = store.save(dir);
         }
     }
     acked
@@ -235,12 +187,12 @@ fn workload<S: Engine>(dir: &Path) -> u64 {
 
 /// Expected probe answers at every epoch 0..=N_BATCHES, from a
 /// from-scratch rebuild that never touches disk.
-fn expected_answers<S: Engine>() -> Vec<Vec<Vec<String>>> {
-    let mut store = S::fresh();
+fn expected_answers(shards: usize) -> Vec<Vec<Vec<String>>> {
+    let mut store = fresh(shards);
     let mut per_epoch = vec![answers(&store)];
     for i in 0..N_BATCHES {
         let (ins, del) = batch(i);
-        store.step(&ins, &del).unwrap();
+        store.apply(&ins, &del).unwrap();
         per_epoch.push(answers(&store));
     }
     // Every batch must move the answers, or the epoch comparison below
@@ -251,60 +203,55 @@ fn expected_answers<S: Engine>() -> Vec<Vec<Vec<String>>> {
     per_epoch
 }
 
-fn crash_matrix<S: Engine>(mode: FaultMode) {
-    let expected = expected_answers::<S>();
+fn crash_matrix(shards: usize, mode: FaultMode) {
+    let expected = expected_answers(shards);
+    let tag = format!("{shards}-shard");
 
     // Count the workload's I/O operations with a trigger that never
     // fires, then kill each one in turn.
-    let count_dir = scratch(&format!("{}-count-{mode:?}", S::TAG));
+    let count_dir = scratch(&format!("{tag}-count-{mode:?}"));
     fault::arm(&count_dir, u64::MAX, FaultMode::Crash);
-    let full = workload::<S>(&count_dir);
+    let full = workload(shards, &count_dir);
     let total_ops = fault::disarm(&count_dir);
     cleanup(&count_dir);
     assert_eq!(full, N_BATCHES as u64, "un-faulted workload must finish");
     assert!(total_ops > 20, "workload too small to be a matrix");
 
     for nth in 0..total_ops {
-        let dir = scratch(&format!("{}-{mode:?}-{nth}", S::TAG));
+        let dir = scratch(&format!("{tag}-{mode:?}-{nth}"));
         fault::arm(&dir, nth, mode);
-        let acked = workload::<S>(&dir);
+        let acked = workload(shards, &dir);
         fault::disarm(&dir);
 
-        match S::restore(&dir) {
+        match restore(&dir) {
             Ok(back) => {
-                let recovered = back.at_epoch();
+                let recovered = back.epoch();
                 assert!(
                     recovered >= acked,
-                    "{} op {nth} {mode:?}: acked epoch {acked} lost, recovered {recovered}",
-                    S::TAG
+                    "{tag} op {nth} {mode:?}: acked epoch {acked} lost, recovered {recovered}"
                 );
                 assert!(
                     recovered <= acked + 1,
-                    "{} op {nth} {mode:?}: recovered {recovered} past the in-flight batch \
-                     (acked {acked})",
-                    S::TAG
+                    "{tag} op {nth} {mode:?}: recovered {recovered} past the in-flight batch \
+                     (acked {acked})"
                 );
                 assert_eq!(
                     answers(&back),
                     expected[recovered as usize],
-                    "{} op {nth} {mode:?}: recovered epoch {recovered} does not match a \
-                     from-scratch rebuild",
-                    S::TAG
+                    "{tag} op {nth} {mode:?}: recovered epoch {recovered} does not match a \
+                     from-scratch rebuild"
                 );
             }
             Err(e) => {
                 // Only a crash before the first manifest rename leaves
                 // nothing to load — and by then nothing was acked.
                 assert_eq!(
-                    acked,
-                    0,
-                    "{} op {nth} {mode:?}: load failed ({e}) after epoch {acked} was acked",
-                    S::TAG
+                    acked, 0,
+                    "{tag} op {nth} {mode:?}: load failed ({e}) after epoch {acked} was acked"
                 );
                 assert!(
-                    !dir.join(S::MANIFEST).exists(),
-                    "{} op {nth} {mode:?}: manifest present but load failed: {e}",
-                    S::TAG
+                    !dir.join(SHARD_MANIFEST).exists(),
+                    "{tag} op {nth} {mode:?}: manifest present but load failed: {e}"
                 );
             }
         }
@@ -312,24 +259,26 @@ fn crash_matrix<S: Engine>(mode: FaultMode) {
     }
 }
 
+/// The single-store configuration: one shard, one overlay.
 #[test]
 fn hybrid_survives_a_crash_at_every_io_operation() {
-    crash_matrix::<HybridStore>(FaultMode::Crash);
+    crash_matrix(1, FaultMode::Crash);
 }
 
+/// The single-store configuration: one shard, one overlay.
 #[test]
 fn hybrid_survives_a_torn_write_at_every_io_operation() {
-    crash_matrix::<HybridStore>(FaultMode::ShortWrite);
+    crash_matrix(1, FaultMode::ShortWrite);
 }
 
 #[test]
 fn sharded_survives_a_crash_at_every_io_operation() {
-    crash_matrix::<ShardedHybridStore>(FaultMode::Crash);
+    crash_matrix(2, FaultMode::Crash);
 }
 
 #[test]
 fn sharded_survives_a_torn_write_at_every_io_operation() {
-    crash_matrix::<ShardedHybridStore>(FaultMode::ShortWrite);
+    crash_matrix(2, FaultMode::ShortWrite);
 }
 
 /// Satellite: checkpoints racing the append stream. With segments small
@@ -340,7 +289,7 @@ fn sharded_survives_a_torn_write_at_every_io_operation() {
 #[test]
 fn interleaved_checkpoints_never_truncate_needed_segments() {
     let dir = scratch("interleave");
-    let mut store = HybridStore::fresh();
+    let mut store = fresh(1);
     store
         .attach_wal(
             &dir,
@@ -358,7 +307,7 @@ fn interleaved_checkpoints_never_truncate_needed_segments() {
         }
         // Every intermediate state must load: manifest + surviving
         // segments always cover a consecutive prefix.
-        let back = HybridStore::load(&dir, &ontology()).unwrap();
+        let back = restore(&dir).unwrap();
         assert_eq!(back.epoch(), store.epoch(), "after batch {i}");
         assert_eq!(answers(&back), answers(&store), "after batch {i}");
     }
@@ -371,7 +320,7 @@ fn interleaved_checkpoints_never_truncate_needed_segments() {
 #[test]
 fn transient_append_failure_refuses_later_batches_until_recovery() {
     let dir = scratch("transient");
-    let mut store = HybridStore::fresh();
+    let mut store = fresh(1);
     store.attach_wal(&dir, wal_config()).unwrap();
     let (ins, del) = batch(0);
     store.apply(&ins, &del).unwrap();
@@ -389,14 +338,14 @@ fn transient_append_failure_refuses_later_batches_until_recovery() {
 
     // A restart replays only the durable prefix — epoch 1, the batch
     // that was acked.
-    let back = HybridStore::load(&dir, &ontology()).unwrap();
+    let back = restore(&dir).unwrap();
     assert_eq!(back.epoch(), 1);
 
     // And a successful save on the live store heals the log in place.
     store.save(&dir).unwrap();
     let (ins3, del3) = batch(3);
     store.apply(&ins3, &del3).unwrap();
-    let back = HybridStore::load(&dir, &ontology()).unwrap();
+    let back = restore(&dir).unwrap();
     assert_eq!(back.epoch(), store.epoch());
     assert_eq!(answers(&back), answers(&store));
     cleanup(&dir);

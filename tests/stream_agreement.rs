@@ -2,7 +2,8 @@
 //! sequence of water-sensor batches (insertions *and* deletions), every
 //! registered continuous query answers identically on
 //!
-//! * the incremental [`HybridStore`] (baseline + delta overlay), and
+//! * the incremental [`ShardedHybridStore`] (baseline + delta overlay) —
+//!   as the 1-shard single store and at several shard counts — and
 //! * a [`SuccinctEdgeStore`] rebuilt from scratch from the same triples,
 //!
 //! for every triple-pattern shape, with reasoning on and off, before and
@@ -14,19 +15,27 @@ use se_datagen::workload::water_anomaly_query;
 use se_ontology::water_ontology;
 use se_rdf::{Graph, Triple};
 use se_sparql::{QueryOptions, ResultSet};
-use se_stream::{
-    CompactionPolicy, HybridStore, IngestMode, ShardPolicy, ShardedHybridStore, StreamSession,
-};
+use se_stream::{CompactionPolicy, IngestMode, ShardPolicy, ShardedHybridStore, StreamSession};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Sorted row strings: ResultSets compare as multisets (SPARQL bag
-/// semantics — hybrid and rebuild may enumerate rows in different order).
+/// semantics — live store and rebuild may enumerate rows in different
+/// order).
 fn normalize(rs: &ResultSet) -> Vec<String> {
     let mut rows: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
     rows.sort();
     rows
+}
+
+/// The single-store configuration: one shard, inline ingest and inline
+/// compaction.
+fn single_store(onto: &se_ontology::Ontology) -> ShardedHybridStore {
+    ShardedHybridStore::build(onto, &Graph::new(), 1)
+        .unwrap()
+        .with_ingest_mode(IngestMode::Inline)
+        .with_background_compaction(false)
 }
 
 /// Queries covering every TP shape the executor distinguishes.
@@ -131,9 +140,7 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
     assert!(batches.len() >= 10, "acceptance requires >= 10 batches");
 
     // Overlay threshold sized to trigger compactions mid-stream.
-    let store = HybridStore::build(&onto, &Graph::new())
-        .unwrap()
-        .with_policy(CompactionPolicy { max_overlay: 140 });
+    let store = single_store(&onto).with_policy(CompactionPolicy { max_overlay: 140 });
     let mut session = StreamSession::new(store);
     for (id, text, opts) in shape_queries() {
         session.register_query(id, &text, opts).unwrap();
@@ -178,16 +185,16 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
         assert_eq!(
             session.store().len(),
             reference.len(),
-            "batch {tick}: hybrid triple count drifted"
+            "batch {tick}: live triple count drifted"
         );
 
-        for (cq, hybrid_result) in session.registry().iter().zip(&outcome.results) {
-            assert_eq!(cq.id, hybrid_result.id);
+        for (cq, live_result) in session.registry().iter().zip(&outcome.results) {
+            assert_eq!(cq.id, live_result.id);
             let fresh = se_sparql::exec::execute(&rebuilt, &cq.query, &cq.options).unwrap();
             assert_eq!(
-                normalize(&hybrid_result.results),
+                normalize(&live_result.results),
                 normalize(&fresh),
-                "batch {tick}: query '{}' disagrees between hybrid and rebuild",
+                "batch {tick}: query '{}' disagrees between live store and rebuild",
                 cq.id
             );
             // Incremental materialized results == one full re-evaluation
@@ -195,7 +202,7 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
             let refresh =
                 se_sparql::exec::execute(session.store(), &cq.query, &cq.options).unwrap();
             assert_eq!(
-                normalize(&hybrid_result.results),
+                normalize(&live_result.results),
                 normalize(&refresh),
                 "batch {tick}: query '{}' materialized set vs full re-evaluation",
                 cq.id
@@ -203,10 +210,10 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
             // The added/removed change streams alone reconstruct the
             // full set (what a change-frame subscriber materializes).
             let m = mirror.entry(cq.id.clone()).or_default();
-            for row in &hybrid_result.added.rows {
+            for row in &live_result.added.rows {
                 *m.entry(format!("{row:?}")).or_insert(0) += 1;
             }
-            for row in &hybrid_result.removed.rows {
+            for row in &live_result.removed.rows {
                 *m.entry(format!("{row:?}")).or_insert(0) -= 1;
             }
             m.retain(|_, c| *c != 0);
@@ -218,12 +225,12 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
             from_changes.sort();
             assert_eq!(
                 from_changes,
-                normalize(&hybrid_result.results),
+                normalize(&live_result.results),
                 "batch {tick}: query '{}' change stream drifted from the full set",
                 cq.id
             );
             if cq.id == "anomaly" {
-                anomaly_alerts += hybrid_result.results.len();
+                anomaly_alerts += live_result.results.len();
             }
         }
         if outcome.report.compacted {
@@ -266,8 +273,8 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
 
 /// The sharded acceptance property: across >= 12 batches with deletions
 /// and compactions, the scatter/gather [`ShardedHybridStore`] answers all
-/// eleven query shapes (reasoning on and off) identically to a single
-/// [`HybridStore`] *and* a from-scratch rebuild — with inline per-shard
+/// eleven query shapes (reasoning on and off) identically to the 1-shard
+/// single store *and* a from-scratch rebuild — with inline per-shard
 /// compaction, with background compaction racing the stream, with the
 /// workload-aware routing policy from `se-datagen`, and with the
 /// persistent worker pool **forced onto every small batch** (the
@@ -286,9 +293,7 @@ fn sharded_agrees_with_single_store_and_rebuild() {
     let policy = CompactionPolicy { max_overlay: 90 };
 
     // Store variants under test, all fed the same stream.
-    let single = HybridStore::build(&onto, &Graph::new())
-        .unwrap()
-        .with_policy(policy);
+    let single = single_store(&onto).with_policy(policy);
     let sharded_inline = ShardedHybridStore::build(&onto, &Graph::new(), 3)
         .unwrap()
         .with_policy(policy)
@@ -465,7 +470,7 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         "forced pool spawned its workers"
     );
     assert!(deletions > 0, "stream must exercise the deletion path");
-    // Every engine — single-overlay and all three sharded variants —
+    // Every configuration — the 1-shard store and all three sharded ones —
     // served the steady state differentially.
     let (incr, _) = single.registry().strategy_counts();
     assert!(incr > 0);
@@ -484,7 +489,8 @@ fn sharded_agrees_with_single_store_and_rebuild() {
     }
 }
 
-/// The v02 acceptance property: checkpoint both engines **mid-stream** —
+/// The v02 acceptance property: checkpoint the 1-shard single store and a
+/// pooled 3-shard store **mid-stream** —
 /// dirty overlays, pending tombstones, overflow terms, background
 /// rebuilds possibly in flight — resume them from disk, continue the
 /// same `stream_agreement` batch schedule, and require every one of the
@@ -510,15 +516,13 @@ fn save_load_mid_stream_preserves_agreement() {
     let single_dir = scratch("single");
     let sharded_dir = scratch("sharded");
 
-    let single = HybridStore::build(&onto, &Graph::new())
-        .unwrap()
-        .with_policy(policy);
+    let single = || single_store(&onto).with_policy(policy);
     let sharded = ShardedHybridStore::build(&onto, &Graph::new(), 3)
         .unwrap()
         .with_policy(policy)
         .with_background_compaction(true)
         .with_ingest_mode(IngestMode::Pooled);
-    let mut live_single = StreamSession::new(single.clone());
+    let mut live_single = StreamSession::new(single());
     let mut live_sharded = StreamSession::new(
         ShardedHybridStore::build(&onto, &Graph::new(), 3)
             .unwrap()
@@ -526,7 +530,7 @@ fn save_load_mid_stream_preserves_agreement() {
             .with_background_compaction(true)
             .with_ingest_mode(IngestMode::Pooled),
     );
-    let mut ckpt_single = StreamSession::new(single);
+    let mut ckpt_single = StreamSession::new(single());
     let mut ckpt_sharded = StreamSession::new(sharded);
     for (id, text, opts) in shape_queries() {
         live_single.register_query(id, &text, opts.clone()).unwrap();
@@ -544,19 +548,16 @@ fn save_load_mid_stream_preserves_agreement() {
             // Mid-stream checkpoint: both stores are dirty (the policy
             // guarantees overlay churn by now) and the sharded session
             // may have rebuilds racing on its workers.
-            assert!(
-                !ckpt_single.store().delta().is_empty(),
-                "checkpoint must capture a dirty overlay"
-            );
+            let overlay = ckpt_single.store().overlay_len();
+            assert!(overlay > 0, "checkpoint must capture a dirty overlay");
             let compactions = ckpt_single.store().stats().compactions;
-            let overlay = ckpt_single.store().delta().overlay_len();
             ckpt_single.save(&single_dir).unwrap();
             assert_eq!(
                 ckpt_single.store().stats().compactions,
                 compactions,
                 "v02 save must not compact"
             );
-            assert_eq!(ckpt_single.store().delta().overlay_len(), overlay);
+            assert_eq!(ckpt_single.store().overlay_len(), overlay);
             ckpt_sharded.save(&sharded_dir).unwrap();
 
             // Simulated restart: drop the sessions, resume from disk.
@@ -657,7 +658,7 @@ fn save_load_mid_stream_preserves_agreement() {
 
 /// Compiled-IR execution (through a shared [`se_sparql::PlanCache`])
 /// agrees with the interpreted executor for every query shape, with
-/// reasoning on and off, against the live hybrid store, the sharded
+/// reasoning on and off, against the live 1-shard store, the 3-shard
 /// store, and a pinned MVCC snapshot — on both the cold (parse +
 /// compile) and the hot (cached plan, zero parsing) path.
 #[test]
@@ -670,10 +671,10 @@ fn compiled_plans_agree_with_interpreter_on_every_shape() {
         seed: 97,
     };
     let batches = generate_stream(&cfg, 8, 3);
-    let mut hybrid = HybridStore::build(&onto, &Graph::new()).unwrap();
+    let mut single = single_store(&onto);
     let mut sharded = ShardedHybridStore::build(&onto, &Graph::new(), 3).unwrap();
     for batch in &batches {
-        hybrid.apply(&batch.inserts, &batch.deletes).unwrap();
+        single.apply(&batch.inserts, &batch.deletes).unwrap();
         sharded.apply(&batch.inserts, &batch.deletes).unwrap();
     }
     let snapshot = sharded.snapshot();
@@ -685,7 +686,7 @@ fn compiled_plans_agree_with_interpreter_on_every_shape() {
     // against one store's cardinalities stays correct on another.
     let cache = se_sparql::PlanCache::new();
     let stores: [(&str, &dyn TripleSource); 3] = [
-        ("hybrid", &hybrid),
+        ("single", &single),
         ("sharded", &sharded),
         ("snapshot", &snapshot),
     ];
@@ -738,9 +739,9 @@ fn shared_shape_plan_binds_constants_correctly() {
         seed: 97,
     };
     let batches = generate_stream(&cfg, 6, 3);
-    let mut hybrid = HybridStore::build(&onto, &Graph::new()).unwrap();
+    let mut single = single_store(&onto);
     for batch in &batches {
-        hybrid.apply(&batch.inserts, &batch.deletes).unwrap();
+        single.apply(&batch.inserts, &batch.deletes).unwrap();
     }
     let q = |station: usize| {
         format!(
@@ -752,9 +753,9 @@ fn shared_shape_plan_binds_constants_correctly() {
     let cache = se_sparql::PlanCache::new();
     for station in [1, 2] {
         let text = q(station);
-        let want = normalize(&se_sparql::execute_query(&hybrid, &text, &opts).unwrap());
+        let want = normalize(&se_sparql::execute_query(&single, &text, &opts).unwrap());
         assert!(!want.is_empty(), "station {station} hosts sensors");
-        let got = se_sparql::execute_query_cached(&hybrid, &text, &opts, &cache).unwrap();
+        let got = se_sparql::execute_query_cached(&single, &text, &opts, &cache).unwrap();
         assert_eq!(normalize(&got), want, "station {station}");
     }
     // Distinct texts, one shape: both miss at the text level, but the
@@ -776,10 +777,10 @@ fn hybrid_matches_rebuild_pattern_accesses_directly() {
         seed: 31,
     };
     let batches = generate_stream(&cfg, 6, 2);
-    let mut hybrid = HybridStore::build(&onto, &Graph::new()).unwrap();
+    let mut single = single_store(&onto);
     let mut reference: BTreeSet<Triple> = BTreeSet::new();
     for batch in &batches {
-        hybrid.apply(&batch.inserts, &batch.deletes).unwrap();
+        single.apply(&batch.inserts, &batch.deletes).unwrap();
         for t in &batch.deletes {
             reference.remove(t);
         }
@@ -791,7 +792,7 @@ fn hybrid_matches_rebuild_pattern_accesses_directly() {
         SuccinctEdgeStore::build(&onto, &Graph::from_triples(reference.iter().cloned())).unwrap();
 
     let observes = se_rdf::vocab::sosa::OBSERVES;
-    let p_hybrid = TripleSource::property_id(&hybrid, observes).unwrap();
+    let p_single = TripleSource::property_id(&single, observes).unwrap();
     let p_rebuilt = rebuilt.property_id(observes).unwrap();
     let decode = |src: &dyn TripleSource, pairs: Vec<(u64, se_core::Value)>| -> Vec<String> {
         let mut v: Vec<String> = pairs
@@ -808,17 +809,17 @@ fn hybrid_matches_rebuild_pattern_accesses_directly() {
         v
     };
     assert_eq!(
-        decode(&hybrid, TripleSource::scan_predicate(&hybrid, p_hybrid)),
+        decode(&single, TripleSource::scan_predicate(&single, p_single)),
         decode(&rebuilt, rebuilt.scan_predicate(p_rebuilt)),
     );
     // Counts (optimizer statistics) agree as well.
     assert_eq!(
-        TripleSource::predicate_count(&hybrid, p_hybrid),
+        TripleSource::predicate_count(&single, p_single),
         rebuilt.predicate_count(p_rebuilt)
     );
-    assert_eq!(TripleSource::len(&hybrid), rebuilt.len());
+    assert_eq!(TripleSource::len(&single), rebuilt.len());
     assert_eq!(
-        TripleSource::type_total(&hybrid),
+        TripleSource::type_total(&single),
         rebuilt.type_store().len()
     );
 }

@@ -1,4 +1,5 @@
-//! The v02 delta-aware persistence contract, for both engines:
+//! The v02 delta-aware persistence contract, for the 1-shard single store
+//! and multi-shard stores:
 //!
 //! * `save` is `&self`, performs **no compaction**, and writes the raw
 //!   overlay (added triples, tombstones with full `DeltaState` semantics,
@@ -9,17 +10,17 @@
 //! * every corruption class — truncation, bad magic, versions from the
 //!   future, checksum mismatch, dangling manifest references — surfaces
 //!   as a clean `StreamError`, never a panic;
-//! * v01 single-file stores stay loadable;
+//! * v01 single-file stores stay loadable as static stores;
 //! * a checkpointed `StreamSession` resumes its continuous queries.
 
-use se_core::TripleSource;
+use se_core::{SuccinctEdgeStore, TripleSource};
 use se_ontology::Ontology;
 use se_rdf::{Graph, Term, Triple};
 use se_sparql::QueryOptions;
-use se_stream::persist::{HYBRID_MANIFEST, SHARD_MANIFEST};
+use se_stream::persist::SHARD_MANIFEST;
 use se_stream::{
-    CompactionPolicy, HybridStore, IngestMode, ShardPolicy, ShardedHybridStore, StreamError,
-    StreamSession, OVERFLOW_BASE,
+    CompactionPolicy, IngestMode, ShardPolicy, ShardedHybridStore, StreamError, StreamSession,
+    OVERFLOW_BASE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -54,6 +55,15 @@ fn seed_graph() -> Graph {
         t("b", "memberOf", iri("org")),
         t("a", "age", Term::literal("42")),
     ])
+}
+
+/// The single-store configuration: one shard, inline ingest and inline
+/// compaction.
+fn single_store() -> ShardedHybridStore {
+    ShardedHybridStore::build(&ontology(), &seed_graph(), 1)
+        .unwrap()
+        .with_ingest_mode(IngestMode::Inline)
+        .with_background_compaction(false)
 }
 
 /// Dirties a store through its generic batch entry point: baseline
@@ -134,21 +144,25 @@ fn answers<S: TripleSource>(store: &S) -> Vec<Vec<String>> {
 #[test]
 fn hybrid_v02_roundtrip_preserves_dirty_view_without_compacting() {
     let dir = scratch("hybrid-rt");
-    let mut h = HybridStore::build(&ontology(), &seed_graph()).unwrap();
+    let mut h = single_store();
     let (ins, del) = dirty_batch();
     h.apply(&ins, &del).unwrap();
-    assert!(!h.delta().is_empty(), "the store must be dirty");
+    let overlay_before = h.overlay_len();
+    assert!(overlay_before > 0, "the store must be dirty");
 
-    let overlay_before = h.delta().overlay_len();
     let compactions_before = h.stats().compactions;
     let report = h.save(&dir).unwrap();
     // &self save: no compaction, overlay untouched, snapshot captured it.
     assert_eq!(h.stats().compactions, compactions_before);
-    assert_eq!(h.delta().overlay_len(), overlay_before);
+    assert_eq!(h.overlay_len(), overlay_before);
     assert_eq!(report.overlay_entries, overlay_before);
-    assert_eq!(report.baseline_files_written, 1, "first save writes layers");
+    assert_eq!(
+        report.baseline_files_written, 2,
+        "first save writes the layer file and the dictionary file"
+    );
 
-    let back = HybridStore::load(&dir, &ontology()).unwrap();
+    let back = ShardedHybridStore::load(&dir, &ontology()).unwrap();
+    assert_eq!(back.shard_count(), 1);
     assert_eq!(TripleSource::len(&back), TripleSource::len(&h));
     assert_eq!(norm(&back.materialize()), norm(&h.materialize()));
     assert_eq!(answers(&back), answers(&h));
@@ -177,11 +191,11 @@ fn hybrid_v02_roundtrip_preserves_dirty_view_without_compacting() {
 #[test]
 fn hybrid_steady_state_save_skips_the_baseline() {
     let dir = scratch("hybrid-steady");
-    let mut h = HybridStore::build(&ontology(), &seed_graph()).unwrap();
+    let mut h = single_store();
     let (ins, del) = dirty_batch();
     h.apply(&ins, &del).unwrap();
     let first = h.save(&dir).unwrap();
-    assert_eq!(first.baseline_files_written, 1);
+    assert_eq!(first.baseline_files_written, 2, "layers + dictionaries");
 
     // More overlay, same baseline: O(delta) save.
     h.apply(
@@ -193,13 +207,14 @@ fn hybrid_steady_state_save_skips_the_baseline() {
     assert_eq!(second.baseline_files_written, 0, "baseline reused");
     assert!(second.delta_bytes > 0);
 
-    // A compaction swaps the baseline: the next save rewrites it.
-    h.compact().unwrap();
+    // A compaction swaps the layers: the next save rewrites them (the
+    // frozen dictionaries never change).
+    h.compact_shard(0);
     let third = h.save(&dir).unwrap();
     assert_eq!(third.baseline_files_written, 1, "new generation written");
 
     // The reloaded store still matches.
-    let back = HybridStore::load(&dir, &ontology()).unwrap();
+    let back = ShardedHybridStore::load(&dir, &ontology()).unwrap();
     assert_eq!(norm(&back.materialize()), norm(&h.materialize()));
 
     // And a load→save cycle is steady-state too (nothing re-serialized).
@@ -258,7 +273,7 @@ fn sharded_v02_roundtrip_with_background_rebuilds_in_flight() {
     }
     assert_eq!(back.instance_id(&iri("s3")), h.instance_id(&iri("s3")));
 
-    // Both engines keep agreeing batch for batch after the restart.
+    // Live and reloaded stores keep agreeing batch for batch.
     let mut live = h;
     let mut back = back;
     for round in 0..4 {
@@ -388,51 +403,58 @@ fn custom_policy_roundtrip_keeps_routes() {
 
 // ------------------------------------------------------- v01 compatibility
 
+/// A v01 file is a bare `SuccinctEdgeStore` dump: it loads as a static
+/// store, and the streaming loader refuses it cleanly instead of
+/// misreading it.
 #[test]
 fn v01_single_file_stays_loadable() {
     let dir = scratch("v01-compat");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("legacy.v01");
-    let mut h = HybridStore::build(&ontology(), &seed_graph()).unwrap();
-    h.insert_triple(&t("c", "knows", iri("a"))).unwrap();
-    // A v01 file is a bare SuccinctEdgeStore dump of the compacted store.
-    h.compact().unwrap();
-    h.baseline().save_to_file(&path).unwrap();
-    // Both entry points accept the legacy file.
-    let a = HybridStore::load_from_file(&path, ontology()).unwrap();
-    let b = HybridStore::load(&path, &ontology()).unwrap();
-    assert_eq!(norm(&a.materialize()), norm(&h.materialize()));
-    assert_eq!(norm(&b.materialize()), norm(&h.materialize()));
+    let mut graph = seed_graph();
+    graph.insert(t("c", "knows", iri("a")));
+    let original = SuccinctEdgeStore::build(&ontology(), &graph).unwrap();
+    original.save_to_file(&path).unwrap();
+    let back = SuccinctEdgeStore::load_from_file(&path).unwrap();
+    assert_eq!(back.len(), graph.len());
+    assert_eq!(answers(&back), answers(&original));
+    assert!(ShardedHybridStore::load(&path, &ontology()).is_err());
     cleanup(&dir);
 }
 
 // ---------------------------------------------------- corruption handling
 
-/// Saves a dirty store of each engine into a fresh directory.
-fn saved_hybrid(name: &str) -> PathBuf {
+/// Saves a dirty store with `shards` shards into a fresh directory.
+fn saved(name: &str, shards: usize) -> PathBuf {
     let dir = scratch(name);
-    let mut h = HybridStore::build(&ontology(), &seed_graph()).unwrap();
+    let mut h = ShardedHybridStore::build(&ontology(), &seed_graph(), shards).unwrap();
     let (ins, del) = dirty_batch();
     h.apply(&ins, &del).unwrap();
     h.save(&dir).unwrap();
     dir
 }
 
-fn saved_sharded(name: &str) -> PathBuf {
-    let dir = scratch(name);
-    let mut h = ShardedHybridStore::build(&ontology(), &seed_graph(), 3).unwrap();
-    let (ins, del) = dirty_batch();
-    h.apply(&ins, &del).unwrap();
-    h.save(&dir).unwrap();
-    dir
-}
-
-fn load_hybrid(dir: &Path) -> Result<HybridStore, StreamError> {
-    HybridStore::load(dir, &ontology())
-}
-
-fn load_sharded(dir: &Path) -> Result<ShardedHybridStore, StreamError> {
+fn load(dir: &Path) -> Result<ShardedHybridStore, StreamError> {
     ShardedHybridStore::load(dir, &ontology())
+}
+
+/// Deletes every file in `dir` whose name ends with `suffix`.
+fn remove_files_ending(dir: &Path, suffix: &str) {
+    for entry in std::fs::read_dir(dir).unwrap().filter_map(|e| e.ok()) {
+        if entry.file_name().to_string_lossy().ends_with(suffix) {
+            std::fs::remove_file(entry.path()).unwrap();
+        }
+    }
+}
+
+/// The first file in `dir` whose name ends with `suffix`.
+fn file_ending(dir: &Path, suffix: &str) -> PathBuf {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .find(|e| e.file_name().to_string_lossy().ends_with(suffix))
+        .unwrap_or_else(|| panic!("no *{suffix} file"))
+        .path()
 }
 
 fn clobber(path: &Path, offset: usize, byte: u8) {
@@ -443,25 +465,15 @@ fn clobber(path: &Path, offset: usize, byte: u8) {
 
 #[test]
 fn truncated_manifests_error_cleanly() {
-    for (dir, manifest, check) in [
-        (
-            saved_hybrid("trunc-h"),
-            HYBRID_MANIFEST,
-            &(|d: &Path| load_hybrid(d).err()) as &dyn Fn(&Path) -> Option<StreamError>,
-        ),
-        (
-            saved_sharded("trunc-s"),
-            SHARD_MANIFEST,
-            &(|d: &Path| load_sharded(d).err()),
-        ),
-    ] {
-        let path = dir.join(manifest);
+    for (name, shards) in [("trunc-1", 1), ("trunc-3", 3)] {
+        let dir = saved(name, shards);
+        let path = dir.join(SHARD_MANIFEST);
         let full = std::fs::read(&path).unwrap();
         // Cut at several depths: inside the header, inside a section
         // header, inside a payload.
         for cut in [4, 14, full.len() - 5] {
             std::fs::write(&path, &full[..cut]).unwrap();
-            match check(&dir) {
+            match load(&dir).err() {
                 Some(StreamError::Corrupt(_)) => {}
                 other => panic!("cut at {cut}: expected Corrupt, got {other:?}"),
             }
@@ -472,69 +484,51 @@ fn truncated_manifests_error_cleanly() {
 
 #[test]
 fn bad_magic_errors_cleanly() {
-    let dir = saved_hybrid("magic-h");
-    let path = dir.join(HYBRID_MANIFEST);
-    clobber(&path, 0, b'X');
-    assert!(matches!(
-        load_hybrid(&dir),
-        Err(StreamError::Corrupt(msg)) if msg.contains("magic")
-    ));
-    cleanup(&dir);
-
-    let dir = saved_sharded("magic-s");
-    clobber(&dir.join(SHARD_MANIFEST), 0, b'X');
-    assert!(matches!(
-        load_sharded(&dir),
-        Err(StreamError::Corrupt(msg)) if msg.contains("magic")
-    ));
-    cleanup(&dir);
+    // The manifest, and a layer file it references.
+    for (name, file) in [("magic-m", SHARD_MANIFEST), ("magic-l", ".layers")] {
+        let dir = saved(name, 1);
+        let path = file_ending(&dir, file);
+        clobber(&path, 0, b'X');
+        assert!(matches!(
+            load(&dir),
+            Err(StreamError::Corrupt(msg)) if msg.contains("magic")
+        ));
+        cleanup(&dir);
+    }
 }
 
 #[test]
 fn future_versions_are_rejected_with_the_version_error() {
-    let dir = saved_hybrid("ver-h");
-    // The version u32 sits right after the 8-byte magic.
-    clobber(&dir.join(HYBRID_MANIFEST), 8, 99);
-    assert!(matches!(
-        load_hybrid(&dir),
-        Err(StreamError::UnsupportedVersion {
-            found: 99,
-            max_supported: 2
-        })
-    ));
-    cleanup(&dir);
-
-    let dir = saved_sharded("ver-s");
-    clobber(&dir.join(SHARD_MANIFEST), 8, 99);
-    assert!(matches!(
-        load_sharded(&dir),
-        Err(StreamError::UnsupportedVersion { found: 99, .. })
-    ));
-    cleanup(&dir);
+    // The version u32 sits right after the 8-byte magic — in the
+    // manifest and in every file it references.
+    for (name, file) in [("ver-m", SHARD_MANIFEST), ("ver-o", ".overlay")] {
+        let dir = saved(name, 3);
+        let path = file_ending(&dir, file);
+        clobber(&path, 8, 99);
+        assert!(matches!(
+            load(&dir),
+            Err(StreamError::UnsupportedVersion {
+                found: 99,
+                max_supported: 2
+            })
+        ));
+        cleanup(&dir);
+    }
 }
 
 #[test]
 fn overlay_checksum_mismatch_errors_cleanly() {
-    for (dir, manifest, check) in [
-        (
-            saved_hybrid("sum-h"),
-            HYBRID_MANIFEST,
-            &(|d: &Path| load_hybrid(d).err()) as &dyn Fn(&Path) -> Option<StreamError>,
-        ),
-        (
-            saved_sharded("sum-s"),
-            SHARD_MANIFEST,
-            &(|d: &Path| load_sharded(d).err()),
-        ),
-    ] {
-        let path = dir.join(manifest);
+    // The manifest, and a shard's overlay file.
+    for (name, file) in [("sum-m", SHARD_MANIFEST), ("sum-o", ".overlay")] {
+        let dir = saved(name, 3);
+        let path = file_ending(&dir, file);
         let len = std::fs::read(&path).unwrap().len();
         // Flip one bit inside the last section's payload (the trailing 8
         // bytes are its checksum; 9 bytes back is payload).
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[len - 9] ^= 0x01;
         std::fs::write(&path, bytes).unwrap();
-        match check(&dir) {
+        match load(&dir).err() {
             Some(StreamError::Corrupt(msg)) => {
                 assert!(msg.contains("checksum"), "got: {msg}")
             }
@@ -546,60 +540,35 @@ fn overlay_checksum_mismatch_errors_cleanly() {
 
 #[test]
 fn baseline_corruption_is_detected() {
-    // Hybrid: the baseline file is raw v01; its checksum lives in the
-    // manifest. Flip a byte deep inside it.
-    let dir = saved_hybrid("base-h");
-    let baseline = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .find(|e| e.file_name().to_string_lossy().ends_with(".v01"))
-        .expect("baseline file present");
-    let len = std::fs::metadata(baseline.path()).unwrap().len() as usize;
-    clobber(&baseline.path(), len / 2, 0xAB);
-    assert!(matches!(
-        load_hybrid(&dir),
-        Err(StreamError::Corrupt(msg)) if msg.contains("checksum")
-    ));
-    cleanup(&dir);
-
-    // Sharded: shard layer files carry their own checksummed sections.
-    let dir = saved_sharded("base-s");
-    let layers = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .find(|e| e.file_name().to_string_lossy().ends_with(".layers"))
-        .expect("layer file present");
-    let len = std::fs::metadata(layers.path()).unwrap().len() as usize;
-    clobber(&layers.path(), len / 2, 0xAB);
-    assert!(matches!(load_sharded(&dir), Err(StreamError::Corrupt(_))));
-    cleanup(&dir);
+    // Baseline-side files — the frozen dictionaries and the shard layers
+    // — carry their own checksummed sections. Flip a byte deep inside.
+    for (name, shards, suffix) in [("base-d", 1, ".bin"), ("base-l", 3, ".layers")] {
+        let dir = saved(name, shards);
+        let path = file_ending(&dir, suffix);
+        let len = std::fs::metadata(&path).unwrap().len() as usize;
+        clobber(&path, len / 2, 0xAB);
+        assert!(
+            matches!(load(&dir), Err(StreamError::Corrupt(_))),
+            "corrupt *{suffix} must not load"
+        );
+        cleanup(&dir);
+    }
 }
 
 #[test]
 fn dangling_manifest_references_error_cleanly() {
-    let dir = saved_hybrid("dangle-h");
-    for entry in std::fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()) {
-        if entry.file_name().to_string_lossy().ends_with(".v01") {
-            std::fs::remove_file(entry.path()).unwrap();
-        }
+    for (name, shards, suffix) in [("dangle-l", 1, ".layers"), ("dangle-o", 3, ".overlay")] {
+        let dir = saved(name, shards);
+        remove_files_ending(&dir, suffix);
+        assert!(
+            matches!(
+                load(&dir),
+                Err(StreamError::Corrupt(msg)) if msg.contains("missing")
+            ),
+            "missing *{suffix} must not load"
+        );
+        cleanup(&dir);
     }
-    assert!(matches!(
-        load_hybrid(&dir),
-        Err(StreamError::Corrupt(msg)) if msg.contains("missing")
-    ));
-    cleanup(&dir);
-
-    let dir = saved_sharded("dangle-s");
-    for entry in std::fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()) {
-        if entry.file_name().to_string_lossy().ends_with(".overlay") {
-            std::fs::remove_file(entry.path()).unwrap();
-        }
-    }
-    assert!(matches!(
-        load_sharded(&dir),
-        Err(StreamError::Corrupt(msg)) if msg.contains("missing")
-    ));
-    cleanup(&dir);
 }
 
 // ------------------------------------------------------- session recovery
@@ -607,8 +576,7 @@ fn dangling_manifest_references_error_cleanly() {
 #[test]
 fn session_checkpoint_resumes_continuous_queries() {
     let dir = scratch("session");
-    let store = HybridStore::build(&ontology(), &seed_graph()).unwrap();
-    let mut session = StreamSession::new(store);
+    let mut session = StreamSession::new(single_store());
     session
         .register_query(
             "members",
@@ -633,7 +601,7 @@ fn session_checkpoint_resumes_continuous_queries() {
     session.save(&dir).unwrap();
     drop(session);
 
-    let mut resumed: StreamSession<HybridStore> = StreamSession::resume(&dir, &ontology()).unwrap();
+    let mut resumed = StreamSession::resume(&dir, &ontology()).unwrap();
     assert_eq!(resumed.registry().len(), 2, "queries re-registered");
     // The resumed session answers the next batch exactly as the live one
     // would have (empty batch → same post-state answers).
