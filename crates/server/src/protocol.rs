@@ -252,24 +252,18 @@ pub fn read_graph<R: Read>(r: &mut R) -> io::Result<Graph> {
 }
 
 const OPT_REASONING: u8 = 0b001;
-const OPT_OPTIMIZE: u8 = 0b010;
-const OPT_MERGE_JOIN: u8 = 0b100;
 
-/// Encodes query options as one flags byte.
+/// Encodes query options as one flags byte. Bits 1–2 are reserved (once
+/// the retired optimizer switches) and written as zero.
 pub fn write_options<W: Write>(w: &mut W, o: &QueryOptions) -> io::Result<()> {
-    let flags = if o.reasoning { OPT_REASONING } else { 0 }
-        | if o.optimize { OPT_OPTIMIZE } else { 0 }
-        | if o.merge_join { OPT_MERGE_JOIN } else { 0 };
-    w.write_u8(flags)
+    w.write_u8(if o.reasoning { OPT_REASONING } else { 0 })
 }
 
-/// Decodes the options byte.
+/// Decodes the options byte; reserved bits are ignored.
 pub fn read_options<R: Read>(r: &mut R) -> io::Result<QueryOptions> {
     let flags = r.read_u8()?;
     Ok(QueryOptions {
         reasoning: flags & OPT_REASONING != 0,
-        optimize: flags & OPT_OPTIMIZE != 0,
-        merge_join: flags & OPT_MERGE_JOIN != 0,
     })
 }
 
@@ -319,6 +313,17 @@ pub fn read_result_set<R: Read>(r: &mut R) -> io::Result<ResultSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reserved_option_bits_are_ignored() {
+        let decode = |flags: u8| read_options(&mut [flags].as_slice()).unwrap();
+        assert_eq!(decode(0b110), decode(0b000));
+        assert_eq!(decode(0b110), QueryOptions::without_reasoning());
+        assert_eq!(decode(0b111), QueryOptions::default());
+        let mut buf = Vec::new();
+        write_options(&mut buf, &QueryOptions::default()).unwrap();
+        assert_eq!(buf, [OPT_REASONING]);
+    }
 
     #[test]
     fn term_codec_round_trips_every_variant() {

@@ -1,13 +1,15 @@
-//! Left-deep query execution over the SuccinctEdge store (§5.2).
+//! Pattern matching over the SuccinctEdge store (§5.2).
 //!
-//! The executor walks the TP order produced by Algorithm 1, propagating
-//! variable bindings from one TP to the next ("one of our joining
-//! approaches amounts to propagate variable assignments from one TP to
-//! another"). When the current intermediate relation is joined through its
-//! subject against a fresh `(?s, p, ?o)` / `(?s, p, o)` pattern, the
-//! PSO order of the layers makes both sides subject-sorted and a **merge
-//! join** replaces the per-row lookups (§5.2, Figure 7); otherwise
-//! index-nested-loop propagation is used.
+//! A query runs as a compiled plan (`crate::ir`): a left-deep walk over
+//! the TP order chosen at compile time, propagating variable bindings
+//! from one TP to the next ("one of our joining approaches amounts to
+//! propagate variable assignments from one TP to another"). This module
+//! holds the per-pattern step every plan — and `se-stream`'s delta
+//! evaluator — runs: [`eval_pattern`]. When the current intermediate
+//! relation is joined through its subject against a fresh `(?s, p, ?o)` /
+//! `(?s, p, o)` pattern, the PSO order of the layers makes both sides
+//! subject-sorted and a **merge join** replaces the per-row lookups
+//! (§5.2, Figure 7); otherwise index-nested-loop propagation is used.
 //!
 //! With reasoning enabled, constant concepts and properties evaluate
 //! through their LiteMat intervals — no materialization, no UNION
@@ -15,43 +17,31 @@
 
 use crate::ast::{GroupPattern, Query, TermPattern, TriplePattern};
 use crate::error::QueryError;
-use crate::expr::{eval, Env, EvalValue};
-use crate::optimizer::order_patterns;
+use crate::expr::{Env, EvalValue};
+use crate::ir;
 use se_core::{TripleSource, Value};
 use se_litemat::IdInterval;
 use se_rdf::Term;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// Execution options: reasoning on/off plus the optimizer switches.
-#[derive(Debug, Clone)]
+/// Execution options.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryOptions {
     /// LiteMat interval reasoning over concept/property hierarchies
     /// (§5.2). On by default — reasoning is native in SuccinctEdge.
     pub reasoning: bool,
-    /// Run Algorithm 1; when off, TPs execute in textual order.
-    pub optimize: bool,
-    /// Allow the merge-join fast path; when off, every join is
-    /// binding-propagation (index nested loop).
-    pub merge_join: bool,
 }
 
 impl Default for QueryOptions {
     fn default() -> Self {
-        Self {
-            reasoning: true,
-            optimize: true,
-            merge_join: true,
-        }
+        Self { reasoning: true }
     }
 }
 
 impl QueryOptions {
     /// Options with reasoning disabled (exact concept/property matching).
     pub fn without_reasoning() -> Self {
-        Self {
-            reasoning: false,
-            ..Self::default()
-        }
+        Self { reasoning: false }
     }
 }
 
@@ -95,40 +85,17 @@ pub enum Slot {
 /// column layout (see [`group_var_index`]).
 pub type Row = Vec<Option<Slot>>;
 
-/// Executes a parsed query.
+/// Executes a parsed query once, uncached: compiles it against `store`
+/// and runs the plan. Callers that repeat queries hold a
+/// [`PlanCache`](crate::PlanCache) instead.
 pub fn execute<S: TripleSource + ?Sized>(
     store: &S,
     query: &Query,
     options: &QueryOptions,
 ) -> Result<ResultSet, QueryError> {
-    let out_vars = query.output_variables();
-    let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
-    for group in &query.groups {
-        let group_rows = execute_group(store, group, options)?;
-        // Project group rows onto the output variables.
-        for (vars, row) in group_rows {
-            let mut projected = Vec::with_capacity(out_vars.len());
-            for v in &out_vars {
-                let cell = vars
-                    .get(v.as_str())
-                    .and_then(|&i| row[i].as_ref())
-                    .map(|slot| slot_to_term(store, slot));
-                projected.push(cell);
-            }
-            rows.push(projected);
-        }
-    }
-    if query.distinct {
-        let mut seen = HashSet::new();
-        rows.retain(|r| seen.insert(format!("{r:?}")));
-    }
-    if let Some(limit) = query.limit {
-        rows.truncate(limit);
-    }
-    Ok(ResultSet {
-        variables: out_vars,
-        rows,
-    })
+    let plan = ir::compile(query, store, options, 0);
+    let (_, consts) = ir::normalize(query);
+    ir::execute_plan(store, &plan, &consts, options)
 }
 
 /// Decodes one intermediate-relation slot back to an RDF term.
@@ -141,11 +108,9 @@ pub fn slot_to_term<S: TripleSource + ?Sized>(store: &S, slot: &Slot) -> Term {
     }
 }
 
-type GroupRows<'a> = Vec<(HashMap<&'a str, usize>, Row)>;
-
 /// The column layout of one group's intermediate relation: TP variables
-/// in first-occurrence order, then BIND variables. Shared by the full
-/// executor and `se-stream`'s incremental delta evaluator, so both build
+/// in first-occurrence order, then BIND variables. Shared by the plan
+/// compiler and `se-stream`'s incremental delta evaluator, so both build
 /// rows with identical shapes.
 pub fn group_var_index(group: &GroupPattern) -> HashMap<&str, usize> {
     let mut var_index: HashMap<&str, usize> = HashMap::new();
@@ -162,54 +127,8 @@ pub fn group_var_index(group: &GroupPattern) -> HashMap<&str, usize> {
     var_index
 }
 
-/// Evaluates one group: BGP (ordered), then BINDs, then FILTERs.
-fn execute_group<'a, S: TripleSource + ?Sized>(
-    store: &S,
-    group: &'a GroupPattern,
-    options: &QueryOptions,
-) -> Result<GroupRows<'a>, QueryError> {
-    let var_index = group_var_index(group);
-    let n_cols = var_index.len();
-
-    // ---- BGP ---------------------------------------------------------------
-    let order = if options.optimize {
-        order_patterns(&group.patterns, store, options.reasoning)
-    } else {
-        (0..group.patterns.len()).collect()
-    };
-    let mut rows: Vec<Row> = vec![vec![None; n_cols]];
-    for &tp_idx in &order {
-        let tp = &group.patterns[tp_idx];
-        rows = eval_pattern(store, tp, rows, &var_index, options)?;
-        if rows.is_empty() {
-            break;
-        }
-    }
-
-    // ---- BIND (in order), then FILTER ---------------------------------------
-    if !group.binds.is_empty() {
-        for row in &mut rows {
-            for b in &group.binds {
-                let env = row_env(store, row, &var_index);
-                if let Ok(v) = eval(&b.expr, &env) {
-                    let col = var_index[b.var.as_str()];
-                    row[col] = Some(Slot::Term(v.into_term()));
-                }
-            }
-        }
-    }
-    for f in &group.filters {
-        rows.retain(|row| {
-            let env = row_env(store, row, &var_index);
-            eval(f, &env).and_then(|v| v.truthy()).unwrap_or(false)
-        });
-    }
-    Ok(rows.into_iter().map(|r| (var_index.clone(), r)).collect())
-}
-
-/// Builds the expression environment of one intermediate row — shared by
-/// the interpreted executor and the compiled-IR executor (`crate::ir`),
-/// so BIND/FILTER evaluate identically on both paths.
+/// Builds the expression environment of one intermediate row, for the
+/// plan's BIND and FILTER steps.
 pub fn row_env<'a, S: TripleSource + ?Sized>(
     store: &S,
     row: &Row,
@@ -336,6 +255,10 @@ pub fn concept_spec<S: TripleSource + ?Sized>(
     }
 }
 
+/// Intermediate-relation size from which [`eval_pattern`] replaces
+/// per-row lookups with a merge join, when the pattern allows one.
+pub const MERGE_JOIN_MIN_ROWS: usize = 16;
+
 /// Joins one triple pattern against the store, propagating the bindings
 /// of `rows` (index nested loop, or a merge join when the fast-path
 /// conditions of §5.2 hold). This is the pattern-matching entry point the
@@ -360,9 +283,10 @@ pub fn eval_pattern<S: TripleSource + ?Sized>(
         return Ok(Vec::new());
     }
 
-    // Merge-join fast path (§5.2): subject var bound in all rows, exact
-    // predicate, free or constant object.
-    if options.merge_join && rows.len() >= 16 {
+    // Merge-join fast path (§5.2): enough rows to amortize the scan,
+    // subject var bound in all rows, exact predicate, free or constant
+    // object.
+    if rows.len() >= MERGE_JOIN_MIN_ROWS {
         if let (PSpec::Exact(p), TermPattern::Var(sv)) = (&spec, &tp.subject) {
             let s_col = vars[sv.as_str()];
             let all_bound_enc = rows
@@ -942,44 +866,96 @@ mod tests {
         assert_eq!(names(&rs, "c"), vec!["http://x/Manager"]);
     }
 
+    /// 20 subjects joined through `?s`: the second pattern sees ≥ 16
+    /// bound rows and takes the merge-join path. Every answer is checked
+    /// against a nested loop over the graph's own triples, for a free,
+    /// a constant and an already-bound object.
     #[test]
     fn merge_join_equals_nested_loop() {
-        let st = store();
-        let q = "PREFIX e: <http://x/> SELECT ?s ?n WHERE { ?s e:knows ?o . ?s e:name ?n }";
-        let with_merge = run(&st, q, &QueryOptions::default());
-        let without = run(
-            &st,
-            q,
-            &QueryOptions {
-                merge_join: false,
-                ..QueryOptions::default()
-            },
-        );
-        let mut a = with_merge.rows.clone();
-        let mut b = without.rows.clone();
-        a.sort_by_key(|r| format!("{r:?}"));
-        b.sort_by_key(|r| format!("{r:?}"));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn optimizer_on_off_same_answers() {
-        let st = store();
-        let q = "PREFIX e: <http://x/> SELECT ?s ?o ?n WHERE { ?s a e:Employee . ?s e:knows ?o . ?o e:name ?n }";
-        let opt = run(&st, q, &QueryOptions::default());
-        let unopt = run(
-            &st,
-            q,
-            &QueryOptions {
-                optimize: false,
-                ..QueryOptions::default()
-            },
-        );
-        let mut a = opt.rows.clone();
-        let mut b = unopt.rows.clone();
-        a.sort_by_key(|r| format!("{r:?}"));
-        b.sort_by_key(|r| format!("{r:?}"));
-        assert_eq!(a, b);
+        let mut o = Ontology::new();
+        o.add_object_property("http://x/q");
+        o.add_object_property("http://x/p");
+        let mut g = Graph::new();
+        let t = |s: String, p: &str, o: Term| Triple::new(iri(&s), iri(p), o);
+        for i in 0..20 {
+            g.insert(t(format!("s{i}"), "q", iri(&format!("m{}", i % 3))));
+            // Multiple p-objects per subject, none for every fifth.
+            for k in 0..(i % 5) {
+                g.insert(t(format!("s{i}"), "p", iri(&format!("m{k}"))));
+            }
+        }
+        // Enough p triples that q runs first even when p's object is a
+        // constant (a bound position discounts the estimate 16-fold).
+        for i in 0..400 {
+            g.insert(t(format!("x{i}"), "p", iri("m0")));
+        }
+        let st = SuccinctEdgeStore::build(&o, &g).unwrap();
+        let triples = |p: &str| -> Vec<(String, String)> {
+            g.iter()
+                .filter(|tr| tr.predicate == iri(p))
+                .map(|tr| (tr.subject.to_string(), tr.object.to_string()))
+                .collect()
+        };
+        let (qs, ps) = (triples("q"), triples("p"));
+        let sorted = |mut v: Vec<Vec<String>>| {
+            v.sort();
+            v
+        };
+        let answers = |rs: &ResultSet| {
+            sorted(
+                rs.rows
+                    .iter()
+                    .map(|r| r.iter().map(|c| c.as_ref().unwrap().to_string()).collect())
+                    .collect(),
+            )
+        };
+        let cases: [(&str, Vec<Vec<String>>); 3] = [
+            (
+                "SELECT ?s ?o WHERE { ?s e:q ?m . ?s e:p ?o }",
+                sorted(
+                    qs.iter()
+                        .flat_map(|(s, _)| {
+                            ps.iter()
+                                .filter(move |(ps, _)| ps == s)
+                                .map(move |(_, o)| vec![s.clone(), o.clone()])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "SELECT ?s WHERE { ?s e:q ?m . ?s e:p e:m1 }",
+                sorted(
+                    qs.iter()
+                        .filter(|(s, _)| ps.contains(&(s.clone(), iri("m1").to_string())))
+                        .map(|(s, _)| vec![s.clone()])
+                        .collect(),
+                ),
+            ),
+            (
+                "SELECT ?s ?m WHERE { ?s e:q ?m . ?s e:p ?m }",
+                sorted(
+                    qs.iter()
+                        .filter(|&sm| ps.contains(sm))
+                        .map(|(s, m)| vec![s.clone(), m.clone()])
+                        .collect(),
+                ),
+            ),
+        ];
+        let opts = QueryOptions::default();
+        for (body, want) in cases {
+            let q = crate::parse_query(&format!("PREFIX e: <http://x/> {body}")).unwrap();
+            let plan = ir::compile(&q, &st, &opts, 0);
+            let (_, consts) = ir::normalize(&q);
+            let mut trace = ir::PlanTrace::default();
+            let rs = ir::execute_plan_traced(&st, &plan, &consts, &opts, &mut trace).unwrap();
+            assert_eq!(trace.steps[0].src, 0, "{body}: q runs first");
+            assert!(
+                trace.steps[1].rows_in >= MERGE_JOIN_MIN_ROWS,
+                "{body}: the p step must see enough rows to merge"
+            );
+            assert!(!want.is_empty(), "{body}: vacuous case");
+            assert_eq!(answers(&rs), want, "{body}");
+        }
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Compiled query IR and the shape-keyed plan cache.
 //!
-//! A serving workload repeats a handful of query *shapes* millions of
-//! times with only the constants changing. This module lowers a parsed
+//! Every query runs as a [`CompiledPlan`]: the one-shot
+//! [`exec::execute`](crate::exec::execute) compiles and runs a plan
+//! uncached, and [`PlanCache`] keeps plans across calls. A serving
+//! workload repeats a handful of query *shapes* millions of times with
+//! only the constants changing. This module lowers a parsed
 //! (and join-ordered) query into a [`CompiledPlan`] — a flat list of
 //! [`PlanStep`]s the executor runs directly, without re-walking the AST
 //! — and caches plans in a [`PlanCache`] keyed by the query's
@@ -22,17 +25,14 @@
 //! Join order is chosen at compile time by
 //! [`order_patterns_by_cardinality`](crate::optimizer::order_patterns_by_cardinality)
 //! from the O(1)-ish rank/select statistics the store answers
-//! ([`estimate`](crate::optimizer::estimate)), instead of the
-//! interpreted path's structural Heuristic-1 ordering. Because estimates
+//! ([`estimate`](crate::optimizer::estimate)). Because estimates
 //! drift as the store ingests, each plan records the store epoch it was
 //! costed at and is lazily **re-costed** (re-ordered, not re-parsed)
 //! once [`PlanCache::set_epoch`] advances past a staleness threshold.
 //!
-//! Pattern matching itself is delegated to [`exec::eval_pattern`] — the
-//! exact code the interpreted executor runs — so a compiled plan and the
-//! interpreted `execute` agree on every answer by construction; the only
-//! divergence a caller can observe is row *order* under `LIMIT`, where
-//! either prefix is a valid SPARQL answer.
+//! Pattern matching itself is delegated to [`exec::eval_pattern`], the
+//! step `se-stream`'s delta evaluator also runs, so continuous-query
+//! deltas and full evaluations match patterns identically.
 
 use crate::ast::{Expr, Query, TermPattern, TriplePattern};
 use crate::error::QueryError;
@@ -220,8 +220,8 @@ pub fn normalize(query: &Query) -> (String, Vec<Term>) {
 }
 
 /// Compiles a parsed query into a flat plan: join order from the store's
-/// cardinality statistics (textual when `options.optimize` is off),
-/// constants hollowed into slots, epoch recorded for lazy re-costing.
+/// cardinality statistics, constants hollowed into slots, epoch recorded
+/// for lazy re-costing.
 pub fn compile<S: TripleSource + ?Sized>(
     query: &Query,
     store: &S,
@@ -255,11 +255,7 @@ pub fn compile<S: TripleSource + ?Sized>(
         for (name, &i) in &var_index {
             vars[i] = (*name).to_string();
         }
-        let order: Vec<usize> = if options.optimize {
-            order_patterns_by_cardinality(&group.patterns, store, options.reasoning)
-        } else {
-            (0..group.patterns.len()).collect()
-        };
+        let order = order_patterns_by_cardinality(&group.patterns, store, options.reasoning);
         steps.push(PlanStep::BeginGroup { n_cols, vars });
         for &ti in &order {
             steps.push(PlanStep::Pattern {
@@ -357,9 +353,9 @@ fn execute_plan_inner<S: TripleSource + ?Sized>(
                 o_slot,
                 src,
             } => {
-                // An empty working set stays empty — mirrors the
-                // interpreted executor's early break (in particular, a
-                // later unsupported pattern is then never reached).
+                // An empty working set stays empty: skip the rest of the
+                // group (in particular, a later unsupported pattern is
+                // then never reached).
                 if work.is_empty() {
                     continue;
                 }
@@ -497,8 +493,6 @@ impl Inner {
 
 fn options_bits(options: &QueryOptions) -> u8 {
     u8::from(options.reasoning)
-        | (u8::from(options.optimize) << 1)
-        | (u8::from(options.merge_join) << 2)
 }
 
 fn evict_lru<V>(buckets: &mut HashMap<u8, HashMap<String, V>>, last_used: impl Fn(&V) -> u64) {
@@ -601,7 +595,7 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let query = parse_query(text)?;
-        let (plan, consts) = self.plan_for(store, &query, options, bits);
+        let (plan, consts, _) = self.plan_for(store, &query, options, bits);
         let consts = Arc::new(consts);
         {
             let mut inner = self.inner.lock().unwrap();
@@ -628,41 +622,21 @@ impl PlanCache {
         query: &Query,
         options: &QueryOptions,
     ) -> Result<ResultSet, QueryError> {
-        let bits = options_bits(options);
-        let (shape, consts) = normalize(query);
-        let cached = {
-            let mut inner = self.inner.lock().unwrap();
-            let tick = inner.touch();
-            inner
-                .plans
-                .get_mut(&bits)
-                .and_then(|m| m.get_mut(&shape))
-                .map(|e| {
-                    e.last_used = tick;
-                    e.plan.clone()
-                })
-        };
-        let plan = match cached {
-            Some(plan) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.recost_if_stale(store, plan, options, bits, None)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.compile_and_insert(store, query, options, bits)
-            }
-        };
+        let (plan, consts, hit) = self.plan_for(store, query, options, options_bits(options));
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         execute_plan(store, &plan, &consts, options)
     }
 
-    /// Shape-level lookup-or-compile for a freshly parsed query.
+    /// Shape-level lookup-or-compile: the plan, the query's constants,
+    /// and whether the plan came from the cache.
     fn plan_for<S: TripleSource + ?Sized>(
         &self,
         store: &S,
         query: &Query,
         options: &QueryOptions,
         bits: u8,
-    ) -> (Arc<CompiledPlan>, Vec<Term>) {
+    ) -> (Arc<CompiledPlan>, Vec<Term>, bool) {
         let (shape, consts) = normalize(query);
         let cached = {
             let mut inner = self.inner.lock().unwrap();
@@ -676,11 +650,18 @@ impl PlanCache {
                     e.plan.clone()
                 })
         };
-        let plan = match cached {
-            Some(plan) => self.recost_if_stale(store, plan, options, bits, None),
-            None => self.compile_and_insert(store, query, options, bits),
-        };
-        (plan, consts)
+        match cached {
+            Some(plan) => (
+                self.recost_if_stale(store, plan, options, bits, None),
+                consts,
+                true,
+            ),
+            None => (
+                self.compile_and_insert(store, query, options, bits),
+                consts,
+                false,
+            ),
+        }
     }
 
     fn compile_and_insert<S: TripleSource + ?Sized>(
@@ -858,8 +839,10 @@ mod tests {
         assert_ne!(s1, s3, "rdf:type concepts stay structural");
     }
 
+    /// The text and AST cache paths bind constants into shared plans;
+    /// both must answer exactly what a one-shot uncached run answers.
     #[test]
-    fn compiled_agrees_with_interpreted_on_binds_filters_union() {
+    fn cached_paths_agree_with_uncached_on_binds_filters_union() {
         let st = store();
         let cache = PlanCache::new();
         for opts in [QueryOptions::default(), QueryOptions::without_reasoning()] {
@@ -953,20 +936,5 @@ mod tests {
         assert_eq!(plan.n_constants(), 1);
         let err = execute_plan(&st, &plan, &[], &QueryOptions::default()).unwrap_err();
         assert!(matches!(err, QueryError::Unsupported(_)));
-    }
-
-    #[test]
-    fn unoptimized_plan_preserves_textual_order() {
-        let st = store();
-        let q = parse_query(
-            "PREFIX e: <http://x/> SELECT ?s ?o WHERE { ?s e:knows ?o . ?s a e:Employee }",
-        )
-        .unwrap();
-        let opts = QueryOptions {
-            optimize: false,
-            ..QueryOptions::default()
-        };
-        let plan = compile(&q, &st, &opts, 0);
-        assert_eq!(plan.pattern_order(0).unwrap(), &[0, 1]);
     }
 }

@@ -1,9 +1,10 @@
 //! # se-sparql — SPARQL query processing for SuccinctEdge
 //!
-//! The query layer of the paper (§5): a SPARQL subset parser, the
-//! heuristic + statistics join-order optimizer (Algorithm 1), and a
-//! left-deep executor that translates triple patterns into the store's SDS
-//! operations.
+//! The query layer of the paper (§5): a SPARQL subset parser, a
+//! statistics-driven left-deep join orderer, and one executor: every
+//! query compiles to a flat plan ([`ir`]) whose pattern steps translate
+//! into the store's SDS operations. [`execute_query`] compiles and runs
+//! once; [`execute_query_cached`] and [`PlanCache`] reuse plans.
 //!
 //! Supported SPARQL: `PREFIX`, `SELECT` (with `*`, `DISTINCT`, `LIMIT`),
 //! basic graph patterns with `;`/`,` continuations and the `a` keyword,

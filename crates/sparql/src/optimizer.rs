@@ -1,20 +1,16 @@
-//! Join-order optimization — the paper's Algorithm 1 (§5.1).
+//! Join-order optimization (§5.1).
 //!
-//! SuccinctEdge only generates *left-deep* join trees. The optimizer builds
-//! a query graph (one node per TP, edges between TPs sharing a variable,
-//! labelled SS / SO / OS / OO), then repeatedly appends the "most
-//! selective" next TP, ranked by:
+//! SuccinctEdge only generates *left-deep* join trees. The orderer sees
+//! the query graph (one node per TP, edges between TPs sharing a
+//! variable, labelled SS / SO / OO) and repeatedly appends the cheapest
+//! TP connected to the prefix, ranked by:
 //!
-//! 1. **Heuristic 1** (adapted from Tsialiamanis et al. to the PSO access
-//!    paths): TP-shape priority
-//!    `(s,type,?o) > (?s,type,o) > (s,p,?o) > (?s,p,o) > (?s,p,?o)`,
-//!    where positions bound by *earlier* TPs of the left-deep order count
-//!    as constants;
-//! 2. **Heuristic 2**: SS joins are preferred over SO joins
-//!    (`S ⋈ S > S ⋈ O`), other join forms rank lower;
-//! 3. **statistics** collected at dictionary-creation time, aggregated
-//!    along the concept/property hierarchies, plus run-time counts computed
-//!    directly on the SDS structures (the paper's Algorithm 2).
+//! 1. **statistics** collected at dictionary-creation time, aggregated
+//!    along the concept/property hierarchies, plus run-time counts
+//!    computed directly on the SDS structures (the paper's Algorithm 2),
+//!    discounted for positions the prefix already binds;
+//! 2. **join shape** as the tiebreak: SS joins are preferred over SO
+//!    joins (`S ⋈ S > S ⋈ O`), other join forms rank lower.
 
 use crate::ast::{TermPattern, TriplePattern};
 use se_core::TripleSource;
@@ -82,41 +78,11 @@ pub fn join_type(a: &TriplePattern, b: &TriplePattern) -> Option<JoinType> {
     best
 }
 
-/// Shape priority under a set of already-bound variables (lower = run
-/// earlier). The adapted Heuristic 1 of §5.1.
-fn shape_priority(tp: &TriplePattern, bound: &HashSet<&str>) -> u8 {
-    let is_bound = |p: &TermPattern| match p {
-        TermPattern::Term(_) => true,
-        TermPattern::Var(v) => bound.contains(v.as_str()),
-    };
-    let s = is_bound(&tp.subject);
-    let o = is_bound(&tp.object);
-    let p_var = tp.predicate.is_var();
-    if p_var {
-        return 9;
-    }
-    if tp.is_type_pattern() {
-        match (s, o) {
-            (true, true) => 0,
-            (true, false) => 1,
-            (false, true) => 2,
-            (false, false) => 8, // "(?s rdf:type ?o) is not relevant in a practical IoT context"
-        }
-    } else {
-        match (s, o) {
-            (true, true) => 3,
-            (true, false) => 4,
-            (false, true) => 5,
-            (false, false) => 6,
-        }
-    }
-}
-
 /// Estimated result cardinality of a TP from the creation-time statistics
 /// and the run-time SDS counts — predicate interval widths via
 /// rank/select, per-concept type counts, overlay per-predicate counts.
 /// All O(1)-ish on the store; this is also the cost model the compiled
-/// IR's cardinality-driven ordering builds on.
+/// cardinality-driven ordering builds on.
 pub fn estimate<S: TripleSource + ?Sized>(tp: &TriplePattern, store: &S, reasoning: bool) -> usize {
     if tp.is_type_pattern() {
         match &tp.object {
@@ -151,94 +117,10 @@ pub fn estimate<S: TripleSource + ?Sized>(tp: &TriplePattern, store: &S, reasoni
     }
 }
 
-/// The paper's Algorithm 1: computes a left-deep TP execution order.
-pub fn order_patterns<S: TripleSource + ?Sized>(
-    patterns: &[TriplePattern],
-    store: &S,
-    reasoning: bool,
-) -> Vec<usize> {
-    let n = patterns.len();
-    if n <= 1 {
-        return (0..n).collect();
-    }
-    let estimates: Vec<usize> = patterns
-        .iter()
-        .map(|tp| estimate(tp, store, reasoning))
-        .collect();
-
-    // Line 2: the starting TP. Prefer the most selective rdf:type TP that
-    // participates in an SS join; otherwise the best non-type TP; otherwise
-    // anything.
-    let has_ss_join = |i: usize| {
-        (0..n).any(|j| j != i && join_type(&patterns[i], &patterns[j]) == Some(JoinType::SS))
-    };
-    let empty_bound = HashSet::new();
-    let rank_start = |i: usize| (shape_priority(&patterns[i], &empty_bound), estimates[i], i);
-    let start = (0..n)
-        .filter(|&i| patterns[i].is_type_pattern() && (n == 1 || has_ss_join(i)))
-        .min_by_key(|&i| rank_start(i))
-        .or_else(|| {
-            (0..n)
-                .filter(|&i| !patterns[i].is_type_pattern())
-                .min_by_key(|&i| rank_start(i))
-        })
-        .or_else(|| (0..n).min_by_key(|&i| rank_start(i)))
-        .expect("n >= 1");
-
-    let mut order = vec![start];
-    let mut used = vec![false; n];
-    used[start] = true;
-    let mut bound: HashSet<&str> = patterns[start].variables().into_iter().collect();
-
-    // Lines 4–7: repeatedly pick the most selective TP connected to the
-    // current prefix.
-    while order.len() < n {
-        let connected: Vec<usize> = (0..n)
-            .filter(|&i| {
-                !used[i]
-                    && order
-                        .iter()
-                        .any(|&j| join_type(&patterns[i], &patterns[j]).is_some())
-            })
-            .collect();
-        // A disconnected pattern forces a cartesian product; all remaining
-        // TPs become candidates.
-        let candidates: Vec<usize> = if connected.is_empty() {
-            (0..n).filter(|&i| !used[i]).collect()
-        } else {
-            connected
-        };
-        let best_join = |i: usize| {
-            order
-                .iter()
-                .filter_map(|&j| join_type(&patterns[i], &patterns[j]))
-                .map(JoinType::priority)
-                .min()
-                .unwrap_or(4)
-        };
-        let next = candidates
-            .into_iter()
-            .min_by_key(|&i| {
-                (
-                    shape_priority(&patterns[i], &bound),
-                    best_join(i),
-                    estimates[i],
-                    i,
-                )
-            })
-            .expect("candidates nonempty while TPs remain");
-        used[next] = true;
-        order.push(next);
-        bound.extend(patterns[next].variables());
-    }
-    order
-}
-
-/// Cardinality-driven left-deep ordering — the compiled-IR planner.
+/// Cardinality-driven left-deep ordering — the one join orderer, used by
+/// plan compilation and by `se-stream`'s delta joins.
 ///
-/// Where [`order_patterns`] ranks by the structural Heuristic 1 first
-/// and only consults statistics as a tiebreak, this ordering makes the
-/// statistics primary: each candidate's [`estimate`] is discounted by
+/// Each candidate's [`estimate`] is discounted by
 /// how many of its subject/object positions are already bound
 /// (constants, or variables bound by the prefix) — a bound position
 /// turns a scan into a per-row probe, so the discount is steep
@@ -371,20 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn ss_preferred_over_so() {
-        // Two TPs join the first via SS and SO respectively; SS runs first.
-        let store = toy_store();
-        let tps = tp("PREFIX e: <http://x/> SELECT * WHERE { ?x a e:C2 . ?y e:q ?x . ?x e:p ?z }");
-        let order = order_patterns(&tps, &store, false);
-        assert_eq!(order[0], 0, "type TP with SS join starts");
-        assert_eq!(order[1], 2, "SS join (?x e:p ?z) beats SO join (?y e:q ?x)");
-    }
-
-    #[test]
     fn starts_with_most_selective_type_tp() {
         let store = toy_store();
         let tps = tp("PREFIX e: <http://x/> SELECT * WHERE { ?x a e:C3 . ?x a e:C2 . ?x e:p ?z }");
-        let order = order_patterns(&tps, &store, false);
+        let order = order_patterns_by_cardinality(&tps, &store, false);
         // C2 (1 instance) is more selective than C3 (5 instances).
         assert_eq!(order[0], 1);
     }
@@ -393,7 +265,7 @@ mod tests {
     fn non_type_start_when_no_type_tp() {
         let store = toy_store();
         let tps = tp("PREFIX e: <http://x/> SELECT * WHERE { ?x e:p ?y . ?x e:q ?z }");
-        let order = order_patterns(&tps, &store, false);
+        let order = order_patterns_by_cardinality(&tps, &store, false);
         // p (1 triple) is more selective than q (5 triples).
         assert_eq!(order[0], 0);
     }
@@ -401,20 +273,27 @@ mod tests {
     #[test]
     fn order_is_a_permutation_and_connected() {
         let store = toy_store();
-        let tps = tp("PREFIX e: <http://x/> SELECT * WHERE {
-                ?x a e:C2 . ?x e:p ?y . ?y e:q ?z . ?z a e:C3 . ?z e:p ?w }");
-        let order = order_patterns(&tps, &store, false);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-        // Every TP after the first joins something before it (connected query).
-        for (k, &i) in order.iter().enumerate().skip(1) {
-            assert!(
-                order[..k]
-                    .iter()
-                    .any(|&j| join_type(&tps[i], &tps[j]).is_some()),
-                "TP {i} at position {k} is not connected to the prefix"
-            );
+        for q in [
+            "PREFIX e: <http://x/> SELECT * WHERE { ?y e:q ?z . ?x e:p ?y . ?x a e:C1 . ?w e:q ?x }",
+            "PREFIX e: <http://x/> SELECT * WHERE { ?z a e:C3 . ?y e:q ?z . ?x e:p ?y . e:a e:p ?x }",
+        ] {
+            let tps = tp(q);
+            for reasoning in [false, true] {
+                let order = order_patterns_by_cardinality(&tps, &store, reasoning);
+                let mut sorted = order.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, (0..tps.len()).collect::<Vec<_>>(), "{q}");
+                // Every TP after the first joins something before it
+                // (connected query).
+                for (k, &i) in order.iter().enumerate().skip(1) {
+                    assert!(
+                        order[..k]
+                            .iter()
+                            .any(|&j| join_type(&tps[i], &tps[j]).is_some()),
+                        "{q}: TP {i} at position {k} is not connected to the prefix"
+                    );
+                }
+            }
         }
     }
 
@@ -422,29 +301,25 @@ mod tests {
     fn single_tp() {
         let store = toy_store();
         let tps = tp("PREFIX e: <http://x/> SELECT * WHERE { ?x e:p ?y }");
-        assert_eq!(order_patterns(&tps, &store, false), vec![0]);
+        assert_eq!(order_patterns_by_cardinality(&tps, &store, false), vec![0]);
     }
 
     #[test]
     fn cartesian_fallback() {
         let store = toy_store();
-        // Two disconnected components: order must still cover everything.
-        let tps = tp("PREFIX e: <http://x/> SELECT * WHERE { ?x e:p ?y . ?a e:q ?b }");
-        let order = order_patterns(&tps, &store, false);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1]);
+        // Two disconnected components: order must still cover everything,
+        // and the connected ?x pattern runs before the cartesian jump.
+        let tps = tp("PREFIX e: <http://x/> SELECT * WHERE { ?x e:p ?y . ?a e:q ?b . ?x e:q ?c }");
+        let order = order_patterns_by_cardinality(&tps, &store, false);
+        assert_eq!(order, vec![0, 2, 1]);
     }
 
     #[test]
     fn cardinality_order_starts_with_selective_predicate() {
         let store = toy_store();
-        // The selective predicate (p: 1 triple) is textually last; the
-        // structural heuristic starts with the type TP regardless, the
-        // cardinality-driven order must scan the narrow predicate first.
+        // The selective predicate (p: 1 triple) is textually last and
+        // shares ?x with a type TP; the narrow predicate must run first.
         let tps = tp("PREFIX e: <http://x/> SELECT * WHERE { ?x a e:C3 . ?x e:q ?y . ?x e:p ?z }");
-        let heuristic = order_patterns(&tps, &store, false);
-        assert_eq!(heuristic[0], 0, "Heuristic 1 starts with the type TP");
         let by_card = order_patterns_by_cardinality(&tps, &store, false);
         assert_eq!(by_card[0], 2, "cardinality order starts with e:p");
         let mut sorted = by_card.clone();
@@ -493,9 +368,9 @@ mod tests {
         let tps = tp("PREFIX e: <http://x/> SELECT * WHERE { ?x a e:C1 . ?x a e:C2 }");
         // Without reasoning C1 has 0 direct instances (most selective);
         // with reasoning C1 covers C2+C3 (6) and C2 (1) wins.
-        let no_reason = order_patterns(&tps, &store, false);
+        let no_reason = order_patterns_by_cardinality(&tps, &store, false);
         assert_eq!(no_reason[0], 0);
-        let with_reason = order_patterns(&tps, &store, true);
+        let with_reason = order_patterns_by_cardinality(&tps, &store, true);
         assert_eq!(with_reason[0], 1);
     }
 }

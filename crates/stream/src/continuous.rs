@@ -148,7 +148,7 @@ pub struct ContinuousQuery {
     pub text: String,
     /// The parsed query (parsed once at registration).
     pub query: Query,
-    /// Execution options (reasoning on/off, optimizer switches).
+    /// Execution options (reasoning on/off).
     pub options: QueryOptions,
     /// Evaluation strategy, chosen once at registration.
     pub(crate) strategy: EvalStrategy,
@@ -214,11 +214,11 @@ enum EvalMode<'rt> {
 pub struct ContinuousQueryRegistry {
     queries: Vec<ContinuousQuery>,
     emit_full: bool,
-    /// Shared compiled-plan cache: seeding and full-fallback evaluations
-    /// go through it (shape-level reuse across queries and with the
-    /// server's QUERY path), so a re-registered or same-shape query
-    /// skips optimize entirely. `None` keeps the plain interpreted path.
-    plan_cache: Option<Arc<PlanCache>>,
+    /// Compiled-plan cache: seeding and full-fallback evaluations go
+    /// through it, so a re-registered or same-shape query skips
+    /// optimize entirely. A fresh cache by default; the server and
+    /// replica share theirs with their QUERY path.
+    plan_cache: Arc<PlanCache>,
 }
 
 impl Default for ContinuousQueryRegistry {
@@ -226,7 +226,7 @@ impl Default for ContinuousQueryRegistry {
         Self {
             queries: Vec::new(),
             emit_full: true,
-            plan_cache: None,
+            plan_cache: Arc::new(PlanCache::new()),
         }
     }
 }
@@ -312,16 +312,16 @@ impl ContinuousQueryRegistry {
         self.emit_full = on;
     }
 
-    /// Routes seeding and full-fallback evaluations through `cache`
-    /// (shared with other consumers — e.g. the server's QUERY path).
-    /// The delta path is unaffected: it never re-plans.
+    /// Replaces the registry's plan cache with `cache` (shared with
+    /// other consumers — e.g. the server's QUERY path). The delta path
+    /// is unaffected: it never re-plans.
     pub fn set_plan_cache(&mut self, cache: Arc<PlanCache>) {
-        self.plan_cache = Some(cache);
+        self.plan_cache = cache;
     }
 
-    /// The shared plan cache, if one is installed.
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.plan_cache.as_ref()
+    /// The plan cache seeding and full-fallback evaluations run through.
+    pub fn plan_cache(&self) -> &Arc<PlanCache> {
+        &self.plan_cache
     }
 
     /// Evaluates every registered query against `source`, sequentially.
@@ -360,9 +360,9 @@ impl ContinuousQueryRegistry {
         mode: EvalMode<'_>,
     ) -> Result<Vec<ContinuousResult>, QueryError> {
         let emit_full = self.emit_full;
-        let cache = self.plan_cache.clone();
+        let cache = Arc::clone(&self.plan_cache);
         let eval = |q: &mut ContinuousQuery| {
-            incremental::evaluate_query(q, source, delta, emit_full, cache.as_deref())
+            incremental::evaluate_query(q, source, delta, emit_full, &cache)
         };
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let answers: Vec<Result<ContinuousResult, QueryError>> = match mode {
@@ -442,9 +442,8 @@ pub struct StreamStats {
     pub last_delta_added: u64,
     /// See [`StreamStats::last_delta_added`].
     pub last_delta_removed: u64,
-    /// Plan-cache executions that reused a cached plan with zero
-    /// parsing (zero when no [`PlanCache`] is installed — likewise for
-    /// the four counters below).
+    /// Executions through the registry's [`PlanCache`] that reused a
+    /// cached plan with zero parsing.
     pub plan_hits: u64,
     /// Plan-cache executions that parsed and/or compiled.
     pub plan_misses: u64,
@@ -556,18 +555,15 @@ impl<S: StreamStore> StreamSession<S> {
     }
 
     /// Session counters (delta sizes, incremental-vs-full evaluations,
-    /// and — when a [`PlanCache`] is installed on the registry — its
-    /// cumulative plan-cache counters).
+    /// and the registry plan cache's cumulative counters).
     pub fn stream_stats(&self) -> StreamStats {
         let mut stats = self.stats;
-        if let Some(cache) = self.registry.plan_cache() {
-            let ps = cache.stats();
-            stats.plan_hits = ps.hits;
-            stats.plan_misses = ps.misses;
-            stats.plan_compiles = ps.compiles;
-            stats.plan_evictions = ps.evictions;
-            stats.plan_recosts = ps.recosts;
-        }
+        let ps = self.registry.plan_cache().stats();
+        stats.plan_hits = ps.hits;
+        stats.plan_misses = ps.misses;
+        stats.plan_compiles = ps.compiles;
+        stats.plan_evictions = ps.evictions;
+        stats.plan_recosts = ps.recosts;
         let health = self.store.wal_health();
         stats.wal_poisoned = health.poisoned as u64;
         stats.wal_appends_failed = health.appends_failed;
@@ -595,9 +591,7 @@ impl<S: StreamStore> StreamSession<S> {
         // from disk (or applied outside this session) is already past
         // batch 0, and the plan cache's staleness clock must follow the
         // store's true age.
-        if let Some(cache) = self.registry.plan_cache() {
-            cache.set_epoch(self.store.epoch());
-        }
+        self.registry.plan_cache().set_epoch(self.store.epoch());
         let results = match self.store.shared_runtime() {
             Some(runtime) => self.registry.evaluate_with(
                 &self.store,
@@ -963,9 +957,9 @@ mod tests {
         );
     }
 
-    /// With a shared plan cache installed, seeding and fallback
-    /// evaluations produce identical answers to the interpreted path,
-    /// and the session's stream stats surface the cache counters.
+    /// A registry answers the same through its default plan cache as
+    /// through one installed with `set_plan_cache`, and the session's
+    /// stream stats surface whichever cache the registry holds.
     #[test]
     fn plan_cache_on_registry_agrees_and_is_counted() {
         let q = "PREFIX e: <http://x/> SELECT ?s WHERE { ?s e:knows ?o FILTER(?o = e:hub) }";
@@ -994,17 +988,17 @@ mod tests {
                 v
             };
             assert_eq!(rows(&a), rows(&b), "round {round}");
+            assert_eq!(rows(&a).len(), 3 + round, "round {round}");
         }
-        let stats = cached.stream_stats();
         // This FILTER query re-evaluates fully every batch: one compile,
-        // then shape-level hits with zero parsing.
-        assert_eq!(stats.plan_compiles, 1);
-        assert_eq!(stats.plan_misses, 1);
-        assert_eq!(stats.plan_hits, 2);
-        assert_eq!(cache.stats().hits, 2, "session mirrors the cache");
-        let plain_stats = plain.stream_stats();
-        assert_eq!(plain_stats.plan_hits, 0, "no cache, zero counters");
-        assert_eq!(plain_stats.plan_compiles, 0);
+        // then shape-level hits with zero parsing — on either cache.
+        for stats in [plain.stream_stats(), cached.stream_stats()] {
+            assert_eq!(stats.plan_compiles, 1);
+            assert_eq!(stats.plan_misses, 1);
+            assert_eq!(stats.plan_hits, 2);
+        }
+        assert_eq!(cache.stats().hits, 2, "session mirrors the installed cache");
+        assert!(!Arc::ptr_eq(plain.registry().plan_cache(), &cache));
     }
 
     /// Regression: embedded callers that apply batches straight to the

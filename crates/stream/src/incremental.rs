@@ -27,8 +27,9 @@
 //! ```
 //!
 //! with `A_j`/`R_j` the batch's added/removed triples matching pattern
-//! `j`. Store joins reuse [`se_sparql::exec::eval_pattern`] — the exact
-//! code full evaluation runs — so merge joins, LiteMat interval
+//! `j`. Store joins reuse [`se_sparql::exec::eval_pattern`] — the step
+//! every compiled plan runs — and the join order is the plan compiler's
+//! [`order_patterns_by_cardinality`], so merge joins, LiteMat interval
 //! reasoning and overflow handling behave identically; delta joins are
 //! plain nested loops over the (tiny) batch.
 //!
@@ -58,9 +59,9 @@ use se_core::{TripleSource, Value};
 use se_rdf::{Term, Triple};
 use se_sparql::ast::{GroupPattern, Query, TermPattern, TriplePattern};
 use se_sparql::exec::{
-    concept_spec, eval_pattern, execute, group_var_index, predicate_spec, slot_to_term, PSpec, Row,
-    Slot,
+    concept_spec, eval_pattern, group_var_index, predicate_spec, slot_to_term, PSpec, Row, Slot,
 };
+use se_sparql::optimizer::order_patterns_by_cardinality;
 use se_sparql::{PlanCache, QueryError, QueryOptions, ResultSet};
 use std::collections::HashMap;
 
@@ -393,11 +394,7 @@ fn group_updates<S: TripleSource + ?Sized>(
 ) -> Result<(), QueryError> {
     let vars = group_var_index(group);
     let n_cols = vars.len();
-    let order: Vec<usize> = if options.optimize {
-        se_sparql::optimizer::order_patterns(&group.patterns, store, options.reasoning)
-    } else {
-        (0..group.patterns.len()).collect()
-    };
+    let order = order_patterns_by_cardinality(&group.patterns, store, options.reasoning);
     let patterns: Vec<&TriplePattern> = order.iter().map(|&i| &group.patterns[i]).collect();
     // Route each delta triple to the patterns it can match.
     let routed: Vec<Vec<&EncTriple<'_>>> = patterns
@@ -462,34 +459,18 @@ fn group_updates<S: TripleSource + ?Sized>(
     Ok(())
 }
 
-/// [`se_sparql::exec::execute`], routed through the registry's shared
-/// compiled-plan cache when one is installed: seeding and fallback
-/// evaluations then reuse (or seed) the shape-level plan instead of
-/// re-running the optimizer per batch.
-fn execute_maybe_cached<S: TripleSource + ?Sized>(
-    store: &S,
-    query: &Query,
-    options: &QueryOptions,
-    cache: Option<&PlanCache>,
-) -> Result<ResultSet, QueryError> {
-    match cache {
-        Some(cache) => cache.execute_ast(store, query, options),
-        None => execute(store, query, options),
-    }
-}
-
 /// Builds the per-batch answer for one registered query, maintaining
 /// its materialized state. `delta` is the batch's captured net change
 /// (`None` forces a full evaluation — used for seeding and fallback).
 /// `emit_full` controls whether the (potentially large) full answer set
 /// is materialized on the incremental path. `cache` is the registry's
-/// shared plan cache for the full-evaluation paths, if installed.
+/// plan cache, which runs the full-evaluation paths.
 pub(crate) fn evaluate_query<S: TripleSource + ?Sized>(
     q: &mut ContinuousQuery,
     store: &S,
     delta: Option<&BatchDelta>,
     emit_full: bool,
-    cache: Option<&PlanCache>,
+    cache: &PlanCache,
 ) -> Result<ContinuousResult, QueryError> {
     let out_vars = q.query.output_variables();
     let distinct = q.query.distinct;
@@ -517,7 +498,7 @@ pub(crate) fn evaluate_query<S: TripleSource + ?Sized>(
         // derivations; the support set is recovered from the counts.
         let mut bag = q.query.clone();
         bag.distinct = false;
-        let rs = execute_maybe_cached(store, &bag, &q.options, cache)?;
+        let rs = cache.execute_ast(store, &bag, &q.options)?;
         let mut counts: HashMap<Vec<Option<Term>>, i64> = HashMap::new();
         for row in rs.rows {
             *counts.entry(row).or_insert(0) += 1;
@@ -527,7 +508,7 @@ pub(crate) fn evaluate_query<S: TripleSource + ?Sized>(
     } else {
         // Full fallback: counts mirror the final output rows so the
         // diff (and unchanged-tick detection) still works.
-        let rs = execute_maybe_cached(store, &q.query, &q.options, cache)?;
+        let rs = cache.execute_ast(store, &q.query, &q.options)?;
         let mut counts: HashMap<Vec<Option<Term>>, i64> = HashMap::new();
         for row in &rs.rows {
             *counts.entry(row.clone()).or_insert(0) += 1;

@@ -13,7 +13,7 @@
 //!   plus overlay, merged at pattern-access granularity behind `se-core`'s
 //!   [`TripleSource`](se_core::TripleSource), so the unmodified
 //!   `se-sparql` executor (merge joins, LiteMat interval reasoning,
-//!   Algorithm 1 ordering) runs against live data. `build(…, 1)` is the
+//!   cardinality join ordering) runs against live data. `build(…, 1)` is the
 //!   single-store configuration; more shards partition the write path.
 //!   Terms unseen at build time go to *overflow dictionaries*
 //!   ([`OVERFLOW_BASE`]);
@@ -444,24 +444,31 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(subjects, sorted, "merged scan must stay subject-sorted");
 
-        let q = "PREFIX e: <http://x/> SELECT ?s ?o WHERE { ?s e:q e:hub . ?s e:p ?o }";
-        let with_merge = se_sparql::execute_query(&h, q, &QueryOptions::default()).unwrap();
-        let without = se_sparql::execute_query(
-            &h,
-            q,
-            &QueryOptions {
-                merge_join: false,
-                ..QueryOptions::default()
-            },
+        let q = se_sparql::parse_query(
+            "PREFIX e: <http://x/> SELECT ?s ?o WHERE { ?s e:q e:hub . ?s e:p ?o }",
         )
         .unwrap();
-        let norm = |rs: &se_sparql::ResultSet| {
-            let mut v: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(with_merge.len(), 40, "20 instance + 20 literal bindings");
-        assert_eq!(norm(&with_merge), norm(&without));
+        let opts = QueryOptions::default();
+        let plan = se_sparql::ir::compile(&q, &h, &opts, 0);
+        let (_, consts) = se_sparql::ir::normalize(&q);
+        let mut trace = se_sparql::PlanTrace::default();
+        let rs = se_sparql::ir::execute_plan_traced(&h, &plan, &consts, &opts, &mut trace).unwrap();
+        assert!(
+            trace.steps[1].src == 1
+                && trace.steps[1].rows_in >= se_sparql::exec::MERGE_JOIN_MIN_ROWS,
+            "the e:p step must be fed enough bound rows to merge"
+        );
+        let mut got: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
+        got.sort();
+        let mut want: Vec<String> = (0..20)
+            .flat_map(|i| {
+                let s = iri(&format!("s{i}"));
+                [iri("target"), Term::literal(format!("v{i}"))]
+                    .map(|o| format!("{:?}", vec![Some(s.clone()), Some(o)]))
+            })
+            .collect();
+        want.sort();
+        assert_eq!(got, want, "20 instance + 20 literal bindings");
     }
 
     /// No-op operations — deletes of triples over unknown terms and a

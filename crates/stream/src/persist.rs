@@ -78,8 +78,9 @@
 //!         (str)
 //! session.v02              magic "SESSNv02", section QRYS: registered
 //!                          continuous queries — count, then (id str,
-//!                          SPARQL text str, reasoning u8, optimize u8,
-//!                          merge_join u8)…  Written by
+//!                          SPARQL text str, reasoning u8, two
+//!                          reserved u8: written 1, ignored on read)…
+//!                          Written by
 //!                          [`StreamSession::save`], replayed by resume
 //! ```
 //!
@@ -1065,8 +1066,9 @@ impl StreamSession<ShardedHybridStore> {
             qrys.write_str(&q.id)?;
             qrys.write_str(&q.text)?;
             qrys.write_u8(u8::from(q.options.reasoning))?;
-            qrys.write_u8(u8::from(q.options.optimize))?;
-            qrys.write_u8(u8::from(q.options.merge_join))?;
+            // Two reserved bytes, once the retired optimizer switches.
+            qrys.write_u8(1)?;
+            qrys.write_u8(1)?;
         }
         write_section(&mut buf, b"QRYS", &qrys)?;
         write_file_atomic(&dir.join(SESSION_FILE), &buf)?;
@@ -1099,9 +1101,9 @@ impl StreamSession<ShardedHybridStore> {
                 let text = q.read_str()?;
                 let options = se_sparql::QueryOptions {
                     reasoning: q.read_u8()? != 0,
-                    optimize: q.read_u8()? != 0,
-                    merge_join: q.read_u8()? != 0,
                 };
+                q.read_u8()?;
+                q.read_u8()?;
                 out.push((id, text, options));
             }
             Ok(out)

@@ -14,7 +14,7 @@
 //! | [`litemat`] | `se-litemat` | LiteMat prefix encoding, dictionaries, id intervals |
 //! | [`ontology`] | `se-ontology` | ρdf ontologies; LUBM and water ontologies |
 //! | [`store`] | `se-core` | the SuccinctEdge store (layers, RDFType store, persistence) and the [`store::TripleSource`] access trait |
-//! | [`sparql`] | `se-sparql` | SPARQL subset parser, Algorithm-1 optimizer, `TripleSource`-generic executor |
+//! | [`sparql`] | `se-sparql` | SPARQL subset parser, cardinality join orderer, compiled-plan executor and plan cache |
 //! | [`stream`] | `se-stream` | incremental ingestion: delta overlay, merged live view, compaction, continuous queries |
 //! | [`baselines`] | `se-baselines` | multi-index memory store, disk B+tree store, UNION rewriting |
 //! | [`datagen`] | `se-datagen` | LUBM & water-network generators, streaming batches, the 26-query workload |

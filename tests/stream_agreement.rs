@@ -656,8 +656,8 @@ fn save_load_mid_stream_preserves_agreement() {
     let _ = std::fs::remove_dir_all(&sharded_dir);
 }
 
-/// Compiled-IR execution (through a shared [`se_sparql::PlanCache`])
-/// agrees with the interpreted executor for every query shape, with
+/// Execution through one [`se_sparql::PlanCache`] shared by every store
+/// agrees with a one-shot uncached run on each store for every shape, with
 /// reasoning on and off, against the live 1-shard store, the 3-shard
 /// store, and a pinned MVCC snapshot — on both the cold (parse +
 /// compile) and the hot (cached plan, zero parsing) path.

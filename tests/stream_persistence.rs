@@ -619,3 +619,64 @@ fn session_checkpoint_resumes_continuous_queries() {
     assert!(!people.options.reasoning);
     cleanup(&dir);
 }
+
+/// Checkpoints from before the optimizer switches were retired stored
+/// `reasoning, optimize, merge_join` per query. The last two bytes are
+/// now reserved: any value resumes, and only `reasoning` is kept.
+#[test]
+fn session_checkpoint_with_old_option_bytes_resumes() {
+    use se_sds::{write_container_header, write_section, WriteBin};
+    let dir = scratch("session-old-options");
+    single_store().save(&dir).unwrap();
+    let queries = [
+        (
+            "members",
+            "SELECT ?s WHERE { ?s e:memberOf e:org }",
+            [1, 0, 1],
+        ),
+        ("people", "SELECT ?s WHERE { ?s a e:C1 }", [0, 1, 0]),
+    ];
+    let mut qrys = Vec::new();
+    qrys.write_u64(queries.len() as u64).unwrap();
+    for (id, body, bytes) in queries {
+        qrys.write_str(id).unwrap();
+        qrys.write_str(&format!("PREFIX e: <http://x/> {body}"))
+            .unwrap();
+        for b in bytes {
+            qrys.write_u8(b).unwrap();
+        }
+    }
+    let mut file = Vec::new();
+    write_container_header(&mut file, b"SESSNv02", se_stream::persist::FORMAT_VERSION).unwrap();
+    write_section(&mut file, b"QRYS", &qrys).unwrap();
+    std::fs::write(dir.join(se_stream::persist::SESSION_FILE), &file).unwrap();
+
+    let mut resumed = StreamSession::resume(&dir, &ontology()).unwrap();
+    let reasoning: Vec<(String, bool)> = resumed
+        .registry()
+        .iter()
+        .map(|q| (q.id.clone(), q.options.reasoning))
+        .collect();
+    assert_eq!(
+        reasoning,
+        [("members".to_string(), true), ("people".to_string(), false)]
+    );
+    let out = resumed.apply_batch(&Graph::new(), &Graph::new()).unwrap();
+    let fresh = StreamSession::new(single_store());
+    let want: Vec<usize> = [QueryOptions::default(), QueryOptions::without_reasoning()]
+        .iter()
+        .zip(queries)
+        .map(|(opts, (_, body, _))| {
+            se_sparql::execute_query(
+                fresh.store(),
+                &format!("PREFIX e: <http://x/> {body}"),
+                opts,
+            )
+            .unwrap()
+            .len()
+        })
+        .collect();
+    let got: Vec<usize> = out.results.iter().map(|r| r.results.len()).collect();
+    assert_eq!(got, want);
+    cleanup(&dir);
+}
