@@ -11,6 +11,7 @@
 use se_rdf::Literal;
 use se_sds::{HeapSize, RsBitVec, Serialize, WaveletTree};
 use std::io;
+use std::ops::Range;
 
 /// SDS predicate/subject layers over literal-object triples plus the flat
 /// literal store.
@@ -138,32 +139,59 @@ impl DatatypeLayer {
         (begin, end)
     }
 
-    /// `(s, p, ?o)`: literal-store indices of the objects of `(p, s)`.
-    pub fn literal_indices(&self, p: u64, s: u64) -> Vec<u64> {
-        let Some(index_p) = self.predicate_index(p) else {
-            return Vec::new();
-        };
+    /// `WT_s` position of the `(p, s)` pair. Subjects are distinct within
+    /// a predicate's run, so there is at most one: two wavelet-tree ranks
+    /// and a select, no scan.
+    fn pair_index(&self, p: u64, s: u64) -> Option<usize> {
+        let index_p = self.predicate_index(p)?;
         let (s_begin, s_end) = self.subject_bounds(index_p);
-        let mut res = Vec::new();
-        for index_s in self.wt_s.range_search(s_begin, s_end, s) {
-            let (begin, end) = self.literal_bounds(index_s);
-            res.extend((begin..end).map(|i| i as u64));
+        let before = self.wt_s.rank(s_begin, s);
+        if self.wt_s.rank(s_end, s) == before {
+            return None;
         }
-        res
+        self.wt_s.select(before + 1, s)
     }
 
-    /// `(?s, p, o)` with a literal object: subjects whose `(p, s)` object
-    /// run contains a literal equal to `o`. The flat store has no index on
-    /// literal values (§4), so the predicate's runs are scanned.
+    /// `(s, p, ?o)`: literal-store indices of the objects of `(p, s)` —
+    /// one contiguous run, empty if the pair is absent.
+    pub fn literal_indices(&self, p: u64, s: u64) -> Range<u64> {
+        match self.pair_index(p, s) {
+            Some(index_s) => {
+                let (begin, end) = self.literal_bounds(index_s);
+                begin as u64..end as u64
+            }
+            None => 0..0,
+        }
+    }
+
+    /// `(s, p, o)` membership for a literal object: a lookup of `s` in
+    /// `p`'s subject run, then a comparison against that pair's literal
+    /// slice only. Does not allocate.
+    pub fn contains(&self, p: u64, s: u64, o: &Literal) -> bool {
+        let run = self.literal_indices(p, s);
+        self.literals[run.start as usize..run.end as usize]
+            .iter()
+            .any(|l| l == o)
+    }
+
+    /// `(?s, p, o)` with a literal object: subjects, ascending, whose
+    /// `(p, s)` object run contains a literal equal to `o`. The flat store
+    /// has no index on literal values (§4), so this scans the predicate's
+    /// literal slice once and maps each match back to its pair.
     pub fn subjects_by_literal(&self, p: u64, o: &Literal) -> Vec<u64> {
         let Some(index_p) = self.predicate_index(p) else {
             return Vec::new();
         };
-        let (s_begin, s_end) = self.subject_bounds(index_p);
+        let (begin, end) = self.predicate_literal_bounds(index_p);
         let mut res = Vec::new();
-        for index_s in s_begin..s_end {
-            let (begin, end) = self.literal_bounds(index_s);
-            if self.literals[begin..end].iter().any(|l| l == o) {
+        let mut last_pair = None;
+        for (i, l) in self.literals[begin..end].iter().enumerate() {
+            if l != o {
+                continue;
+            }
+            let index_s = self.bm_so.rank1(begin + i + 1) - 1;
+            if last_pair != Some(index_s) {
+                last_pair = Some(index_s);
                 res.push(self.wt_s.access(index_s));
             }
         }
@@ -196,13 +224,20 @@ impl DatatypeLayer {
         let Some(index_p) = self.predicate_index(p) else {
             return 0;
         };
+        let (begin, end) = self.predicate_literal_bounds(index_p);
+        end - begin
+    }
+
+    /// The contiguous literal-store slice of every triple of predicate
+    /// `WT_p[index_p]`.
+    fn predicate_literal_bounds(&self, index_p: usize) -> (usize, usize) {
         let (s_begin, s_end) = self.subject_bounds(index_p);
         let begin = self
             .bm_so
             .select1(s_begin + 1)
             .expect("pair start within bounds");
         let end = self.bm_so.select1(s_end + 1).unwrap_or(self.literals.len());
-        end - begin
+        (begin, end)
     }
 
     /// Iterates `(p, s, literal index)` in sorted order.
@@ -340,12 +375,12 @@ mod tests {
     fn literal_indices_match_positions() {
         let layer = DatatypeLayer::build(&sample());
         assert_eq!(layer.len(), 5);
-        assert_eq!(layer.literal_indices(1, 1), vec![0, 1]);
-        assert_eq!(layer.literal_indices(1, 2), vec![2]);
-        assert_eq!(layer.literal_indices(2, 1), vec![3]);
-        assert_eq!(layer.literal_indices(2, 3), vec![4]);
-        assert_eq!(layer.literal_indices(1, 9), Vec::<u64>::new());
-        assert_eq!(layer.literal_indices(9, 1), Vec::<u64>::new());
+        assert_eq!(layer.literal_indices(1, 1), 0..2);
+        assert_eq!(layer.literal_indices(1, 2), 2..3);
+        assert_eq!(layer.literal_indices(2, 1), 3..4);
+        assert_eq!(layer.literal_indices(2, 3), 4..5);
+        assert!(layer.literal_indices(1, 9).is_empty());
+        assert!(layer.literal_indices(9, 1).is_empty());
         assert_eq!(layer.literal(0), Some(&lit("a")));
         assert_eq!(layer.literal(4), Some(&lit("y")));
         assert_eq!(layer.literal(5), None);
@@ -406,7 +441,9 @@ mod tests {
     fn empty_layer() {
         let layer = DatatypeLayer::build(&[]);
         assert!(layer.is_empty());
-        assert_eq!(layer.literal_indices(1, 1), Vec::<u64>::new());
+        assert!(layer.literal_indices(1, 1).is_empty());
+        assert!(!layer.contains(1, 1, &lit("a")));
+        assert_eq!(layer.subjects_by_literal(1, &lit("a")), Vec::<u64>::new());
         assert_eq!(layer.iter().count(), 0);
     }
 
@@ -435,6 +472,130 @@ mod tests {
         let back = DatatypeLayer::from_bytes(&buf).unwrap();
         assert_eq!(back.literal(0), Some(&Literal::string("plain")));
         assert_eq!(back.literal(2), Some(&Literal::lang("bonjour", "fr")));
-        assert_eq!(back.literal_indices(1, 2), vec![1]);
+        assert_eq!(back.literal_indices(1, 2), 1..2);
+    }
+
+    mod proptests {
+        use super::*;
+        use crate::{SuccinctEdgeStore, Value};
+        use proptest::prelude::*;
+        use se_rdf::{Graph, Term, Triple};
+        use std::collections::BTreeSet;
+
+        /// Literals drawn from a small pool so that one value recurs under
+        /// many subjects and pairs carry several literals; the pool holds
+        /// equal lexical forms that differ only in datatype or language.
+        fn pool_literal(k: u64) -> Literal {
+            match k {
+                0 => Literal::string("1"),
+                1 => Literal::typed("1", "http://www.w3.org/2001/XMLSchema#int"),
+                2 => Literal::typed("1", "http://www.w3.org/2001/XMLSchema#double"),
+                3 => Literal::lang("1", "en"),
+                4 => Literal::lang("1", "fr"),
+                5 => Literal::string("v"),
+                n => Literal::string(format!("x{n}")),
+            }
+        }
+
+        const POOL: u64 = 9;
+        const PREDS: u64 = 6;
+        const SUBJS: u64 = 12;
+
+        fn arb_triples() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
+            // Predicates and subjects 0..4 / 0..9 are generated; the probes
+            // below also ask for absent ones up to PREDS / SUBJS.
+            proptest::collection::btree_set((0u64..4, 0u64..9, 0u64..POOL), 0..120)
+                .prop_map(|set: BTreeSet<_>| set.into_iter().collect())
+        }
+
+        fn naive_contains(triples: &[(u64, u64, u64)], p: u64, s: u64, o: &Literal) -> bool {
+            triples
+                .iter()
+                .any(|&(tp, ts, k)| tp == p && ts == s && &pool_literal(k) == o)
+        }
+
+        fn naive_subjects(triples: &[(u64, u64, u64)], p: u64, o: &Literal) -> Vec<u64> {
+            let subs: BTreeSet<u64> = triples
+                .iter()
+                .filter(|&&(tp, _, k)| tp == p && &pool_literal(k) == o)
+                .map(|t| t.1)
+                .collect();
+            subs.into_iter().collect()
+        }
+
+        proptest! {
+            #[test]
+            fn literal_probes_match_naive_filter(triples in arb_triples()) {
+                let input: Vec<(u64, u64, Literal)> = triples
+                    .iter()
+                    .map(|&(p, s, k)| (p, s, pool_literal(k)))
+                    .collect();
+                let layer = DatatypeLayer::build(&input);
+                for p in 0..PREDS {
+                    for k in 0..POOL + 1 {
+                        let o = pool_literal(k);
+                        prop_assert_eq!(
+                            layer.subjects_by_literal(p, &o),
+                            naive_subjects(&triples, p, &o)
+                        );
+                        for s in 0..SUBJS {
+                            prop_assert_eq!(
+                                layer.contains(p, s, &o),
+                                naive_contains(&triples, p, s, &o)
+                            );
+                        }
+                    }
+                    for s in 0..SUBJS {
+                        let want: Vec<&Literal> = input
+                            .iter()
+                            .filter(|t| t.0 == p && t.1 == s)
+                            .map(|t| &t.2)
+                            .collect();
+                        let got: Vec<&Literal> = layer
+                            .literal_indices(p, s)
+                            .map(|i| layer.literal(i).unwrap())
+                            .collect();
+                        prop_assert_eq!(got, want);
+                    }
+                }
+            }
+
+            #[test]
+            fn store_contains_matches_naive_filter(triples in arb_triples()) {
+                let iri = |kind: &str, n: u64| Term::iri(format!("http://x/{kind}{n}"));
+                let mut graph = Graph::new();
+                for &(p, s, k) in &triples {
+                    graph.insert(Triple::new(
+                        iri("s", s),
+                        iri("p", p),
+                        Term::Literal(pool_literal(k)),
+                    ));
+                }
+                let store =
+                    SuccinctEdgeStore::build(&se_ontology::Ontology::new(), &graph).unwrap();
+                // Every literal the store holds, addressed by its position.
+                let layer = store.datatype_layer();
+                let held: Vec<(u64, &Literal)> = (0..layer.len() as u64)
+                    .map(|i| (i, layer.literal(i).unwrap()))
+                    .collect();
+                for p in 0..PREDS {
+                    let Some(pid) = store.property_id(&format!("http://x/p{p}")) else {
+                        prop_assert!(triples.iter().all(|t| t.0 != p));
+                        continue;
+                    };
+                    for s in 0..SUBJS {
+                        let Some(sid) = store.instance_id(&iri("s", s)) else {
+                            continue;
+                        };
+                        for (idx, lit) in &held {
+                            prop_assert_eq!(
+                                store.contains(pid, sid, &Value::Literal(*idx)),
+                                naive_contains(&triples, p, s, lit)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

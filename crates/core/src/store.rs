@@ -143,7 +143,6 @@ impl SuccinctEdgeStore {
         out.extend(
             self.datatype_layer
                 .literal_indices(p, s)
-                .into_iter()
                 .map(Value::Literal),
         );
         out
@@ -199,11 +198,7 @@ impl SuccinctEdgeStore {
         match o {
             Value::Instance(oid) => self.object_layer.contains(p, s, *oid),
             Value::Literal(idx) => match self.datatype_layer.literal(*idx) {
-                Some(lit) => self
-                    .datatype_layer
-                    .literal_indices(p, s)
-                    .iter()
-                    .any(|&i| self.datatype_layer.literal(i) == Some(lit)),
+                Some(lit) => self.datatype_layer.contains(p, s, lit),
                 None => false,
             },
             _ => false,
@@ -231,7 +226,6 @@ impl SuccinctEdgeStore {
             out.extend(
                 self.datatype_layer
                     .literal_indices(p, s)
-                    .into_iter()
                     .map(Value::Literal),
             );
         }

@@ -169,11 +169,11 @@ impl WaveletTree {
             return None;
         }
         // Downward pass: record the start of the node containing `symbol`
-        // at every level.
-        let mut starts = Vec::with_capacity(self.levels.len());
+        // at every level (at most 64 levels, so no heap allocation).
+        let mut starts = [0usize; 64];
         let (mut s, mut e) = (0usize, self.len);
         for (l, level) in self.levels.iter().enumerate() {
-            starts.push(s);
+            starts[l] = s;
             let shift = self.width - 1 - l as u32;
             let bit = (symbol >> shift) & 1 == 1;
             let zeros_in_node = level.rank0(e) - level.rank0(s);

@@ -1462,12 +1462,7 @@ impl ShardedHybridStore {
                         // the shard's baseline holds it; intern a tombstone
                         // key just for that case.
                         None => {
-                            let base_has = self.shards[shard]
-                                .base
-                                .datatypes
-                                .subjects_by_literal(p, lit)
-                                .contains(&s);
-                            if !base_has {
+                            if !self.shards[shard].base.datatypes.contains(p, s, lit) {
                                 return Ok(false);
                             }
                             let l = self.literals.intern(lit);
@@ -1959,9 +1954,7 @@ fn apply_op(base: &ShardBase, delta: &mut DeltaStore, op: &Op, insert: bool) -> 
         OpObj::Inst(o) => (DeltaObj::Inst(*o), base.objects.contains(op.p, op.s, *o)),
         OpObj::Lit(l, lit) => (
             DeltaObj::Lit(*l),
-            base.datatypes
-                .subjects_by_literal(op.p, lit.as_ref())
-                .contains(&op.s),
+            base.datatypes.contains(op.p, op.s, lit.as_ref()),
         ),
     };
     match transition(delta.state(op.p, op.s, key), base_has, insert) {
@@ -2249,11 +2242,7 @@ impl TripleSource for ShardedHybridStore {
         match o {
             Value::Instance(oid) => shard.base.objects.contains(p, s, *oid),
             Value::Literal(idx) => match self.literal_content(*idx) {
-                Some(lit) => shard
-                    .base
-                    .datatypes
-                    .subjects_by_literal(p, lit)
-                    .contains(&s),
+                Some(lit) => shard.base.datatypes.contains(p, s, lit),
                 None => false,
             },
             _ => false,
@@ -2804,6 +2793,70 @@ mod tests {
         assert_eq!(h.concept_id("http://x/NoClass"), None);
         assert_eq!(h.literals.id(&Literal::string("404")), None);
         assert_eq!(h.overlay_len(), 0);
+    }
+
+    /// A literal the baseline holds under one subject is not deletable
+    /// under another, and delete → re-insert → compact → save/load keeps
+    /// every literal probe consistent.
+    #[test]
+    fn baseline_literal_membership_is_per_subject() {
+        for n in [1, 4] {
+            let mut h = sharded(n).with_background_compaction(false);
+            let age = h.property_id("http://x/age").unwrap();
+            let a = h.instance_id(&iri("a")).unwrap();
+            let b = h.instance_id(&iri("b")).unwrap();
+            let v42 = Literal::string("42");
+            let age_of = |s: &str| t(s, "age", Term::literal("42"));
+            // (contains(a), contains(b), objects(a) as terms, subjects).
+            let probe = |h: &ShardedHybridStore| {
+                let objs: Vec<Term> = h
+                    .objects(age, a)
+                    .into_iter()
+                    .map(|v| h.value_to_term(v).unwrap())
+                    .collect();
+                let value = h.objects(age, a).first().copied();
+                let has = |s| value.is_some_and(|v| h.contains(age, s, &v));
+                (has(a), has(b), objs, h.subjects_by_literal(age, &v42))
+            };
+            let held = (true, false, vec![Term::literal("42")], vec![a]);
+            assert_eq!(probe(&h), held, "{n} shards");
+
+            // 1. "42" is in the baseline, but under a, not b.
+            let noop = Graph::from_triples([age_of("b")]);
+            let report = h.apply(&Graph::new(), &noop).unwrap();
+            assert_eq!((report.deleted, report.noops), (0, 1), "{n} shards");
+            assert_eq!(h.literals.id(&v42), None, "{n} shards");
+            assert_eq!(h.overlay_len(), 0, "{n} shards");
+            assert_eq!(probe(&h), held, "{n} shards");
+
+            // 2. Deleting it under a hides it from every probe.
+            let v = h.objects(age, a)[0];
+            let report = h.apply(&Graph::new(), &Graph::from_triples([age_of("a")]));
+            assert_eq!(report.unwrap().deleted, 1, "{n} shards");
+            assert!(!h.contains(age, a, &v), "{n} shards");
+            assert_eq!(probe(&h), (false, false, vec![], vec![]), "{n} shards");
+
+            // 3. Re-inserting it makes it visible again.
+            let report = h.apply(&Graph::from_triples([age_of("a")]), &Graph::new());
+            assert_eq!(report.unwrap().inserted, 1, "{n} shards");
+            assert!(h.contains(age, a, &v), "{n} shards");
+            assert_eq!(probe(&h), held, "{n} shards");
+
+            // 4. Compaction and a save/load round trip change no answer.
+            for i in 0..h.shard_count() {
+                h.compact_shard(i);
+            }
+            assert_eq!(h.overlay_len(), 0, "{n} shards");
+            assert_eq!(probe(&h), held, "{n} shards");
+            let dir = std::env::temp_dir().join(format!(
+                "se-shard-literal-membership-{n}-{}",
+                std::process::id()
+            ));
+            h.save(&dir).unwrap();
+            let back = ShardedHybridStore::load(&dir, &ontology()).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(probe(&back), held, "{n} shards");
+        }
     }
 
     #[test]
