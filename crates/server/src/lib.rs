@@ -13,7 +13,7 @@
 //!   executes SPARQL on its own thread at a consistent epoch, while
 //!   `apply` and compaction proceed on the live store.
 //! * **Group-commit ingest.** Concurrent small writes are coalesced into
-//!   one pipelined `apply` per tick, amortizing encode/route/query
+//!   one `apply` per tick, amortizing encode/route/query
 //!   re-evaluation across clients; every rider is acked with the tick's
 //!   aggregate report.
 //! * **Continuous-query subscriptions.** Registered queries re-evaluate

@@ -19,9 +19,10 @@ pub const MAX_FRAME: u32 = 64 << 20;
 
 /// Request frame kinds (client → server).
 pub mod req {
-    /// Payload: inserts [`Graph`] + deletes [`Graph`]. The server may
-    /// coalesce the request with other clients' writes into one
-    /// group-commit tick; the ack reports the whole tick.
+    /// Payload: inserts [`Graph`](super::Graph) + deletes
+    /// [`Graph`](super::Graph). The server may coalesce the request with
+    /// other clients' writes into one group-commit tick; the ack reports
+    /// the whole tick.
     pub const INGEST: u8 = 0x01;
     /// Payload: query text `str` + [`QueryOptions`](super::QueryOptions)
     /// byte. Executed against the latest published snapshot — never
@@ -54,12 +55,14 @@ pub mod resp {
     /// noops `u64`, coalesced requests `u32`, compacted `u8`. Counts are
     /// aggregates over the *whole tick* the request rode in.
     pub const INGEST: u8 = 0x80;
-    /// Point-query answer: snapshot epoch `u64` + [`ResultSet`].
+    /// Point-query answer: snapshot epoch `u64` +
+    /// [`ResultSet`](super::ResultSet).
     pub const ROWS: u8 = 0x81;
     /// Continuous-query push: subscription id `str`, epoch `u64`, then a
     /// payload-kind byte — [`PUSH_FULL`](super::PUSH_FULL) followed by
-    /// one [`ResultSet`] (the whole answer set; a subscription's first
-    /// push), or [`PUSH_CHANGES`](super::PUSH_CHANGES) followed by two
+    /// one [`ResultSet`](super::ResultSet) (the whole answer set; a
+    /// subscription's first push), or
+    /// [`PUSH_CHANGES`](super::PUSH_CHANGES) followed by two
     /// `ResultSet`s (rows added, rows removed this tick). Ticks that
     /// leave a query's answers untouched push nothing at all. Arrives
     /// interleaved with request replies; clients must queue it (see
@@ -76,10 +79,10 @@ pub mod resp {
     pub const STATS: u8 = 0x83;
     /// Bare success (subscribe / shutdown ack). Empty payload.
     pub const OK: u8 = 0x84;
-    /// Replication bootstrap: epoch `u64` + full [`Graph`]. Sent when
-    /// the leader's WAL tail no longer covers the follower's epoch; the
-    /// follower rebuilds its store from the graph and aligns to the
-    /// carried epoch before consuming further records.
+    /// Replication bootstrap: epoch `u64` + full [`Graph`](super::Graph).
+    /// Sent when the leader's WAL tail no longer covers the follower's
+    /// epoch; the follower rebuilds its store from the graph and aligns
+    /// to the carried epoch before consuming further records.
     pub const REPL_SNAPSHOT: u8 = 0x85;
     /// One group-commit tick's WAL record: epoch `u64` + added triples +
     /// removed triples, in the [`se_stream::encode_record_payload`]

@@ -17,7 +17,7 @@
 //!   [`StreamSession<ShardedHybridStore>`]. It drains the command channel
 //!   with a group-commit tick: the first `INGEST` opens a window of
 //!   [`ServerConfig::tick`]; every write arriving inside the window is
-//!   coalesced (all deletes, then all inserts) into **one** pipelined
+//!   coalesced (all deletes, then all inserts) into **one**
 //!   [`apply`](se_stream::ShardedHybridStore::apply). After the apply it
 //!   publishes a fresh [`StoreSnapshot`], acks every coalesced request
 //!   with the tick's aggregate report, and pushes each continuous-query
@@ -30,7 +30,7 @@
 
 use crate::protocol::{self as proto, read_frame, write_frame};
 use se_sparql::{PlanCache, QueryOptions};
-use se_stream::{ShardedHybridStore, StoreSnapshot, StreamError, StreamSession};
+use se_stream::{ShardedHybridStore, StoreSnapshot, StreamSession};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -302,7 +302,7 @@ fn writer_loop(
     // which carries the full answer set regardless of this flag — so the
     // steady-state delta path never has to materialize full sets.
     session.registry_mut().set_emit_full(false);
-    'outer: loop {
+    loop {
         let Ok(first) = rx.recv() else { break };
         let mut pending: Vec<PendingIngest> = Vec::new();
         match first {
@@ -439,14 +439,11 @@ fn writer_loop(
                 }
             }
             Err(e) => {
-                // A poisoned store stays poisoned; a validation error is
-                // per-tick. Either way every rider learns what happened.
+                // A rejected batch fails this tick only: every rider
+                // learns what happened and the writer carries on.
                 let msg = e.to_string();
                 for (_, _, done) in &pending {
                     let _ = done.send(Err(msg.clone()));
-                }
-                if matches!(e, StreamError::Worker(_)) {
-                    break 'outer;
                 }
             }
         }

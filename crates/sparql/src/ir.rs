@@ -23,14 +23,14 @@
 //!   own constants into the same plan.
 //!
 //! Join order is chosen at compile time by
-//! [`order_patterns_by_cardinality`](crate::optimizer::order_patterns_by_cardinality)
+//! [`order_patterns_by_cardinality`]
 //! from the O(1)-ish rank/select statistics the store answers
 //! ([`estimate`](crate::optimizer::estimate)). Because estimates
 //! drift as the store ingests, each plan records the store epoch it was
 //! costed at and is lazily **re-costed** (re-ordered, not re-parsed)
 //! once [`PlanCache::set_epoch`] advances past a staleness threshold.
 //!
-//! Pattern matching itself is delegated to [`exec::eval_pattern`], the
+//! Pattern matching itself is delegated to [`eval_pattern`], the
 //! step `se-stream`'s delta evaluator also runs, so continuous-query
 //! deltas and full evaluations match patterns identically.
 

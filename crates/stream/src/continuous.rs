@@ -10,14 +10,12 @@
 //! [`StreamSession`] is generic over any ingestible [`TripleSource`]
 //! (the [`StreamStore`] seam); [`ShardedHybridStore`] — at any shard
 //! count — is the store that implements it. With more than one
-//! registered query the registry evaluates them concurrently over the
-//! shared view — as jobs on the store's persistent [`ShardRuntime`] when
-//! it runs one, on scoped spawns otherwise.
+//! registered query (and more than one core) the session evaluates them
+//! concurrently over the shared view, one scoped thread per query.
 
 use crate::delta::BatchDelta;
 use crate::error::StreamError;
 use crate::incremental::{self, choose_strategy, EvalStrategy, MaterializedState};
-use crate::runtime::ShardRuntime;
 use crate::shard::{IngestReport, ShardedHybridStore};
 use crate::wal::{WalHealth, WalRecord};
 use se_core::TripleSource;
@@ -41,14 +39,6 @@ pub trait StreamStore: TripleSource {
     /// on or off. Stores that cannot capture deltas may ignore this;
     /// incremental queries then fall back to full re-evaluation.
     fn set_delta_capture(&mut self, _on: bool) {}
-
-    /// The store's persistent worker pool, if it runs one: continuous
-    /// queries are evaluated as jobs on these workers instead of
-    /// per-batch scoped spawns, so the whole session — ingest,
-    /// compaction, query fan-out — shares one bounded thread budget.
-    fn shared_runtime(&self) -> Option<&ShardRuntime> {
-        None
-    }
 
     /// Drains any buffered write-ahead-log records to disk. A no-op for
     /// stores without an attached WAL; callers that stop applying
@@ -114,10 +104,6 @@ impl StreamStore for ShardedHybridStore {
 
     fn set_delta_capture(&mut self, on: bool) {
         ShardedHybridStore::set_delta_capture(self, on);
-    }
-
-    fn shared_runtime(&self) -> Option<&ShardRuntime> {
-        self.runtime()
     }
 
     fn wal_flush(&self) -> Result<(), StreamError> {
@@ -199,13 +185,12 @@ impl ContinuousResult {
 }
 
 /// How a registry evaluation round distributes its queries.
-enum EvalMode<'rt> {
+enum EvalMode {
     /// One after another on the calling thread.
     Sequential,
-    /// One scoped worker per query.
+    /// One scoped thread per query (sequential with one query or one
+    /// core).
     Scoped,
-    /// Jobs on a store's persistent [`ShardRuntime`].
-    Pooled(&'rt ShardRuntime),
 }
 
 /// Holds parsed continuous queries and their materialized answers, and
@@ -334,21 +319,6 @@ impl ContinuousQueryRegistry {
         self.evaluate_with(source, None, EvalMode::Sequential)
     }
 
-    /// Evaluates every registered query against `source` as jobs on a
-    /// store's persistent [`ShardRuntime`] — no per-batch thread spawns.
-    /// The runtime distributes the queries over its currently-idle
-    /// workers (ones busy with a background rebuild are skipped) and the
-    /// call blocks until all have answered, so the borrows of `source`
-    /// never outlive the call. Falls back to the sequential path when at
-    /// most one query is registered. Results keep registration order.
-    pub fn evaluate_all_pooled<S: TripleSource + ?Sized>(
-        &mut self,
-        runtime: &ShardRuntime,
-        source: &S,
-    ) -> Result<Vec<ContinuousResult>, QueryError> {
-        self.evaluate_with(source, None, EvalMode::Pooled(runtime))
-    }
-
     /// The one evaluation driver behind every public variant: runs
     /// [`incremental::evaluate_query`] once per registered query —
     /// delta-fed for seeded incremental queries, full otherwise — and
@@ -357,7 +327,7 @@ impl ContinuousQueryRegistry {
         &mut self,
         source: &S,
         delta: Option<&BatchDelta>,
-        mode: EvalMode<'_>,
+        mode: EvalMode,
     ) -> Result<Vec<ContinuousResult>, QueryError> {
         let emit_full = self.emit_full;
         let cache = Arc::clone(&self.plan_cache);
@@ -366,30 +336,6 @@ impl ContinuousQueryRegistry {
         };
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let answers: Vec<Result<ContinuousResult, QueryError>> = match mode {
-            EvalMode::Pooled(runtime) if self.queries.len() > 1 => {
-                let mut slots: Vec<Option<Result<ContinuousResult, QueryError>>> =
-                    (0..self.queries.len()).map(|_| None).collect();
-                let eval = &eval;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-                    .queries
-                    .iter_mut()
-                    .zip(slots.iter_mut())
-                    .map(|(q, slot)| {
-                        Box::new(move || {
-                            *slot = Some(eval(q));
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                if let Err(msg) = runtime.run_scoped(tasks) {
-                    // Mirror the scoped path's contract: a panicking
-                    // query worker panics the caller, payload preserved.
-                    panic!("query worker panicked: {msg}");
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("run_scoped ran every task"))
-                    .collect()
-            }
             EvalMode::Scoped if self.queries.len() > 1 && cores > 1 => {
                 let eval = &eval;
                 std::thread::scope(|scope| {
@@ -574,9 +520,9 @@ impl<S: StreamStore> StreamSession<S> {
     /// demands it, and brings every registered query's answers up to
     /// date over the new state — differentially from the batch's
     /// captured delta where possible, by full re-evaluation otherwise.
-    /// Evaluation runs on the store's persistent worker pool when it has
-    /// one (sharing the ingest workers' thread budget), otherwise on
-    /// scoped spawns when more than one query is registered.
+    /// Evaluation runs on one scoped thread per query when more than one
+    /// query is registered (and the machine has more than one core), on
+    /// the caller otherwise.
     pub fn apply_batch(
         &mut self,
         inserts: &Graph,
@@ -592,17 +538,9 @@ impl<S: StreamStore> StreamSession<S> {
         // batch 0, and the plan cache's staleness clock must follow the
         // store's true age.
         self.registry.plan_cache().set_epoch(self.store.epoch());
-        let results = match self.store.shared_runtime() {
-            Some(runtime) => self.registry.evaluate_with(
-                &self.store,
-                report.delta.as_ref(),
-                EvalMode::Pooled(runtime),
-            )?,
-            None => {
-                self.registry
-                    .evaluate_with(&self.store, report.delta.as_ref(), EvalMode::Scoped)?
-            }
-        };
+        let results =
+            self.registry
+                .evaluate_with(&self.store, report.delta.as_ref(), EvalMode::Scoped)?;
         self.stats.record(&report, &results);
         Ok(BatchOutcome { report, results })
     }
@@ -611,7 +549,7 @@ impl<S: StreamStore> StreamSession<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{CompactionPolicy, IngestMode};
+    use crate::shard::CompactionPolicy;
     use se_ontology::Ontology;
     use se_rdf::{Term, Triple};
 
@@ -630,12 +568,10 @@ mod tests {
         o
     }
 
-    /// The single-store configuration: one shard, inline ingest and
-    /// inline compaction.
+    /// The single-store configuration: one shard, inline compaction.
     fn store_with(triples: impl IntoIterator<Item = Triple>) -> ShardedHybridStore {
         ShardedHybridStore::build(&ontology(), &Graph::from_triples(triples), 1)
             .unwrap()
-            .with_ingest_mode(IngestMode::Inline)
             .with_background_compaction(false)
     }
 

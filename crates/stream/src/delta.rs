@@ -112,8 +112,8 @@ pub enum DeltaObj {
 
 /// Content-interned table of overlay literals, shared by every shard;
 /// ids surface as `Value::Literal(OVERFLOW_BASE + id)`. Entries are
-/// `Arc`-shared so a routed op can carry its literal's content to a pool
-/// worker for one refcount bump, not a deep clone.
+/// `Arc`-shared so a routed op can carry its literal's content for one
+/// refcount bump, not a deep clone.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LiteralTable {
     pub(crate) literals: Vec<Arc<Literal>>,

@@ -18,11 +18,6 @@ pub enum StreamError {
     Io(io::Error),
     /// A continuous query failed to execute.
     Query(QueryError),
-    /// A pooled shard worker panicked while applying routed operations.
-    /// The panicking shard's in-flight overlay is lost, so the store is
-    /// poisoned: every later `apply` fails with this error too (queries
-    /// stay memory-safe and keep answering over the surviving state).
-    Worker(String),
     /// A persisted store failed structural validation: bad magic, a
     /// truncated or checksum-mismatching section, a dangling manifest
     /// reference, internally inconsistent metadata, or write-ahead-log
@@ -48,7 +43,6 @@ impl fmt::Display for StreamError {
             StreamError::Build(e) => write!(f, "compaction rebuild failed: {e}"),
             StreamError::Io(e) => write!(f, "persistence I/O failed: {e}"),
             StreamError::Query(e) => write!(f, "continuous query failed: {e}"),
-            StreamError::Worker(msg) => write!(f, "ingest worker panicked: {msg}"),
             StreamError::Corrupt(msg) => write!(f, "persisted store corrupt: {msg}"),
             StreamError::UnsupportedVersion {
                 found,
@@ -68,7 +62,6 @@ impl std::error::Error for StreamError {
             StreamError::Io(e) => Some(e),
             StreamError::Query(e) => Some(e),
             StreamError::Malformed(_)
-            | StreamError::Worker(_)
             | StreamError::Corrupt(_)
             | StreamError::UnsupportedVersion { .. } => None,
         }

@@ -18,7 +18,7 @@
 //! mutating, but nothing reaches disk anymore — recovery tests then
 //! reopen the directory as a fresh process would. Scopes are matched by
 //! path prefix and held in a process-global table so the shims work
-//! from shard-runtime worker threads, and concurrently running tests
+//! from any thread, and concurrently running tests
 //! with distinct scratch directories do not interfere.
 
 use std::fs;

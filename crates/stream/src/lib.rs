@@ -6,7 +6,7 @@
 //! delta-overlay architecture in the spirit of incremental dataflow
 //! systems:
 //!
-//! * [`DeltaStore`](delta::DeltaStore) — a mutable overlay of
+//! * [`DeltaStore`] — a mutable overlay of
 //!   inserted/deleted triples in identifier space, held in red-black
 //!   trees (`se-rbtree`) with PSO/POS access paths;
 //! * [`ShardedHybridStore`] — the one streaming store: succinct layers
@@ -32,9 +32,9 @@
 //!
 //! # Architecture: shard routing and background compaction
 //!
-//! [`ShardedHybridStore`] scales the write path across cores by
-//! partitioning the triple space **by predicate** (`rdf:type` triples by
-//! concept) into N `baseline + overlay` shards behind one scatter/gather
+//! [`ShardedHybridStore`] partitions the triple space **by predicate**
+//! (`rdf:type` triples by concept) into N `baseline + overlay` shards,
+//! each compacted on its own, behind one scatter/gather
 //! [`TripleSource`](se_core::TripleSource):
 //!
 //! ```text
@@ -48,9 +48,9 @@
 //!              │    layouts)              │        content-interned table
 //!              ▼                          ▼
 //!        ┌─────────┐                ┌─────────┐
-//!        │ shard 0 │       …        │ shard N │   one pool worker each:
+//!        │ shard 0 │       …        │ shard N │   on the caller:
 //!        │ layers  │                │ layers  │   baseline probes + rbtree
-//!        │ + delta │                │ + delta │   overlay insertion in parallel
+//!        │ + delta │                │ + delta │   overlay insertion
 //!        └────┬────┘                └────┬────┘
 //!             │     scatter/gather       │
 //!             └──────────┬───────────────┘
@@ -64,46 +64,31 @@
 //! re-encoding), so gathered runs join directly and the merge-join
 //! ordering contracts survive sharding.
 //!
-//! # Architecture: the persistent shard worker runtime
+//! # Architecture: one thread model
 //!
-//! All parallel work of a sharded store runs on one [`ShardRuntime`] —
-//! a fleet of **parked** worker threads (condvar-based, zero CPU while
-//! idle), one per shard, spawned lazily on the first batch that needs
-//! them and joined when the store drops:
+//! A store starts no thread for ingest; its thread use follows three
+//! rules:
 //!
-//! * **Job hand-off** is a depth-one SPSC slot per worker (mutex +
-//!   condvar pair): the store submits one owned job, the worker wakes,
-//!   runs it, parks again; the store reaps the output blocking
-//!   (ingest), by polling (background rebuilds), or scoped (queries).
-//!   Waking a parked worker costs microseconds — the ~100µs per-batch
-//!   `thread::scope` spawn cost of the old ingest path is gone, which
-//!   moves the parallel break-even down from ~1k ops to
-//!   [`POOL_MIN_OPS`] ops per batch.
-//! * **Pipeline stages.** `apply` is a two-stage pipeline: the caller
-//!   encodes + routes operations into recycled per-shard buffers and
-//!   hands off a chunk every [`PIPELINE_CHUNK`] ops, so workers drain
-//!   chunk *i* (baseline probes, rbtree insertion) while the caller
-//!   encodes chunk *i+1*. Jobs own everything they touch — the shard
-//!   overlay and op buffers move in and move back on reap; literal ops
-//!   carry their content so workers never read the shared tables the
-//!   caller is still interning into.
-//! * **Thread budget.** Background compaction rebuilds and parallel
-//!   continuous-query evaluation run as jobs on the *same* N workers
-//!   (no ad-hoc `thread::spawn`): a store never holds more than N
-//!   worker threads, a worker busy rebuilding is simply skipped (its
-//!   shard's ingest chunks apply inline; queries spread over the idle
-//!   workers), and dropping the store parks, wakes and joins the whole
-//!   fleet — zero threads outlive it. A panicking job is caught and
-//!   surfaced as [`StreamError::Worker`] instead of deadlocking the
-//!   pool.
+//! * **Ingest on the caller.** `apply` validates the batch, encodes and
+//!   routes every operation into recycled per-shard lists, then applies
+//!   each shard's list (baseline probes, red-black-tree overlay
+//!   insertion) on the calling thread. Literal ops carry their content,
+//!   so effect capture decodes them without a table lookup.
+//! * **Queries fan out with `thread::scope`.** A
+//!   [`StreamSession`] with more than one continuous query evaluates them
+//!   on one scoped thread each, over the shared view; with one query or
+//!   one core it evaluates them in turn on the caller.
+//! * **One thread per rebuild.** When a shard's overlay crosses the
+//!   [`CompactionPolicy`] threshold, a spawned thread folds an `Arc`
+//!   snapshot of its layers + a clone of its overlay into fresh layers
+//!   (pure, id-stable), and a later `apply` **atomically swaps** the
+//!   result in, rebasing any writes that raced the rebuild via a pure
+//!   visibility rule. At most one rebuild per shard is in flight; if the
+//!   OS refuses the thread the shard compacts inline, and dropping the
+//!   store joins any rebuild still running — no thread outlives it.
 //!
-//! Compaction is split out of the ingest hot path: when a shard's overlay
-//! crosses the [`CompactionPolicy`] threshold, its pool worker folds
-//! an `Arc` snapshot of its layers + a clone of its overlay into fresh
-//! layers (pure, id-stable), and a later `apply` **atomically swaps** the
-//! result in, rebasing any writes that raced the rebuild via a pure
-//! visibility rule. `apply` latency is therefore bounded by routing +
-//! overlay insertion + swap — never by layer construction.
+//! `apply` latency is therefore bounded by routing + overlay insertion +
+//! swap — never by layer construction.
 
 pub mod continuous;
 pub mod delta;
@@ -111,7 +96,6 @@ pub mod error;
 pub mod fault;
 pub mod incremental;
 pub mod persist;
-pub mod runtime;
 pub mod shard;
 pub mod snapshot;
 pub mod wal;
@@ -124,10 +108,9 @@ pub use delta::{BatchDelta, DeltaObj, DeltaState, DeltaStore};
 pub use error::StreamError;
 pub use incremental::EvalStrategy;
 pub use persist::SaveReport;
-pub use runtime::ShardRuntime;
 pub use shard::{
-    CompactionPolicy, IngestMode, IngestReport, ShardPolicy, ShardedHybridStore, ShardedStats,
-    LIT_SHARD_STRIDE, MAX_SHARDS, OVERFLOW_BASE, PIPELINE_CHUNK, POOL_MIN_OPS,
+    CompactionPolicy, IngestReport, ShardPolicy, ShardedHybridStore, ShardedStats,
+    LIT_SHARD_STRIDE, MAX_SHARDS, OVERFLOW_BASE,
 };
 pub use snapshot::StoreSnapshot;
 pub use wal::{
@@ -175,12 +158,10 @@ mod tests {
         ])
     }
 
-    /// The single-store configuration: one shard, inline ingest and
-    /// inline compaction.
+    /// The single-store configuration: one shard, inline compaction.
     fn single(onto: &Ontology, graph: &Graph) -> ShardedHybridStore {
         ShardedHybridStore::build(onto, graph, 1)
             .unwrap()
-            .with_ingest_mode(IngestMode::Inline)
             .with_background_compaction(false)
     }
 
@@ -496,8 +477,9 @@ mod tests {
         assert_eq!(h.len(), 6);
     }
 
-    /// Split compaction — snapshot the shard, rebuild on the pool worker,
-    /// swap the result in — lands on the same view as an inline rebuild.
+    /// Split compaction — snapshot the shard, rebuild on a background
+    /// thread, swap the result in — lands on the same view as an inline
+    /// rebuild.
     #[test]
     fn split_compaction_plan_build_swap_equals_inline() {
         let policy = CompactionPolicy { max_overlay: 2 };
@@ -516,7 +498,7 @@ mod tests {
         assert_eq!(
             split.pending_compactions(),
             1,
-            "rebuild handed to the worker"
+            "rebuild handed to its thread"
         );
         assert_eq!(split.flush_compactions(), 1);
         assert_eq!(split.overlay_len(), 0, "covered overlay collapses away");
@@ -528,7 +510,7 @@ mod tests {
 
     /// Writes that land while a background rebuild is in flight survive
     /// the swap: the rebuild covers only its snapshot, and the swap
-    /// rebases the live overlay onto the new layers. Whether the worker
+    /// rebases the live overlay onto the new layers. Whether the rebuild
     /// finishes before the racing batch (swap first) or after it (rebase
     /// at the flush), the overlay ends up holding exactly the raced
     /// writes.

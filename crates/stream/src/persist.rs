@@ -118,7 +118,7 @@
 //!
 //! Incremental overlay checkpointing (append deltas between saves
 //! instead of rewriting the overlay snapshot) and per-batch group
-//! commit on top of the PR 3 ingest pipeline.
+//! commit on top of the ingest path.
 
 use crate::continuous::StreamSession;
 use crate::delta::{DeltaObj, DeltaState, DeltaStore};
@@ -190,10 +190,6 @@ pub(crate) struct SegmentRef {
     pub(crate) from: u64,
     pub(crate) to: u64,
 }
-
-/// Per-shard serialization output of one save: the layer file bytes (for
-/// shards whose generation changed) and the overlay snapshot bytes.
-type ShardSaveSlot = (Option<Vec<u8>>, Option<Vec<u8>>);
 
 /// One shard's persisted layer file.
 #[derive(Debug, Clone)]
@@ -619,11 +615,9 @@ impl ShardedHybridStore {
     /// snapshot captures the current layers + overlay, which is a
     /// consistent view by construction). Layer files, the frozen
     /// dictionary file and instance-dictionary history are written only
-    /// when they changed; per-shard layer serialization for shards that
-    /// *did* compact is fanned out across the [`ShardRuntime`] workers
-    /// when the pool is running. One store per directory.
-    ///
-    /// [`ShardRuntime`]: crate::runtime::ShardRuntime
+    /// when they changed; shards are serialized one after another on the
+    /// calling thread, a layer file only for a shard that compacted since
+    /// the last save. One store per directory.
     pub fn save(&self, dir: &Path) -> Result<SaveReport, StreamError> {
         std::fs::create_dir_all(dir)?;
         let mut report = SaveReport {
@@ -673,8 +667,7 @@ impl ShardedHybridStore {
         }
 
         // 3. Per-shard layer + overlay files. Layer files only for shards
-        //    whose generation changed; serialization fans out across the
-        //    persistent workers when the pool is running.
+        //    whose generation changed.
         let n = self.shards.len();
         let prev_shards: Vec<Option<ShardFileMark>> = match &prev {
             Some(m) if m.shard_files.len() == n => {
@@ -682,61 +675,24 @@ impl ShardedHybridStore {
             }
             _ => vec![None; n],
         };
-        let need_layer: Vec<bool> = (0..n)
-            .map(|i| {
-                !prev_shards[i]
-                    .as_ref()
-                    .is_some_and(|m| m.gen == self.shards[i].gen && dir.join(&m.file).is_file())
-            })
-            .collect();
-        let mut slots: Vec<ShardSaveSlot> = (0..n).map(|_| (None, None)).collect();
-        {
-            let shards = &self.shards;
-            let need = &need_layer;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    Box::new(move || {
-                        if need[i] {
-                            slot.0 = Some(layer_file_bytes(&shards[i].base));
-                        }
-                        slot.1 = Some(overlay_file_bytes(&shards[i].delta));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            match self.runtime() {
-                Some(rt) => {
-                    if let Err(msg) = rt.run_scoped(tasks) {
-                        // Serialization is pure; a panic here is a bug and
-                        // mirrors the scoped-evaluation contract.
-                        panic!("persist worker panicked: {msg}");
-                    }
-                }
-                None => {
-                    for task in tasks {
-                        task();
-                    }
-                }
-            }
-        }
         let mut shard_files = Vec::with_capacity(n);
         let mut overlay_files = Vec::with_capacity(n);
-        for (i, (layer, overlay)) in slots.into_iter().enumerate() {
-            let mark = match layer {
-                Some(bytes) => {
+        for (i, (shard, prev_mark)) in self.shards.iter().zip(prev_shards).enumerate() {
+            let mark = match prev_mark {
+                Some(m) if m.gen == shard.gen && dir.join(&m.file).is_file() => m,
+                _ => {
+                    let bytes = layer_file_bytes(&shard.base);
                     let file = format!("shard-{i}-g{save_seq}.layers");
                     write_file_atomic(&dir.join(&file), &bytes)?;
                     report.baseline_files_written += 1;
                     report.baseline_bytes += bytes.len() as u64;
                     ShardFileMark {
-                        gen: self.shards[i].gen,
+                        gen: shard.gen,
                         file,
                     }
                 }
-                None => prev_shards[i].clone().expect("reuse implies a prior mark"),
             };
-            let overlay = overlay.expect("every task fills its overlay slot");
+            let overlay = overlay_file_bytes(&shard.delta);
             let ov_file = format!("shard-{i}-s{save_seq}.overlay");
             write_file_atomic(&dir.join(&ov_file), &overlay)?;
             report.delta_bytes += overlay.len() as u64;
@@ -882,9 +838,9 @@ impl ShardedHybridStore {
         if n_shards == 0 {
             return Err(StreamError::Corrupt("manifest declares zero shards".into()));
         }
-        // n_shards drives `with_capacity` pre-allocations below and the
-        // worker-fleet size after the load: an untrusted huge count is
-        // corruption, not a request for a million threads.
+        // n_shards drives `with_capacity` pre-allocations below: an
+        // untrusted huge count is corruption, not a request for a million
+        // shards.
         if n_shards > crate::shard::MAX_SHARDS {
             return Err(StreamError::Corrupt(format!(
                 "manifest declares {n_shards} shards (this build caps at {})",

@@ -3,10 +3,9 @@
 //! [`TripleSource`] seam.
 //!
 //! `ShardedHybridStore::build(ontology, graph, 1)` is the single-store
-//! configuration — one shard, one overlay; with [`IngestMode::Inline`]
-//! and inline compaction it never spawns its worker pool. With N shards
-//! the triple space is partitioned **by predicate** (`rdf:type` triples
-//! by concept):
+//! configuration — one shard, one overlay; with inline compaction it
+//! never starts a thread. With N shards the triple space is partitioned
+//! **by predicate** (`rdf:type` triples by concept):
 //!
 //! * **One global identifier space.** The store owns the dictionaries:
 //!   instances get dense, append-only global ids; properties and concepts
@@ -20,44 +19,29 @@
 //!   shard-local and disambiguated by a fixed per-shard block of size
 //!   [`LIT_SHARD_STRIDE`]; literal joins are content-based per the
 //!   `TripleSource` contract, so distinct ids for equal content are sound.
-//! * **Pipelined parallel ingest.** `apply` encodes and routes the batch
-//!   (cheap hashmap work) on the calling thread and hands each
-//!   [`PIPELINE_CHUNK`]-sized chunk of per-shard operation lists to the
-//!   store's persistent [`ShardRuntime`] — one **parked** worker per
-//!   shard, spawned lazily on the first batch that needs it. The workers
-//!   drain chunk *i*'s baseline-membership probes and red-black-tree
-//!   overlay insertions — the expensive part — while the caller encodes
-//!   chunk *i+1*; each job *owns* its shard's overlay and op buffer for
-//!   the duration (moved in, moved back on reap; literal ops carry their
-//!   content), so there are no locks and no shared mutable state. Waking
-//!   a parked worker costs microseconds instead of the ~100µs of the old
-//!   per-batch `std::thread::scope` spawns, which pushes the parallel
-//!   break-even down to [`POOL_MIN_OPS`] — into the small frequent
-//!   sensor batches of the paper's streaming scenario. [`IngestMode`]
-//!   forces the pool on or off; batches are shape-validated up front, so
-//!   a malformed triple rejects the whole batch before any mutation —
-//!   identically in every mode.
+//! * **Ingest on the caller.** `apply` validates the whole batch, encodes
+//!   and routes every operation into recycled per-shard lists, then runs
+//!   each shard's list (baseline-membership probes and red-black-tree
+//!   overlay insertion) on the calling thread. A malformed triple rejects
+//!   the whole batch before any mutation.
 //! * **Scatter/gather queries.** A predicate-bound pattern routes to
 //!   exactly one shard. Unbound-predicate scans and LiteMat
 //!   property-interval patterns fan out to every shard whose predicates
 //!   intersect the interval and k-way-merge the subject-sorted runs, so
 //!   the merge-join contract (`scan_predicate` subject-sorted, `subjects*`
 //!   ascending/deduplicated) holds across shards.
-//! * **Off-hot-path compaction on the same workers.** Per-shard
-//!   compaction is split into a pure rebuild against a snapshot
-//!   ([`ShardBase`] is immutable and `Arc`-shared; the worker folds
-//!   overlay into fresh layers **in the same id space** — no
-//!   re-encoding) and an atomic
+//! * **Off-hot-path compaction.** Per-shard compaction is split into a
+//!   pure rebuild against a snapshot (the shard's immutable base layers
+//!   are `Arc`-shared; the rebuild folds the overlay into fresh layers
+//!   **in the same id space** — no re-encoding) and an atomic
 //!   [`swap`](ShardedHybridStore::flush_compactions): the live overlay is
 //!   rebased onto the new layers by a pure visibility rule, so writes that
-//!   raced the rebuild survive. Rebuild jobs run on the shard's own pool
-//!   worker (no ad-hoc `thread::spawn` per rebuild — ingest, compaction
-//!   and pooled query evaluation share one bounded thread budget of N
-//!   workers); while a rebuild occupies a worker, that shard's ingest
-//!   chunks apply inline so the hot path never queues behind layer
-//!   construction. With background compaction enabled, `apply` tail
-//!   latency is bounded by routing + overlay insertion + swap (each
-//!   O(overlay)), never by layer construction.
+//!   raced the rebuild survive. Each background rebuild is one spawned
+//!   thread, at most one per shard; a later `apply` swaps it in once it
+//!   has finished, and dropping the store joins any still running. With
+//!   background compaction enabled, `apply` tail latency is bounded by
+//!   routing + overlay insertion + swap (each O(overlay)), never by layer
+//!   construction.
 //!
 //! The price of never re-encoding: properties and concepts first seen in
 //! the stream keep their overflow singleton intervals even after
@@ -67,7 +51,6 @@
 
 use crate::delta::{BatchDelta, DeltaObj, DeltaState, DeltaStore, LiteralTable};
 use crate::error::StreamError;
-use crate::runtime::ShardRuntime;
 use se_core::builder::{instance_key, key_to_term_arc};
 use se_core::datatype::DatatypeLayer;
 use se_core::layer::TripleLayer;
@@ -76,11 +59,11 @@ use se_core::{augment_ontology, BuildError, TripleSource, Value};
 use se_litemat::{Dictionaries, IdInterval};
 use se_ontology::Ontology;
 use se_rdf::{Graph, Literal, Term, Triple};
-use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// First identifier of the overflow id space for properties, concepts and
@@ -97,18 +80,6 @@ pub const LIT_SHARD_STRIDE: u64 = 1 << 44;
 /// Hard ceiling on the shard count (keeps every literal block below
 /// `OVERFLOW_BASE` with room to spare).
 pub const MAX_SHARDS: usize = 1 << 16;
-
-/// Minimum estimated operations before an [`IngestMode::Auto`] batch is
-/// handed to the persistent worker pool. Waking a parked worker costs
-/// microseconds instead of the ~100µs spawn, which moves the parallel
-/// break-even point down an order of magnitude into the small-batch
-/// regime of the paper's sensor streams.
-pub const POOL_MIN_OPS: usize = 64;
-
-/// Operations the caller routes before handing the accumulated per-shard
-/// lists to the workers: stage two of the ingest pipeline (workers drain
-/// chunk *i* while the caller encodes chunk *i+1*).
-pub const PIPELINE_CHUNK: usize = 256;
 
 /// When to fold a shard's overlay into its succinct layers.
 #[derive(Debug, Clone, Copy)]
@@ -193,22 +164,6 @@ impl OverflowDict {
     pub(crate) fn terms(&self) -> &[Arc<str>] {
         &self.terms
     }
-}
-
-/// Where a batch's routed operations are applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IngestMode {
-    /// Adaptive (the default): batches whose estimated size reaches
-    /// [`POOL_MIN_OPS`] go to the persistent worker pool on multi-core,
-    /// multi-shard stores; everything else applies inline.
-    #[default]
-    Auto,
-    /// Always apply on the calling thread.
-    Inline,
-    /// Always fan out to the persistent pool (spawned on first use),
-    /// whatever the batch size or core count. Used by tests to force the
-    /// pool onto small batches.
-    Pooled,
 }
 
 /// A custom routing function: `(iri, n_shards) -> shard`.
@@ -329,7 +284,7 @@ impl RoutingTable {
 /// The literal content one shard rebuild needs: exactly the ids its
 /// overlay references (baseline literal content lives in the layers).
 /// Built in O(overlay) on the hot path — never a clone of the full shared
-/// table — and shipped to the rebuild worker.
+/// table — and moved into the rebuild thread.
 #[derive(Debug, Clone, Default)]
 struct LitSnapshot {
     by_id: HashMap<u64, Arc<Literal>>,
@@ -405,18 +360,17 @@ impl ShardInput {
     }
 }
 
-/// A background rebuild in flight on a pool worker: the worker folds a
+/// A background rebuild in flight on its own thread: the thread folds a
 /// snapshot of the shard into fresh layers and hands the snapshot overlay
 /// back (the swap rebases the live overlay against it without probing any
 /// layer) along with its wall time.
-/// The job always runs on the shard's own pool worker, so the shard
-/// index doubles as the worker index at reap time.
 #[derive(Debug)]
 struct PendingRebuild {
+    handle: JoinHandle<RebuildJobOut>,
     /// Set when an inline `compact_shard` superseded this rebuild: its
-    /// output is discarded on reap instead of swapped in — a queued job
-    /// cannot be cancelled, but a stale result must never clobber fresher
-    /// layers.
+    /// output is discarded on join instead of swapped in — a running
+    /// thread cannot be cancelled, but a stale result must never clobber
+    /// fresher layers.
     stale: bool,
 }
 
@@ -437,25 +391,20 @@ pub(crate) struct Shard {
 pub struct ShardedStats {
     /// Shard compactions performed (inline + background).
     pub compactions: usize,
-    /// Of those, how many ran on a background worker.
+    /// Of those, how many ran on a background thread.
     pub background_compactions: usize,
     /// Total triples inserted (effective).
     pub total_inserted: usize,
     /// Total triples deleted (effective).
     pub total_deleted: usize,
-    /// Total hot-path time: encode + route + parallel overlay insertion.
+    /// Total hot-path time: encode + route + overlay insertion.
     pub total_ingest: Duration,
-    /// Total layer-rebuild wall time (worker time for background runs —
-    /// off the hot path).
+    /// Total layer-rebuild wall time (rebuild-thread time for background
+    /// runs — off the hot path).
     pub total_compaction: Duration,
     /// Total hot-path time spent atomically swapping rebuilt layers in
     /// and rebasing the live overlay.
     pub total_swap: Duration,
-    /// Batches whose routed operations were drained by the persistent
-    /// worker pool.
-    pub pooled_batches: usize,
-    /// Batches applied on the calling thread.
-    pub inline_batches: usize,
     /// Logical write epoch: successful `apply` batches over the store's
     /// lifetime (restored across v02 save/load). Compactions do not
     /// advance it — they preserve content.
@@ -470,10 +419,9 @@ pub struct ShardedStats {
 
 /// Encoded object position of one routed operation.
 ///
-/// Literal ops carry their content (one `Arc` bump): a pool worker
-/// probes the shard baseline by content and must never read the shared
-/// literal table, which the caller keeps interning into while routing
-/// the *next* pipeline chunk.
+/// Literal ops carry their content (one `Arc` bump): the shard baseline
+/// is probed by content, and effect decoding reads it back without a
+/// table lookup.
 #[derive(Debug, Clone)]
 enum OpObj {
     Inst(u64),
@@ -494,11 +442,11 @@ struct TypeOp {
     c: u64,
 }
 
-/// One *effective* (visibility-changing) operation, recorded by the shard
-/// workers when delta capture is on and decoded to a term-space triple
-/// after the batch. Ops already carry everything a worker resolved —
-/// literal content included — so gathering them costs one push per
-/// effective op and no shared-state access.
+/// One *effective* (visibility-changing) operation, recorded per shard
+/// when delta capture is on and decoded to a term-space triple after the
+/// batch. Ops already carry everything routing resolved — literal
+/// content included — so gathering them costs one push per effective op
+/// and no shared-state access.
 #[derive(Debug, Clone)]
 enum EffOp {
     /// An object/datatype op; `true` = became visible, `false` = removed.
@@ -507,8 +455,8 @@ enum EffOp {
     Type(TypeOp, bool),
 }
 
-/// The routed operation lists of one shard for one pipeline chunk. The
-/// buffers are recycled batch to batch (cleared, never dropped), so the
+/// The routed operation lists of one shard for one batch. The buffers
+/// are recycled batch to batch (cleared, never dropped), so the
 /// steady-state hot path allocates nothing for routing.
 #[derive(Debug, Default)]
 struct ShardOps {
@@ -519,14 +467,6 @@ struct ShardOps {
 }
 
 impl ShardOps {
-    fn len(&self) -> usize {
-        self.del.len() + self.ins.len() + self.type_del.len() + self.type_ins.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Empties the lists, keeping their capacity for reuse.
     fn clear(&mut self) {
         self.del.clear();
@@ -536,22 +476,17 @@ impl ShardOps {
     }
 }
 
-/// Per-worker ingest outcome: `(inserted, deleted, noops)`.
+/// Per-shard ingest outcome: `(inserted, deleted, noops)`.
 type OpCounts = (usize, usize, usize);
 
-/// What an ingest job moves back to the store on reap: the shard's
-/// overlay, the recycled op buffer, the effect counts, and the effective
-/// ops gathered for delta capture (empty when capture is off).
-type IngestJobOut = (DeltaStore, ShardOps, OpCounts, Vec<EffOp>);
-
-/// What a rebuild job moves back on reap: fresh layers, the snapshot
+/// What a rebuild thread returns on join: fresh layers, the snapshot
 /// overlay the swap rebases against, and the build wall time.
 type RebuildJobOut = (ShardBase, DeltaStore, Duration);
 
 /// A predicate-sharded hybrid store: N independent baseline+overlay
-/// shards in one global id space, parallel batch ingestion, scatter/gather
+/// shards in one global id space, batch ingestion, scatter/gather
 /// [`TripleSource`] view, and per-shard compaction that can run on
-/// background workers. See the module docs for the architecture.
+/// background threads. See the module docs for the architecture.
 #[derive(Debug)]
 pub struct ShardedHybridStore {
     pub(crate) dicts: Dictionaries,
@@ -563,24 +498,13 @@ pub struct ShardedHybridStore {
     pub(crate) literals: LiteralTable,
     policy: CompactionPolicy,
     background: bool,
-    ingest_mode: IngestMode,
     /// What this store already has on disk — lets `save` skip the
     /// O(baseline) parts (see [`crate::persist`]). Interior mutability
     /// because `save` takes `&self`.
     pub(crate) persist_mark: std::sync::Mutex<Option<crate::persist::ShardedMark>>,
-    /// The persistent worker pool — `None` until the first batch (or
-    /// background compaction) that needs it; one parked worker per shard
-    /// once spawned.
-    runtime: Option<ShardRuntime>,
-    /// Per-shard routing destinations of the chunk being encoded
+    /// Per-shard routing destinations of the batch being applied
     /// (recycled every batch).
     staging: Vec<ShardOps>,
-    /// Drained op buffers awaiting reuse.
-    ops_pool: Vec<ShardOps>,
-    /// Set when a pooled ingest job panicked: that shard's in-flight
-    /// overlay was lost with the job, so further writes must not pretend
-    /// to succeed.
-    poisoned: bool,
     stats: ShardedStats,
     /// Logical write epoch: the number of successful `apply` batches over
     /// this store's lifetime. Persisted in the v02 manifest so epochs
@@ -594,7 +518,7 @@ pub struct ShardedHybridStore {
     pub(crate) pins: Arc<AtomicUsize>,
     /// Snapshots taken over the store's lifetime (observability).
     snapshots_taken: AtomicUsize,
-    /// When `true`, `apply` gathers each worker's effective ops and
+    /// When `true`, `apply` gathers each shard's effective ops and
     /// reports the batch's net term-space changes (for incremental
     /// continuous-query evaluation). Off by default.
     capture_delta: bool,
@@ -708,12 +632,8 @@ impl ShardedHybridStore {
             literals: LiteralTable::default(),
             policy: CompactionPolicy::default(),
             background: true,
-            ingest_mode: IngestMode::default(),
             persist_mark: std::sync::Mutex::new(None),
-            runtime: None,
             staging: (0..n_shards).map(|_| ShardOps::default()).collect(),
-            ops_pool: Vec::new(),
-            poisoned: false,
             stats: ShardedStats::default(),
             epoch: 0,
             pins: Arc::new(AtomicUsize::new(0)),
@@ -751,12 +671,8 @@ impl ShardedHybridStore {
             literals,
             policy,
             background: true,
-            ingest_mode: IngestMode::default(),
             persist_mark: std::sync::Mutex::new(mark),
-            runtime: None,
             staging: (0..n_shards).map(|_| ShardOps::default()).collect(),
-            ops_pool: Vec::new(),
-            poisoned: false,
             stats: ShardedStats::default(),
             epoch,
             pins: Arc::new(AtomicUsize::new(0)),
@@ -783,31 +699,13 @@ impl ShardedHybridStore {
         self
     }
 
-    /// Chooses where compactions run: `true` (default) rebuilds on the
-    /// shard's pool worker and swaps atomically on a later `apply`;
+    /// Chooses where compactions run: `true` (default) rebuilds on a
+    /// spawned thread and swaps atomically on a later `apply`;
     /// `false` rebuilds inline, inside the `apply` that crossed the
     /// threshold.
     pub fn with_background_compaction(mut self, background: bool) -> Self {
         self.background = background;
         self
-    }
-
-    /// Chooses where batches are applied (see [`IngestMode`]); the
-    /// default is adaptive.
-    pub fn with_ingest_mode(mut self, mode: IngestMode) -> Self {
-        self.ingest_mode = mode;
-        self
-    }
-
-    /// The ingest mode in force.
-    pub fn ingest_mode(&self) -> IngestMode {
-        self.ingest_mode
-    }
-
-    /// Number of persistent workers currently alive (0 until the runtime
-    /// spawns lazily; equal to the shard count afterwards).
-    pub fn worker_threads(&self) -> usize {
-        self.runtime.as_ref().map_or(0, ShardRuntime::workers)
     }
 
     /// Number of shards.
@@ -894,9 +792,9 @@ impl ShardedHybridStore {
 
     /// A read-only deep-frozen clone backing [`snapshot`](Self::snapshot):
     /// `Arc`-shared shard layers, cloned overlays (pending rebuilds are
-    /// irrelevant to a frozen view and dropped), no runtime, no persist
-    /// mark. Never written to — background compaction is off and the
-    /// snapshot wrapper exposes it read-only.
+    /// irrelevant to a frozen view and dropped), no persist mark. Never
+    /// written to — background compaction is off and the snapshot
+    /// wrapper exposes it read-only.
     fn frozen_view(&self) -> ShardedHybridStore {
         ShardedHybridStore {
             dicts: self.dicts.clone(),
@@ -917,14 +815,10 @@ impl ShardedHybridStore {
             literals: self.literals.clone(),
             policy: self.policy,
             background: false,
-            ingest_mode: IngestMode::Inline,
             persist_mark: std::sync::Mutex::new(None),
-            runtime: None,
             staging: (0..self.shards.len())
                 .map(|_| ShardOps::default())
                 .collect(),
-            ops_pool: Vec::new(),
-            poisoned: false,
             stats: ShardedStats::default(),
             epoch: self.epoch,
             pins: Arc::new(AtomicUsize::new(0)),
@@ -964,45 +858,24 @@ impl ShardedHybridStore {
 
     /// Applies one batch: deletions first, then insertions.
     ///
-    /// With the pool engaged the call is a two-stage pipeline: the caller
-    /// thread encodes and routes operations into per-shard lists, handing
-    /// each [`PIPELINE_CHUNK`]-sized chunk to the parked shard workers —
-    /// so the workers drain chunk *i*'s baseline probes and rbtree
-    /// insertions while the caller encodes chunk *i+1*. Below the
-    /// [`POOL_MIN_OPS`] break-even (or per [`IngestMode`]) the batch
-    /// applies inline. Shards whose overlay crossed the policy threshold
-    /// afterwards are compacted — as a rebuild job on the shard's own
-    /// worker when background compaction is on (finished rebuilds from
-    /// earlier batches are swapped in at the start of the call), inline
-    /// otherwise.
+    /// The calling thread encodes and routes every operation into
+    /// per-shard lists, then applies each shard's list to its overlay.
+    /// Shards whose overlay crossed the policy threshold afterwards are
+    /// compacted — on a spawned rebuild thread when background compaction
+    /// is on (finished rebuilds from earlier batches are swapped in at
+    /// the start of the call), inline otherwise.
     pub fn apply(&mut self, inserts: &Graph, deletes: &Graph) -> Result<IngestReport, StreamError> {
-        if self.poisoned {
-            return Err(StreamError::Worker(
-                "store poisoned by an earlier ingest worker panic".into(),
-            ));
-        }
         // Validate the whole batch before mutating anything: a malformed
-        // triple rejects the batch atomically in every ingest mode (the
-        // pipelined pooled path would otherwise have applied the chunks
-        // dispatched before the bad triple, while the inline path applied
-        // nothing — mode-dependent state on identical input).
+        // triple rejects the batch atomically, before routing interns a
+        // single term of it.
         for t in deletes.iter().chain(inserts) {
             validate_triple(t)?;
         }
         let mut report = IngestReport::default();
-        let (swap_time, swapped) = self.finish_ready_compactions();
+        let (swap_time, swapped) = self.swap_in_rebuilds(false);
         report.compacted = swapped > 0;
 
         let t0 = Instant::now();
-        let n = self.shards.len();
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let estimated = inserts.len() + deletes.len();
-        let pooled = match self.ingest_mode {
-            IngestMode::Inline => false,
-            IngestMode::Pooled => true,
-            IngestMode::Auto => n > 1 && cores > 1 && estimated >= POOL_MIN_OPS,
-        };
-
         // The staging buffers are a store field (recycled across batches)
         // but routing borrows `&mut self`: take them out for the duration
         // of the call. Every path below — including errors — flows
@@ -1011,12 +884,8 @@ impl ShardedHybridStore {
         let mut staging = std::mem::take(&mut self.staging);
         let wal_on = self.wal_attached();
         let mut effects: Option<Vec<EffOp>> = (self.capture_delta || wal_on).then(Vec::new);
-        let counts = if pooled {
-            self.stats.pooled_batches += 1;
-            self.apply_pooled(inserts, deletes, &mut staging, &mut report, &mut effects)
-        } else {
-            self.apply_unpooled(inserts, deletes, &mut staging, &mut report, &mut effects)
-        };
+        let counts =
+            self.route_and_apply(inserts, deletes, &mut staging, &mut report, &mut effects);
         for ops in &mut staging {
             ops.clear();
         }
@@ -1032,17 +901,16 @@ impl ShardedHybridStore {
         self.stats.total_ingest += report.ingest;
 
         let mut compaction_time = swap_time;
-        for i in 0..n {
+        for i in 0..self.shards.len() {
             let shard = &self.shards[i];
-            if shard.delta.overlay_len() >= self.policy.max_overlay && shard.pending.is_none() {
-                if self.background {
-                    self.start_shard_compaction(i);
-                } else {
-                    let t1 = Instant::now();
-                    self.compact_shard(i);
-                    compaction_time += t1.elapsed();
-                    report.compacted = true;
-                }
+            if shard.delta.overlay_len() >= self.policy.max_overlay
+                && shard.pending.is_none()
+                && !(self.background && self.start_shard_compaction(i))
+            {
+                let t1 = Instant::now();
+                self.compact_shard(i);
+                compaction_time += t1.elapsed();
+                report.compacted = true;
             }
         }
         report.compaction = compaction_time;
@@ -1063,9 +931,9 @@ impl ShardedHybridStore {
         Ok(report)
     }
 
-    /// The single-threaded path: route the whole batch, then apply each
-    /// shard's list inline.
-    fn apply_unpooled(
+    /// Routes the whole batch into `staging`, then applies each shard's
+    /// list to its overlay.
+    fn route_and_apply(
         &mut self,
         inserts: &Graph,
         deletes: &Graph,
@@ -1083,7 +951,6 @@ impl ShardedHybridStore {
                 report.noops += 1;
             }
         }
-        self.stats.inline_batches += 1;
         Ok(self
             .shards
             .iter_mut()
@@ -1092,159 +959,9 @@ impl ShardedHybridStore {
             .fold((0, 0, 0), add_counts))
     }
 
-    /// The pooled pipeline: route on the caller, drain on the workers.
-    /// Encodes/routes into `staging` and hands each shard's accumulated
-    /// list to its parked worker every [`PIPELINE_CHUNK`] operations; the
-    /// shard's overlay and op buffer travel *with* the job (moved in,
-    /// moved back on reap), so no borrow crosses a thread boundary. A
-    /// shard whose worker is occupied by a background rebuild applies its
-    /// chunk inline instead — ingest never queues behind layer
-    /// construction.
-    fn apply_pooled(
-        &mut self,
-        inserts: &Graph,
-        deletes: &Graph,
-        staging: &mut [ShardOps],
-        report: &mut IngestReport,
-        effects: &mut Option<Vec<EffOp>>,
-    ) -> Result<OpCounts, StreamError> {
-        self.ensure_runtime();
-        let n = self.shards.len();
-        let mut in_flight = vec![false; n];
-        let mut counts = (0, 0, 0);
-        let mut panic_msg: Option<String> = None;
-        let mut since_dispatch = 0usize;
-
-        let mut routed: Result<(), StreamError> = Ok(());
-        'route: for (graph, insert) in [(deletes, false), (inserts, true)] {
-            for t in graph {
-                match self.route_op(t, insert, staging) {
-                    Ok(true) => {}
-                    Ok(false) => report.noops += 1,
-                    Err(e) => {
-                        routed = Err(e);
-                        break 'route;
-                    }
-                }
-                since_dispatch += 1;
-                if since_dispatch >= PIPELINE_CHUNK {
-                    self.dispatch_chunk(
-                        staging,
-                        &mut in_flight,
-                        &mut counts,
-                        &mut panic_msg,
-                        effects,
-                    );
-                    since_dispatch = 0;
-                }
-            }
-        }
-        // Flush the tail chunk and reap every in-flight job — also on the
-        // error path, so the shard overlays are home again before we
-        // surface anything.
-        self.dispatch_chunk(
-            staging,
-            &mut in_flight,
-            &mut counts,
-            &mut panic_msg,
-            effects,
-        );
-        for (s, flying) in in_flight.iter().enumerate() {
-            if *flying {
-                self.reap_ingest(s, &mut counts, &mut panic_msg, effects);
-            }
-        }
-        // The panic check must come first: a worker panic loses that
-        // shard's overlay, so the store must poison even when the same
-        // batch also tripped a routing error.
-        if let Some(msg) = panic_msg {
-            self.poisoned = true;
-            return Err(StreamError::Worker(msg));
-        }
-        routed?;
-        Ok(counts)
-    }
-
-    /// Submits every non-empty staged shard list to its worker (reaping
-    /// that worker's previous chunk first — per-shard chunks apply in
-    /// submission order, preserving the deletes-before-inserts contract
-    /// within the shard). Chunks for shards whose worker is busy with a
-    /// background rebuild run inline on the caller.
-    fn dispatch_chunk(
-        &mut self,
-        staging: &mut [ShardOps],
-        in_flight: &mut [bool],
-        counts: &mut OpCounts,
-        panic_msg: &mut Option<String>,
-        effects: &mut Option<Vec<EffOp>>,
-    ) {
-        let capture = effects.is_some();
-        for s in 0..self.shards.len() {
-            if staging[s].is_empty() {
-                continue;
-            }
-            if self.shards[s].pending.is_some() {
-                let shard = &mut self.shards[s];
-                let c = run_shard_ops(&shard.base, &mut shard.delta, &staging[s], effects.as_mut());
-                *counts = add_counts(*counts, c);
-                staging[s].clear();
-                continue;
-            }
-            if in_flight[s] {
-                self.reap_ingest(s, counts, panic_msg, effects);
-                in_flight[s] = false;
-            }
-            let delta = std::mem::take(&mut self.shards[s].delta);
-            let ops = std::mem::replace(&mut staging[s], self.ops_pool.pop().unwrap_or_default());
-            let base = Arc::clone(&self.shards[s].base);
-            let runtime = self.runtime.as_ref().expect("ensured by apply_pooled");
-            runtime.submit(
-                s,
-                Box::new(move || {
-                    let mut delta = delta;
-                    let mut eff = capture.then(Vec::new);
-                    let c = run_shard_ops(&base, &mut delta, &ops, eff.as_mut());
-                    Box::new((delta, ops, c, eff.unwrap_or_default())) as Box<dyn Any + Send>
-                }),
-            );
-            in_flight[s] = true;
-        }
-    }
-
-    /// Blocks on shard `s`'s in-flight ingest job and moves its overlay
-    /// and op buffer home. A panicked job is recorded (first message
-    /// wins); its overlay died with it, which `apply_pooled` converts
-    /// into a poisoned store.
-    fn reap_ingest(
-        &mut self,
-        s: usize,
-        counts: &mut OpCounts,
-        panic_msg: &mut Option<String>,
-        effects: &mut Option<Vec<EffOp>>,
-    ) {
-        let runtime = self.runtime.as_ref().expect("reap without runtime");
-        match runtime.take(s) {
-            Ok(out) => {
-                let (delta, mut ops, c, eff) = *out
-                    .downcast::<IngestJobOut>()
-                    .expect("ingest job returns IngestJobOut");
-                self.shards[s].delta = delta;
-                ops.clear();
-                self.ops_pool.push(ops);
-                *counts = add_counts(*counts, c);
-                if let Some(dst) = effects.as_mut() {
-                    dst.extend(eff);
-                }
-            }
-            Err(msg) => {
-                panic_msg.get_or_insert(msg);
-            }
-        }
-    }
-
     /// Turns net-delta capture on or off: when on, every `apply` report
     /// carries a [`BatchDelta`] with the batch's net term-space changes,
-    /// gathered from the shard workers' effective ops.
+    /// gathered from each shard's effective ops.
     pub fn set_delta_capture(&mut self, on: bool) {
         self.capture_delta = on;
     }
@@ -1287,8 +1004,8 @@ impl ShardedHybridStore {
         }
     }
 
-    /// Decodes the workers' gathered effective ops back to term space and
-    /// nets them per triple. Ids are decodable by construction: inserts
+    /// Decodes the gathered effective ops back to term space and nets
+    /// them per triple. Ids are decodable by construction: inserts
     /// interned their terms while routing, deletes only routed terms that
     /// already resolved, literal ops carry their content, and per-shard
     /// compaction never re-encodes the id space.
@@ -1338,21 +1055,6 @@ impl ShardedHybridStore {
             })
             .collect();
         BatchDelta::from_events(events)
-    }
-
-    /// Spawns the persistent pool (one parked worker per shard) if it is
-    /// not running yet.
-    fn ensure_runtime(&mut self) {
-        if self.runtime.is_none() {
-            self.runtime = Some(ShardRuntime::new(self.shards.len()));
-        }
-    }
-
-    /// The persistent worker pool, if it has been spawned — shared with
-    /// continuous-query evaluation via
-    /// [`StreamStore::shared_runtime`](crate::StreamStore::shared_runtime).
-    pub fn runtime(&self) -> Option<&ShardRuntime> {
-        self.runtime.as_ref()
     }
 
     /// Drops the shared overlay-literal table when nothing can reference
@@ -1495,10 +1197,10 @@ impl ShardedHybridStore {
     /// layers (same id space — no re-encoding) and swap them in.
     pub fn compact_shard(&mut self, shard: usize) {
         // A background rebuild may be in flight against an older snapshot;
-        // its result is superseded by this inline fold. A pool job cannot
-        // be cancelled, so mark it stale — the reap discards its output
-        // instead of swapping stale layers over the fresh ones (which
-        // would drop every write that landed in between).
+        // its result is superseded by this inline fold. A running thread
+        // cannot be cancelled, so mark it stale — the join discards its
+        // output instead of swapping stale layers over the fresh ones
+        // (which would drop every write that landed in between).
         if let Some(pending) = &mut self.shards[shard].pending {
             pending.stale = true;
         }
@@ -1514,78 +1216,72 @@ impl ShardedHybridStore {
         self.swap_shard_base(shard, built, None);
     }
 
-    /// Hands a background rebuild for one shard to the shard's pool
-    /// worker, against an O(1) snapshot of its layers plus a clone of
-    /// its overlay (both O(overlay), bounded by the compaction
-    /// threshold — never O(store)). Replaces the old per-rebuild
-    /// `thread::spawn`: compaction now shares the ingest workers' bounded
-    /// thread budget, and an occupied worker simply makes the next few
-    /// ingest chunks of that one shard apply inline.
-    fn start_shard_compaction(&mut self, shard: usize) {
-        self.ensure_runtime();
+    /// Starts a background rebuild of one shard on its own thread, against
+    /// an O(1) snapshot of its layers plus a clone of its overlay (both
+    /// O(overlay), bounded by the compaction threshold — never O(store)).
+    /// Returns `false`, with nothing started, if the OS refuses the
+    /// thread; the caller then compacts inline.
+    fn start_shard_compaction(&mut self, shard: usize) -> bool {
         let base = Arc::clone(&self.shards[shard].base);
         let delta = self.shards[shard].delta.clone();
         let lits = LitSnapshot::for_delta(&delta, &self.literals);
-        let runtime = self.runtime.as_ref().expect("ensured above");
-        runtime.submit(
-            shard,
-            Box::new(move || {
+        let spawned = std::thread::Builder::new()
+            .name(format!("se-compact-{shard}"))
+            .spawn(move || {
                 let t0 = Instant::now();
                 let built = rebuild_shard(&base, &delta, &lits);
-                Box::new((built, delta, t0.elapsed())) as Box<dyn Any + Send>
-            }),
-        );
-        self.shards[shard].pending = Some(PendingRebuild { stale: false });
+                (built, delta, t0.elapsed())
+            });
+        match spawned {
+            Ok(handle) => {
+                self.shards[shard].pending = Some(PendingRebuild {
+                    handle,
+                    stale: false,
+                });
+                true
+            }
+            Err(_) => false,
+        }
     }
 
-    /// Reaps one finished rebuild job: swap the fresh layers in (and
-    /// rebase the live overlay), or discard a result a later inline
-    /// compaction already superseded. Returns the hot-path swap time.
-    fn consume_rebuild(
-        &mut self,
-        shard: usize,
-        result: Result<Box<dyn Any + Send>, String>,
-    ) -> Duration {
+    /// Joins one shard's rebuild thread and swaps the fresh layers in
+    /// (rebasing the live overlay), or discards a result a later inline
+    /// compaction already superseded. Returns the hot-path swap time, or
+    /// `None` for a discarded result.
+    fn consume_rebuild(&mut self, shard: usize) -> Option<Duration> {
         let pending = self.shards[shard].pending.take().expect("pending rebuild");
+        let joined = pending.handle.join();
         if pending.stale {
             // Superseded by an inline fold: the result is dead by design —
             // account nothing, swap nothing, and ignore even a panicked
-            // job (the old code dropped the JoinHandle of a superseded
-            // rebuild, discarding its outcome the same way).
-            return Duration::ZERO;
+            // rebuild.
+            return None;
         }
-        let (built, snapshot, build_time) = match result {
-            Ok(out) => *out
-                .downcast::<RebuildJobOut>()
-                .expect("rebuild job returns RebuildJobOut"),
-            // `rebuild_shard` is pure id-space folding; a panic there is a
-            // bug, and the old JoinHandle path's `expect` behaviour is
-            // preserved.
-            Err(msg) => panic!("compaction worker panicked: {msg}"),
-        };
+        // `rebuild_shard` is pure id-space folding; a panic there is a bug.
+        let (built, snapshot, build_time) = joined.expect("compaction thread panicked");
         self.stats.total_compaction += build_time;
         self.stats.background_compactions += 1;
         let t0 = Instant::now();
         self.swap_shard_base(shard, built, Some(&snapshot));
-        t0.elapsed()
+        Some(t0.elapsed())
     }
 
-    /// Swaps finished background rebuilds in without blocking on the ones
-    /// still running. Returns `(hot-path swap time, shards swapped)`.
-    fn finish_ready_compactions(&mut self) -> (Duration, usize) {
+    /// Swaps in the background rebuilds that have finished — or, with
+    /// `wait`, every one in flight, blocking on those still running.
+    /// Returns `(hot-path swap time, shards swapped)`.
+    fn swap_in_rebuilds(&mut self, wait: bool) -> (Duration, usize) {
         let mut spent = Duration::ZERO;
         let mut swapped = 0;
         for i in 0..self.shards.len() {
-            let Some(pending) = &self.shards[i].pending else {
-                continue;
-            };
-            let stale = pending.stale;
-            let Some(result) = self.runtime.as_ref().and_then(|rt| rt.try_take(i)) else {
-                continue;
-            };
-            spent += self.consume_rebuild(i, result);
-            if !stale {
-                swapped += 1;
+            let ready = self.shards[i]
+                .pending
+                .as_ref()
+                .is_some_and(|p| wait || p.handle.is_finished());
+            if ready {
+                if let Some(t) = self.consume_rebuild(i) {
+                    spent += t;
+                    swapped += 1;
+                }
             }
         }
         (spent, swapped)
@@ -1594,22 +1290,7 @@ impl ShardedHybridStore {
     /// Blocks until every in-flight background rebuild has been swapped
     /// in. Returns the number of shards swapped.
     pub fn flush_compactions(&mut self) -> usize {
-        let mut swapped = 0;
-        for i in 0..self.shards.len() {
-            let Some(pending) = &self.shards[i].pending else {
-                continue;
-            };
-            let stale = pending.stale;
-            let result = self
-                .runtime
-                .as_ref()
-                .expect("pending rebuild implies a runtime")
-                .take(i);
-            self.consume_rebuild(i, result);
-            if !stale {
-                swapped += 1;
-            }
-        }
+        let (_, swapped) = self.swap_in_rebuilds(true);
         self.gc_literals();
         swapped
     }
@@ -1620,7 +1301,7 @@ impl ShardedHybridStore {
     ///
     /// * an entry whose state is unchanged since the snapshot is covered
     ///   by the rebuild and collapses away;
-    /// * for an entry that changed (a write raced the worker), the new
+    /// * for an entry that changed (a write raced the rebuild), the new
     ///   layers' membership is *derivable*: if the snapshot held the
     ///   triple, membership is the snapshot state's visibility; if not,
     ///   it is the old-baseline membership, which every [`DeltaState`]
@@ -1843,7 +1524,19 @@ impl ShardedHybridStore {
     }
 }
 
-/// Sums two per-worker outcome triples.
+impl Drop for ShardedHybridStore {
+    /// Joins every rebuild thread still in flight: no thread outlives the
+    /// store.
+    fn drop(&mut self) {
+        for shard in &mut self.shards {
+            if let Some(pending) = shard.pending.take() {
+                let _ = pending.handle.join();
+            }
+        }
+    }
+}
+
+/// Sums two per-shard outcome triples.
 fn add_counts(a: OpCounts, b: OpCounts) -> OpCounts {
     (a.0 + b.0, a.1 + b.1, a.2 + b.2)
 }
@@ -1868,9 +1561,6 @@ fn validate_triple(t: &Triple) -> Result<(), StreamError> {
 }
 
 /// Applies one shard's routed operations against its baseline + overlay.
-/// Runs on a pool worker (or inline); everything it
-/// touches is either moved into the job (`delta`, `ops` — literal ops
-/// carry their content) or frozen for the phase (`base`).
 fn run_shard_ops(
     base: &ShardBase,
     delta: &mut DeltaStore,
@@ -1978,7 +1668,7 @@ fn apply_type_op(base: &ShardBase, delta: &mut DeltaStore, op: &TypeOp, insert: 
 }
 
 /// Folds one shard's overlay into fresh layers — pure, id-space-stable,
-/// safe to run on a worker thread against a snapshot.
+/// safe to run on a background thread against a snapshot.
 fn rebuild_shard(base: &ShardBase, delta: &DeltaStore, literals: &LitSnapshot) -> ShardBase {
     let mut input = ShardInput::default();
     for (p, s, o) in base.objects.iter() {
@@ -2505,12 +2195,9 @@ mod tests {
         ShardedHybridStore::build(&ontology(), &seed_graph(), n).unwrap()
     }
 
-    /// The single-store configuration: one shard, inline ingest and
-    /// inline compaction.
+    /// The single-store configuration: one shard, inline compaction.
     fn single() -> ShardedHybridStore {
-        sharded(1)
-            .with_ingest_mode(IngestMode::Inline)
-            .with_background_compaction(false)
+        sharded(1).with_background_compaction(false)
     }
 
     fn norm(g: &Graph) -> Vec<String> {
@@ -2885,8 +2572,8 @@ mod tests {
     /// Regression: an inline `compact_shard` must invalidate any
     /// in-flight background rebuild — otherwise a later poll would swap
     /// stale layers over the fresh ones and silently drop the writes
-    /// that landed in between. A pool job cannot be cancelled, so the
-    /// rebuild is marked stale and its output discarded on reap.
+    /// that landed in between. A running thread cannot be cancelled, so
+    /// the rebuild is marked stale and its output discarded on join.
     #[test]
     fn inline_compact_discards_stale_background_rebuild() {
         let mut h = sharded(1)
@@ -3002,24 +2689,19 @@ mod tests {
         assert_send_sync::<ShardedHybridStore>();
     }
 
-    /// The tentpole's small-batch regime: with the pool forced on, every
-    /// tiny batch goes through the persistent workers (no adaptive
-    /// fallback) and the result is bit-identical to the inline path and
-    /// the 1-shard single store.
+    /// Small batches (2–4 ops) under a tight compaction threshold: a
+    /// 4-shard store compacting on background threads, one compacting
+    /// inline and the 1-shard single store end up identical.
     #[test]
-    fn forced_pool_small_batches_match_inline_and_single() {
-        let mut pooled = sharded(4)
-            .with_ingest_mode(IngestMode::Pooled)
+    fn background_compaction_small_batches_match_inline_and_single() {
+        let mut background = sharded(4)
             .with_background_compaction(true)
             .with_policy(CompactionPolicy { max_overlay: 6 });
         let mut inline = sharded(4)
-            .with_ingest_mode(IngestMode::Inline)
             .with_background_compaction(false)
             .with_policy(CompactionPolicy { max_overlay: 6 });
         let mut single = single();
-        assert_eq!(pooled.worker_threads(), 0, "runtime spawns lazily");
         for round in 0..10 {
-            // 2–4 ops per batch: far below POOL_MIN_OPS.
             let ins = Graph::from_triples([
                 t(&format!("s{round}"), "knows", iri("hub")),
                 ty(&format!("s{round}"), "C2"),
@@ -3034,60 +2716,48 @@ mod tests {
             } else {
                 Graph::new()
             };
-            let rp = pooled.apply(&ins, &del).unwrap();
+            let rb = background.apply(&ins, &del).unwrap();
             let ri = inline.apply(&ins, &del).unwrap();
             let rs = single.apply(&ins, &del).unwrap();
-            assert_eq!((rp.inserted, rp.deleted), (ri.inserted, ri.deleted));
-            assert_eq!((rp.inserted, rp.deleted), (rs.inserted, rs.deleted));
+            assert_eq!((rb.inserted, rb.deleted), (ri.inserted, ri.deleted));
+            assert_eq!((rb.inserted, rb.deleted), (rs.inserted, rs.deleted));
         }
-        pooled.flush_compactions();
+        background.flush_compactions();
         inline.flush_compactions();
-        assert_eq!(norm(&pooled.materialize()), norm(&inline.materialize()));
-        assert_eq!(norm(&pooled.materialize()), norm(&single.materialize()));
-        assert_eq!(pooled.stats().pooled_batches, 10, "every batch pooled");
-        assert_eq!(pooled.stats().inline_batches, 0);
-        assert_eq!(inline.stats().inline_batches, 10);
-        assert_eq!(pooled.worker_threads(), pooled.shard_count());
+        assert_eq!(background.pending_compactions(), 0);
+        assert!(background.stats().background_compactions >= 1);
+        assert!(inline.stats().compactions >= 1);
+        assert_eq!(inline.stats().background_compactions, 0);
+        assert_eq!(norm(&background.materialize()), norm(&inline.materialize()));
+        assert_eq!(norm(&background.materialize()), norm(&single.materialize()));
     }
 
-    /// Auto mode keeps small batches inline (the pool only pays off past
-    /// the break-even) and never spawns the runtime for them.
+    /// Dropping a store while a rebuild thread is still running joins
+    /// it: once `drop` returns, the thread has released its snapshot of
+    /// the shard's layers.
     #[test]
-    fn auto_mode_keeps_small_batches_inline() {
-        let mut h = sharded(4).with_background_compaction(false);
+    fn dropping_store_joins_inflight_rebuild() {
+        let mut o = Ontology::new();
+        o.add_object_property("http://x/p");
+        // A baseline large enough that the rebuild is still running when
+        // the store drops.
+        let g = Graph::from_triples(
+            (0..20_000).map(|i| t(&format!("s{i}"), "p", iri(&format!("o{}", i % 97)))),
+        );
+        let mut h = ShardedHybridStore::build(&o, &g, 1)
+            .unwrap()
+            .with_policy(CompactionPolicy { max_overlay: 2 });
         h.apply(
-            &Graph::from_triples([t("x", "knows", iri("hub"))]),
+            &Graph::from_triples([t("x", "p", iri("o1")), t("y", "p", iri("o2"))]),
             &Graph::new(),
         )
         .unwrap();
-        assert_eq!(h.stats().inline_batches, 1);
-        assert_eq!(h.stats().pooled_batches, 0);
-        assert_eq!(h.worker_threads(), 0, "no workers for inline batches");
-    }
-
-    /// The lifecycle satellite at store level: dropping a store with live
-    /// workers — including an in-flight background rebuild — joins the
-    /// whole fleet (the runtime's `Drop` asserts every worker exited; a
-    /// hang here would time the test out).
-    #[test]
-    fn dropping_pooled_store_joins_workers() {
-        let mut h = sharded(3)
-            .with_ingest_mode(IngestMode::Pooled)
-            .with_background_compaction(true)
-            .with_policy(CompactionPolicy { max_overlay: 4 });
-        for round in 0..6 {
-            h.apply(
-                &Graph::from_triples([
-                    t(&format!("a{round}"), "knows", iri("hub")),
-                    t(&format!("b{round}"), "memberOf", iri("org")),
-                ]),
-                &Graph::new(),
-            )
-            .unwrap();
-        }
-        assert_eq!(h.worker_threads(), 3);
-        // Rebuilds may still be in flight; drop must reap, join and
-        // release every worker regardless.
+        assert_eq!(h.pending_compactions(), 1);
+        let layers = Arc::downgrade(&h.shards[0].base);
         drop(h);
+        assert!(
+            layers.upgrade().is_none(),
+            "the rebuild thread was joined and released the layers"
+        );
     }
 }

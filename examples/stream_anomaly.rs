@@ -6,14 +6,10 @@
 //! twice:
 //!
 //! 1. the single-store configuration — a long-lived 1-shard
-//!    [`ShardedHybridStore`] with inline ingest and inline compaction —
-//!    and
+//!    [`ShardedHybridStore`] with inline compaction — and
 //! 2. three shards with the water workload's per-station-group routing
-//!    policy, **background** per-shard compaction, and the **persistent
-//!    worker pool forced on** (these sensor batches are far below the
-//!    adaptive break-even, which is precisely the regime the parked
-//!    per-shard workers exist for) — behind the same [`StreamSession`]
-//!    API.
+//!    policy and **background** per-shard compaction (each rebuild on
+//!    its own thread) — behind the same [`StreamSession`] API.
 //!
 //! Both ingest the same measurement batches (with a sliding retention
 //! window deleting expired observations), evaluate the same registered
@@ -39,7 +35,7 @@ use succinct_edge::rdf::Graph;
 use succinct_edge::sparql::QueryOptions;
 use succinct_edge::store::TripleSource;
 use succinct_edge::stream::{
-    CompactionPolicy, IngestMode, ShardPolicy, ShardedHybridStore, StreamSession, StreamStore,
+    CompactionPolicy, ShardPolicy, ShardedHybridStore, StreamSession, StreamStore,
 };
 
 /// Registers the §2 anomaly query on a session.
@@ -118,11 +114,10 @@ fn main() {
         water_anomaly_query()
     );
 
-    // ---- engine 1: one shard, inline ingest and compaction ----------------
+    // ---- engine 1: one shard, inline compaction -----------------------------
     let store = ShardedHybridStore::build(&onto, &Graph::new(), 1)
         .expect("empty baseline builds")
         .with_policy(policy)
-        .with_ingest_mode(IngestMode::Inline)
         .with_background_compaction(false);
     let mut single = StreamSession::new(store);
     register(&mut single);
@@ -142,7 +137,6 @@ fn main() {
         .expect("empty sharded baseline builds")
         .with_policy(policy)
         .with_background_compaction(true)
-        .with_ingest_mode(IngestMode::Pooled)
     };
     let sharded_extra = |s: &ShardedHybridStore| {
         format!(
@@ -179,15 +173,14 @@ fn main() {
          (no compaction), {} baseline file(s) + {} delta bytes written",
         report.baseline_files_written, report.delta_bytes,
     );
-    drop(doomed); // the "kill": workers join, in-memory state is gone
+    drop(doomed); // the "kill": rebuild threads join, in-memory state is gone
     let reloaded = ShardedHybridStore::load_with_policy(
         &ckpt,
         &onto,
         Some(ShardPolicy::ByIri(Arc::new(water_shard_group))),
     )
     .expect("manifest loads")
-    .with_background_compaction(true)
-    .with_ingest_mode(IngestMode::Pooled);
+    .with_background_compaction(true);
     let mut recovered = StreamSession::resume_with_store(&ckpt, reloaded).expect("session resumes");
     println!(
         "recover restart: {} triples, {} continuous query re-registered from session.v02",
@@ -216,13 +209,11 @@ fn main() {
         p99(&lat_single)
     );
     println!(
-        "sharded: {alerts_sharded} alerts | {len_sharded} triples | p99 apply {:.3} ms | {} compactions ({} background) across {} shards | {} batches pooled over {} parked workers",
+        "sharded: {alerts_sharded} alerts | {len_sharded} triples | p99 apply {:.3} ms | {} compactions ({} background) across {} shards",
         p99(&lat_sharded),
         stats.compactions,
         stats.background_compactions,
         session.store().shard_count(),
-        stats.pooled_batches,
-        session.store().worker_threads(),
     );
     println!(
         "recover: killed after batch {restart_at}, resumed from the sharded \

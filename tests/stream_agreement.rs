@@ -15,7 +15,7 @@ use se_datagen::workload::water_anomaly_query;
 use se_ontology::water_ontology;
 use se_rdf::{Graph, Triple};
 use se_sparql::{QueryOptions, ResultSet};
-use se_stream::{CompactionPolicy, IngestMode, ShardPolicy, ShardedHybridStore, StreamSession};
+use se_stream::{CompactionPolicy, ShardPolicy, ShardedHybridStore, StreamSession};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -29,12 +29,10 @@ fn normalize(rs: &ResultSet) -> Vec<String> {
     rows
 }
 
-/// The single-store configuration: one shard, inline ingest and inline
-/// compaction.
+/// The single-store configuration: one shard, inline compaction.
 fn single_store(onto: &se_ontology::Ontology) -> ShardedHybridStore {
     ShardedHybridStore::build(onto, &Graph::new(), 1)
         .unwrap()
-        .with_ingest_mode(IngestMode::Inline)
         .with_background_compaction(false)
 }
 
@@ -275,10 +273,9 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
 /// and compactions, the scatter/gather [`ShardedHybridStore`] answers all
 /// eleven query shapes (reasoning on and off) identically to the 1-shard
 /// single store *and* a from-scratch rebuild — with inline per-shard
-/// compaction, with background compaction racing the stream, with the
-/// workload-aware routing policy from `se-datagen`, and with the
-/// persistent worker pool **forced onto every small batch** (the
-/// break-even regime the runtime exists for, far below `POOL_MIN_OPS`).
+/// compaction, with background compaction racing the stream under both
+/// the workload-aware routing policy from `se-datagen` and the default
+/// round-robin one.
 #[test]
 fn sharded_agrees_with_single_store_and_rebuild() {
     let onto = water_ontology();
@@ -307,26 +304,24 @@ fn sharded_agrees_with_single_store_and_rebuild() {
     .unwrap()
     .with_policy(policy)
     .with_background_compaction(true);
-    // Forced-pool configuration: every batch of this small stream goes
-    // through the persistent shard workers (pipelined encode, pooled
-    // drain), with background rebuilds racing on the same workers.
-    let sharded_pool = ShardedHybridStore::build(&onto, &Graph::new(), 3)
+    // Round-robin routing over 3 shards, background rebuilds racing the
+    // stream.
+    let sharded_rr = ShardedHybridStore::build(&onto, &Graph::new(), 3)
         .unwrap()
         .with_policy(policy)
-        .with_background_compaction(true)
-        .with_ingest_mode(IngestMode::Pooled);
+        .with_background_compaction(true);
 
     let mut single = StreamSession::new(single);
     let mut sharded_inline = StreamSession::new(sharded_inline);
     let mut sharded_bg = StreamSession::new(sharded_bg);
-    let mut sharded_pool = StreamSession::new(sharded_pool);
+    let mut sharded_rr = StreamSession::new(sharded_rr);
     for (id, text, opts) in shape_queries() {
         single.register_query(id, &text, opts.clone()).unwrap();
         sharded_inline
             .register_query(id, &text, opts.clone())
             .unwrap();
         sharded_bg.register_query(id, &text, opts.clone()).unwrap();
-        sharded_pool.register_query(id, &text, opts).unwrap();
+        sharded_rr.register_query(id, &text, opts).unwrap();
     }
 
     let mut reference: BTreeSet<Triple> = BTreeSet::new();
@@ -341,7 +336,7 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         let out_bg = sharded_bg
             .apply_batch(&batch.inserts, &batch.deletes)
             .unwrap();
-        let out_pool = sharded_pool
+        let out_rr = sharded_rr
             .apply_batch(&batch.inserts, &batch.deletes)
             .unwrap();
 
@@ -368,23 +363,23 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         );
         assert_eq!(
             (out_single.report.inserted, out_single.report.deleted),
-            (out_pool.report.inserted, out_pool.report.deleted),
-            "batch {tick}: ingest accounting diverged (forced pool)"
+            (out_rr.report.inserted, out_rr.report.deleted),
+            "batch {tick}: ingest accounting diverged (background, round-robin)"
         );
         assert_eq!(sharded_inline.store().len(), reference.len());
         assert_eq!(sharded_bg.store().len(), reference.len());
-        assert_eq!(sharded_pool.store().len(), reference.len());
+        assert_eq!(sharded_rr.store().len(), reference.len());
 
         let rebuilt =
             SuccinctEdgeStore::build(&onto, &Graph::from_triples(reference.iter().cloned()))
                 .unwrap();
-        for ((((cq, rs_single), rs_inline), rs_bg), rs_pool) in single
+        for ((((cq, rs_single), rs_inline), rs_bg), rs_rr) in single
             .registry()
             .iter()
             .zip(&out_single.results)
             .zip(&out_inline.results)
             .zip(&out_bg.results)
-            .zip(&out_pool.results)
+            .zip(&out_rr.results)
         {
             let fresh = se_sparql::exec::execute(&rebuilt, &cq.query, &cq.options).unwrap();
             let want = normalize(&fresh);
@@ -407,19 +402,19 @@ fn sharded_agrees_with_single_store_and_rebuild() {
                 cq.id
             );
             assert_eq!(
-                normalize(&rs_pool.results),
+                normalize(&rs_rr.results),
                 want,
-                "batch {tick}: '{}' sharded-forced-pool vs rebuild",
+                "batch {tick}: '{}' sharded-background-rr vs rebuild",
                 cq.id
             );
-            // Materialized set == full re-evaluation on the sharded
-            // engine whose queries run pooled on the shard workers.
+            // Materialized set == full re-evaluation on the round-robin
+            // sharded engine.
             let refresh =
-                se_sparql::exec::execute(sharded_pool.store(), &cq.query, &cq.options).unwrap();
+                se_sparql::exec::execute(sharded_rr.store(), &cq.query, &cq.options).unwrap();
             assert_eq!(
                 normalize(&refresh),
                 want,
-                "batch {tick}: '{}' pooled full re-evaluation vs rebuild",
+                "batch {tick}: '{}' round-robin full re-evaluation vs rebuild",
                 cq.id
             );
         }
@@ -428,7 +423,7 @@ fn sharded_agrees_with_single_store_and_rebuild() {
     // Drain in-flight background rebuilds and re-check agreement after
     // the final swaps.
     sharded_bg.store_mut().flush_compactions();
-    sharded_pool.store_mut().flush_compactions();
+    sharded_rr.store_mut().flush_compactions();
     let rebuilt =
         SuccinctEdgeStore::build(&onto, &Graph::from_triples(reference.iter().cloned())).unwrap();
     for cq in sharded_bg.registry().iter().collect::<Vec<_>>() {
@@ -440,11 +435,11 @@ fn sharded_agrees_with_single_store_and_rebuild() {
             "post-flush: '{}' sharded-background vs rebuild",
             cq.id
         );
-        let got = se_sparql::exec::execute(sharded_pool.store(), &cq.query, &cq.options).unwrap();
+        let got = se_sparql::exec::execute(sharded_rr.store(), &cq.query, &cq.options).unwrap();
         assert_eq!(
             normalize(&got),
             normalize(&fresh),
-            "post-flush: '{}' sharded-forced-pool vs rebuild",
+            "post-flush: '{}' sharded-background-rr vs rebuild",
             cq.id
         );
     }
@@ -458,17 +453,6 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         sharded_bg.store().stats().compactions >= 1,
         "background sharded store must compact"
     );
-    let pool_stats = sharded_pool.store().stats();
-    assert_eq!(
-        pool_stats.pooled_batches,
-        batches.len(),
-        "forced pool must take every batch"
-    );
-    assert_eq!(pool_stats.inline_batches, 0);
-    assert!(
-        sharded_pool.store().worker_threads() > 0,
-        "forced pool spawned its workers"
-    );
     assert!(deletions > 0, "stream must exercise the deletion path");
     // Every configuration — the 1-shard store and all three sharded ones —
     // served the steady state differentially.
@@ -478,7 +462,7 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         ("single", single.stream_stats()),
         ("sharded-inline", sharded_inline.stream_stats()),
         ("sharded-background", sharded_bg.stream_stats()),
-        ("sharded-pool", sharded_pool.stream_stats()),
+        ("sharded-background-rr", sharded_rr.stream_stats()),
     ] {
         assert_eq!(
             stats.incremental_evals,
@@ -490,7 +474,7 @@ fn sharded_agrees_with_single_store_and_rebuild() {
 }
 
 /// The v02 acceptance property: checkpoint the 1-shard single store and a
-/// pooled 3-shard store **mid-stream** —
+/// 3-shard store compacting in the background **mid-stream** —
 /// dirty overlays, pending tombstones, overflow terms, background
 /// rebuilds possibly in flight — resume them from disk, continue the
 /// same `stream_agreement` batch schedule, and require every one of the
@@ -520,15 +504,13 @@ fn save_load_mid_stream_preserves_agreement() {
     let sharded = ShardedHybridStore::build(&onto, &Graph::new(), 3)
         .unwrap()
         .with_policy(policy)
-        .with_background_compaction(true)
-        .with_ingest_mode(IngestMode::Pooled);
+        .with_background_compaction(true);
     let mut live_single = StreamSession::new(single());
     let mut live_sharded = StreamSession::new(
         ShardedHybridStore::build(&onto, &Graph::new(), 3)
             .unwrap()
             .with_policy(policy)
-            .with_background_compaction(true)
-            .with_ingest_mode(IngestMode::Pooled),
+            .with_background_compaction(true),
     );
     let mut ckpt_single = StreamSession::new(single());
     let mut ckpt_sharded = StreamSession::new(sharded);
@@ -547,7 +529,7 @@ fn save_load_mid_stream_preserves_agreement() {
         if tick == restart_at {
             // Mid-stream checkpoint: both stores are dirty (the policy
             // guarantees overlay churn by now) and the sharded session
-            // may have rebuilds racing on its workers.
+            // may have rebuilds racing on their threads.
             let overlay = ckpt_single.store().overlay_len();
             assert!(overlay > 0, "checkpoint must capture a dirty overlay");
             let compactions = ckpt_single.store().stats().compactions;

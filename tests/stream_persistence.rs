@@ -19,8 +19,7 @@ use se_rdf::{Graph, Term, Triple};
 use se_sparql::QueryOptions;
 use se_stream::persist::SHARD_MANIFEST;
 use se_stream::{
-    CompactionPolicy, IngestMode, ShardPolicy, ShardedHybridStore, StreamError, StreamSession,
-    OVERFLOW_BASE,
+    CompactionPolicy, ShardPolicy, ShardedHybridStore, StreamError, StreamSession, OVERFLOW_BASE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -57,12 +56,10 @@ fn seed_graph() -> Graph {
     ])
 }
 
-/// The single-store configuration: one shard, inline ingest and inline
-/// compaction.
+/// The single-store configuration: one shard, inline compaction.
 fn single_store() -> ShardedHybridStore {
     ShardedHybridStore::build(&ontology(), &seed_graph(), 1)
         .unwrap()
-        .with_ingest_mode(IngestMode::Inline)
         .with_background_compaction(false)
 }
 
@@ -229,8 +226,7 @@ fn sharded_v02_roundtrip_with_background_rebuilds_in_flight() {
     let mut h = ShardedHybridStore::build(&ontology(), &seed_graph(), 3)
         .unwrap()
         .with_policy(CompactionPolicy { max_overlay: 4 })
-        .with_background_compaction(true)
-        .with_ingest_mode(IngestMode::Pooled);
+        .with_background_compaction(true);
     let (ins, del) = dirty_batch();
     h.apply(&ins, &del).unwrap();
     for round in 0..6 {
