@@ -29,9 +29,10 @@
 //! # Thread safety
 //!
 //! The trait carries `Send + Sync` supertraits: sources are shared across
-//! ingest workers, background-compaction threads and parallel
-//! continuous-query evaluation (`se-stream`'s sharded store fans a single
-//! query out over shard-local views on scoped threads). All built-in
+//! threads — `se-stream` evaluates a session's continuous queries
+//! concurrently, one scoped thread per query over the shared store, and
+//! `se-server` answers reads from published store snapshots on its
+//! connection threads. All built-in
 //! implementations are plain owned data (`Vec`s, boxed red-black trees,
 //! `Arc<str>` dictionaries), so the bounds are free.
 
@@ -296,8 +297,8 @@ mod tests {
     }
 
     /// The trait's `Send + Sync` supertraits hold for the built-in store
-    /// (compile-time check; scoped ingest workers and background
-    /// compaction rely on it).
+    /// (compile-time check; concurrent continuous-query evaluation and
+    /// server snapshot reads rely on it).
     #[test]
     fn sources_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

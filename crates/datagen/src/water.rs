@@ -215,41 +215,6 @@ fn observation_triples(
     (own, shared)
 }
 
-/// Workload-aware shard routing for the water scenario — the
-/// per-station-group policy hook for `se-stream`'s sharded store (wrap it
-/// as `ShardPolicy::ByIri(Arc::new(water::water_shard_group))`).
-///
-/// The measurement pipeline writes three groups at very different rates,
-/// so they are pinned to different shards instead of being spread blindly:
-///
-/// * **group 0 — topology**: `sosa:hosts` and the station/sensor classes;
-///   written once per station, queried by membership patterns;
-/// * **group 1 — observation graph**: `sosa:observes`/`sosa:hasResult`/
-///   `sosa:resultTime` and the observation/result classes; one write per
-///   observation;
-/// * **group 2 — measurement payload**: `qudt:numericValue`/`qudt:unit`
-///   and the QUDT unit classes; the hot path the anomaly query scans.
-///
-/// Remaining terms hash across all shards. Groups fold modulo the shard
-/// count, so the policy is valid for any `n >= 1`.
-pub fn water_shard_group(iri: &str, n_shards: usize) -> usize {
-    let group = match iri {
-        sosa::HOSTS | sosa::PLATFORM | sosa::SENSOR => 0,
-        sosa::OBSERVES
-        | sosa::HAS_RESULT
-        | sosa::RESULT_TIME
-        | sosa::MADE_BY_SENSOR
-        | sosa::OBSERVATION
-        | sosa::RESULT => 1,
-        qudt::NUMERIC_VALUE | qudt::UNIT => 2,
-        _ if iri.starts_with("http://qudt.org/") => 2,
-        _ => iri
-            .bytes()
-            .fold(0usize, |h, b| h.wrapping_mul(31).wrapping_add(b as usize)),
-    };
-    group % n_shards.max(1)
-}
-
 /// One streamed batch of sensor data: fresh measurement rounds to insert
 /// and expired observations to delete.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -504,31 +469,6 @@ mod tests {
         };
         assert!(has_class(qudt::PRESSURE_OR_STRESS_UNIT));
         assert!(has_class(qudt::PRESSURE_UNIT));
-    }
-
-    #[test]
-    fn shard_groups_are_stable_and_in_range() {
-        for n in [1, 2, 3, 4, 8] {
-            for iri in [
-                sosa::HOSTS,
-                sosa::OBSERVES,
-                qudt::NUMERIC_VALUE,
-                qudt::PRESSURE_UNIT,
-                "http://example.org/other",
-            ] {
-                let s = water_shard_group(iri, n);
-                assert!(s < n, "{iri} routed to {s} of {n}");
-                assert_eq!(s, water_shard_group(iri, n), "deterministic");
-            }
-        }
-        // The three pipeline groups land on distinct shards when there is
-        // room for them.
-        let groups = [
-            water_shard_group(sosa::HOSTS, 3),
-            water_shard_group(sosa::OBSERVES, 3),
-            water_shard_group(qudt::NUMERIC_VALUE, 3),
-        ];
-        assert_eq!(groups, [0, 1, 2]);
     }
 
     #[test]

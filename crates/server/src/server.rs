@@ -404,6 +404,7 @@ fn writer_loop(
                 inserts.insert(t.clone());
             }
         }
+        let epoch_before = session.store().epoch();
         match session.apply_batch(&inserts, &deletes) {
             Ok(outcome) => {
                 let snap = session.store().snapshot();
@@ -440,7 +441,13 @@ fn writer_loop(
             }
             Err(e) => {
                 // A rejected batch fails this tick only: every rider
-                // learns what happened and the writer carries on.
+                // learns what happened and the writer carries on. A
+                // failed WAL append leaves the batch applied (just not
+                // durable) and the epoch advanced: publish that state,
+                // so reads agree with what a follower bootstraps from.
+                if session.store().epoch() != epoch_before {
+                    *slot.lock().expect("snapshot slot poisoned") = session.store().snapshot();
+                }
                 let msg = e.to_string();
                 for (_, _, done) in &pending {
                     let _ = done.send(Err(msg.clone()));
@@ -451,11 +458,6 @@ fn writer_loop(
             break;
         }
     }
-    // Graceful exit: drain any WAL appends still buffered under a
-    // relaxed sync policy, so every acked batch is durable before the
-    // server reports itself stopped. With `SyncPolicy::EveryBatch` this
-    // is a no-op — acks are already durable when they are sent.
-    let _ = session.store().wal_flush();
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -506,16 +508,16 @@ fn attach_replica(
         return;
     }
     if from_epoch < current {
-        // Drain buffered appends first so the tail scan sees everything
-        // this store has acked, then prefer shipping records: a follower
-        // replays them in O(delta) instead of rebuilding from scratch.
-        // The writer thread is the sole appender and it is parked here,
-        // so the read-only scan cannot race an in-flight append.
-        let tail = session
-            .store()
-            .wal_flush()
-            .ok()
-            .and_then(|()| session.store().wal_dir())
+        // Prefer shipping records: a follower replays them in O(delta)
+        // instead of rebuilding from scratch. Every acked record is
+        // already fsynced, but a poisoned log may lack batches this store
+        // applied, so it never serves a tail. The writer thread is the
+        // sole appender and it is parked here, so the read-only scan
+        // cannot race an in-flight append.
+        let store = session.store();
+        let tail = (!store.wal_health().poisoned)
+            .then(|| store.wal_dir())
+            .flatten()
             .and_then(|dir| se_stream::read_tail(&dir, from_epoch).ok().flatten())
             .filter(|recs| recs.last().map(|r| r.epoch) == Some(current));
         let sent = match tail {

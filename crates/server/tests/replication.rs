@@ -3,7 +3,8 @@
 //! local single-threaded replay of the same batches, and to a
 //! from-scratch rebuild — at the same epoch, across deletions,
 //! compactions, a leader checkpoint that truncates WAL history (forcing
-//! the snapshot bootstrap path), and a forced feed drop/re-sync.
+//! the snapshot bootstrap path), a forced feed drop/re-sync, and a
+//! leader whose log a failed append poisoned.
 
 use se_datagen::water::{generate_stream, WaterConfig};
 use se_datagen::workload::water_anomaly_query;
@@ -11,6 +12,7 @@ use se_ontology::water_ontology;
 use se_rdf::{Graph, Term, Triple};
 use se_server::{Client, Replica, ReplicaConfig, Server, ServerConfig};
 use se_sparql::{QueryOptions, ResultSet};
+use se_stream::fault::{self, FaultMode};
 use se_stream::{CompactionPolicy, ShardedHybridStore, StreamSession, StreamStore, WalConfig};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -356,6 +358,75 @@ fn follower_catches_up_from_wal_records_and_stays_read_only() {
     );
     // The refusal leaves the connection usable.
     assert_eq!(follower.stats().unwrap().epoch, 7);
+
+    follower.shutdown().unwrap();
+    replica.join();
+    leader.shutdown().unwrap();
+    server.join();
+    cleanup(&dir);
+}
+
+/// A poisoned leader log never serves a catch-up tail. Here the failed
+/// fsync comes after the record was written in full, so the tail on disk
+/// still reaches the leader's epoch; the leader must bootstrap the late
+/// follower from a snapshot anyway, since a poisoned log makes no
+/// durability promise.
+#[test]
+fn poisoned_leader_log_bootstraps_followers_from_a_snapshot() {
+    let dir = scratch("poisoned");
+    let onto = water_ontology();
+    let cfg = WaterConfig {
+        stations: 2,
+        rounds: 1,
+        anomaly_rate: 0.3,
+        seed: 41,
+    };
+    let batches = generate_stream(&cfg, 4, 3);
+    let mut store = ShardedHybridStore::build(&onto, &Graph::new(), 2).unwrap();
+    store.attach_wal(&dir, WalConfig::default()).unwrap();
+    let mut replay =
+        StreamSession::new(ShardedHybridStore::build(&onto, &Graph::new(), 2).unwrap());
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut leader = Client::connect(server.addr()).unwrap();
+
+    for batch in &batches[..3] {
+        leader.ingest(&batch.inserts, &batch.deletes).unwrap();
+        replay.apply_batch(&batch.inserts, &batch.deletes).unwrap();
+    }
+    // The last batch's record append succeeds (operation 0 under the
+    // directory) and its fsync fails (operation 1): the batch is applied
+    // in memory, the ack is an error and the log is poisoned.
+    let last = &batches[3];
+    fault::arm(&dir, 1, FaultMode::Fail);
+    let refused = leader.ingest(&last.inserts, &last.deletes);
+    fault::disarm(&dir);
+    assert!(refused.is_err(), "a failed fsync must not be acked");
+    replay.apply_batch(&last.inserts, &last.deletes).unwrap();
+    let before = leader.stats().unwrap();
+    assert_eq!(before.wal_poisoned, 1);
+    assert_eq!(before.epoch, 4);
+
+    // A follower from epoch 0 attaches to the poisoned leader.
+    let replica = Replica::start(
+        water_ontology(),
+        server.addr(),
+        "127.0.0.1:0",
+        ReplicaConfig {
+            shards: 2,
+            reconnect: Duration::from_millis(50),
+        },
+    )
+    .unwrap();
+    let mut follower = Client::connect(replica.addr()).unwrap();
+    let epoch = wait_caught_up(&mut leader, &mut follower);
+    assert_eq!(epoch, 4);
+    assert_shapes_agree(&mut leader, &mut follower, &replay, epoch, "poisoned");
+    let after = leader.stats().unwrap();
+    assert_eq!(
+        after.repl_snapshots_served,
+        before.repl_snapshots_served + 1,
+        "a poisoned log must serve a snapshot, never a tail"
+    );
 
     follower.shutdown().unwrap();
     replica.join();

@@ -251,8 +251,8 @@ fn malformed_and_unknown_requests_leave_the_connection_usable() {
     server.join();
 }
 
-/// With a WAL attached under the default `EveryBatch` policy, an ingest
-/// ack *is* a durability receipt: after `SHUTDOWN` (or a crash — the
+/// With a WAL attached (every record fsynced before `apply` returns), an
+/// ingest ack *is* a durability receipt: after `SHUTDOWN` (or a crash — the
 /// crash matrix in `tests/crash_recovery.rs` covers that side), a
 /// restarted store recovers exactly the acked epoch, and a new server
 /// over it serves the same data.

@@ -36,17 +36,8 @@ pub trait StreamStore: TripleSource {
     ) -> Result<IngestReport, StreamError>;
 
     /// Turns capture of per-batch net deltas on [`IngestReport::delta`]
-    /// on or off. Stores that cannot capture deltas may ignore this;
-    /// incremental queries then fall back to full re-evaluation.
-    fn set_delta_capture(&mut self, _on: bool) {}
-
-    /// Drains any buffered write-ahead-log records to disk. A no-op for
-    /// stores without an attached WAL; callers that stop applying
-    /// batches (graceful shutdown) use it to make the tail durable under
-    /// lazy sync policies.
-    fn wal_flush(&self) -> Result<(), StreamError> {
-        Ok(())
-    }
+    /// on or off.
+    fn set_delta_capture(&mut self, on: bool);
 
     /// The store's current epoch: the count of successfully applied
     /// batches (plus any epoch alignment — see
@@ -62,11 +53,8 @@ pub trait StreamStore: TripleSource {
     /// its log's epoch sequence.
     fn align_epoch(&mut self, epoch: u64);
 
-    /// Operator-visible WAL durability state. The default covers stores
-    /// without WAL support (nothing attached, nothing failed).
-    fn wal_health(&self) -> WalHealth {
-        WalHealth::default()
-    }
+    /// Operator-visible WAL durability state.
+    fn wal_health(&self) -> WalHealth;
 }
 
 /// Replays one shipped WAL record into a store under the
@@ -104,10 +92,6 @@ impl StreamStore for ShardedHybridStore {
 
     fn set_delta_capture(&mut self, on: bool) {
         ShardedHybridStore::set_delta_capture(self, on);
-    }
-
-    fn wal_flush(&self) -> Result<(), StreamError> {
-        ShardedHybridStore::wal_flush(self)
     }
 
     fn epoch(&self) -> u64 {

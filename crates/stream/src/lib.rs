@@ -43,9 +43,9 @@
 //!              ┌───── encode + route ─────┐      global dictionaries:
 //!              │   (routing table: prop   │      · instances: dense, append-only
 //!              │    id → shard, concept   │      · props/concepts: one LiteMat
-//!              │    id → shard; policy    │        encode, overflow ≥ 2^62
-//!              │    hook for custom       │      · overlay literals: shared
-//!              │    layouts)              │        content-interned table
+//!              │    id → shard; new       │        encode, overflow ≥ 2^62
+//!              │    terms round robin)    │      · overlay literals: shared
+//!              │                          │        content-interned table
 //!              ▼                          ▼
 //!        ┌─────────┐                ┌─────────┐
 //!        │ shard 0 │       …        │ shard N │   on the caller:
@@ -109,13 +109,12 @@ pub use error::StreamError;
 pub use incremental::EvalStrategy;
 pub use persist::SaveReport;
 pub use shard::{
-    CompactionPolicy, IngestReport, ShardPolicy, ShardedHybridStore, ShardedStats,
-    LIT_SHARD_STRIDE, MAX_SHARDS, OVERFLOW_BASE,
+    CompactionPolicy, IngestReport, ShardedHybridStore, ShardedStats, LIT_SHARD_STRIDE, MAX_SHARDS,
+    OVERFLOW_BASE,
 };
 pub use snapshot::StoreSnapshot;
 pub use wal::{
-    decode_record_payload, encode_record_payload, read_tail, SyncPolicy, WalConfig, WalHealth,
-    WalRecord,
+    decode_record_payload, encode_record_payload, read_tail, WalConfig, WalHealth, WalRecord,
 };
 
 #[cfg(test)]

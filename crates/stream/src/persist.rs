@@ -63,8 +63,9 @@
 //!
 //! ```text
 //! store.manifest           magic "SESHMv02", version 2, sections:
-//!   META  shard count (u64), routing policy tag (str: "round_robin" |
-//!         "hash_iri" | "custom"), round-robin cursor (u64),
+//!   META  shard count (u64), routing tag (str: "round_robin"; the
+//!         legacy "hash_iri" and "custom" still load), round-robin
+//!         cursor (u64),
 //!         LIT_SHARD_STRIDE (u64), instance dictionary length (u64),
 //!         dictionary file name (str), compaction max_overlay (u64)
 //!   ISEG  instance segments: count, then (file str, from u64, to u64)…
@@ -106,13 +107,15 @@
 //!
 //! # What is *not* persisted
 //!
-//! Runtime configuration (ingest mode, background-compaction flag, the
-//! `ByIri` routing closure) and lifetime statistics are not state of the
-//! data: loaders restore defaults, and
-//! [`ShardedHybridStore::load_with_policy`] re-supplies a custom routing
-//! hook (a "custom"-tagged manifest loaded without one falls back to
-//! [`ShardPolicy::HashIri`] for *new* terms — every already-assigned
-//! route is in `ROUT` and survives verbatim).
+//! Runtime configuration (the background-compaction flag, an attached
+//! WAL, the plan cache) and lifetime statistics are not state of the
+//! data: loaders restore defaults.
+//!
+//! Routing is round robin only. Manifests tagged "hash_iri" or "custom"
+//! (written by earlier builds with hashed or caller-supplied routing)
+//! still load: every already-assigned route is in `ROUT` and is kept
+//! verbatim, and terms first seen after the restart continue round
+//! robin from the persisted cursor. The next save writes "round_robin".
 //!
 //! # Follow-ons (see ROADMAP)
 //!
@@ -124,7 +127,7 @@ use crate::continuous::StreamSession;
 use crate::delta::{DeltaObj, DeltaState, DeltaStore};
 use crate::error::StreamError;
 use crate::shard::{
-    CompactionPolicy, OverflowDict, ShardBase, ShardPolicy, ShardedHybridStore, LIT_SHARD_STRIDE,
+    CompactionPolicy, OverflowDict, ShardBase, ShardedHybridStore, LIT_SHARD_STRIDE,
 };
 use se_core::datatype::DatatypeLayer;
 use se_core::layer::TripleLayer;
@@ -156,6 +159,8 @@ const OVERLAY_MAGIC: &[u8; 8] = b"SESHOv02";
 const DICTS_MAGIC: &[u8; 8] = b"SESHDv02";
 const SEG_MAGIC: &[u8; 8] = b"SESHIv02";
 const SESSION_MAGIC: &[u8; 8] = b"SESSNv02";
+/// The META routing tag every save writes (see the module docs).
+const ROUTING_TAG: &str = "round_robin";
 
 /// Allocates a process-unique generation number. Generations identify a
 /// particular immutable shard-layer incarnation: every build, load and
@@ -706,7 +711,7 @@ impl ShardedHybridStore {
         write_container_header(&mut buf, SHARD_MANIFEST_MAGIC, FORMAT_VERSION)?;
         let mut meta = Vec::new();
         meta.write_u64(n as u64)?;
-        meta.write_str(self.routes.policy.tag())?;
+        meta.write_str(ROUTING_TAG)?;
         meta.write_u64(self.routes.next as u64)?;
         meta.write_u64(LIT_SHARD_STRIDE)?;
         meta.write_u64(inst_len)?;
@@ -788,23 +793,11 @@ impl ShardedHybridStore {
         Ok(report)
     }
 
-    /// Loads a persisted store, restoring the persisted routing
-    /// policy tag ("custom" falls back to [`ShardPolicy::HashIri`] for
-    /// terms not yet routed — every persisted assignment survives
-    /// verbatim). Use [`ShardedHybridStore::load_with_policy`] to
-    /// re-supply a `ByIri` hook.
+    /// Loads a persisted store. Every persisted route survives verbatim;
+    /// terms first routed after the restart continue round robin from the
+    /// persisted cursor, also for manifests carrying a legacy routing tag
+    /// (see the module docs).
     pub fn load(dir: &Path, ontology: &Ontology) -> Result<Self, StreamError> {
-        Self::load_with_policy(dir, ontology, None)
-    }
-
-    /// Loads a persisted store; `policy`, when given, replaces
-    /// the persisted policy tag for routing terms first seen after the
-    /// restart (already-assigned routes always come from the manifest).
-    pub fn load_with_policy(
-        dir: &Path,
-        ontology: &Ontology,
-        policy: Option<ShardPolicy>,
-    ) -> Result<Self, StreamError> {
         let manifest = std::fs::read(dir.join(SHARD_MANIFEST))?;
         let mut r = manifest.as_slice();
         read_container_header(&mut r, SHARD_MANIFEST_MAGIC, FORMAT_VERSION)?;
@@ -852,20 +845,11 @@ impl ShardedHybridStore {
                 "literal shard stride {stride:#x} differs from this build's {LIT_SHARD_STRIDE:#x}"
             )));
         }
-        let resolved_policy = match policy {
-            Some(p) => p,
-            None => match tag.as_str() {
-                "round_robin" => ShardPolicy::RoundRobin,
-                // A custom hook cannot be persisted; new terms fall back
-                // to the stable hash (documented on `load`).
-                "hash_iri" | "custom" => ShardPolicy::HashIri,
-                other => {
-                    return Err(StreamError::Corrupt(format!(
-                        "unknown routing policy tag '{other}'"
-                    )))
-                }
-            },
-        };
+        if !matches!(tag.as_str(), ROUTING_TAG | "hash_iri" | "custom") {
+            return Err(StreamError::Corrupt(format!(
+                "unknown routing policy tag '{tag}'"
+            )));
+        }
 
         let iseg = expect_section(&mut r, b"ISEG")?;
         let mut s = iseg.as_slice();
@@ -954,7 +938,7 @@ impl ShardedHybridStore {
             instances,
         };
 
-        let mut routes = crate::shard::RoutingTable::new(n_shards, resolved_policy);
+        let mut routes = crate::shard::RoutingTable::new(n_shards);
         routes.next = rr_next;
         routes.props = props;
         routes.concepts = concepts;
@@ -1041,8 +1025,8 @@ impl StreamSession<ShardedHybridStore> {
     }
 
     /// Like [`StreamSession::resume`], but over a store the caller
-    /// already loaded — the hook for
-    /// [`ShardedHybridStore::load_with_policy`].
+    /// already loaded with [`ShardedHybridStore::load`] and configured
+    /// (compaction policy, background flag).
     pub fn resume_with_store(dir: &Path, store: ShardedHybridStore) -> Result<Self, StreamError> {
         let bytes = std::fs::read(dir.join(SESSION_FILE))?;
         let mut r = bytes.as_slice();

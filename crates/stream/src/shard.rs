@@ -46,8 +46,9 @@
 //! The price of never re-encoding: properties and concepts first seen in
 //! the stream keep their overflow singleton intervals even after
 //! compaction, so subsumption reasoning over a stream-born term sees only
-//! its own assertions. The ROADMAP's "overflow-term reasoning" item —
-//! incremental LiteMat re-encoding — would close that gap.
+//! its own assertions. ROADMAP item 5 — LiteMat codes with headroom, so
+//! a stream-born subterm takes a free code inside its parent's interval
+//! without moving any existing id — would close that gap.
 
 use crate::delta::{BatchDelta, DeltaObj, DeltaState, DeltaStore, LiteralTable};
 use crate::error::StreamError;
@@ -166,102 +167,51 @@ impl OverflowDict {
     }
 }
 
-/// A custom routing function: `(iri, n_shards) -> shard`.
-pub type RoutingFn = Arc<dyn Fn(&str, usize) -> usize + Send + Sync>;
-
-/// How predicates (and `rdf:type` concepts) are assigned to shards.
-#[derive(Clone)]
-pub enum ShardPolicy {
-    /// Spread terms round-robin in first-seen dictionary order (balanced
-    /// by construction; the default).
-    RoundRobin,
-    /// FNV-1a hash of the IRI modulo the shard count (stable across
-    /// stores built from different graphs).
-    HashIri,
-    /// Custom policy: `shard = f(iri, n_shards) % n_shards`. The hook for
-    /// workload-aware layouts, e.g. the per-station-group routing of
-    /// `se-datagen`'s water scenario.
-    ByIri(RoutingFn),
-}
-
-impl ShardPolicy {
-    /// Stable tag persisted in the v02 manifest (see [`crate::persist`]).
-    pub(crate) fn tag(&self) -> &'static str {
-        match self {
-            ShardPolicy::RoundRobin => "round_robin",
-            ShardPolicy::HashIri => "hash_iri",
-            ShardPolicy::ByIri(_) => "custom",
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardPolicy::RoundRobin => f.write_str("RoundRobin"),
-            ShardPolicy::HashIri => f.write_str("HashIri"),
-            ShardPolicy::ByIri(_) => f.write_str("ByIri(..)"),
-        }
-    }
-}
-
-/// FNV-1a over the IRI bytes — the same hash `se-sds` uses for
-/// container checksums; kept as one implementation.
-fn fnv1a(s: &str) -> u64 {
-    se_sds::checksum64(s.as_bytes())
-}
-
 /// The routing table: property id → shard and concept id → shard, filled
 /// from the global dictionaries at build time and extended as overflow
-/// terms are interned. Ids are stable for the lifetime of the store (no
-/// re-encoding), so a route never changes once assigned.
+/// terms are interned. Terms are spread round-robin in first-seen
+/// dictionary order (balanced by construction). Ids are stable for the
+/// lifetime of the store (no re-encoding), so a route never changes once
+/// assigned.
 #[derive(Debug, Clone)]
 pub(crate) struct RoutingTable {
     n: usize,
-    pub(crate) policy: ShardPolicy,
-    /// Round-robin cursor (only advanced under `ShardPolicy::RoundRobin`).
+    /// Round-robin cursor: the next unrouted term goes to `next % n`.
     pub(crate) next: usize,
     pub(crate) props: HashMap<u64, usize>,
     pub(crate) concepts: HashMap<u64, usize>,
 }
 
 impl RoutingTable {
-    pub(crate) fn new(n: usize, policy: ShardPolicy) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             n,
-            policy,
             next: 0,
             props: HashMap::new(),
             concepts: HashMap::new(),
         }
     }
 
-    fn pick(&mut self, iri: &str) -> usize {
-        match &self.policy {
-            ShardPolicy::RoundRobin => {
-                let s = self.next % self.n;
-                self.next += 1;
-                s
-            }
-            ShardPolicy::HashIri => (fnv1a(iri) % self.n as u64) as usize,
-            ShardPolicy::ByIri(f) => f(iri, self.n) % self.n,
-        }
+    fn pick(&mut self) -> usize {
+        let s = self.next % self.n;
+        self.next += 1;
+        s
     }
 
-    fn assign_prop(&mut self, id: u64, iri: &str) -> usize {
+    fn assign_prop(&mut self, id: u64) -> usize {
         if let Some(&s) = self.props.get(&id) {
             return s;
         }
-        let s = self.pick(iri);
+        let s = self.pick();
         self.props.insert(id, s);
         s
     }
 
-    fn assign_concept(&mut self, id: u64, iri: &str) -> usize {
+    fn assign_concept(&mut self, id: u64) -> usize {
         if let Some(&s) = self.concepts.get(&id) {
             return s;
         }
-        let s = self.pick(iri);
+        let s = self.pick();
         self.concepts.insert(id, s);
         s
     }
@@ -538,19 +488,9 @@ pub struct ShardedHybridStore {
 
 impl ShardedHybridStore {
     /// Builds the store from an ontology and an initial graph, partitioned
-    /// into `n_shards` with the default [`ShardPolicy::RoundRobin`].
+    /// into `n_shards` (predicates and concepts routed round-robin). Shard
+    /// bases are constructed in parallel, one worker per shard.
     pub fn build(ontology: &Ontology, graph: &Graph, n_shards: usize) -> Result<Self, StreamError> {
-        Self::build_with_policy(ontology, graph, n_shards, ShardPolicy::RoundRobin)
-    }
-
-    /// Builds with an explicit routing policy. Shard bases are constructed
-    /// in parallel, one worker per shard.
-    pub fn build_with_policy(
-        ontology: &Ontology,
-        graph: &Graph,
-        n_shards: usize,
-        policy: ShardPolicy,
-    ) -> Result<Self, StreamError> {
         assert!(
             (1..=MAX_SHARDS).contains(&n_shards),
             "shard count must be in 1..={MAX_SHARDS}"
@@ -559,12 +499,12 @@ impl ShardedHybridStore {
         // the same property/concept codes and the same instance id space.
         let (augmented, _, _) = augment_ontology(ontology, graph)?;
         let mut dicts = augmented.encode().map_err(BuildError::from)?;
-        let mut routes = RoutingTable::new(n_shards, policy);
-        for (iri, enc) in dicts.properties.encoding().iter() {
-            routes.assign_prop(enc.id, iri);
+        let mut routes = RoutingTable::new(n_shards);
+        for (_, enc) in dicts.properties.encoding().iter() {
+            routes.assign_prop(enc.id);
         }
-        for (iri, enc) in dicts.concepts.encoding().iter() {
-            routes.assign_concept(enc.id, iri);
+        for (_, enc) in dicts.concepts.encoding().iter() {
+            routes.assign_concept(enc.id);
         }
 
         // Encode + route every triple to its shard's input list.
@@ -966,15 +906,10 @@ impl ShardedHybridStore {
         self.capture_delta = on;
     }
 
-    /// Whether `apply` reports carry a [`BatchDelta`].
-    pub fn delta_capture(&self) -> bool {
-        self.capture_delta
-    }
-
     /// Attaches a write-ahead log over `dir`: first checkpoints the
     /// store there (so the directory always holds a manifest the log's
-    /// records chain onto), then every successful `apply` appends the
-    /// batch's net delta per `config` before returning.
+    /// records chain onto), then every successful `apply` appends and
+    /// fsyncs the batch's net delta before returning.
     /// [`load`](ShardedHybridStore::load) replays the tail past the
     /// manifest automatically; the recovered store has no log attached —
     /// call `attach_wal` again to keep appending.
@@ -992,16 +927,6 @@ impl ShardedHybridStore {
     /// Whether a write-ahead log is attached.
     pub fn wal_attached(&self) -> bool {
         lock_wal(&self.wal).is_some()
-    }
-
-    /// Fsyncs any buffered log records (a no-op without an attached log
-    /// or under [`SyncPolicy::EveryBatch`](crate::wal::SyncPolicy)) —
-    /// the graceful-shutdown drain.
-    pub fn wal_flush(&self) -> Result<(), StreamError> {
-        match lock_wal(&self.wal).as_mut() {
-            Some(wal) => wal.flush(),
-            None => Ok(()),
-        }
     }
 
     /// Decodes the gathered effective ops back to term space and nets
@@ -1063,8 +988,8 @@ impl ShardedHybridStore {
     /// every shard's overlay is empty and no rebuild is pending the
     /// table is garbage. Keeps long streams from accumulating every
     /// distinct literal ever ingested. (Steady streams with always-dirty
-    /// overlays still grow the table — see the ROADMAP item on literal
-    /// reference counting.)
+    /// overlays still grow the table; ROADMAP item 2 retires the shared
+    /// table, keeping overlay literals in the one shard's delta.)
     ///
     /// A live [`StoreSnapshot`](crate::snapshot::StoreSnapshot) counts as
     /// non-quiescent: `Value::Literal(OVERFLOW_BASE + id)` values decoded
@@ -1111,7 +1036,7 @@ impl ShardedHybridStore {
                 let s = s_resolved.unwrap_or_else(|| self.dicts.instances.get_or_insert(&s_key));
                 let c = c_resolved.unwrap_or_else(|| {
                     let id = self.ovf_concepts.get_or_insert(c_iri);
-                    self.routes.assign_concept(id, c_iri);
+                    self.routes.assign_concept(id);
                     id
                 });
                 (s, c)
@@ -1140,7 +1065,7 @@ impl ShardedHybridStore {
         let (p, s) = if insert {
             let p = p_resolved.unwrap_or_else(|| {
                 let id = self.ovf_properties.get_or_insert(p_iri);
-                self.routes.assign_prop(id, p_iri);
+                self.routes.assign_prop(id);
                 id
             });
             let s = s_resolved.unwrap_or_else(|| self.dicts.instances.get_or_insert(&s_key));
@@ -2427,37 +2352,6 @@ mod tests {
         let mut sorted = subjects.clone();
         sorted.sort_unstable();
         assert_eq!(subjects, sorted, "scan_interval gather must merge sorted");
-    }
-
-    #[test]
-    fn custom_routing_policy_is_honoured() {
-        let all_to_zero = ShardPolicy::ByIri(Arc::new(|_iri: &str, _n: usize| 0));
-        let h = ShardedHybridStore::build_with_policy(&ontology(), &seed_graph(), 4, all_to_zero)
-            .unwrap();
-        assert_eq!(h.len(), 6);
-        // Everything routed to shard 0: the other shards stay empty.
-        for i in 1..4 {
-            assert_eq!(h.shards[i].base.len(), 0);
-        }
-        let knows = h.property_id("http://x/knows").unwrap();
-        assert_eq!(h.routes.prop(knows), 0);
-        // Hash policy: deterministic and in range.
-        let h2 = ShardedHybridStore::build_with_policy(
-            &ontology(),
-            &seed_graph(),
-            4,
-            ShardPolicy::HashIri,
-        )
-        .unwrap();
-        let h3 = ShardedHybridStore::build_with_policy(
-            &ontology(),
-            &seed_graph(),
-            4,
-            ShardPolicy::HashIri,
-        )
-        .unwrap();
-        assert_eq!(h2.routes.prop(knows), h3.routes.prop(knows));
-        assert_eq!(norm(&h2.materialize()), norm(&h3.materialize()));
     }
 
     #[test]

@@ -32,15 +32,11 @@
 //! every other persistence file ([`crate::persist`]'s `next_file_seq`),
 //! so a segment can never collide with a snapshot file.
 //!
-//! # Sync policy, rotation, truncation
+//! # Fsync, rotation, truncation
 //!
-//! [`SyncPolicy`] picks the durability/latency trade: `EveryBatch`
-//! fsyncs after each record (an `Ok` from `apply` means the batch is on
-//! disk — what the server's group-commit ack relies on), `EveryN(n)`
-//! fsyncs every n records (bounded loss window), `OsBuffered` never
-//! fsyncs explicitly (crash loss up to the OS flush interval; process
-//! *exit* is still safe because the file is written, not buffered in
-//! user space). A segment is sealed once it exceeds
+//! Every record is fsynced before `append` returns, so an `Ok` from
+//! `apply` means the batch is on disk — what the server's group-commit
+//! ack relies on. A segment is sealed once it exceeds
 //! [`WalConfig::segment_bytes`] (and at every checkpoint); `save`
 //! truncates sealed segments whose records are all covered by the
 //! manifest it just wrote — the active segment is never truncated.
@@ -84,23 +80,9 @@ const REC_TAG: &[u8; 4] = b"WREC";
 /// are untrusted on-disk data; the vectors still grow to the real size).
 const PREALLOC_CAP: u64 = 1 << 16;
 
-/// When appended records are fsynced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// Fsync after every record: an `Ok` apply is durable. The default.
-    EveryBatch,
-    /// Fsync every `n` records: at most `n - 1` acked batches can be
-    /// lost to a crash (none to a clean process exit).
-    EveryN(u64),
-    /// Never fsync explicitly; the OS flushes on its own schedule.
-    OsBuffered,
-}
-
 /// Tuning knobs for an attached WAL.
 #[derive(Clone, Copy, Debug)]
 pub struct WalConfig {
-    /// Sync policy for appended records.
-    pub sync: SyncPolicy,
     /// Seal the active segment once it exceeds this many bytes.
     pub segment_bytes: u64,
 }
@@ -108,7 +90,6 @@ pub struct WalConfig {
 impl Default for WalConfig {
     fn default() -> Self {
         Self {
-            sync: SyncPolicy::EveryBatch,
             segment_bytes: 4 << 20,
         }
     }
@@ -162,8 +143,6 @@ pub struct Wal {
     config: WalConfig,
     active: Option<ActiveSegment>,
     sealed: Vec<SealedSegment>,
-    /// Records appended since the last fsync (for [`SyncPolicy::EveryN`]).
-    unsynced: u64,
     /// Set when an append fails: the active segment's tail is in an
     /// unknown state, so writing more records after it would turn the
     /// torn tail into damage-before-the-tail — which recovery rightly
@@ -191,7 +170,6 @@ impl Wal {
             config,
             active: None,
             sealed: Vec::new(),
-            unsynced: 0,
             poisoned: false,
             appends_failed: 0,
         })
@@ -208,7 +186,7 @@ impl Wal {
         self.config
     }
 
-    /// Appends one batch record and syncs per policy. Any failure
+    /// Appends one batch record and fsyncs it. Any failure
     /// poisons the log (see [`Wal::poisoned`]); the batch stays applied
     /// in memory but is *not* durable, so the caller must surface the
     /// error instead of acking.
@@ -247,16 +225,7 @@ impl Wal {
         fault::append(&mut a.file, &a.path, &frame)?;
         a.bytes += frame.len() as u64;
         a.last = Some(epoch);
-        self.unsynced += 1;
-        let due = match self.config.sync {
-            SyncPolicy::EveryBatch => true,
-            SyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            SyncPolicy::OsBuffered => false,
-        };
-        if due {
-            fault::sync(&a.file, &a.path)?;
-            self.unsynced = 0;
-        }
+        fault::sync(&a.file, &a.path)?;
         Ok(())
     }
 
@@ -288,19 +257,6 @@ impl Wal {
                 path: a.path,
                 last: a.last,
             });
-            self.unsynced = 0;
-        }
-        Ok(())
-    }
-
-    /// Fsyncs any buffered records — the graceful-shutdown drain.
-    pub(crate) fn flush(&mut self) -> Result<(), StreamError> {
-        if self.poisoned {
-            return Err(poisoned_error());
-        }
-        if let Some(a) = &self.active {
-            fault::sync(&a.file, &a.path)?;
-            self.unsynced = 0;
         }
         Ok(())
     }
@@ -327,7 +283,6 @@ impl Wal {
                 fault::remove_file(&seg.path)?;
                 self.sealed.pop();
             }
-            self.unsynced = 0;
             self.poisoned = false;
             return Ok(());
         }
@@ -676,7 +631,6 @@ mod tests {
         let mut wal = Wal::open(
             &dir,
             WalConfig {
-                sync: SyncPolicy::EveryBatch,
                 // Tiny segments: every append rotates.
                 segment_bytes: 1,
             },
@@ -701,14 +655,7 @@ mod tests {
     #[test]
     fn checkpoint_truncates_only_covered_segments() {
         let dir = scratch("truncate");
-        let mut wal = Wal::open(
-            &dir,
-            WalConfig {
-                sync: SyncPolicy::EveryBatch,
-                segment_bytes: 1,
-            },
-        )
-        .unwrap();
+        let mut wal = Wal::open(&dir, WalConfig { segment_bytes: 1 }).unwrap();
         for epoch in 1..=4 {
             wal.append(epoch, &delta(epoch)).unwrap();
         }
@@ -750,14 +697,7 @@ mod tests {
     #[test]
     fn gap_past_the_manifest_is_corrupt() {
         let dir = scratch("gap");
-        let mut wal = Wal::open(
-            &dir,
-            WalConfig {
-                sync: SyncPolicy::EveryBatch,
-                segment_bytes: 1,
-            },
-        )
-        .unwrap();
+        let mut wal = Wal::open(&dir, WalConfig { segment_bytes: 1 }).unwrap();
         for epoch in 1..=3 {
             wal.append(epoch, &delta(epoch)).unwrap();
         }
@@ -793,10 +733,6 @@ mod tests {
         assert!(
             wal.append(3, &delta(3)).is_err(),
             "poisoned log rejects appends"
-        );
-        assert!(
-            wal.flush().is_err(),
-            "poisoned log cannot promise durability"
         );
 
         // A checkpoint covering the current epoch discards the log
@@ -851,7 +787,6 @@ mod tests {
         let mut wal = Wal::open(
             &dir,
             WalConfig {
-                sync: SyncPolicy::EveryBatch,
                 segment_bytes: 1, // force one segment per record
             },
         )
@@ -890,25 +825,6 @@ mod tests {
                 .collect::<Vec<_>>(),
             [4, 5]
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn every_n_sync_counts_records() {
-        let dir = scratch("everyn");
-        let mut wal = Wal::open(
-            &dir,
-            WalConfig {
-                sync: SyncPolicy::EveryN(3),
-                segment_bytes: u64::MAX,
-            },
-        )
-        .unwrap();
-        for epoch in 1..=7 {
-            wal.append(epoch, &delta(epoch)).unwrap();
-        }
-        wal.flush().unwrap();
-        assert_eq!(recover(&dir, 0).unwrap().len(), 7);
         let _ = fs::remove_dir_all(&dir);
     }
 }

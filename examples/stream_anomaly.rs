@@ -7,9 +7,8 @@
 //!
 //! 1. the single-store configuration — a long-lived 1-shard
 //!    [`ShardedHybridStore`] with inline compaction — and
-//! 2. three shards with the water workload's per-station-group routing
-//!    policy and **background** per-shard compaction (each rebuild on
-//!    its own thread) — behind the same [`StreamSession`] API.
+//! 2. three shards with **background** per-shard compaction (each
+//!    rebuild on its own thread) — behind the same [`StreamSession`] API.
 //!
 //! Both ingest the same measurement batches (with a sliding retention
 //! window deleting expired observations), evaluate the same registered
@@ -19,24 +18,20 @@
 //!
 //! A third run demonstrates **v02 recovery**: the sharded session is
 //! killed mid-stream (checkpointed with the O(delta) `save` — no
-//! compaction — and dropped), resumed from the sharded manifest with the
-//! same routing hook, and must raise the *identical alert sequence* as
-//! the uninterrupted run.
+//! compaction — and dropped), resumed from the sharded manifest, and must
+//! raise the *identical alert sequence* as the uninterrupted run.
 //!
 //! ```text
 //! cargo run --example stream_anomaly
 //! ```
 
-use std::sync::Arc;
-use succinct_edge::datagen::water::{generate_stream, water_shard_group, StreamBatch, WaterConfig};
+use succinct_edge::datagen::water::{generate_stream, StreamBatch, WaterConfig};
 use succinct_edge::datagen::workload::water_anomaly_query;
 use succinct_edge::ontology::water_ontology;
 use succinct_edge::rdf::Graph;
 use succinct_edge::sparql::QueryOptions;
 use succinct_edge::store::TripleSource;
-use succinct_edge::stream::{
-    CompactionPolicy, ShardPolicy, ShardedHybridStore, StreamSession, StreamStore,
-};
+use succinct_edge::stream::{CompactionPolicy, ShardedHybridStore, StreamSession, StreamStore};
 
 /// Registers the §2 anomaly query on a session.
 fn register<S: StreamStore>(session: &mut StreamSession<S>) {
@@ -128,15 +123,10 @@ fn main() {
     // ---- engine 2: sharded store, background compaction --------------------
     println!();
     let build_sharded = || {
-        ShardedHybridStore::build_with_policy(
-            &onto,
-            &Graph::new(),
-            3,
-            ShardPolicy::ByIri(Arc::new(water_shard_group)),
-        )
-        .expect("empty sharded baseline builds")
-        .with_policy(policy)
-        .with_background_compaction(true)
+        ShardedHybridStore::build(&onto, &Graph::new(), 3)
+            .expect("empty sharded baseline builds")
+            .with_policy(policy)
+            .with_background_compaction(true)
     };
     let sharded_extra = |s: &ShardedHybridStore| {
         format!(
@@ -174,13 +164,9 @@ fn main() {
         report.baseline_files_written, report.delta_bytes,
     );
     drop(doomed); // the "kill": rebuild threads join, in-memory state is gone
-    let reloaded = ShardedHybridStore::load_with_policy(
-        &ckpt,
-        &onto,
-        Some(ShardPolicy::ByIri(Arc::new(water_shard_group))),
-    )
-    .expect("manifest loads")
-    .with_background_compaction(true);
+    let reloaded = ShardedHybridStore::load(&ckpt, &onto)
+        .expect("manifest loads")
+        .with_background_compaction(true);
     let mut recovered = StreamSession::resume_with_store(&ckpt, reloaded).expect("session resumes");
     println!(
         "recover restart: {} triples, {} continuous query re-registered from session.v02",

@@ -26,7 +26,7 @@ use se_rdf::{Graph, Term, Triple};
 use se_sparql::QueryOptions;
 use se_stream::fault::{self, FaultMode};
 use se_stream::persist::SHARD_MANIFEST;
-use se_stream::{wal, ShardedHybridStore, StreamError, SyncPolicy, WalConfig};
+use se_stream::{wal, ShardedHybridStore, StreamError, WalConfig};
 use std::path::{Path, PathBuf};
 
 fn iri(s: &str) -> Term {
@@ -143,13 +143,10 @@ fn answers<S: TripleSource>(store: &S) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Small segments so the workload rotates several times, and per-batch
-/// fsync so an `Ok` apply is an acknowledged-durable batch.
+/// Small segments so the workload rotates several times (every record
+/// is fsynced, so an `Ok` apply is an acknowledged-durable batch).
 fn wal_config() -> WalConfig {
-    WalConfig {
-        sync: SyncPolicy::EveryBatch,
-        segment_bytes: 256,
-    }
+    WalConfig { segment_bytes: 256 }
 }
 
 /// A freshly built store over the seed graph with `shards` shards.
@@ -294,7 +291,6 @@ fn interleaved_checkpoints_never_truncate_needed_segments() {
         .attach_wal(
             &dir,
             WalConfig {
-                sync: SyncPolicy::EveryBatch,
                 segment_bytes: 1, // rotate on every append
             },
         )

@@ -10,15 +10,14 @@
 //! after compactions triggered by the overlay-size policy.
 
 use se_core::{SuccinctEdgeStore, TripleSource};
-use se_datagen::water::{generate_stream, water_shard_group, WaterConfig};
+use se_datagen::water::{generate_stream, WaterConfig};
 use se_datagen::workload::water_anomaly_query;
 use se_ontology::water_ontology;
 use se_rdf::{Graph, Triple};
 use se_sparql::{QueryOptions, ResultSet};
-use se_stream::{CompactionPolicy, ShardPolicy, ShardedHybridStore, StreamSession};
+use se_stream::{CompactionPolicy, ShardedHybridStore, StreamSession};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Sorted row strings: ResultSets compare as multisets (SPARQL bag
 /// semantics — live store and rebuild may enumerate rows in different
@@ -273,9 +272,8 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
 /// and compactions, the scatter/gather [`ShardedHybridStore`] answers all
 /// eleven query shapes (reasoning on and off) identically to the 1-shard
 /// single store *and* a from-scratch rebuild — with inline per-shard
-/// compaction, with background compaction racing the stream under both
-/// the workload-aware routing policy from `se-datagen` and the default
-/// round-robin one.
+/// compaction, and with background compaction racing the stream at 4 and
+/// at 3 shards.
 #[test]
 fn sharded_agrees_with_single_store_and_rebuild() {
     let onto = water_ontology();
@@ -295,17 +293,11 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         .unwrap()
         .with_policy(policy)
         .with_background_compaction(false);
-    let sharded_bg = ShardedHybridStore::build_with_policy(
-        &onto,
-        &Graph::new(),
-        4,
-        ShardPolicy::ByIri(Arc::new(water_shard_group)),
-    )
-    .unwrap()
-    .with_policy(policy)
-    .with_background_compaction(true);
-    // Round-robin routing over 3 shards, background rebuilds racing the
-    // stream.
+    // Background rebuilds racing the stream, over 4 and over 3 shards.
+    let sharded_bg = ShardedHybridStore::build(&onto, &Graph::new(), 4)
+        .unwrap()
+        .with_policy(policy)
+        .with_background_compaction(true);
     let sharded_rr = ShardedHybridStore::build(&onto, &Graph::new(), 3)
         .unwrap()
         .with_policy(policy)

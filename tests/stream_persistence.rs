@@ -11,6 +11,8 @@
 //!   future, checksum mismatch, dangling manifest references — surfaces
 //!   as a clean `StreamError`, never a panic;
 //! * v01 single-file stores stay loadable as static stores;
+//! * stores saved with the retired hashed or custom routing load with
+//!   every route kept;
 //! * a checkpointed `StreamSession` resumes its continuous queries.
 
 use se_core::{SuccinctEdgeStore, TripleSource};
@@ -18,11 +20,8 @@ use se_ontology::Ontology;
 use se_rdf::{Graph, Term, Triple};
 use se_sparql::QueryOptions;
 use se_stream::persist::SHARD_MANIFEST;
-use se_stream::{
-    CompactionPolicy, ShardPolicy, ShardedHybridStore, StreamError, StreamSession, OVERFLOW_BASE,
-};
+use se_stream::{CompactionPolicy, ShardedHybridStore, StreamError, StreamSession, OVERFLOW_BASE};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 fn iri(s: &str) -> Term {
     Term::iri(format!("http://x/{s}"))
@@ -371,30 +370,106 @@ fn resave_after_restart_never_overwrites_referenced_files() {
     cleanup(&dir);
 }
 
+// ------------------------------------------------ legacy routing tags
+
+/// A 4-shard store saved by an earlier build whose manifest carries the
+/// retired routing tag `tag`: `"hash_iri"` (FNV-1a of the IRI modulo the
+/// shard count) or `"custom"` (a caller closure sending every term to
+/// shard 0). Each holds [`seed_graph`] after one batch that tombstoned a
+/// baseline triple and inserted an overflow property, an overflow
+/// concept and an overlay literal.
+fn legacy_fixture(tag: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/legacy_routing")
+        .join(tag)
+}
+
+/// The shard the retired rule `tag` routed `iri` to.
+fn legacy_route(tag: &str, iri: &str) -> usize {
+    match tag {
+        "hash_iri" => (se_sds::checksum64(iri.as_bytes()) % 4) as usize,
+        _ => 0,
+    }
+}
+
+/// The graph both legacy fixtures hold.
+fn legacy_saved_graph() -> Graph {
+    Graph::from_triples([
+        ty("a", "C2"),
+        ty("b", "C1"),
+        t("a", "worksFor", iri("org")),
+        t("b", "memberOf", iri("org")),
+        t("a", "age", Term::literal("42")),
+        t("c", "knows", iri("a")),
+        t("x", "freshProp", iri("a")),
+        ty("c", "NewKind"),
+        t("c", "age", Term::literal("7")),
+    ])
+}
+
+/// Routing is round robin only, but manifests tagged by the retired
+/// routing rules still load: every route they assigned is kept, terms
+/// first seen after the restart continue round robin, and the next save
+/// round-trips.
 #[test]
-fn custom_policy_roundtrip_keeps_routes() {
-    let dir = scratch("sharded-policy");
-    let all_to_zero: ShardPolicy = ShardPolicy::ByIri(Arc::new(|_iri: &str, _n: usize| 0));
-    let mut h =
-        ShardedHybridStore::build_with_policy(&ontology(), &seed_graph(), 4, all_to_zero.clone())
-            .unwrap();
-    h.apply(
-        &Graph::from_triples([t("x", "freshProp", iri("a"))]),
-        &Graph::new(),
-    )
-    .unwrap();
-    h.save(&dir).unwrap();
-    // Loading with the hook re-supplied keeps routing semantics whole.
-    let back = ShardedHybridStore::load_with_policy(&dir, &ontology(), Some(all_to_zero)).unwrap();
-    assert_eq!(norm(&back.materialize()), norm(&h.materialize()));
-    // Persisted assignments survive verbatim even without the hook.
-    let fallback = ShardedHybridStore::load(&dir, &ontology()).unwrap();
-    assert_eq!(
-        fallback.property_id("http://x/freshProp"),
-        h.property_id("http://x/freshProp")
-    );
-    assert_eq!(norm(&fallback.materialize()), norm(&h.materialize()));
-    cleanup(&dir);
+fn legacy_routing_tags_load_and_keep_routes() {
+    for tag in ["hash_iri", "custom"] {
+        let mut back = ShardedHybridStore::load(&legacy_fixture(tag), &ontology())
+            .unwrap()
+            .with_background_compaction(false);
+        assert_eq!(back.shard_count(), 4, "{tag}");
+        assert_eq!(
+            norm(&back.materialize()),
+            norm(&legacy_saved_graph()),
+            "{tag}"
+        );
+        // The ids the saving store reported before it saved.
+        assert_eq!(back.property_id("http://x/worksFor"), Some(15), "{tag}");
+        assert_eq!(
+            back.property_id("http://x/freshProp"),
+            Some(OVERFLOW_BASE),
+            "{tag}"
+        );
+
+        // Fresh inserts land on the shard each property was routed to
+        // before the save, and are queryable; a new property is too.
+        for p in ["knows", "freshProp"] {
+            let shard = legacy_route(tag, &format!("http://x/{p}"));
+            let before = back.shard_overlay_len(shard);
+            back.apply(&Graph::from_triples([t("z", p, iri("a"))]), &Graph::new())
+                .unwrap();
+            assert_eq!(
+                back.shard_overlay_len(shard),
+                before + 1,
+                "{tag}: {p} kept its route"
+            );
+        }
+        back.apply(
+            &Graph::from_triples([t("z", "newerProp", iri("b"))]),
+            &Graph::new(),
+        )
+        .unwrap();
+        for (p, expected) in [("knows", 2), ("freshProp", 2), ("newerProp", 1)] {
+            let q = format!("PREFIX e: <http://x/> SELECT ?s ?o WHERE {{ ?s e:{p} ?o }}");
+            let rs = se_sparql::execute_query(&back, &q, &QueryOptions::default()).unwrap();
+            assert_eq!(rs.rows.len(), expected, "{tag}: {p}");
+        }
+
+        // Save -> load round trip (the save writes the round-robin tag).
+        let dir = scratch(&format!("legacy-{tag}"));
+        back.save(&dir).unwrap();
+        let again = ShardedHybridStore::load(&dir, &ontology()).unwrap();
+        assert_eq!(
+            norm(&again.materialize()),
+            norm(&back.materialize()),
+            "{tag}"
+        );
+        for p in ["worksFor", "freshProp", "newerProp"] {
+            let p = format!("http://x/{p}");
+            assert_eq!(again.property_id(&p), back.property_id(&p), "{tag}: {p}");
+        }
+        cleanup(&dir);
+    }
 }
 
 // ------------------------------------------------------- v01 compatibility
