@@ -156,8 +156,8 @@ mod tests {
         let p_iv = back.property_interval("http://x/memberOf").unwrap();
         let org = back.instance_id(&Term::iri("http://x/org")).unwrap();
         assert_eq!(
-            back.subjects_interval(p_iv, &crate::Value::Instance(org)),
-            store.subjects_interval(p_iv, &crate::Value::Instance(org))
+            crate::source::subjects_in(&back, p_iv, &crate::Value::Instance(org)),
+            crate::source::subjects_in(&store, p_iv, &crate::Value::Instance(org))
         );
         // Literals survive.
         let age = back.property_id("http://x/age").unwrap();

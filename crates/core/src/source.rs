@@ -2,13 +2,27 @@
 //!
 //! The paper evaluates every triple pattern through a fixed menu of
 //! identifier-space accesses (Algorithms 2–4 plus the LiteMat interval
-//! variants of §5.2). This trait captures exactly that menu, so the query
+//! variants of §5.2). This trait captures that menu, so the query
 //! executor in `se-sparql` is independent of *which* store answers it:
 //!
 //! * the immutable [`SuccinctEdgeStore`](crate::SuccinctEdgeStore) —
 //!   wavelet trees, bitmaps and red-black trees;
 //! * the streaming `ShardedHybridStore` of `se-stream` — succinct layers
-//!   plus a mutable delta overlay of inserted/deleted triples.
+//!   plus a mutable delta overlay of inserted/deleted triples (its
+//!   epoch-pinned `StoreSnapshot` derefs to one).
+//!
+//! # Exact probes and the one interval rule
+//!
+//! A store implements only *exact* probes — one property id per call —
+//! plus [`properties_in`](TripleSource::properties_in), the distinct
+//! property ids it holds inside a LiteMat interval. Reasoning over a
+//! property hierarchy (§5.2: "replace index_p with a continuous interval")
+//! is written once, here, as free functions generic over any source:
+//! [`objects_in`], [`subjects_in`], [`subjects_by_literal_in`],
+//! [`scan_in`] and [`predicate_count_in`] each run the exact probe once per
+//! property of the interval and combine the answers. `rdf:type` patterns
+//! are the exception: the RDFType store answers a concept interval with
+//! one range scan, so the trait carries the interval forms directly.
 //!
 //! # Contract
 //!
@@ -17,8 +31,12 @@
 //! * [`scan_predicate`](TripleSource::scan_predicate) returns `(subject,
 //!   object)` pairs **sorted by subject id** (PSO order) — the merge-join
 //!   fast path of §5.2 merges it against a subject-sorted intermediate
-//!   relation;
+//!   relation. [`scan_in`] k-way merges those runs, so an interval scan is
+//!   subject-sorted on every store too;
 //! * `subjects*` results are ascending and deduplicated;
+//! * [`properties_in`](TripleSource::properties_in) is ascending,
+//!   deduplicated, and includes every property with a visible triple in
+//!   the interval (it may include one whose triples are all deleted);
 //! * [`values_join`](TripleSource::values_join) must treat two
 //!   [`Value::Literal`]s with equal literal *content* as joinable even if
 //!   their indices differ (the flat literal store keeps duplicates);
@@ -86,7 +104,7 @@ pub trait TripleSource: Send + Sync {
         }
     }
 
-    // ------------------------------------------------ TP eval (no inference)
+    // ------------------------------------------------------- exact TP probes
 
     /// `(s, p, ?o)`.
     fn objects(&self, p: u64, s: u64) -> Vec<Value>;
@@ -103,35 +121,20 @@ pub trait TripleSource: Send + Sync {
     /// `(s, p, o)` membership.
     fn contains(&self, p: u64, s: u64, o: &Value) -> bool;
 
-    // -------------------------------------------- TP eval (LiteMat inference)
-
-    /// Reasoning-enabled `(s, p⊑, ?o)` over a property interval.
-    fn objects_interval(&self, p_iv: IdInterval, s: u64) -> Vec<Value>;
-
-    /// Reasoning-enabled `(?s, p⊑, o)`.
-    fn subjects_interval(&self, p_iv: IdInterval, o: &Value) -> Vec<u64>;
-
-    /// Reasoning-enabled `(?s, p⊑, lit)` with a literal constant object.
-    fn subjects_by_literal_interval(&self, p_iv: IdInterval, lit: &Literal) -> Vec<u64>;
-
-    /// Reasoning-enabled `(?s, p⊑, ?o)`.
-    fn scan_interval(&self, p_iv: IdInterval) -> Vec<(u64, Value)>;
+    /// Distinct property ids inside `iv` that the store holds triples
+    /// for, ascending — the fan-out set of every interval pattern.
+    fn properties_in(&self, iv: IdInterval) -> Vec<u64>;
 
     // ----------------------------------------------------------- rdf:type TPs
 
-    /// `(?s, rdf:type, C)` without reasoning.
-    fn subjects_of_concept(&self, c: u64) -> Vec<u64>;
-
-    /// `(?s, rdf:type, C)` with reasoning over C's sub-hierarchy.
+    /// `(?s, rdf:type, C)` over a concept interval (a singleton interval
+    /// without reasoning, C's sub-hierarchy with it).
     fn subjects_of_concept_interval(&self, iv: IdInterval) -> Vec<u64>;
 
     /// `(s, rdf:type, ?c)`.
     fn concepts_of_subject(&self, s: u64) -> Vec<u64>;
 
-    /// `(s, rdf:type, C)` exact membership.
-    fn has_type(&self, s: u64, c: u64) -> bool;
-
-    /// `(s, rdf:type, C)` membership with reasoning.
+    /// `(s, rdf:type, C)` membership over a concept interval.
     fn has_type_in_interval(&self, s: u64, iv: IdInterval) -> bool;
 
     /// `(?s, rdf:type, ?c)` — all `(subject, concept)` pairs.
@@ -150,14 +153,87 @@ pub trait TripleSource: Send + Sync {
     /// Triples with predicate `p` (the optimizer's Algorithm 2 statistic).
     fn predicate_count(&self, p: u64) -> usize;
 
-    /// Triples whose predicate lies in the interval.
-    fn predicate_interval_count(&self, iv: IdInterval) -> usize;
-
-    /// `rdf:type` triples whose concept lies in the interval.
+    /// `rdf:type` triples whose concept lies in the interval
+    /// ([`IdInterval::ALL`] counts them all).
     fn type_count(&self, iv: IdInterval) -> usize;
+}
 
-    /// Total number of `rdf:type` triples.
-    fn type_total(&self) -> usize;
+/// Reasoning-enabled `(s, p⊑, ?o)`: the objects of `s` under every
+/// property of the interval.
+pub fn objects_in<S: TripleSource + ?Sized>(store: &S, iv: IdInterval, s: u64) -> Vec<Value> {
+    let props = store.properties_in(iv);
+    props
+        .into_iter()
+        .flat_map(|p| store.objects(p, s))
+        .collect()
+}
+
+/// Reasoning-enabled `(?s, p⊑, o)`, ascending and deduplicated.
+pub fn subjects_in<S: TripleSource + ?Sized>(store: &S, iv: IdInterval, o: &Value) -> Vec<u64> {
+    let props = store.properties_in(iv);
+    sorted_union(props.into_iter().map(|p| store.subjects(p, o)))
+}
+
+/// Reasoning-enabled `(?s, p⊑, lit)` with a literal constant object.
+pub fn subjects_by_literal_in<S: TripleSource + ?Sized>(
+    store: &S,
+    iv: IdInterval,
+    lit: &Literal,
+) -> Vec<u64> {
+    let props = store.properties_in(iv);
+    sorted_union(props.into_iter().map(|p| store.subjects_by_literal(p, lit)))
+}
+
+/// Reasoning-enabled `(?s, p⊑, ?o)`: every property's subject-sorted scan,
+/// k-way merged so the whole result stays **sorted by subject**.
+pub fn scan_in<S: TripleSource + ?Sized>(store: &S, iv: IdInterval) -> Vec<(u64, Value)> {
+    let props = store.properties_in(iv);
+    kway_merge_by_subject(props.into_iter().map(|p| store.scan_predicate(p)).collect())
+}
+
+/// Triples whose predicate lies in the interval.
+pub fn predicate_count_in<S: TripleSource + ?Sized>(store: &S, iv: IdInterval) -> usize {
+    let props = store.properties_in(iv);
+    props.into_iter().map(|p| store.predicate_count(p)).sum()
+}
+
+fn sorted_union(runs: impl Iterator<Item = Vec<u64>>) -> Vec<u64> {
+    let mut out: Vec<u64> = runs.flatten().collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// K-way merge of subject-sorted `(subject, value)` runs into one
+/// subject-sorted run — a min-heap over run heads, O(n log k) (stable:
+/// ties broken by run index, so a run listed first keeps its rows first).
+pub fn kway_merge_by_subject(mut runs: Vec<Vec<(u64, Value)>>) -> Vec<(u64, Value)> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    runs.retain(|r| !r.is_empty());
+    match runs.len() {
+        0 => return Vec::new(),
+        1 => return runs.pop().expect("len checked"),
+        _ => {}
+    }
+    let total = runs.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total);
+    // Heap key: (subject, run index) — run index both breaks ties
+    // deterministically and addresses the cursor.
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = runs
+        .iter()
+        .enumerate()
+        .map(|(k, run)| Reverse((run[0].0, k)))
+        .collect();
+    let mut cursors = vec![0usize; runs.len()];
+    while let Some(Reverse((_, k))) = heap.pop() {
+        out.push(runs[k][cursors[k]]);
+        cursors[k] += 1;
+        if let Some(&(s, _)) = runs[k].get(cursors[k]) {
+            heap.push(Reverse((s, k)));
+        }
+    }
+    out
 }
 
 impl TripleSource for crate::SuccinctEdgeStore {
@@ -200,29 +276,14 @@ impl TripleSource for crate::SuccinctEdgeStore {
     fn contains(&self, p: u64, s: u64, o: &Value) -> bool {
         Self::contains(self, p, s, o)
     }
-    fn objects_interval(&self, p_iv: IdInterval, s: u64) -> Vec<Value> {
-        Self::objects_interval(self, p_iv, s)
-    }
-    fn subjects_interval(&self, p_iv: IdInterval, o: &Value) -> Vec<u64> {
-        Self::subjects_interval(self, p_iv, o)
-    }
-    fn subjects_by_literal_interval(&self, p_iv: IdInterval, lit: &Literal) -> Vec<u64> {
-        Self::subjects_by_literal_interval(self, p_iv, lit)
-    }
-    fn scan_interval(&self, p_iv: IdInterval) -> Vec<(u64, Value)> {
-        Self::scan_interval(self, p_iv)
-    }
-    fn subjects_of_concept(&self, c: u64) -> Vec<u64> {
-        Self::subjects_of_concept(self, c)
+    fn properties_in(&self, iv: IdInterval) -> Vec<u64> {
+        Self::properties_in(self, iv)
     }
     fn subjects_of_concept_interval(&self, iv: IdInterval) -> Vec<u64> {
         Self::subjects_of_concept_interval(self, iv)
     }
     fn concepts_of_subject(&self, s: u64) -> Vec<u64> {
         Self::concepts_of_subject(self, s)
-    }
-    fn has_type(&self, s: u64, c: u64) -> bool {
-        Self::has_type(self, s, c)
     }
     fn has_type_in_interval(&self, s: u64, iv: IdInterval) -> bool {
         Self::has_type_in_interval(self, s, iv)
@@ -236,14 +297,8 @@ impl TripleSource for crate::SuccinctEdgeStore {
     fn predicate_count(&self, p: u64) -> usize {
         Self::predicate_count(self, p)
     }
-    fn predicate_interval_count(&self, iv: IdInterval) -> usize {
-        Self::predicate_interval_count(self, iv)
-    }
     fn type_count(&self, iv: IdInterval) -> usize {
         Self::type_count(self, iv)
-    }
-    fn type_total(&self) -> usize {
-        self.type_store().len()
     }
 }
 
@@ -275,7 +330,7 @@ mod tests {
         let src: &dyn TripleSource = &store;
 
         assert_eq!(src.len(), 3);
-        assert_eq!(src.type_total(), 1);
+        assert_eq!(src.type_count(IdInterval::ALL), 1);
         let knows = src.property_id("http://x/knows").unwrap();
         let a = src.instance_id(&iri("a")).unwrap();
         let b = src.instance_id(&iri("b")).unwrap();
@@ -291,7 +346,7 @@ mod tests {
         assert!(src.values_join(lit, lit));
         let age_iv = src.property_interval("http://x/age").unwrap();
         assert_eq!(
-            src.subjects_by_literal_interval(age_iv, &Literal::string("42")),
+            subjects_by_literal_in(src, age_iv, &Literal::string("42")),
             vec![a]
         );
     }

@@ -1,6 +1,7 @@
 //! The assembled SuccinctEdge store: dictionaries + the three storage
 //! components, with triple-pattern evaluation in identifier space
-//! (Algorithms 2–4 of the paper) and the LiteMat reasoning variants.
+//! (Algorithms 2–4 of the paper). LiteMat property-interval reasoning runs
+//! over [`SuccinctEdgeStore::properties_in`] in [`crate::source`].
 
 use crate::builder::{build_store, instance_key, key_to_term_arc, BuildStats};
 use crate::datatype::DatatypeLayer;
@@ -205,104 +206,24 @@ impl SuccinctEdgeStore {
         }
     }
 
-    // ------------------------------------------------ TP eval (LiteMat inference)
-
-    /// Reasoning-enabled `(s, p⊑, ?o)`: the predicate position ranges over
-    /// the LiteMat interval of `p` — "we can replace index_p with a
-    /// continuous interval corresponding to a LiteMat interval" (§5.2).
-    pub fn objects_interval(&self, p_iv: IdInterval, s: u64) -> Vec<Value> {
-        let mut out = Vec::new();
-        for idx in self.object_layer.predicate_range(p_iv.lower, p_iv.upper) {
-            let p = self.object_layer.predicate_at(idx);
-            out.extend(
-                self.object_layer
-                    .objects(p, s)
-                    .into_iter()
-                    .map(Value::Instance),
-            );
-        }
-        for idx in self.datatype_layer.predicate_range(p_iv.lower, p_iv.upper) {
-            let p = self.datatype_layer.predicate_at(idx);
-            out.extend(
-                self.datatype_layer
-                    .literal_indices(p, s)
-                    .map(Value::Literal),
-            );
-        }
-        out
-    }
-
-    /// Reasoning-enabled `(?s, p⊑, o)`.
-    pub fn subjects_interval(&self, p_iv: IdInterval, o: &Value) -> Vec<u64> {
-        let mut out = Vec::new();
-        match o {
-            Value::Instance(oid) => {
-                for idx in self.object_layer.predicate_range(p_iv.lower, p_iv.upper) {
-                    let p = self.object_layer.predicate_at(idx);
-                    out.extend(self.object_layer.subjects(p, *oid));
-                }
-            }
-            Value::Literal(lit_idx) => {
-                if let Some(lit) = self.datatype_layer.literal(*lit_idx) {
-                    for idx in self.datatype_layer.predicate_range(p_iv.lower, p_iv.upper) {
-                        let p = self.datatype_layer.predicate_at(idx);
-                        out.extend(self.datatype_layer.subjects_by_literal(p, lit));
-                    }
-                }
-            }
-            _ => {}
-        }
+    /// Distinct property ids in `iv` held by either layer, ascending —
+    /// the fan-out set of a LiteMat interval pattern (§5.2).
+    pub fn properties_in(&self, iv: IdInterval) -> Vec<u64> {
+        let obj = self.object_layer.predicate_range(iv.lower, iv.upper);
+        let dt = self.datatype_layer.predicate_range(iv.lower, iv.upper);
+        let mut out: Vec<u64> = obj
+            .map(|k| self.object_layer.predicate_at(k))
+            .chain(dt.map(|k| self.datatype_layer.predicate_at(k)))
+            .collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Reasoning-enabled `(?s, p⊑, lit)`: subjects carrying the literal
-    /// under any property of the interval (each sub-property checked via
-    /// the datatype layer).
-    pub fn subjects_by_literal_interval(&self, p_iv: IdInterval, lit: &Literal) -> Vec<u64> {
-        let mut subs = Vec::new();
-        for idx in self.datatype_layer.predicate_range(p_iv.lower, p_iv.upper) {
-            subs.extend(
-                self.datatype_layer
-                    .subjects_by_literal(self.datatype_layer.predicate_at(idx), lit),
-            );
-        }
-        subs.sort_unstable();
-        subs.dedup();
-        subs
-    }
-
-    /// Reasoning-enabled `(?s, p⊑, ?o)`.
-    pub fn scan_interval(&self, p_iv: IdInterval) -> Vec<(u64, Value)> {
-        let mut out = Vec::new();
-        for idx in self.object_layer.predicate_range(p_iv.lower, p_iv.upper) {
-            out.extend(
-                self.object_layer
-                    .scan_predicate_index(idx)
-                    .into_iter()
-                    .map(|(s, o)| (s, Value::Instance(o))),
-            );
-        }
-        for idx in self.datatype_layer.predicate_range(p_iv.lower, p_iv.upper) {
-            out.extend(
-                self.datatype_layer
-                    .scan_predicate_index(idx)
-                    .into_iter()
-                    .map(|(s, i)| (s, Value::Literal(i))),
-            );
-        }
-        out
-    }
-
     // ----------------------------------------------------------- rdf:type TPs
 
-    /// `(?s, rdf:type, C)` without reasoning.
-    pub fn subjects_of_concept(&self, c: u64) -> Vec<u64> {
-        self.type_store.subjects_of(c)
-    }
-
-    /// `(?s, rdf:type, C)` with LiteMat reasoning over C's sub-hierarchy.
+    /// `(?s, rdf:type, C)` over a concept interval: a singleton without
+    /// reasoning, C's LiteMat sub-hierarchy with it.
     pub fn subjects_of_concept_interval(&self, iv: IdInterval) -> Vec<u64> {
         self.type_store.subjects_of_interval(iv)
     }
@@ -317,32 +238,11 @@ impl SuccinctEdgeStore {
         self.type_store.has_type_in_interval(s, iv)
     }
 
-    /// `(s, rdf:type, C)` exact membership.
-    pub fn has_type(&self, s: u64, c: u64) -> bool {
-        self.type_store.has_type(s, c)
-    }
-
     // ------------------------------------------------------------- statistics
 
     /// Paper Algorithm 2: triples with predicate `p` (both layers).
     pub fn predicate_count(&self, p: u64) -> usize {
         self.object_layer.count_predicate(p) + self.datatype_layer.count_predicate(p)
-    }
-
-    /// Triples whose predicate lies in the LiteMat interval.
-    pub fn predicate_interval_count(&self, iv: IdInterval) -> usize {
-        let mut n = 0;
-        for idx in self.object_layer.predicate_range(iv.lower, iv.upper) {
-            n += self
-                .object_layer
-                .count_predicate(self.object_layer.predicate_at(idx));
-        }
-        for idx in self.datatype_layer.predicate_range(iv.lower, iv.upper) {
-            n += self
-                .datatype_layer
-                .count_predicate(self.datatype_layer.predicate_at(idx));
-        }
-        n
     }
 
     /// `rdf:type` triples whose concept lies in the interval.
@@ -529,14 +429,17 @@ mod tests {
         let s2 = st.instance_id(&iri("s2")).unwrap();
         let c1 = st.concept_id("http://x/C1").unwrap();
         // No reasoning: only s1 is directly typed C1.
-        assert_eq!(st.subjects_of_concept(c1), vec![s1]);
+        assert_eq!(
+            st.subjects_of_concept_interval(IdInterval::point(c1)),
+            vec![s1]
+        );
         // With reasoning: C2 ⊑ C1, so s2 joins.
         let iv = st.concept_interval("http://x/C1").unwrap();
         let mut expected = vec![s1, s2];
         expected.sort_unstable();
         assert_eq!(st.subjects_of_concept_interval(iv), expected);
         assert!(st.has_type_in_interval(s2, iv));
-        assert!(!st.has_type(s2, c1));
+        assert!(!st.has_type_in_interval(s2, IdInterval::point(c1)));
     }
 
     #[test]
@@ -657,13 +560,13 @@ mod tests {
         let st = SuccinctEdgeStore::build(&o, &g).unwrap();
         let iv = st.property_interval("http://x/memberOf").unwrap();
         let org1 = st.instance_id(&iri("org1")).unwrap();
-        let subs = st.subjects_interval(iv, &Value::Instance(org1));
+        let subs = crate::source::subjects_in(&st, iv, &Value::Instance(org1));
         assert_eq!(subs.len(), 2);
         // Without reasoning only the direct assertion is found.
         let member_of = st.property_id("http://x/memberOf").unwrap();
         assert_eq!(st.subjects(member_of, &Value::Instance(org1)).len(), 1);
         // Counts follow the same logic.
-        assert_eq!(st.predicate_interval_count(iv), 2);
+        assert_eq!(crate::source::predicate_count_in(&st, iv), 2);
         assert_eq!(st.predicate_count(member_of), 1);
     }
 

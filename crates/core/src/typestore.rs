@@ -49,14 +49,6 @@ impl RdfTypeStore {
         self.by_concept.is_empty()
     }
 
-    /// Subjects typed exactly `concept` (no reasoning), ascending.
-    pub fn subjects_of(&self, concept: u64) -> Vec<u64> {
-        self.subjects_of_interval(IdInterval {
-            lower: concept,
-            upper: concept + 1,
-        })
-    }
-
     /// Subjects typed by any concept in the LiteMat `interval` (the
     /// reasoning-enabled variant), ascending and deduplicated.
     pub fn subjects_of_interval(&self, interval: IdInterval) -> Vec<u64> {
@@ -99,8 +91,13 @@ impl RdfTypeStore {
     }
 
     /// Number of `rdf:type` triples whose concept lies in `interval` —
-    /// the optimizer's selectivity statistic for type patterns.
+    /// the optimizer's selectivity statistic for type patterns. Constant
+    /// time over [`IdInterval::ALL`] (`?s rdf:type ?c`), a range walk
+    /// otherwise.
     pub fn count_interval(&self, interval: IdInterval) -> usize {
+        if interval == IdInterval::ALL {
+            return self.len();
+        }
         self.by_concept
             .range(
                 Included(&(interval.lower, 0)),
@@ -148,9 +145,12 @@ mod tests {
     #[test]
     fn exact_subjects() {
         let st = sample();
-        assert_eq!(st.subjects_of(25), vec![3, 5]);
-        assert_eq!(st.subjects_of(24), vec![2]);
-        assert_eq!(st.subjects_of(99), Vec::<u64>::new());
+        assert_eq!(st.subjects_of_interval(IdInterval::point(25)), vec![3, 5]);
+        assert_eq!(st.subjects_of_interval(IdInterval::point(24)), vec![2]);
+        assert_eq!(
+            st.subjects_of_interval(IdInterval::point(99)),
+            Vec::<u64>::new()
+        );
     }
 
     #[test]
@@ -226,6 +226,7 @@ mod tests {
             }),
             0
         );
+        assert_eq!(st.count_interval(IdInterval::ALL), 5);
     }
 
     #[test]

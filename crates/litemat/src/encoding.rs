@@ -29,6 +29,21 @@ pub struct IdInterval {
 }
 
 impl IdInterval {
+    /// Every identifier: the interval of "any term at all".
+    pub const ALL: IdInterval = IdInterval {
+        lower: 0,
+        upper: u64::MAX,
+    };
+
+    /// The singleton interval `[id, id + 1)`: one term, no sub-terms.
+    #[inline]
+    pub fn point(id: u64) -> Self {
+        Self {
+            lower: id,
+            upper: id + 1,
+        }
+    }
+
     /// `true` if `id` denotes the term itself or one of its sub-terms.
     #[inline]
     pub fn contains(&self, id: u64) -> bool {
@@ -392,6 +407,8 @@ mod tests {
         assert!(!b.contains(enc.id("A").unwrap()));
         let c = enc.interval("C").unwrap();
         assert!(c.is_singleton());
+        assert_eq!(IdInterval::point(25), c);
+        assert!(IdInterval::ALL.contains(thing.lower) && IdInterval::ALL.contains(c.lower));
     }
 
     #[test]

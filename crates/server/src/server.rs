@@ -445,8 +445,13 @@ fn writer_loop(
                 // failed WAL append leaves the batch applied (just not
                 // durable) and the epoch advanced: publish that state,
                 // so reads agree with what a follower bootstraps from.
-                if session.store().epoch() != epoch_before {
+                // Subscribers follow the same state: push its changes.
+                let epoch = session.store().epoch();
+                if epoch != epoch_before {
                     *slot.lock().expect("snapshot slot poisoned") = session.store().snapshot();
+                    if let Ok(Some(results)) = session.catch_up() {
+                        push_results(&mut session, &mut subs, results, epoch);
+                    }
                 }
                 let msg = e.to_string();
                 for (_, _, done) in &pending {
@@ -715,7 +720,7 @@ pub(crate) fn serve_connection(
                         // text a pure bind-and-execute: no parsing, no
                         // optimizing on the hot path.
                         let snap = slot.lock().expect("snapshot slot poisoned").clone();
-                        match plan_cache.execute_text(&snap, &text, &options) {
+                        match plan_cache.execute_text(&*snap, &text, &options) {
                             Ok(rows) => {
                                 let mut out = Vec::new();
                                 se_sds::WriteBin::write_u64(&mut out, snap.epoch())?;

@@ -8,6 +8,7 @@ use se_ontology::water_ontology;
 use se_rdf::{Graph, Term, Triple};
 use se_server::{Client, Server, ServerConfig};
 use se_sparql::{QueryOptions, ResultSet};
+use se_stream::fault::{self, FaultMode};
 use se_stream::{ShardedHybridStore, StreamSession, WalConfig};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -417,4 +418,74 @@ fn client_read_timeout_is_typed_and_retryable() {
     assert_eq!(rows.results.len(), 0);
     c.shutdown().unwrap();
     server.join();
+}
+
+/// A tick whose WAL append fails is still applied and published to
+/// readers; a primed subscriber, fed only changes, must get its rows in
+/// that tick's push, both while the log is first failing and while the
+/// poisoned log refuses every later tick.
+#[test]
+fn failed_wal_append_still_reaches_primed_subscribers() {
+    let dir = scratch("walpush");
+    let mut store = ShardedHybridStore::build(&water_ontology(), &Graph::new(), 1).unwrap();
+    store.attach_wal(&dir, WalConfig::default()).unwrap();
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut writer = Client::connect(server.addr()).unwrap();
+    let mut sub = Client::connect(server.addr()).unwrap();
+    sub.set_read_timeout(Some(Duration::from_secs(10)));
+    let opts = QueryOptions::default();
+    // One incremental and one full-evaluation (FILTER) subscription.
+    sub.subscribe("inc", "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }", &opts)
+        .unwrap();
+    sub.subscribe(
+        "full",
+        "SELECT ?s ?o WHERE { ?s <http://x/p> ?o FILTER(?o != <http://x/o0>) }",
+        &opts,
+    )
+    .unwrap();
+    let triple = |i: usize| {
+        Triple::new(
+            iri(format!("http://x/s{i}")),
+            Term::iri("http://x/p"),
+            iri(format!("http://x/o{i}")),
+        )
+    };
+    let row = |i: usize| format!("{:?}", [Some(triple(i).subject), Some(triple(i).object)]);
+
+    writer
+        .ingest(&Graph::from_triples([triple(0)]), &Graph::new())
+        .unwrap();
+    for id in ["inc", "full"] {
+        let push = sub.next_push().unwrap();
+        assert_eq!((push.id.as_str(), push.initial), (id, true));
+    }
+
+    // Batch 1 fails its append and poisons the log; batch 2 is refused
+    // by the poisoned log. Both are applied and must be pushed.
+    for i in 1..=2 {
+        if i == 1 {
+            fault::arm(&dir, 0, FaultMode::Fail);
+        }
+        let refused = writer.ingest(&Graph::from_triples([triple(i)]), &Graph::new());
+        fault::disarm(&dir);
+        assert!(refused.is_err(), "a failed append must not be acked");
+        for id in ["inc", "full"] {
+            let push = sub.next_push().unwrap();
+            assert_eq!(push.id, id);
+            assert!(!push.initial);
+            assert_eq!(push.epoch, 1 + i as u64);
+            assert_eq!(normalize(&push.added), vec![row(i)], "{id} at batch {i}");
+            assert!(push.removed.rows.is_empty());
+        }
+    }
+    let stats = writer.stats().unwrap();
+    assert_eq!((stats.epoch, stats.wal_poisoned), (3, 1));
+    let read = writer
+        .query("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }", &opts)
+        .unwrap();
+    assert_eq!(read.results.len(), 3, "readers see the failed batches");
+
+    writer.shutdown().unwrap();
+    server.join();
+    cleanup(&dir);
 }

@@ -19,6 +19,7 @@ use crate::ast::{GroupPattern, Query, TermPattern, TriplePattern};
 use crate::error::QueryError;
 use crate::expr::{Env, EvalValue};
 use crate::ir;
+use se_core::source::{objects_in, scan_in, subjects_by_literal_in, subjects_in};
 use se_core::{TripleSource, Value};
 use se_litemat::IdInterval;
 use se_rdf::Term;
@@ -248,10 +249,7 @@ pub fn concept_spec<S: TripleSource + ?Sized>(
     if reasoning {
         store.concept_interval(iri)
     } else {
-        store.concept_id(iri).map(|id| IdInterval {
-            lower: id,
-            upper: id + 1,
-        })
+        store.concept_id(iri).map(IdInterval::point)
     }
 }
 
@@ -314,7 +312,7 @@ pub fn eval_pattern<S: TripleSource + ?Sized>(
                 };
                 let objects = match &spec {
                     PSpec::Exact(p) => store.objects(*p, s_id),
-                    PSpec::Interval(iv) => store.objects_interval(*iv, s_id),
+                    PSpec::Interval(iv) => objects_in(store, *iv, s_id),
                     PSpec::NoMatch => unreachable!(),
                 };
                 for o in objects {
@@ -336,7 +334,7 @@ pub fn eval_pattern<S: TripleSource + ?Sized>(
             (Pos::Free(s_col), Pos::Free(o_col)) => {
                 let pairs = match &spec {
                     PSpec::Exact(p) => store.scan_predicate(*p),
-                    PSpec::Interval(iv) => store.scan_interval(*iv),
+                    PSpec::Interval(iv) => scan_in(store, *iv),
                     PSpec::NoMatch => unreachable!(),
                 };
                 let same_var = s_col == o_col;
@@ -369,12 +367,12 @@ fn subjects_for<S: TripleSource + ?Sized>(store: &S, spec: &PSpec, o_pos: &Pos) 
     match o_pos {
         Pos::Enc(v) => match spec {
             PSpec::Exact(p) => store.subjects(*p, v),
-            PSpec::Interval(iv) => store.subjects_interval(*iv, v),
+            PSpec::Interval(iv) => subjects_in(store, *iv, v),
             PSpec::NoMatch => Vec::new(),
         },
         Pos::Term(Term::Literal(lit)) => match spec {
             PSpec::Exact(p) => store.subjects_by_literal(*p, lit),
-            PSpec::Interval(iv) => store.subjects_by_literal_interval(*iv, lit),
+            PSpec::Interval(iv) => subjects_by_literal_in(store, *iv, lit),
             PSpec::NoMatch => Vec::new(),
         },
         Pos::Term(t) => match store.instance_id(t) {
@@ -394,8 +392,7 @@ fn check_membership<S: TripleSource + ?Sized>(
     match o_pos {
         Pos::Enc(v) => match spec {
             PSpec::Exact(p) => store.contains(*p, s_id, v),
-            PSpec::Interval(iv) => store
-                .objects_interval(*iv, s_id)
+            PSpec::Interval(iv) => objects_in(store, *iv, s_id)
                 .iter()
                 .any(|x| store.values_join(*x, *v)),
             PSpec::NoMatch => false,
@@ -403,7 +400,7 @@ fn check_membership<S: TripleSource + ?Sized>(
         Pos::Term(Term::Literal(lit)) => {
             let objects = match spec {
                 PSpec::Exact(p) => store.objects(*p, s_id),
-                PSpec::Interval(iv) => store.objects_interval(*iv, s_id),
+                PSpec::Interval(iv) => objects_in(store, *iv, s_id),
                 PSpec::NoMatch => return false,
             };
             objects.iter().any(|o| match o {
@@ -518,10 +515,7 @@ fn eval_type_pattern<S: TripleSource + ?Sized>(
             TermPattern::Var(v) => {
                 let col = vars[v.as_str()];
                 match &row[col] {
-                    Some(Slot::Enc(Value::Concept(c))) => CPos::Interval(IdInterval {
-                        lower: *c,
-                        upper: *c + 1,
-                    }),
+                    Some(Slot::Enc(Value::Concept(c))) => CPos::Interval(IdInterval::point(*c)),
                     Some(Slot::Term(Term::Iri(c))) => match concept_spec(store, c, false) {
                         Some(iv) => CPos::Interval(iv),
                         None => CPos::NoMatch,

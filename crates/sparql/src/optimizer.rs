@@ -13,7 +13,10 @@
 //!    joins (`S ⋈ S > S ⋈ O`), other join forms rank lower.
 
 use crate::ast::{TermPattern, TriplePattern};
+use crate::exec::concept_spec;
+use se_core::source::predicate_count_in;
 use se_core::TripleSource;
+use se_litemat::IdInterval;
 use se_rdf::Term;
 use std::collections::HashSet;
 
@@ -87,17 +90,9 @@ pub fn estimate<S: TripleSource + ?Sized>(tp: &TriplePattern, store: &S, reasoni
     if tp.is_type_pattern() {
         match &tp.object {
             TermPattern::Term(Term::Iri(c)) => {
-                let iv = if reasoning {
-                    store.concept_interval(c)
-                } else {
-                    store.concept_id(c).map(|id| se_litemat::IdInterval {
-                        lower: id,
-                        upper: id + 1,
-                    })
-                };
-                iv.map_or(0, |iv| store.type_count(iv))
+                concept_spec(store, c, reasoning).map_or(0, |iv| store.type_count(iv))
             }
-            _ => store.type_total(),
+            _ => store.type_count(IdInterval::ALL),
         }
     } else {
         match &tp.predicate {
@@ -105,7 +100,7 @@ pub fn estimate<S: TripleSource + ?Sized>(tp: &TriplePattern, store: &S, reasoni
                 if reasoning {
                     store
                         .property_interval(p)
-                        .map_or(0, |iv| store.predicate_interval_count(iv))
+                        .map_or(0, |iv| predicate_count_in(store, iv))
                 } else {
                     store
                         .property_id(p)

@@ -425,6 +425,10 @@ pub struct StreamSession<S: StreamStore> {
     /// registered — a leader shipping WAL records to replicas needs
     /// every tick's net delta regardless of its own subscriptions.
     force_delta_capture: bool,
+    /// Set when an ingest failed after the store had applied the batch
+    /// (a failed WAL append): the queries missed that delta, so their
+    /// next evaluation runs in full and diffs against their old answers.
+    catch_up_pending: bool,
 }
 
 impl<S: StreamStore> StreamSession<S> {
@@ -435,6 +439,7 @@ impl<S: StreamStore> StreamSession<S> {
             registry: ContinuousQueryRegistry::new(),
             stats: StreamStats::default(),
             force_delta_capture: false,
+            catch_up_pending: false,
         }
     }
 
@@ -500,6 +505,26 @@ impl<S: StreamStore> StreamSession<S> {
         stats
     }
 
+    /// Brings every query up to date after [`StreamSession::apply_batch`]
+    /// failed on a batch the store had applied anyway (a failed WAL
+    /// append: readers see the batch, but it is not durable). Each
+    /// answer is diffed against what its query last reported, so the
+    /// missed rows show up in `added`/`removed`. `None` when no such
+    /// batch is pending. Without this call the next successful batch
+    /// catches up the same way.
+    pub fn catch_up(&mut self) -> Result<Option<Vec<ContinuousResult>>, QueryError> {
+        if !self.catch_up_pending {
+            return Ok(None);
+        }
+        self.registry.plan_cache().set_epoch(self.store.epoch());
+        let results = self
+            .registry
+            .evaluate_with(&self.store, None, EvalMode::Scoped)?;
+        self.catch_up_pending = false;
+        self.stats.full_evals += results.len() as u64;
+        Ok(Some(results))
+    }
+
     /// Ingests one batch (deletes, then inserts), compacts if the policy
     /// demands it, and brings every registered query's answers up to
     /// date over the new state — differentially from the batch's
@@ -514,7 +539,18 @@ impl<S: StreamStore> StreamSession<S> {
     ) -> Result<BatchOutcome, StreamError> {
         self.store
             .set_delta_capture(self.force_delta_capture || self.registry.wants_delta());
-        let report = self.store.apply_batch(inserts, deletes)?;
+        let before = self.store.epoch();
+        let report = match self.store.apply_batch(inserts, deletes) {
+            Ok(report) => report,
+            Err(e) => {
+                // An error after the epoch advanced (a failed WAL append)
+                // leaves the batch applied but unseen by the queries.
+                if self.store.epoch() != before {
+                    self.catch_up_pending = true;
+                }
+                return Err(e);
+            }
+        };
         // Publish the post-batch epoch so cached plans compiled against
         // much older cardinalities re-cost on their next use. The
         // store's epoch, not the session's batch count: a store loaded
@@ -522,9 +558,16 @@ impl<S: StreamStore> StreamSession<S> {
         // batch 0, and the plan cache's staleness clock must follow the
         // store's true age.
         self.registry.plan_cache().set_epoch(self.store.epoch());
-        let results =
-            self.registry
-                .evaluate_with(&self.store, report.delta.as_ref(), EvalMode::Scoped)?;
+        // This delta alone would skip a batch the queries missed.
+        let delta = if self.catch_up_pending {
+            None
+        } else {
+            report.delta.as_ref()
+        };
+        let results = self
+            .registry
+            .evaluate_with(&self.store, delta, EvalMode::Scoped)?;
+        self.catch_up_pending = false;
         self.stats.record(&report, &results);
         Ok(BatchOutcome { report, results })
     }
@@ -984,6 +1027,95 @@ mod tests {
         let stats = session.stream_stats();
         assert_eq!(stats.wal_poisoned, 1);
         assert_eq!(stats.wal_appends_failed, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch whose WAL append fails is still applied; the queries must
+    /// still report its rows, or incremental answers miss that delta and
+    /// every later batch builds on the stale set, and a subscriber fed
+    /// only diffs never sees it. `catch_up` reports it at once; without
+    /// that call the next successful batch reports it.
+    #[test]
+    fn failed_wal_append_is_reported_by_the_next_evaluation() {
+        let dir = std::env::temp_dir().join(format!("se-cq-walcatchup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+
+        let mut store = store_with([t("a", "knows", iri("b"))]);
+        store
+            .attach_wal(&dir, crate::wal::WalConfig::default())
+            .unwrap();
+        let mut session = StreamSession::new(store);
+        session
+            .register_query(
+                "inc",
+                "PREFIX e: <http://x/> SELECT ?o WHERE { e:a e:knows ?o }",
+                QueryOptions::default(),
+            )
+            .unwrap();
+        session
+            .register_query(
+                "full",
+                "PREFIX e: <http://x/> SELECT ?o WHERE { e:a e:knows ?o FILTER(?o != e:b) }",
+                QueryOptions::default(),
+            )
+            .unwrap();
+        let seeded = session.apply_batch(&Graph::new(), &Graph::new()).unwrap();
+        assert_eq!(seeded.results[0].strategy, EvalStrategy::Incremental);
+        assert_eq!(seeded.results[1].strategy, EvalStrategy::Full);
+        assert_eq!(seeded.results[0].results.len(), 1);
+        assert!(session.catch_up().unwrap().is_none(), "nothing missed yet");
+
+        let added = |r: &ContinuousResult| {
+            let mut rows: Vec<String> = r
+                .added
+                .rows
+                .iter()
+                .map(|row| format!("{:?}", row[0]))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let term = |s: &str| format!("{:?}", Some(iri(s)));
+
+        // The first failure poisons the log; the second batch is refused
+        // by the poisoned log. Both stay applied.
+        crate::fault::arm(&dir, 0, crate::fault::FaultMode::Fail);
+        let c = Graph::from_triples([t("a", "knows", iri("c"))]);
+        assert!(session.apply_batch(&c, &Graph::new()).is_err());
+        crate::fault::disarm(&dir);
+        let d = Graph::from_triples([t("a", "knows", iri("d"))]);
+        assert!(session.apply_batch(&d, &Graph::new()).is_err());
+        assert_eq!(session.store().len(), 3, "failed appends stay applied");
+
+        // Healing the log by a checkpoint: the next batch's diffs carry
+        // both missed batches on both strategies.
+        session.save(&dir).unwrap();
+        let e = Graph::from_triples([t("a", "knows", iri("e"))]);
+        let out = session.apply_batch(&e, &Graph::new()).unwrap();
+        for r in &out.results {
+            assert_eq!(
+                added(r),
+                vec![term("c"), term("d"), term("e")],
+                "query {} lost a failed batch's rows",
+                r.id
+            );
+        }
+
+        // `catch_up` reports a missed batch without waiting for the next.
+        crate::fault::arm(&dir, 0, crate::fault::FaultMode::Fail);
+        let f = Graph::from_triples([t("a", "knows", iri("f"))]);
+        assert!(session.apply_batch(&f, &Graph::new()).is_err());
+        crate::fault::disarm(&dir);
+        let caught = session.catch_up().unwrap().expect("a batch was missed");
+        for r in &caught {
+            assert_eq!(added(r), vec![term("f")], "query {}", r.id);
+        }
+        assert!(session.catch_up().unwrap().is_none());
+        let (store, registry) = session.parts_mut();
+        for r in registry.evaluate_all(store).unwrap() {
+            assert!(r.unchanged(), "query {} is behind the store", r.id);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

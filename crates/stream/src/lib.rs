@@ -120,7 +120,9 @@ pub use wal::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use se_core::source::{objects_in, predicate_count_in, subjects_in};
     use se_core::{TripleSource, Value};
+    use se_litemat::IdInterval;
     use se_ontology::Ontology;
     use se_rdf::{Graph, Literal, Term, Triple};
     use se_sparql::QueryOptions;
@@ -259,12 +261,15 @@ mod tests {
         // Overflow property interval is a singleton.
         let iv = h.property_interval("http://x/emits").unwrap();
         assert!(iv.is_singleton());
-        assert_eq!(h.objects_interval(iv, ns), vec![Value::Instance(a)]);
+        assert_eq!(objects_in(&h, iv, ns), vec![Value::Instance(a)]);
         // Overflow concept.
         let c = h.concept_id("http://x/NewKind").unwrap();
         assert!(c >= OVERFLOW_BASE);
-        assert_eq!(h.subjects_of_concept(c), vec![ns]);
-        assert!(h.has_type(ns, c));
+        assert_eq!(
+            h.subjects_of_concept_interval(IdInterval::point(c)),
+            vec![ns]
+        );
+        assert!(h.has_type_in_interval(ns, IdInterval::point(c)));
         // Overflow literal decodes.
         let reading = h.property_id("http://x/reading").unwrap();
         let objs = h.objects(reading, ns);
@@ -295,9 +300,9 @@ mod tests {
         insert(&mut h, t("c", "worksFor", iri("org")));
         let iv = h.property_interval("http://x/memberOf").unwrap();
         let org = h.instance_id(&iri("org")).unwrap();
-        let subs = h.subjects_interval(iv, &Value::Instance(org));
+        let subs = subjects_in(&h, iv, &Value::Instance(org));
         assert_eq!(subs.len(), 3, "a (worksFor), b (memberOf), c (overlay)");
-        assert_eq!(h.predicate_interval_count(iv), 3);
+        assert_eq!(predicate_count_in(&h, iv), 3);
     }
 
     #[test]
@@ -336,7 +341,10 @@ mod tests {
         let ns = h.instance_id(&iri("newSensor")).unwrap();
         let a = h.instance_id(&iri("a")).unwrap();
         assert_eq!(h.subjects(emits, &Value::Instance(a)), vec![ns]);
-        assert_eq!(h.subjects_of_concept(new_kind), vec![ns]);
+        assert_eq!(
+            h.subjects_of_concept_interval(IdInterval::point(new_kind)),
+            vec![ns]
+        );
     }
 
     #[test]

@@ -25,11 +25,12 @@
 //!   overlay insertion) on the calling thread. A malformed triple rejects
 //!   the whole batch before any mutation.
 //! * **Scatter/gather queries.** A predicate-bound pattern routes to
-//!   exactly one shard. Unbound-predicate scans and LiteMat
-//!   property-interval patterns fan out to every shard whose predicates
-//!   intersect the interval and k-way-merge the subject-sorted runs, so
-//!   the merge-join contract (`scan_predicate` subject-sorted, `subjects*`
-//!   ascending/deduplicated) holds across shards.
+//!   exactly one shard. LiteMat property-interval patterns fan out over
+//!   `properties_in` — every predicate of any shard inside the interval —
+//!   through the generic interval functions of `se_core::source`, which
+//!   k-way-merge the subject-sorted runs, so the merge-join contract
+//!   (`scan_predicate` subject-sorted, `subjects*` ascending/deduplicated)
+//!   holds across shards.
 //! * **Off-hot-path compaction.** Per-shard compaction is split into a
 //!   pure rebuild against a snapshot (the shard's immutable base layers
 //!   are `Arc`-shared; the rebuild folds the overlay into fresh layers
@@ -55,6 +56,7 @@ use crate::error::StreamError;
 use se_core::builder::{instance_key, key_to_term_arc};
 use se_core::datatype::DatatypeLayer;
 use se_core::layer::TripleLayer;
+use se_core::source::kway_merge_by_subject;
 use se_core::typestore::RdfTypeStore;
 use se_core::{augment_ontology, BuildError, TripleSource, Value};
 use se_litemat::{Dictionaries, IdInterval};
@@ -1349,22 +1351,6 @@ impl ShardedHybridStore {
         out
     }
 
-    /// Distinct predicates (baseline or overlay, any shard) in `[lo, hi)`,
-    /// ascending — the fan-out set of an interval pattern.
-    fn merged_predicates(&self, lo: u64, hi: u64) -> Vec<u64> {
-        let mut preds = BTreeSet::new();
-        for shard in &self.shards {
-            for idx in shard.base.objects.predicate_range(lo, hi) {
-                preds.insert(shard.base.objects.predicate_at(idx));
-            }
-            for idx in shard.base.datatypes.predicate_range(lo, hi) {
-                preds.insert(shard.base.datatypes.predicate_at(idx));
-            }
-            preds.extend(shard.delta.predicates_in(lo, hi));
-        }
-        preds.into_iter().collect()
-    }
-
     /// Materializes the full merged view as a term-space graph (baseline
     /// minus tombstones plus overlay insertions, across all shards).
     pub fn materialize(&self) -> Graph {
@@ -1636,39 +1622,6 @@ fn rebuild_shard(base: &ShardBase, delta: &DeltaStore, literals: &LitSnapshot) -
     input.build()
 }
 
-/// K-way merge of subject-sorted `(subject, value)` runs into one
-/// subject-sorted run — a min-heap over run heads, O(n log k) (stable:
-/// ties broken by run index, preserving the instances-before-literals
-/// convention within a shard).
-fn kway_merge_by_subject(mut runs: Vec<Vec<(u64, Value)>>) -> Vec<(u64, Value)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    runs.retain(|r| !r.is_empty());
-    match runs.len() {
-        0 => return Vec::new(),
-        1 => return runs.pop().expect("len checked"),
-        _ => {}
-    }
-    let total = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // Heap key: (subject, run index) — run index both breaks ties
-    // deterministically and addresses the cursor.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = runs
-        .iter()
-        .enumerate()
-        .map(|(k, run)| Reverse((run[0].0, k)))
-        .collect();
-    let mut cursors = vec![0usize; runs.len()];
-    while let Some(Reverse((_, k))) = heap.pop() {
-        out.push(runs[k][cursors[k]]);
-        cursors[k] += 1;
-        if let Some(&(s, _)) = runs[k].get(cursors[k]) {
-            heap.push(Reverse((s, k)));
-        }
-    }
-    out
-}
-
 impl TripleSource for ShardedHybridStore {
     fn instance_id(&self, term: &Term) -> Option<u64> {
         self.dicts.instances.id(&instance_key(term)?)
@@ -1689,21 +1642,17 @@ impl TripleSource for ShardedHybridStore {
     }
 
     fn property_interval(&self, iri: &str) -> Option<IdInterval> {
-        self.dicts.properties.interval(iri).or_else(|| {
-            self.ovf_properties.id(iri).map(|id| IdInterval {
-                lower: id,
-                upper: id + 1,
-            })
-        })
+        self.dicts
+            .properties
+            .interval(iri)
+            .or_else(|| self.ovf_properties.id(iri).map(IdInterval::point))
     }
 
     fn concept_interval(&self, iri: &str) -> Option<IdInterval> {
-        self.dicts.concepts.interval(iri).or_else(|| {
-            self.ovf_concepts.id(iri).map(|id| IdInterval {
-                lower: id,
-                upper: id + 1,
-            })
-        })
+        self.dicts
+            .concepts
+            .interval(iri)
+            .or_else(|| self.ovf_concepts.id(iri).map(IdInterval::point))
     }
 
     fn value_to_term(&self, value: Value) -> Option<Term> {
@@ -1864,64 +1813,18 @@ impl TripleSource for ShardedHybridStore {
         }
     }
 
-    fn objects_interval(&self, p_iv: IdInterval, s: u64) -> Vec<Value> {
-        let mut out = Vec::new();
-        for p in self.merged_predicates(p_iv.lower, p_iv.upper) {
-            out.extend(self.objects(p, s));
-        }
-        out
-    }
-
-    fn subjects_interval(&self, p_iv: IdInterval, o: &Value) -> Vec<u64> {
-        let mut out = Vec::new();
-        for p in self.merged_predicates(p_iv.lower, p_iv.upper) {
-            out.extend(self.subjects(p, o));
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    fn subjects_by_literal_interval(&self, p_iv: IdInterval, lit: &Literal) -> Vec<u64> {
-        let mut out = Vec::new();
-        for p in self.merged_predicates(p_iv.lower, p_iv.upper) {
-            out.extend(self.subjects_by_literal(p, lit));
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    fn scan_interval(&self, p_iv: IdInterval) -> Vec<(u64, Value)> {
-        // Fan out to every predicate of every shard intersecting the
-        // interval; each per-predicate run is subject-sorted, so the
-        // gather is a k-way merge keeping the output subject-sorted.
-        let runs: Vec<Vec<(u64, Value)>> = self
-            .merged_predicates(p_iv.lower, p_iv.upper)
-            .into_iter()
-            .map(|p| self.scan_predicate(p))
-            .collect();
-        kway_merge_by_subject(runs)
-    }
-
-    fn subjects_of_concept(&self, c: u64) -> Vec<u64> {
-        let i = self.routes.concept(c);
-        let shard = &self.shards[i];
-        let mut out: Vec<u64> = shard
-            .base
-            .types
-            .subjects_of(c)
-            .into_iter()
-            .filter(|&s| shard.delta.type_state(s, c) != Some(DeltaState::Deleted))
-            .collect();
-        for (_, s, st) in shard.delta.type_subjects_in(c, c + 1) {
-            if st == DeltaState::Added {
-                out.push(s);
+    fn properties_in(&self, iv: IdInterval) -> Vec<u64> {
+        let mut preds = BTreeSet::new();
+        for shard in &self.shards {
+            for idx in shard.base.objects.predicate_range(iv.lower, iv.upper) {
+                preds.insert(shard.base.objects.predicate_at(idx));
             }
+            for idx in shard.base.datatypes.predicate_range(iv.lower, iv.upper) {
+                preds.insert(shard.base.datatypes.predicate_at(idx));
+            }
+            preds.extend(shard.delta.predicates_in(iv.lower, iv.upper));
         }
-        out.sort_unstable();
-        out.dedup();
-        out
+        preds.into_iter().collect()
     }
 
     fn subjects_of_concept_interval(&self, iv: IdInterval) -> Vec<u64> {
@@ -1967,14 +1870,6 @@ impl TripleSource for ShardedHybridStore {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    fn has_type(&self, s: u64, c: u64) -> bool {
-        let shard = &self.shards[self.routes.concept(c)];
-        match shard.delta.type_state(s, c) {
-            Some(st) => st.present(),
-            None => shard.base.types.has_type(s, c),
-        }
     }
 
     fn has_type_in_interval(&self, s: u64, iv: IdInterval) -> bool {
@@ -2040,13 +1935,6 @@ impl TripleSource for ShardedHybridStore {
         n.max(0) as usize
     }
 
-    fn predicate_interval_count(&self, iv: IdInterval) -> usize {
-        self.merged_predicates(iv.lower, iv.upper)
-            .into_iter()
-            .map(|p| self.predicate_count(p))
-            .sum()
-    }
-
     fn type_count(&self, iv: IdInterval) -> usize {
         let mut n = 0isize;
         for shard in &self.shards {
@@ -2061,26 +1949,12 @@ impl TripleSource for ShardedHybridStore {
         }
         n.max(0) as usize
     }
-
-    fn type_total(&self) -> usize {
-        let mut n = 0isize;
-        for shard in &self.shards {
-            n += shard.base.types.len() as isize;
-            for (_, _, st) in shard.delta.type_iter() {
-                match st {
-                    DeltaState::Added => n += 1,
-                    DeltaState::Deleted => n -= 1,
-                    _ => {}
-                }
-            }
-        }
-        n.max(0) as usize
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use se_core::source::{objects_in, predicate_count_in, scan_in, subjects_in};
     use se_sparql::QueryOptions;
     use std::collections::BTreeSet;
 
@@ -2137,7 +2011,7 @@ mod tests {
             let h = sharded(n);
             assert_eq!(h.shard_count(), n);
             assert_eq!(h.len(), 6);
-            assert_eq!(h.type_total(), 2);
+            assert_eq!(h.type_count(IdInterval::ALL), 2);
             let knows = h.property_id("http://x/knows").unwrap();
             let a = h.instance_id(&iri("a")).unwrap();
             let b = h.instance_id(&iri("b")).unwrap();
@@ -2148,8 +2022,8 @@ mod tests {
             // Property-interval reasoning across routed predicates.
             let iv = h.property_interval("http://x/memberOf").unwrap();
             let org = h.instance_id(&iri("org")).unwrap();
-            assert_eq!(h.subjects_interval(iv, &Value::Instance(org)).len(), 2);
-            assert_eq!(h.predicate_interval_count(iv), 2);
+            assert_eq!(subjects_in(&h, iv, &Value::Instance(org)).len(), 2);
+            assert_eq!(predicate_count_in(&h, iv), 2);
             // Concept-interval reasoning across shards.
             let c1 = h.concept_interval("http://x/C1").unwrap();
             assert_eq!(h.subjects_of_concept_interval(c1).len(), 2);
@@ -2227,11 +2101,14 @@ mod tests {
         assert_eq!(h.subjects(p, &Value::Instance(a)), vec![ns]);
         let iv = h.property_interval("http://x/emits").unwrap();
         assert!(iv.is_singleton());
-        assert_eq!(h.objects_interval(iv, ns), vec![Value::Instance(a)]);
+        assert_eq!(objects_in(&h, iv, ns), vec![Value::Instance(a)]);
         let c = h.concept_id("http://x/NewKind").unwrap();
         assert!(c >= OVERFLOW_BASE);
-        assert_eq!(h.subjects_of_concept(c), vec![ns]);
-        assert!(h.has_type(ns, c));
+        assert_eq!(
+            h.subjects_of_concept_interval(IdInterval::point(c)),
+            vec![ns]
+        );
+        assert!(h.has_type_in_interval(ns, IdInterval::point(c)));
         let before = norm(&h.materialize());
         // Folding overflow-id triples into the layers must preserve the
         // view and keep the terms queryable (ids are stable, no
@@ -2243,7 +2120,10 @@ mod tests {
         assert_eq!(norm(&h.materialize()), before);
         assert_eq!(h.property_id("http://x/emits"), Some(p));
         assert_eq!(h.subjects(p, &Value::Instance(a)), vec![ns]);
-        assert_eq!(h.subjects_of_concept(c), vec![ns]);
+        assert_eq!(
+            h.subjects_of_concept_interval(IdInterval::point(c)),
+            vec![ns]
+        );
         let reading = h.property_id("http://x/reading").unwrap();
         let objs = h.objects(reading, ns);
         assert_eq!(objs.len(), 1);
@@ -2347,11 +2227,11 @@ mod tests {
         assert_eq!(subjects, sorted, "scan_predicate must stay subject-sorted");
         // Interval fan-out k-way merges the runs subject-sorted too.
         let iv = h.property_interval("http://x/p").unwrap();
-        let pairs = h.scan_interval(iv);
+        let pairs = scan_in(&h, iv);
         let subjects: Vec<u64> = pairs.iter().map(|(s, _)| *s).collect();
         let mut sorted = subjects.clone();
         sorted.sort_unstable();
-        assert_eq!(subjects, sorted, "scan_interval gather must merge sorted");
+        assert_eq!(subjects, sorted, "scan_in gather must merge sorted");
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! shard layers by `Arc` (O(1) per shard) and freezes the overlays,
 //! dictionaries and literal table by value (O(overlay + dictionaries));
 //! cloning one is an `Arc` bump (O(1)), so a server hands the same
-//! snapshot to any number of reader threads. The view implements the
-//! full [`TripleSource`] trait by direct delegation to the frozen store,
-//! so SPARQL execution and continuous-query evaluation run against it
-//! unchanged — and, being immutable, it never blocks (and is never
-//! blocked by) `apply` or compaction on the live store.
+//! snapshot to any number of reader threads. A snapshot derefs to its
+//! frozen store, so every read — [`TripleSource`] probes, SPARQL
+//! execution (pass `&*snap`), continuous-query evaluation — runs against
+//! it unchanged; and, being immutable, it never blocks (and is never
+//! blocked by) `apply` or compaction on the live store. The snapshot
+//! itself adds only the epoch and the pin below.
+//!
+//! [`TripleSource`]: se_core::TripleSource
 //!
 //! # Pin lifecycle
 //!
@@ -26,9 +29,7 @@
 //!   snapshot leaks visible.
 
 use crate::shard::ShardedHybridStore;
-use se_core::{TripleSource, Value};
-use se_litemat::IdInterval;
-use se_rdf::{Literal, Term};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -68,109 +69,22 @@ impl StoreSnapshot {
     pub fn epoch(&self) -> u64 {
         self.inner.epoch
     }
-
-    /// The frozen store (all delegation funnels here).
-    fn view(&self) -> &ShardedHybridStore {
-        &self.inner.view
-    }
 }
 
-impl TripleSource for StoreSnapshot {
-    fn instance_id(&self, term: &Term) -> Option<u64> {
-        self.view().instance_id(term)
-    }
-    fn property_id(&self, iri: &str) -> Option<u64> {
-        self.view().property_id(iri)
-    }
-    fn concept_id(&self, iri: &str) -> Option<u64> {
-        self.view().concept_id(iri)
-    }
-    fn property_interval(&self, iri: &str) -> Option<IdInterval> {
-        self.view().property_interval(iri)
-    }
-    fn concept_interval(&self, iri: &str) -> Option<IdInterval> {
-        self.view().concept_interval(iri)
-    }
-    fn value_to_term(&self, value: Value) -> Option<Term> {
-        self.view().value_to_term(value)
-    }
-    fn literal(&self, idx: u64) -> Option<&Literal> {
-        self.view().literal(idx)
-    }
-    fn values_join(&self, a: Value, b: Value) -> bool {
-        self.view().values_join(a, b)
-    }
-    fn objects(&self, p: u64, s: u64) -> Vec<Value> {
-        self.view().objects(p, s)
-    }
-    fn subjects(&self, p: u64, o: &Value) -> Vec<u64> {
-        self.view().subjects(p, o)
-    }
-    fn subjects_by_literal(&self, p: u64, lit: &Literal) -> Vec<u64> {
-        self.view().subjects_by_literal(p, lit)
-    }
-    fn scan_predicate(&self, p: u64) -> Vec<(u64, Value)> {
-        self.view().scan_predicate(p)
-    }
-    fn contains(&self, p: u64, s: u64, o: &Value) -> bool {
-        self.view().contains(p, s, o)
-    }
-    fn objects_interval(&self, p_iv: IdInterval, s: u64) -> Vec<Value> {
-        self.view().objects_interval(p_iv, s)
-    }
-    fn subjects_interval(&self, p_iv: IdInterval, o: &Value) -> Vec<u64> {
-        self.view().subjects_interval(p_iv, o)
-    }
-    fn subjects_by_literal_interval(&self, p_iv: IdInterval, lit: &Literal) -> Vec<u64> {
-        self.view().subjects_by_literal_interval(p_iv, lit)
-    }
-    fn scan_interval(&self, p_iv: IdInterval) -> Vec<(u64, Value)> {
-        self.view().scan_interval(p_iv)
-    }
-    fn subjects_of_concept(&self, c: u64) -> Vec<u64> {
-        self.view().subjects_of_concept(c)
-    }
-    fn subjects_of_concept_interval(&self, iv: IdInterval) -> Vec<u64> {
-        self.view().subjects_of_concept_interval(iv)
-    }
-    fn concepts_of_subject(&self, s: u64) -> Vec<u64> {
-        self.view().concepts_of_subject(s)
-    }
-    fn has_type(&self, s: u64, c: u64) -> bool {
-        self.view().has_type(s, c)
-    }
-    fn has_type_in_interval(&self, s: u64, iv: IdInterval) -> bool {
-        self.view().has_type_in_interval(s, iv)
-    }
-    fn type_pairs(&self) -> Vec<(u64, u64)> {
-        self.view().type_pairs()
-    }
-    fn len(&self) -> usize {
-        self.view().len()
-    }
-    fn is_empty(&self) -> bool {
-        self.view().is_empty()
-    }
-    fn predicate_count(&self, p: u64) -> usize {
-        self.view().predicate_count(p)
-    }
-    fn predicate_interval_count(&self, iv: IdInterval) -> usize {
-        self.view().predicate_interval_count(iv)
-    }
-    fn type_count(&self, iv: IdInterval) -> usize {
-        self.view().type_count(iv)
-    }
-    fn type_total(&self) -> usize {
-        self.view().type_total()
+impl Deref for StoreSnapshot {
+    type Target = ShardedHybridStore;
+
+    fn deref(&self) -> &ShardedHybridStore {
+        &self.inner.view
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{CompactionPolicy, ShardedHybridStore};
+    use se_core::TripleSource;
     use se_ontology::Ontology;
-    use se_rdf::{Graph, Triple};
+    use se_rdf::{Graph, Literal, Term, Triple};
 
     fn iri(s: &str) -> Term {
         Term::iri(format!("http://snap.example/{s}"))
@@ -224,7 +138,7 @@ mod tests {
         assert_eq!(h.epoch(), 2);
         assert_eq!(TripleSource::len(&h), 3);
         // The pinned view still sees exactly the epoch-1 store.
-        assert_eq!(TripleSource::len(&snap), 1);
+        assert_eq!(TripleSource::len(&*snap), 1);
         let p = snap.property_id("http://snap.example/knows").unwrap();
         let a = snap.instance_id(&iri("a")).unwrap();
         assert_eq!(snap.objects(p, a).len(), 1);
@@ -274,7 +188,7 @@ mod tests {
         assert!(snap
             .subjects_by_literal(p, &Literal::string("42"))
             .is_empty());
-        assert_eq!(TripleSource::len(&snap), 1);
+        assert_eq!(TripleSource::len(&*snap), 1);
         assert_eq!(TripleSource::len(&h), 3);
         drop(snap);
         assert_eq!(h.live_pins(), 0);
@@ -287,7 +201,7 @@ mod tests {
         h.apply(&batch(vec![t("a", "knows", iri("b"))]), &Graph::new())
             .unwrap();
         let snap = h.snapshot();
-        let handle = std::thread::spawn(move || TripleSource::len(&snap));
+        let handle = std::thread::spawn(move || TripleSource::len(&*snap));
         assert_eq!(handle.join().unwrap(), 1);
         assert_eq!(h.live_pins(), 0);
     }

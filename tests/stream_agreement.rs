@@ -662,7 +662,7 @@ fn compiled_plans_agree_with_interpreter_on_every_shape() {
     let stores: [(&str, &dyn TripleSource); 3] = [
         ("single", &single),
         ("sharded", &sharded),
-        ("snapshot", &snapshot),
+        ("snapshot", &*snapshot),
     ];
     // Distinct (text, options) combinations = expected text-level misses
     // ("type-reasoned"/"type-exact" share their text); every other
@@ -793,7 +793,7 @@ fn hybrid_matches_rebuild_pattern_accesses_directly() {
     );
     assert_eq!(TripleSource::len(&single), rebuilt.len());
     assert_eq!(
-        TripleSource::type_total(&single),
+        TripleSource::type_count(&single, se_litemat::IdInterval::ALL),
         rebuilt.type_store().len()
     );
 }
@@ -848,14 +848,14 @@ fn pinned_snapshots_agree_with_rebuild_at_their_epoch() {
         let e = snap.epoch() as usize;
         let prefix = &contents[e];
         assert_eq!(
-            TripleSource::len(snap),
+            TripleSource::len(&**snap),
             prefix.len(),
             "epoch {e}: snapshot triple count diverged from its prefix"
         );
         let rebuilt =
             SuccinctEdgeStore::build(&onto, &Graph::from_triples(prefix.iter().cloned())).unwrap();
         for (id, text, opts) in &shapes {
-            let got = se_sparql::execute_query(snap, text, opts).unwrap();
+            let got = se_sparql::execute_query(&**snap, text, opts).unwrap();
             let fresh = se_sparql::execute_query(&rebuilt, text, opts).unwrap();
             assert_eq!(
                 normalize(&got),
