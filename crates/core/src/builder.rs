@@ -15,7 +15,7 @@
 //!    creation-time statistics of §5.1).
 //! 4. **Layer construction** — object triples are sorted `(p, s, o)` and
 //!    frozen into the SDS layers; datatype triples into their layer;
-//!    `rdf:type` triples are inserted into the red-black trees.
+//!    `rdf:type` pairs become the RDFType store's two sorted arrays.
 
 use crate::datatype::DatatypeLayer;
 use crate::error::BuildError;
@@ -179,19 +179,14 @@ pub(crate) fn build_store(
     object_triples.dedup();
     datatype_triples.sort_unstable_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
     datatype_triples.dedup();
-    type_pairs.sort_unstable();
-    type_pairs.dedup();
 
     let object_layer = TripleLayer::build(&object_triples);
     let datatype_layer = DatatypeLayer::build(&datatype_triples);
-    let mut type_store = RdfTypeStore::new();
-    for &(s, c) in &type_pairs {
-        type_store.insert(s, c);
-    }
+    let type_store = RdfTypeStore::from_pairs(type_pairs);
 
     let stats = BuildStats {
-        n_triples: object_triples.len() + datatype_triples.len() + type_pairs.len(),
-        n_type_triples: type_pairs.len(),
+        n_triples: object_triples.len() + datatype_triples.len() + type_store.len(),
+        n_type_triples: type_store.len(),
         n_object_triples: object_triples.len(),
         n_datatype_triples: datatype_triples.len(),
         n_augmented_classes: stats_aug_classes,

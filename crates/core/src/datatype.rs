@@ -8,6 +8,7 @@
 //! store, which — because triples are sorted `(p, s)` and literals appended
 //! in triple order — coincides with the triple's position in the layer.
 
+use crate::layer::{decode_predicates, predicate_range};
 use se_rdf::Literal;
 use se_sds::{HeapSize, RsBitVec, Serialize, WaveletTree};
 use std::io;
@@ -18,6 +19,8 @@ use std::ops::Range;
 #[derive(Debug, Clone)]
 pub struct DatatypeLayer {
     wt_p: WaveletTree,
+    /// `WT_p` decoded (derived; not serialized).
+    preds: Box<[u64]>,
     bm_ps: RsBitVec,
     wt_s: WaveletTree,
     bm_so: RsBitVec,
@@ -59,6 +62,7 @@ impl DatatypeLayer {
         }
         Self {
             wt_p: WaveletTree::new(&preds),
+            preds: preds.into_boxed_slice(),
             bm_ps: RsBitVec::from_bits(ps_bits),
             wt_s: WaveletTree::new(&subjects),
             bm_so: RsBitVec::from_bits(so_bits),
@@ -91,28 +95,13 @@ impl DatatypeLayer {
 
     /// Contiguous `WT_p` index run of predicates in `[lo, hi)` (LiteMat
     /// reasoning over datatype-property hierarchies).
-    pub fn predicate_range(&self, lo: u64, hi: u64) -> std::ops::Range<usize> {
-        let n = self.wt_p.len();
-        let partition = |pred: &dyn Fn(u64) -> bool| {
-            let (mut l, mut h) = (0usize, n);
-            while l < h {
-                let mid = (l + h) / 2;
-                if pred(self.wt_p.access(mid)) {
-                    l = mid + 1;
-                } else {
-                    h = mid;
-                }
-            }
-            l
-        };
-        let lower = partition(&|v| v < lo);
-        let upper = partition(&|v| v < hi);
-        lower..upper
+    pub fn predicate_range(&self, lo: u64, hi: u64) -> Range<usize> {
+        predicate_range(&self.preds, lo, hi)
     }
 
     /// The predicate at `WT_p` position `k`.
     pub fn predicate_at(&self, k: usize) -> u64 {
-        self.wt_p.access(k)
+        self.preds[k]
     }
 
     fn subject_bounds(&self, index_p: usize) -> (usize, usize) {
@@ -243,7 +232,7 @@ impl DatatypeLayer {
     /// Iterates `(p, s, literal index)` in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         (0..self.wt_p.len()).flat_map(move |index_p| {
-            let p = self.wt_p.access(index_p);
+            let p = self.preds[index_p];
             let (s_begin, s_end) = self.subject_bounds(index_p);
             (s_begin..s_end).flat_map(move |index_s| {
                 let s = self.wt_s.access(index_s);
@@ -257,6 +246,7 @@ impl DatatypeLayer {
 impl HeapSize for DatatypeLayer {
     fn heap_size(&self) -> usize {
         self.wt_p.heap_size()
+            + std::mem::size_of_val(&*self.preds)
             + self.bm_ps.heap_size()
             + self.wt_s.heap_size()
             + self.bm_so.heap_size()
@@ -322,6 +312,7 @@ impl Serialize for DatatypeLayer {
             literals.push(lit);
         }
         Ok(Self {
+            preds: decode_predicates(&wt_p),
             wt_p,
             bm_ps,
             wt_s,
@@ -435,6 +426,26 @@ mod tests {
         let layer = DatatypeLayer::build(&triples);
         assert_eq!(layer.len(), 3);
         assert_eq!(layer.subjects_by_literal(1, &lit("3.14")), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn predicate_range_is_contiguous() {
+        let triples: Vec<(u64, u64, Literal)> = [10, 12, 14, 20]
+            .into_iter()
+            .map(|p| (p, 1, lit("v")))
+            .collect();
+        let layer = DatatypeLayer::build(&triples);
+        assert_eq!(layer.predicate_range(10, 15), 0..3);
+        assert_eq!(layer.predicate_range(11, 15), 1..3);
+        assert_eq!(layer.predicate_range(0, 100), 0..4);
+        assert_eq!(layer.predicate_range(15, 20), 3..3);
+        assert_eq!(layer.predicate_range(21, 99), 4..4);
+        assert!(layer.predicate_range(12, 12).is_empty());
+        assert!(layer.predicate_range(15, 11).is_empty());
+        assert!(layer.predicate_range(u64::MAX, 0).is_empty());
+        let back = DatatypeLayer::from_bytes(&layer.to_bytes()).unwrap();
+        assert_eq!(back.predicate_range(11, 15), 1..3);
+        assert_eq!(back.predicate_at(3), 20);
     }
 
     #[test]

@@ -20,11 +20,28 @@
 
 use se_sds::{HeapSize, RsBitVec, Serialize, WaveletTree};
 use std::io;
+use std::ops::Range;
+
+/// Positions in the ascending `preds` of the ids in `[lo, hi)`: a
+/// contiguous index run — the "continuous interval corresponding to a
+/// LiteMat interval" of §5.2. Empty when `lo >= hi`.
+pub(crate) fn predicate_range(preds: &[u64], lo: u64, hi: u64) -> Range<usize> {
+    let begin = preds.partition_point(|&p| p < lo);
+    begin..begin + preds[begin..].partition_point(|&p| p < hi)
+}
+
+/// Every symbol of `wt`, in order: a layer's ≈20 distinct predicates,
+/// decoded once so interval lookups need no wavelet-tree access.
+pub(crate) fn decode_predicates(wt: &WaveletTree) -> Box<[u64]> {
+    (0..wt.len()).map(|k| wt.access(k)).collect()
+}
 
 /// The five-structure SDS layer over one sorted `(p, s, o)` triple set.
 #[derive(Debug, Clone)]
 pub struct TripleLayer {
     wt_p: WaveletTree,
+    /// `WT_p` decoded (derived; not serialized).
+    preds: Box<[u64]>,
     bm_ps: RsBitVec,
     wt_s: WaveletTree,
     bm_so: RsBitVec,
@@ -67,6 +84,7 @@ impl TripleLayer {
         }
         Self {
             wt_p: WaveletTree::new(&preds),
+            preds: preds.into_boxed_slice(),
             bm_ps: RsBitVec::from_bits(ps_bits),
             wt_s: WaveletTree::new(&subjects),
             bm_so: RsBitVec::from_bits(so_bits),
@@ -101,32 +119,13 @@ impl TripleLayer {
 
     /// The `k`-th distinct predicate (ascending order).
     pub fn predicate_at(&self, k: usize) -> u64 {
-        self.wt_p.access(k)
+        self.preds[k]
     }
 
     /// Positions in `WT_p` of all predicates with identifier in
-    /// `[lo, hi)`. Because `WT_p` is ascending, the result is a contiguous
-    /// index run — this is the "continuous interval corresponding to a
-    /// LiteMat interval" of §5.2. Found by binary search over `WT_p`.
-    pub fn predicate_range(&self, lo: u64, hi: u64) -> std::ops::Range<usize> {
-        let n = self.wt_p.len();
-        let lower = self.partition_point(n, |v| v < lo);
-        let upper = self.partition_point(n, |v| v < hi);
-        lower..upper
-    }
-
-    /// First index in `[0, n)` where `!pred(wt_p[idx])`, binary search.
-    fn partition_point(&self, n: usize, pred: impl Fn(u64) -> bool) -> usize {
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if pred(self.wt_p.access(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+    /// `[lo, hi)`, a contiguous index run because `WT_p` is ascending.
+    pub fn predicate_range(&self, lo: u64, hi: u64) -> Range<usize> {
+        predicate_range(&self.preds, lo, hi)
     }
 
     /// The subject-run bounds (positions in `WT_s`) of the predicate at
@@ -263,7 +262,7 @@ impl TripleLayer {
     /// helper; decodes through the wavelet trees).
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         (0..self.wt_p.len()).flat_map(move |index_p| {
-            let p = self.wt_p.access(index_p);
+            let p = self.preds[index_p];
             let (s_begin, s_end) = self.subject_bounds(index_p);
             (s_begin..s_end).flat_map(move |index_s| {
                 let s = self.wt_s.access(index_s);
@@ -277,6 +276,7 @@ impl TripleLayer {
 impl HeapSize for TripleLayer {
     fn heap_size(&self) -> usize {
         self.wt_p.heap_size()
+            + std::mem::size_of_val(&*self.preds)
             + self.bm_ps.heap_size()
             + self.wt_s.heap_size()
             + self.bm_so.heap_size()
@@ -298,9 +298,11 @@ impl Serialize for TripleLayer {
     fn deserialize<R: io::Read>(r: &mut R) -> io::Result<Self> {
         use se_sds::ReadBin;
         let n_triples = r.read_u64()? as usize;
+        let wt_p = WaveletTree::deserialize(r)?;
         Ok(Self {
             n_triples,
-            wt_p: WaveletTree::deserialize(r)?,
+            preds: decode_predicates(&wt_p),
+            wt_p,
             bm_ps: RsBitVec::deserialize(r)?,
             wt_s: WaveletTree::deserialize(r)?,
             bm_so: RsBitVec::deserialize(r)?,
@@ -421,6 +423,12 @@ mod tests {
         assert_eq!(layer.predicate_range(0, 100), 0..4);
         assert_eq!(layer.predicate_range(15, 20), 3..3);
         assert_eq!(layer.predicate_range(21, 99), 4..4);
+        assert!(layer.predicate_range(12, 12).is_empty());
+        assert!(layer.predicate_range(15, 11).is_empty());
+        assert!(layer.predicate_range(u64::MAX, 0).is_empty());
+        let back = TripleLayer::from_bytes(&layer.to_bytes()).unwrap();
+        assert_eq!(back.predicate_range(11, 15), 1..3);
+        assert_eq!(back.predicate_at(3), 20);
     }
 
     #[test]

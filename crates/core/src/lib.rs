@@ -13,7 +13,7 @@
 //!   flat literal store ("we prefer to store the values as they have been
 //!   sent by sensors, possibly with some redundancy" §4);
 //! * the **RDFType store** ([`typestore::RdfTypeStore`]): `rdf:type`
-//!   triples in red-black trees keyed both `(concept, subject)` and
+//!   triples in two sorted arrays keyed `(concept, subject)` and
 //!   `(subject, concept)`.
 //!
 //! Triple patterns are evaluated *without decompressing anything* by

@@ -5,8 +5,9 @@
 //! persists "all the data structures existing in SuccinctEdge to disk".
 //! This module implements that persistent form: one compact binary file
 //! containing the three dictionaries, both SDS layers and the `rdf:type`
-//! pairs. Loading rebuilds the rank/select directories and the red-black
-//! trees (they are cheap derived structures; only raw data is stored).
+//! pairs. Loading rebuilds the rank/select directories and the sorted
+//! `rdf:type` arrays (they are cheap derived structures; only raw data is
+//! stored).
 
 use crate::builder::BuildStats;
 use crate::datatype::DatatypeLayer;
@@ -74,13 +75,14 @@ impl SuccinctEdgeStore {
         let instances = InstanceDictionary::deserialize(r)?;
         let object_layer = TripleLayer::deserialize(r)?;
         let datatype_layer = DatatypeLayer::deserialize(r)?;
-        let n_types = r.read_u64()? as usize;
-        let mut type_store = RdfTypeStore::new();
+        // The count is unchecksummed: reserve at most 64K pairs up front and
+        // let a short file fail on read, not on allocation.
+        let n_types = r.read_u64()?;
+        let mut type_pairs = Vec::with_capacity(n_types.min(1 << 16) as usize);
         for _ in 0..n_types {
-            let s = r.read_u64()?;
-            let c = r.read_u64()?;
-            type_store.insert(s, c);
+            type_pairs.push((r.read_u64()?, r.read_u64()?));
         }
+        let type_store = RdfTypeStore::from_pairs(type_pairs);
         let mut stats_fields = [0u64; 6];
         for f in &mut stats_fields {
             *f = r.read_u64()?;
@@ -176,6 +178,19 @@ mod tests {
         let back = SuccinctEdgeStore::load_from_file(&path).unwrap();
         assert_eq!(back.len(), store.len());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_type_count_is_an_error() {
+        let store = sample_store();
+        let mut buf = Vec::new();
+        store.save(&mut buf).unwrap();
+        // The file ends with the type count, 16 bytes per pair and six
+        // stats words; keep everything before the count.
+        let count_at = buf.len() - 6 * 8 - 16 * store.type_store().len() - 8;
+        buf.truncate(count_at);
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(SuccinctEdgeStore::load(&mut buf.as_slice()).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! executor in `se-sparql` is independent of *which* store answers it:
 //!
 //! * the immutable [`SuccinctEdgeStore`](crate::SuccinctEdgeStore) —
-//!   wavelet trees, bitmaps and red-black trees;
+//!   wavelet trees, bitmaps and sorted `rdf:type` arrays;
 //! * the streaming `ShardedHybridStore` of `se-stream` — succinct layers
 //!   plus a mutable delta overlay of inserted/deleted triples (its
 //!   epoch-pinned `StoreSnapshot` derefs to one).
@@ -51,7 +51,7 @@
 //! concurrently, one scoped thread per query over the shared store, and
 //! `se-server` answers reads from published store snapshots on its
 //! connection threads. All built-in
-//! implementations are plain owned data (`Vec`s, boxed red-black trees,
+//! implementations are plain owned data (`Vec`s, boxed slices, `BTreeMap`s,
 //! `Arc<str>` dictionaries), so the bounds are free.
 
 use crate::value::Value;

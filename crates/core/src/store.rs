@@ -230,7 +230,7 @@ impl SuccinctEdgeStore {
 
     /// `(s, rdf:type, ?c)` — concepts of a subject.
     pub fn concepts_of_subject(&self, s: u64) -> Vec<u64> {
-        self.type_store.concepts_of(s)
+        self.type_store.concepts_of(s).collect()
     }
 
     /// `(s, rdf:type, C)` membership with reasoning.
@@ -257,14 +257,8 @@ impl SuccinctEdgeStore {
     pub fn memory_footprint(&self) -> usize {
         self.object_layer.heap_size()
             + self.datatype_layer.heap_size()
-            + self.type_store_heap_size()
+            + self.type_store.heap_size()
             + self.dictionary_heap_size()
-    }
-
-    fn type_store_heap_size(&self) -> usize {
-        // Each RB node: key (u64, u64) + color + two child pointers, twice
-        // (two access paths).
-        self.type_store.len() * 2 * (16 + 1 + 2 * std::mem::size_of::<usize>())
     }
 
     fn dictionary_heap_size(&self) -> usize {

@@ -1,546 +1,7 @@
-//! # se-rbtree — a red-black tree
+//! Intentionally empty.
 //!
-//! The paper stores `rdf:type` triples "in a red-black tree in order to
-//! maintain the search complexity to O(log(n)) while being fast when we
-//! insert rdf:type triples during database construction" (§4). This crate
-//! implements that substrate from scratch: an ordered map with guaranteed
-//! *O(log n)* insertion and lookup, in-order iteration and range queries.
-//!
-//! Insertion uses Okasaki-style rebalancing (the four red-red violation
-//! cases collapse into one `balance` transformation applied on the way back
-//! up from a recursive insert). Deletion is intentionally *not* provided:
-//! the SuccinctEdge store is immutable once constructed — graphs arriving
-//! from sensors are built, queried, and dropped whole — so the store never
-//! removes individual keys. [`RbTree::clear`] drops all content at once.
-//!
-//! The tree maintains the two red-black invariants, checked exhaustively in
-//! tests via [`RbTree::check_invariants`]:
-//!
-//! 1. no red node has a red child;
-//! 2. every root-leaf path contains the same number of black nodes.
-
-use std::cmp::Ordering;
-use std::fmt::Debug;
-use std::ops::Bound;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Color {
-    Red,
-    Black,
-}
-
-#[derive(Debug, Clone)]
-struct Node<K, V> {
-    color: Color,
-    key: K,
-    value: V,
-    left: Link<K, V>,
-    right: Link<K, V>,
-}
-
-type Link<K, V> = Option<Box<Node<K, V>>>;
-
-/// An ordered map backed by a red-black tree.
-#[derive(Debug, Clone)]
-pub struct RbTree<K, V> {
-    root: Link<K, V>,
-    len: usize,
-}
-
-impl<K, V> Default for RbTree<K, V> {
-    fn default() -> Self {
-        Self { root: None, len: 0 }
-    }
-}
-
-impl<K: Ord, V> RbTree<K, V> {
-    /// An empty tree.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the tree holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drops all entries.
-    pub fn clear(&mut self) {
-        // Iterative teardown: a deep tree dropped recursively can blow the
-        // stack for adversarial (sorted) insertion orders.
-        let mut stack = Vec::new();
-        if let Some(root) = self.root.take() {
-            stack.push(root);
-        }
-        while let Some(mut node) = stack.pop() {
-            if let Some(l) = node.left.take() {
-                stack.push(l);
-            }
-            if let Some(r) = node.right.take() {
-                stack.push(r);
-            }
-        }
-        self.len = 0;
-    }
-
-    /// Inserts `key → value`. Returns the previous value if the key was
-    /// already present.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let root = self.root.take();
-        let (mut new_root, old) = Self::insert_rec(root, key, value);
-        new_root.as_mut().expect("insert produces a node").color = Color::Black;
-        self.root = new_root;
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    fn insert_rec(link: Link<K, V>, key: K, value: V) -> (Link<K, V>, Option<V>) {
-        match link {
-            None => (
-                Some(Box::new(Node {
-                    color: Color::Red,
-                    key,
-                    value,
-                    left: None,
-                    right: None,
-                })),
-                None,
-            ),
-            Some(mut node) => match key.cmp(&node.key) {
-                Ordering::Less => {
-                    let (new_left, old) = Self::insert_rec(node.left.take(), key, value);
-                    node.left = new_left;
-                    (Some(Self::balance(node)), old)
-                }
-                Ordering::Greater => {
-                    let (new_right, old) = Self::insert_rec(node.right.take(), key, value);
-                    node.right = new_right;
-                    (Some(Self::balance(node)), old)
-                }
-                Ordering::Equal => {
-                    let old = std::mem::replace(&mut node.value, value);
-                    (Some(node), Some(old))
-                }
-            },
-        }
-    }
-
-    /// Okasaki's balance: a black node with a red child that itself has a
-    /// red child (four symmetric shapes) is rewritten into a red node with
-    /// two black children.
-    fn balance(mut node: Box<Node<K, V>>) -> Box<Node<K, V>> {
-        if node.color != Color::Black {
-            return node;
-        }
-        if is_red(&node.left) {
-            if is_red(&node.left.as_ref().expect("checked").left) {
-                // left-left: single right rotation.
-                let mut l = node.left.take().expect("checked");
-                node.left = l.right.take();
-                l.right = Some(node);
-                return recolor(l);
-            }
-            if is_red(&node.left.as_ref().expect("checked").right) {
-                // left-right: double rotation.
-                let mut l = node.left.take().expect("checked");
-                let mut lr = l.right.take().expect("checked");
-                l.right = lr.left.take();
-                node.left = lr.right.take();
-                lr.left = Some(l);
-                lr.right = Some(node);
-                return recolor(lr);
-            }
-        }
-        if is_red(&node.right) {
-            if is_red(&node.right.as_ref().expect("checked").right) {
-                // right-right: single left rotation.
-                let mut r = node.right.take().expect("checked");
-                node.right = r.left.take();
-                r.left = Some(node);
-                return recolor(r);
-            }
-            if is_red(&node.right.as_ref().expect("checked").left) {
-                // right-left: double rotation.
-                let mut r = node.right.take().expect("checked");
-                let mut rl = r.left.take().expect("checked");
-                r.left = rl.right.take();
-                node.right = rl.left.take();
-                rl.right = Some(r);
-                rl.left = Some(node);
-                return recolor(rl);
-            }
-        }
-        node
-    }
-
-    /// Looks a key up.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let mut cur = self.root.as_deref();
-        while let Some(node) = cur {
-            match key.cmp(&node.key) {
-                Ordering::Less => cur = node.left.as_deref(),
-                Ordering::Greater => cur = node.right.as_deref(),
-                Ordering::Equal => return Some(&node.value),
-            }
-        }
-        None
-    }
-
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let mut cur = self.root.as_deref_mut();
-        while let Some(node) = cur {
-            match key.cmp(&node.key) {
-                Ordering::Less => cur = node.left.as_deref_mut(),
-                Ordering::Greater => cur = node.right.as_deref_mut(),
-                Ordering::Equal => return Some(&mut node.value),
-            }
-        }
-        None
-    }
-
-    /// `true` if `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// In-order iteration over all entries.
-    pub fn iter(&self) -> Iter<'_, K, V> {
-        let mut iter = Iter { stack: Vec::new() };
-        iter.push_left(self.root.as_deref());
-        iter
-    }
-
-    /// Iterates over entries whose key lies between `lo` and `hi`.
-    pub fn range<'a>(&'a self, lo: Bound<&K>, hi: Bound<&'a K>) -> RangeIter<'a, K, V> {
-        let mut r = RangeIter {
-            stack: Vec::new(),
-            hi_key: match hi {
-                Bound::Included(k) => HiBound::Included(k),
-                Bound::Excluded(k) => HiBound::Excluded(k),
-                Bound::Unbounded => HiBound::Unbounded,
-            },
-        };
-        r.push_left_from(self.root.as_deref(), &lo);
-        r
-    }
-
-    /// Verifies the red-black invariants, returning the black height.
-    ///
-    /// # Panics
-    /// Panics with a description if an invariant is violated. Intended for
-    /// tests.
-    pub fn check_invariants(&self) -> usize
-    where
-        K: Debug,
-    {
-        assert!(!is_red(&self.root), "root must be black");
-        Self::check_rec(self.root.as_deref(), None, None)
-    }
-
-    fn check_rec(link: Option<&Node<K, V>>, min: Option<&K>, max: Option<&K>) -> usize
-    where
-        K: Debug,
-    {
-        let Some(node) = link else {
-            return 1; // nil leaves count as black
-        };
-        if let Some(min) = min {
-            assert!(node.key > *min, "BST order violated at {:?}", node.key);
-        }
-        if let Some(max) = max {
-            assert!(node.key < *max, "BST order violated at {:?}", node.key);
-        }
-        if node.color == Color::Red {
-            assert!(
-                !is_red(&node.left) && !is_red(&node.right),
-                "red node {:?} has a red child",
-                node.key
-            );
-        }
-        let lh = Self::check_rec(node.left.as_deref(), min, Some(&node.key));
-        let rh = Self::check_rec(node.right.as_deref(), Some(&node.key), max);
-        assert_eq!(lh, rh, "black-height mismatch at {:?}", node.key);
-        lh + usize::from(node.color == Color::Black)
-    }
-}
-
-/// Colors `node` red and both of its (guaranteed present) children black —
-/// the common epilogue of all four balance rotations.
-fn recolor<K, V>(mut node: Box<Node<K, V>>) -> Box<Node<K, V>> {
-    node.color = Color::Red;
-    node.left.as_mut().expect("balance invariant").color = Color::Black;
-    node.right.as_mut().expect("balance invariant").color = Color::Black;
-    node
-}
-
-#[inline]
-fn is_red<K, V>(link: &Link<K, V>) -> bool {
-    matches!(link, Some(node) if node.color == Color::Red)
-}
-
-/// In-order iterator.
-pub struct Iter<'a, K, V> {
-    stack: Vec<&'a Node<K, V>>,
-}
-
-impl<'a, K, V> Iter<'a, K, V> {
-    fn push_left(&mut self, mut link: Option<&'a Node<K, V>>) {
-        while let Some(node) = link {
-            self.stack.push(node);
-            link = node.left.as_deref();
-        }
-    }
-}
-
-impl<'a, K, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let node = self.stack.pop()?;
-        self.push_left(node.right.as_deref());
-        Some((&node.key, &node.value))
-    }
-}
-
-enum HiBound<'a, K> {
-    Included(&'a K),
-    Excluded(&'a K),
-    Unbounded,
-}
-
-/// Bounded in-order iterator.
-pub struct RangeIter<'a, K, V> {
-    stack: Vec<&'a Node<K, V>>,
-    hi_key: HiBound<'a, K>,
-}
-
-impl<'a, K: Ord, V> RangeIter<'a, K, V> {
-    fn push_left_from(&mut self, mut link: Option<&'a Node<K, V>>, lo: &Bound<&K>) {
-        while let Some(node) = link {
-            let in_range = match lo {
-                Bound::Included(k) => node.key >= **k,
-                Bound::Excluded(k) => node.key > **k,
-                Bound::Unbounded => true,
-            };
-            if in_range {
-                self.stack.push(node);
-                link = node.left.as_deref();
-            } else {
-                link = node.right.as_deref();
-            }
-        }
-    }
-}
-
-impl<'a, K: Ord, V> Iterator for RangeIter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let node = self.stack.pop()?;
-        let within = match self.hi_key {
-            HiBound::Included(k) => node.key <= *k,
-            HiBound::Excluded(k) => node.key < *k,
-            HiBound::Unbounded => true,
-        };
-        if !within {
-            self.stack.clear();
-            return None;
-        }
-        // Everything right of `node` satisfies the lower bound already.
-        let mut link = node.right.as_deref();
-        while let Some(n) = link {
-            self.stack.push(n);
-            link = n.left.as_deref();
-        }
-        Some((&node.key, &node.value))
-    }
-}
-
-impl<K: Ord, V> FromIterator<(K, V)> for RbTree<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut tree = Self::new();
-        for (k, v) in iter {
-            tree.insert(k, v);
-        }
-        tree
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::ops::Bound::{Excluded, Included, Unbounded};
-
-    #[test]
-    fn insert_and_get() {
-        let mut t = RbTree::new();
-        assert_eq!(t.insert(5, "five"), None);
-        assert_eq!(t.insert(3, "three"), None);
-        assert_eq!(t.insert(8, "eight"), None);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.get(&5), Some(&"five"));
-        assert_eq!(t.get(&3), Some(&"three"));
-        assert_eq!(t.get(&8), Some(&"eight"));
-        assert_eq!(t.get(&1), None);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn insert_overwrites() {
-        let mut t = RbTree::new();
-        assert_eq!(t.insert(1, "a"), None);
-        assert_eq!(t.insert(1, "b"), Some("a"));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&1), Some(&"b"));
-    }
-
-    #[test]
-    fn get_mut_updates() {
-        let mut t = RbTree::new();
-        t.insert(1, 10);
-        *t.get_mut(&1).unwrap() += 5;
-        assert_eq!(t.get(&1), Some(&15));
-        assert_eq!(t.get_mut(&2), None);
-    }
-
-    #[test]
-    fn sorted_insertion_stays_balanced() {
-        let mut t = RbTree::new();
-        for i in 0..10_000 {
-            t.insert(i, i * 2);
-        }
-        let black_height = t.check_invariants();
-        assert!(black_height <= 16, "black height {black_height} too large");
-        assert_eq!(t.len(), 10_000);
-        assert_eq!(t.get(&9_999), Some(&19_998));
-    }
-
-    #[test]
-    fn reverse_sorted_insertion() {
-        let mut t = RbTree::new();
-        for i in (0..5_000).rev() {
-            t.insert(i, ());
-        }
-        t.check_invariants();
-        assert_eq!(t.len(), 5_000);
-    }
-
-    #[test]
-    fn iter_is_sorted() {
-        let mut t = RbTree::new();
-        for i in [5, 2, 9, 1, 7, 3, 8, 4, 6, 0] {
-            t.insert(i, i * 10);
-        }
-        let keys: Vec<i32> = t.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, (0..10).collect::<Vec<_>>());
-        let values: Vec<i32> = t.iter().map(|(_, v)| *v).collect();
-        assert_eq!(values, (0..10).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_half_open() {
-        let t: RbTree<i32, ()> = (0..100).map(|i| (i, ())).collect();
-        let keys: Vec<i32> = t
-            .range(Included(&10), Excluded(&20))
-            .map(|(k, _)| *k)
-            .collect();
-        assert_eq!(keys, (10..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_bounds_variants() {
-        let t: RbTree<i32, ()> = [1, 3, 5, 7, 9].into_iter().map(|i| (i, ())).collect();
-        let collect = |lo, hi| -> Vec<i32> { t.range(lo, hi).map(|(k, _)| *k).collect() };
-        assert_eq!(collect(Unbounded, Unbounded), vec![1, 3, 5, 7, 9]);
-        assert_eq!(collect(Included(&3), Included(&7)), vec![3, 5, 7]);
-        assert_eq!(collect(Excluded(&3), Excluded(&7)), vec![5]);
-        assert_eq!(collect(Included(&4), Included(&4)), Vec::<i32>::new());
-        assert_eq!(collect(Included(&100), Unbounded), Vec::<i32>::new());
-        assert_eq!(collect(Unbounded, Excluded(&1)), Vec::<i32>::new());
-    }
-
-    #[test]
-    fn range_on_empty_tree() {
-        let t: RbTree<i32, ()> = RbTree::new();
-        assert_eq!(t.range(Unbounded, Unbounded).count(), 0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t: RbTree<i32, ()> = (0..1000).map(|i| (i, ())).collect();
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.iter().count(), 0);
-        t.insert(1, ());
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn clear_deep_tree_no_stack_overflow() {
-        let mut t: RbTree<i32, ()> = (0..200_000).map(|i| (i, ())).collect();
-        t.clear();
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn tuple_keys_like_rdftype_store() {
-        // The RDFType store keys on (concept, subject) pairs.
-        let mut t = RbTree::new();
-        t.insert((10u64, 1u64), ());
-        t.insert((10, 5), ());
-        t.insert((10, 3), ());
-        t.insert((20, 2), ());
-        let subjects: Vec<u64> = t
-            .range(Included(&(10, 0)), Excluded(&(11, 0)))
-            .map(|((_, s), _)| *s)
-            .collect();
-        assert_eq!(subjects, vec![1, 3, 5]);
-    }
-
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-        use std::collections::BTreeMap;
-
-        proptest! {
-            #[test]
-            fn behaves_like_btreemap(ops in proptest::collection::vec((any::<u16>(), any::<u32>()), 0..500)) {
-                let mut rb = RbTree::new();
-                let mut model = BTreeMap::new();
-                for (k, v) in ops {
-                    prop_assert_eq!(rb.insert(k, v), model.insert(k, v));
-                    rb.check_invariants();
-                }
-                prop_assert_eq!(rb.len(), model.len());
-                let rb_entries: Vec<(u16, u32)> = rb.iter().map(|(k, v)| (*k, *v)).collect();
-                let model_entries: Vec<(u16, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-                prop_assert_eq!(rb_entries, model_entries);
-            }
-
-            #[test]
-            fn range_matches_btreemap(
-                keys in proptest::collection::btree_set(any::<u16>(), 0..300),
-                lo in any::<u16>(),
-                hi in any::<u16>(),
-            ) {
-                let rb: RbTree<u16, ()> = keys.iter().map(|&k| (k, ())).collect();
-                let model: BTreeMap<u16, ()> = keys.iter().map(|&k| (k, ())).collect();
-                let (lo, hi) = (lo.min(hi), lo.max(hi));
-                let got: Vec<u16> = rb
-                    .range(Bound::Included(&lo), Bound::Excluded(&hi))
-                    .map(|(k, _)| *k)
-                    .collect();
-                let expected: Vec<u16> = model.range(lo..hi).map(|(k, _)| *k).collect();
-                prop_assert_eq!(got, expected);
-            }
-        }
-    }
-}
+//! The RDFType store keeps its pairs in sorted arrays and the streaming
+//! overlay uses `std::collections::BTreeMap`, so no code path uses a
+//! hand-written ordered map any more. The package survives only because
+//! the benchmark's committed lockfile still names it as a dependency of
+//! `se-core` and `se-stream`; it goes with the next lockfile refresh.

@@ -281,6 +281,14 @@ impl Serialize for WaveletTree {
         for _ in 0..width {
             levels.push(RsBitVec::deserialize(r)?);
         }
+        // Every level holds one bit per symbol; a length the levels do not
+        // back would make `access` read past them.
+        if levels.iter().any(|level| level.len() != len) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "wavelet-tree length does not match its levels",
+            ));
+        }
         Ok(Self {
             levels,
             len,
@@ -423,6 +431,10 @@ mod tests {
         let back = WaveletTree::from_bytes(&buf).unwrap();
         assert_eq!(wt, back);
         assert_eq!(back.access(100), values[100]);
+        // The leading length field, overstated.
+        let mut bad = buf.clone();
+        bad[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(WaveletTree::from_bytes(&bad).is_err());
     }
 
     #[test]

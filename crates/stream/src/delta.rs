@@ -1,13 +1,14 @@
 //! The mutable delta overlay: inserted/deleted triples in identifier
-//! space, held in red-black trees (`se-rbtree`) until compaction folds
-//! them into the succinct baseline.
+//! space, held in ordered maps (`BTreeMap`) until compaction folds them
+//! into the succinct baseline.
 //!
 //! Every triple is keyed in **PSO** and **POS** order (mirroring the
 //! baseline's single logical PSO index), `rdf:type` triples in the two
 //! RDFType access paths `(concept, subject)` and `(subject, concept)`.
-//! The tree *value* is a [`DeltaState`] recording how the triple relates
-//! to the immutable baseline — `se-rbtree` intentionally has no deletion,
-//! so state transitions overwrite in place:
+//! The map *value* is a [`DeltaState`] recording how the triple relates
+//! to the immutable baseline. Entries are never removed — state
+//! transitions overwrite in place, so [`DeltaStore::overlay_len`], the
+//! compaction trigger, counts every triple the overlay has touched:
 //!
 //! | state      | in baseline? | visible in hybrid view? |
 //! |------------|--------------|-------------------------|
@@ -24,10 +25,8 @@
 //! `LiteralTable` — one table shared by every shard's overlay — and
 //! surface to the query layer offset by [`crate::OVERFLOW_BASE`].
 
-use se_rbtree::RbTree;
 use se_rdf::{Literal, Triple};
-use std::collections::HashMap;
-use std::ops::Bound::{Excluded, Included};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The net visibility changes of one batch, in term space: what the
@@ -146,17 +145,20 @@ impl LiteralTable {
     }
 }
 
+/// The greatest [`DeltaObj`]: the inclusive end of a `(p, s)` object run.
+const MAX_OBJ: DeltaObj = DeltaObj::Lit(u64::MAX);
+
 /// The mutable overlay of inserted/deleted triples, in identifier space.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaStore {
     /// Non-type triples, `(p, s, o)` order.
-    pso: RbTree<(u64, u64, DeltaObj), DeltaState>,
+    pso: BTreeMap<(u64, u64, DeltaObj), DeltaState>,
     /// Non-type triples, `(p, o, s)` order.
-    pos: RbTree<(u64, DeltaObj, u64), DeltaState>,
+    pos: BTreeMap<(u64, DeltaObj, u64), DeltaState>,
     /// `rdf:type` triples, `(concept, subject)` order.
-    type_cs: RbTree<(u64, u64), DeltaState>,
+    type_cs: BTreeMap<(u64, u64), DeltaState>,
     /// `rdf:type` triples, `(subject, concept)` order.
-    type_sc: RbTree<(u64, u64), DeltaState>,
+    type_sc: BTreeMap<(u64, u64), DeltaState>,
     /// Number of entries currently in [`DeltaState::Added`].
     n_added: usize,
     /// Number of entries currently in [`DeltaState::Deleted`].
@@ -238,22 +240,8 @@ impl DeltaStore {
 
     /// Overlay entries for `(p, s, ?o)`, in object order.
     pub fn objects(&self, p: u64, s: u64) -> Vec<(DeltaObj, DeltaState)> {
-        if s == u64::MAX {
-            // Guard the exclusive upper bound below.
-            return self
-                .pso
-                .range(
-                    Included(&(p, s, DeltaObj::Inst(0))),
-                    Excluded(&(p + 1, 0, DeltaObj::Inst(0))),
-                )
-                .map(|(&(_, _, o), &st)| (o, st))
-                .collect();
-        }
         self.pso
-            .range(
-                Included(&(p, s, DeltaObj::Inst(0))),
-                Excluded(&(p, s + 1, DeltaObj::Inst(0))),
-            )
+            .range((p, s, DeltaObj::Inst(0))..=(p, s, MAX_OBJ))
             .map(|(&(_, _, o), &st)| (o, st))
             .collect()
     }
@@ -261,7 +249,7 @@ impl DeltaStore {
     /// Overlay entries for `(?s, p, o)`, in subject order.
     pub fn subjects(&self, p: u64, o: DeltaObj) -> Vec<(u64, DeltaState)> {
         self.pos
-            .range(Included(&(p, o, 0)), Excluded(&(p, o, u64::MAX)))
+            .range((p, o, 0)..=(p, o, u64::MAX))
             .map(|(&(_, _, s), &st)| (s, st))
             .collect()
     }
@@ -269,22 +257,20 @@ impl DeltaStore {
     /// Overlay entries for `(?s, p, ?o)`, in `(s, o)` order.
     pub fn scan(&self, p: u64) -> Vec<(u64, DeltaObj, DeltaState)> {
         self.pso
-            .range(
-                Included(&(p, 0, DeltaObj::Inst(0))),
-                Excluded(&(p + 1, 0, DeltaObj::Inst(0))),
-            )
+            .range((p, 0, DeltaObj::Inst(0))..=(p, u64::MAX, MAX_OBJ))
             .map(|(&(_, s, o), &st)| (s, o, st))
             .collect()
     }
 
-    /// Distinct predicates with overlay entries in `[lo, hi)`, ascending.
+    /// Distinct predicates with overlay entries in `[lo, hi)`, ascending;
+    /// empty when `lo >= hi`.
     pub fn predicates_in(&self, lo: u64, hi: u64) -> Vec<u64> {
+        if lo >= hi {
+            return Vec::new();
+        }
         let mut out: Vec<u64> = self
             .pso
-            .range(
-                Included(&(lo, 0, DeltaObj::Inst(0))),
-                Excluded(&(hi, 0, DeltaObj::Inst(0))),
-            )
+            .range((lo, 0, DeltaObj::Inst(0))..(hi, 0, DeltaObj::Inst(0)))
             .map(|(&(p, _, _), _)| p)
             .collect();
         out.dedup();
@@ -297,19 +283,25 @@ impl DeltaStore {
     }
 
     /// Overlay entries for `(?s, rdf:type, c)` with `c ∈ [lo, hi)`, in
-    /// `(concept, subject)` order.
+    /// `(concept, subject)` order; empty when `lo >= hi`.
     pub fn type_subjects_in(&self, lo: u64, hi: u64) -> Vec<(u64, u64, DeltaState)> {
+        if lo >= hi {
+            return Vec::new();
+        }
         self.type_cs
-            .range(Included(&(lo, 0)), Excluded(&(hi, 0)))
+            .range((lo, 0)..(hi, 0))
             .map(|(&(c, s), &st)| (c, s, st))
             .collect()
     }
 
     /// Overlay entries for `(s, rdf:type, ?c)` with `c ∈ [lo, hi)`, in
-    /// concept order.
+    /// concept order; empty when `lo >= hi`.
     pub fn type_concepts_of(&self, s: u64, lo: u64, hi: u64) -> Vec<(u64, DeltaState)> {
+        if lo >= hi {
+            return Vec::new();
+        }
         self.type_sc
-            .range(Included(&(s, lo)), Excluded(&(s, hi)))
+            .range((s, lo)..(s, hi))
             .map(|(&(_, c), &st)| (c, st))
             .collect()
     }
@@ -402,5 +394,36 @@ mod tests {
         );
         assert_eq!(d.type_state(10, 4), Some(DeltaState::Deleted));
         assert_eq!(d.type_state(12, 4), None);
+    }
+
+    #[test]
+    fn empty_and_inverted_ranges_are_empty() {
+        let mut d = DeltaStore::new();
+        d.set(1, 5, DeltaObj::Inst(7), DeltaState::Added);
+        d.set(3, 5, DeltaObj::Inst(7), DeltaState::Added);
+        d.set_type(10, 3, DeltaState::Added);
+        d.set_type(10, 5, DeltaState::Added);
+        for (lo, hi) in [(3, 3), (4, 2), (u64::MAX, 0)] {
+            assert_eq!(d.predicates_in(lo, hi), Vec::<u64>::new());
+            assert_eq!(d.type_subjects_in(lo, hi), Vec::new());
+            assert_eq!(d.type_concepts_of(10, lo, hi), Vec::new());
+        }
+    }
+
+    #[test]
+    fn objects_of_the_largest_subject() {
+        let mut d = DeltaStore::new();
+        d.set(1, u64::MAX, DeltaObj::Inst(7), DeltaState::Added);
+        d.set(1, u64::MAX, DeltaObj::Lit(u64::MAX), DeltaState::Deleted);
+        d.set(1, 4, DeltaObj::Inst(8), DeltaState::Added);
+        d.set(2, 0, DeltaObj::Inst(9), DeltaState::Added);
+        assert_eq!(
+            d.objects(1, u64::MAX),
+            vec![
+                (DeltaObj::Inst(7), DeltaState::Added),
+                (DeltaObj::Lit(u64::MAX), DeltaState::Deleted)
+            ]
+        );
+        assert_eq!(d.scan(1).len(), 3);
     }
 }

@@ -7,8 +7,8 @@
 //! systems:
 //!
 //! * [`DeltaStore`] — a mutable overlay of
-//!   inserted/deleted triples in identifier space, held in red-black
-//!   trees (`se-rbtree`) with PSO/POS access paths;
+//!   inserted/deleted triples in identifier space, held in `BTreeMap`s
+//!   with PSO/POS access paths;
 //! * [`ShardedHybridStore`] — the one streaming store: succinct layers
 //!   plus overlay, merged at pattern-access granularity behind `se-core`'s
 //!   [`TripleSource`](se_core::TripleSource), so the unmodified
@@ -49,7 +49,7 @@
 //!              ▼                          ▼
 //!        ┌─────────┐                ┌─────────┐
 //!        │ shard 0 │       …        │ shard N │   on the caller:
-//!        │ layers  │                │ layers  │   baseline probes + rbtree
+//!        │ layers  │                │ layers  │   baseline probes + BTreeMap
 //!        │ + delta │                │ + delta │   overlay insertion
 //!        └────┬────┘                └────┬────┘
 //!             │     scatter/gather       │
@@ -71,8 +71,8 @@
 //!
 //! * **Ingest on the caller.** `apply` validates the batch, encodes and
 //!   routes every operation into recycled per-shard lists, then applies
-//!   each shard's list (baseline probes, red-black-tree overlay
-//!   insertion) on the calling thread. Literal ops carry their content,
+//!   each shard's list (baseline probes, ordered-map overlay insertion)
+//!   on the calling thread. Literal ops carry their content,
 //!   so effect capture decodes them without a table lookup.
 //! * **Queries fan out with `thread::scope`.** A
 //!   [`StreamSession`] with more than one continuous query evaluates them

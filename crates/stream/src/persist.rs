@@ -472,13 +472,11 @@ fn layer_file_parse(bytes: &[u8]) -> Result<ShardBase, StreamError> {
     let mut t = payload.as_slice();
     let types = (|| -> io::Result<RdfTypeStore> {
         let n = t.read_u64()?;
-        let mut store = RdfTypeStore::new();
+        let mut pairs = Vec::with_capacity(capped(n));
         for _ in 0..n {
-            let s = t.read_u64()?;
-            let c = t.read_u64()?;
-            store.insert(s, c);
+            pairs.push((t.read_u64()?, t.read_u64()?));
         }
-        Ok(store)
+        Ok(RdfTypeStore::from_pairs(pairs))
     })()
     .map_err(corrupt("TYPS"))?;
     Ok(ShardBase {

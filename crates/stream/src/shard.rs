@@ -21,7 +21,7 @@
 //!   `TripleSource` contract, so distinct ids for equal content are sound.
 //! * **Ingest on the caller.** `apply` validates the whole batch, encodes
 //!   and routes every operation into recycled per-shard lists, then runs
-//!   each shard's list (baseline-membership probes and red-black-tree
+//!   each shard's list (baseline-membership probes and ordered-map
 //!   overlay insertion) on the calling thread. A malformed triple rejects
 //!   the whole batch before any mutation.
 //! * **Scatter/gather queries.** A predicate-bound pattern routes to
@@ -298,16 +298,10 @@ impl ShardInput {
         self.datatypes
             .sort_unstable_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
         self.datatypes.dedup();
-        self.types.sort_unstable();
-        self.types.dedup();
-        let mut types = RdfTypeStore::new();
-        for &(s, c) in &self.types {
-            types.insert(s, c);
-        }
         ShardBase {
             objects: TripleLayer::build(&self.objects),
             datatypes: DatatypeLayer::build(&self.datatypes),
-            types,
+            types: RdfTypeStore::from_pairs(self.types),
         }
     }
 }
@@ -1835,9 +1829,9 @@ impl TripleSource for ShardedHybridStore {
                     .base
                     .types
                     .pairs_in_interval(iv)
-                    .into_iter()
-                    .filter(|&(c, s)| shard.delta.type_state(s, c) != Some(DeltaState::Deleted))
-                    .map(|(_, s)| s),
+                    .iter()
+                    .filter(|&&(c, s)| shard.delta.type_state(s, c) != Some(DeltaState::Deleted))
+                    .map(|&(_, s)| s),
             );
             for (_, s, st) in shard.delta.type_subjects_in(iv.lower, iv.upper) {
                 if st == DeltaState::Added {
@@ -1858,7 +1852,6 @@ impl TripleSource for ShardedHybridStore {
                     .base
                     .types
                     .concepts_of(s)
-                    .into_iter()
                     .filter(|&c| shard.delta.type_state(s, c) != Some(DeltaState::Deleted)),
             );
             for (c, st) in shard.delta.type_concepts_of(s, 0, u64::MAX) {
@@ -1883,7 +1876,7 @@ impl TripleSource for ShardedHybridStore {
             } else {
                 // Some base types of `s` in the interval are tombstoned:
                 // check the survivors individually.
-                shard.base.types.concepts_of(s).into_iter().any(|c| {
+                shard.base.types.concepts_of(s).any(|c| {
                     iv.contains(c) && shard.delta.type_state(s, c) != Some(DeltaState::Deleted)
                 })
             };

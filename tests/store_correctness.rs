@@ -227,12 +227,33 @@ proptest! {
             let iv = store.concept_interval("http://x/C0").unwrap();
             let got = decode_subjects(store, &store.subjects_of_concept_interval(iv));
             prop_assert_eq!(got, typed(&classes), "{}: C0 interval", name);
-            prop_assert_eq!(
-                store.type_count(iv),
-                naive(&graph, &[se_rdf::vocab::rdf::TYPE], |t| Some(t.to_string())).len(),
-                "{}: type_count(C0)",
-                name
-            );
+            let type_triples = naive(&graph, &[se_rdf::vocab::rdf::TYPE], |t| {
+                Some(format!("{} {}", t.subject, t.object))
+            });
+            // Wide intervals: everything, and everything but the top id.
+            for count_iv in [iv, IdInterval::ALL, IdInterval { lower: 0, upper: u64::MAX - 1 }] {
+                prop_assert_eq!(
+                    store.type_count(count_iv),
+                    type_triples.len(),
+                    "{}: type_count({:?})",
+                    name,
+                    count_iv
+                );
+            }
+            // Concept ids decode through the class vocabulary.
+            let class_of = |c: u64| -> String {
+                classes
+                    .iter()
+                    .find(|&&n| store.concept_id(n) == Some(c))
+                    .map_or(format!("?{c}"), |n| Term::iri(*n).to_string())
+            };
+            let mut pairs: Vec<String> = store
+                .type_pairs()
+                .into_iter()
+                .map(|(s, c)| format!("{} {}", decode(store, Value::Instance(s)), class_of(c)))
+                .collect();
+            pairs.sort();
+            prop_assert_eq!(pairs, type_triples.clone(), "{}: type_pairs", name);
             // Without reasoning each class is a point interval.
             for c in classes {
                 let point = store.concept_id(c).map_or(Vec::new(), |cid| {
@@ -249,6 +270,14 @@ proptest! {
                     .instance_id(&subject)
                     .is_some_and(|sid| store.has_type_in_interval(sid, c1));
                 prop_assert_eq!(has, members.contains(&subject.to_string()), "{}: {}", name, subject);
+                let mut concepts: Vec<String> = store.instance_id(&subject).map_or(Vec::new(), |sid| {
+                    store.concepts_of_subject(sid).into_iter().map(class_of).collect()
+                });
+                concepts.sort();
+                let expected = naive(&graph, &[se_rdf::vocab::rdf::TYPE], |t| {
+                    (t.subject == subject).then(|| t.object.to_string())
+                });
+                prop_assert_eq!(concepts, expected, "{}: concepts_of({})", name, subject);
             }
             Ok(())
         })?;
