@@ -16,15 +16,16 @@
 //! 4. **Layer construction** — object triples are sorted `(p, s, o)` and
 //!    frozen into the SDS layers; datatype triples into their layer;
 //!    `rdf:type` pairs become the RDFType store's two sorted arrays.
+//!
+//! Steps 3 and 4 are [`crate::baseline`]'s encode pass and freeze step,
+//! shared with the streaming store's shards.
 
-use crate::datatype::DatatypeLayer;
+use crate::baseline::encode_partitions;
 use crate::error::BuildError;
-use crate::layer::TripleLayer;
 use crate::store::SuccinctEdgeStore;
-use crate::typestore::RdfTypeStore;
 use se_litemat::Dictionaries;
 use se_ontology::Ontology;
-use se_rdf::{Graph, Literal, Term};
+use se_rdf::{Graph, Term};
 use std::collections::BTreeSet;
 
 /// Construction statistics reported by [`SuccinctEdgeStore::build`].
@@ -65,8 +66,8 @@ pub fn key_to_term_arc(key: std::sync::Arc<str>) -> Term {
 }
 
 /// Step 1 of store construction, exposed for stores that manage their own
-/// layer assembly (the sharded store of `se-stream` encodes one *global*
-/// dictionary set and builds per-shard layers against it): returns the
+/// partitioning (the sharded store of `se-stream` encodes one *global*
+/// dictionary set and builds per-shard baselines against it): returns the
 /// ontology augmented with every class/property that occurs in `graph` but
 /// not in `ontology`, plus the counts of augmented classes and properties.
 pub fn augment_ontology(
@@ -131,74 +132,21 @@ pub(crate) fn build_store(
     ontology: &Ontology,
     graph: &Graph,
 ) -> Result<SuccinctEdgeStore, BuildError> {
-    // ---- step 1: augment the ontology with data-only terms ---------------
-    let (onto, stats_aug_classes, stats_aug_props) = augment_ontology(ontology, graph)?;
-
-    // ---- step 2: LiteMat encoding -----------------------------------------
+    let (onto, n_augmented_classes, n_augmented_properties) = augment_ontology(ontology, graph)?;
     let mut dicts: Dictionaries = onto.encode()?;
-
-    // ---- step 3: triple encoding + statistics -----------------------------
-    let mut type_pairs: Vec<(u64, u64)> = Vec::new(); // (subject, concept)
-    let mut object_triples: Vec<(u64, u64, u64)> = Vec::new();
-    let mut datatype_triples: Vec<(u64, u64, Literal)> = Vec::new();
-    for t in graph {
-        let p = t.predicate.as_iri().expect("validated above");
-        let s_key = instance_key(&t.subject).expect("validated above");
-        let s_id = dicts.instances.get_or_insert(&s_key);
-        dicts.instances.record_occurrence(s_id);
-        if t.is_type_triple() {
-            let class = t.object.as_iri().expect("validated above");
-            let c_id = dicts
-                .concepts
-                .id(class)
-                .expect("augmentation covers all data classes");
-            dicts.concepts.record_occurrence(c_id);
-            type_pairs.push((s_id, c_id));
-        } else {
-            let p_id = dicts
-                .properties
-                .id(p)
-                .expect("augmentation covers all data properties");
-            dicts.properties.record_occurrence(p_id);
-            match &t.object {
-                Term::Literal(lit) => {
-                    datatype_triples.push((p_id, s_id, lit.clone()));
-                }
-                other => {
-                    let o_key = instance_key(other).expect("resource object");
-                    let o_id = dicts.instances.get_or_insert(&o_key);
-                    dicts.instances.record_occurrence(o_id);
-                    object_triples.push((p_id, s_id, o_id));
-                }
-            }
-        }
-    }
-
-    // ---- step 4: freeze the layers -----------------------------------------
-    object_triples.sort_unstable();
-    object_triples.dedup();
-    datatype_triples.sort_unstable_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
-    datatype_triples.dedup();
-
-    let object_layer = TripleLayer::build(&object_triples);
-    let datatype_layer = DatatypeLayer::build(&datatype_triples);
-    let type_store = RdfTypeStore::from_pairs(type_pairs);
-
+    let input = encode_partitions(&mut dicts, graph, 1, |_| 0)
+        .pop()
+        .expect("one partition");
+    let base = input.freeze();
     let stats = BuildStats {
-        n_triples: object_triples.len() + datatype_triples.len() + type_store.len(),
-        n_type_triples: type_store.len(),
-        n_object_triples: object_triples.len(),
-        n_datatype_triples: datatype_triples.len(),
-        n_augmented_classes: stats_aug_classes,
-        n_augmented_properties: stats_aug_props,
+        n_triples: base.len(),
+        n_type_triples: base.types.len(),
+        n_object_triples: base.objects.len(),
+        n_datatype_triples: base.datatypes.len(),
+        n_augmented_classes,
+        n_augmented_properties,
     };
-    Ok(SuccinctEdgeStore::from_parts(
-        dicts,
-        object_layer,
-        datatype_layer,
-        type_store,
-        stats,
-    ))
+    Ok(SuccinctEdgeStore::from_parts(dicts, base, stats))
 }
 
 #[cfg(test)]

@@ -294,8 +294,8 @@ impl Serialize for DatatypeLayer {
         let bm_ps = RsBitVec::deserialize(r)?;
         let wt_s = WaveletTree::deserialize(r)?;
         let bm_so = RsBitVec::deserialize(r)?;
-        let n = r.read_u64()? as usize;
-        let mut literals = Vec::with_capacity(n);
+        let n = r.read_u64()?;
+        let mut literals = Vec::with_capacity(se_sds::capped(n));
         for _ in 0..n {
             let value = r.read_str()?;
             let lit = match r.read_u8()? {
@@ -347,6 +347,19 @@ impl Serialize for DatatypeLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TripleSource;
+
+    /// A hostile literal count must fail on the missing literals, not
+    /// abort on an up-front reservation.
+    #[test]
+    fn hostile_literal_count_is_an_error() {
+        let mut bytes = DatatypeLayer::build(&[]).to_bytes();
+        let count_at = bytes.len() - 8;
+        bytes.truncate(count_at);
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        assert!(DatatypeLayer::from_bytes(&bytes).is_err());
+    }
 
     fn lit(v: &str) -> Literal {
         Literal::string(v)

@@ -16,13 +16,19 @@
 //!   triples in two sorted arrays keyed `(concept, subject)` and
 //!   `(subject, concept)`.
 //!
+//! The three components form one [`baseline::Baseline`], built, probed
+//! and serialized in one place: the static [`store::SuccinctEdgeStore`]
+//! is dictionaries plus one baseline, and each shard of `se-stream`'s
+//! streaming store is a baseline plus its overlay.
+//!
 //! Triple patterns are evaluated *without decompressing anything* by
 //! translating them into `access` / `rank` / `select` / `range_search`
-//! operations (the paper's Algorithms 2, 3 and 4, implemented in
-//! [`store::SuccinctEdgeStore`]). RDFS reasoning arrives for free: a LiteMat
+//! operations (the paper's Algorithms 2, 3 and 4, implemented by
+//! [`baseline::Baseline`]'s probes). RDFS reasoning arrives for free: a LiteMat
 //! identifier interval replaces a single identifier and the same SDS
 //! navigation answers the inferred pattern.
 
+pub mod baseline;
 pub mod builder;
 pub mod datatype;
 pub mod error;
@@ -33,6 +39,7 @@ pub mod store;
 pub mod typestore;
 pub mod value;
 
+pub use baseline::Baseline;
 pub use builder::{augment_ontology, BuildStats};
 pub use error::BuildError;
 pub use source::TripleSource;

@@ -1,45 +1,109 @@
-//! Store persistence.
+//! Store persistence: the two on-disk forms of a [`Baseline`].
 //!
 //! The paper's administration model (§4) broadcasts LiteMat-encoded
 //! dictionaries from a central server to the edge instances, and §7.3.2
 //! persists "all the data structures existing in SuccinctEdge to disk".
-//! This module implements that persistent form: one compact binary file
-//! containing the three dictionaries, both SDS layers and the `rdf:type`
-//! pairs. Loading rebuilds the rank/select directories and the sorted
+//!
+//! * **v01** ([`SuccinctEdgeStore::save`]) — one compact binary file: the
+//!   magic `SEDGEv01`, the three dictionaries, the baseline (object
+//!   layer, datatype layer, `rdf:type` count + `(s, c)` pairs) and six
+//!   build-statistics words.
+//! * **v02 layer file** ([`Baseline::to_layer_file`]) — one shard's
+//!   baseline in `se-stream`'s store directory: an `se-sds` container
+//!   (magic `SESHLv02`, version 2) with the checksummed sections `OBJL`,
+//!   `DATL` and `TYPS`, holding the same three encodings.
+//!
+//! Loading rebuilds the rank/select directories and the sorted
 //! `rdf:type` arrays (they are cheap derived structures; only raw data is
 //! stored).
 
+use crate::baseline::Baseline;
 use crate::builder::BuildStats;
 use crate::datatype::DatatypeLayer;
 use crate::layer::TripleLayer;
 use crate::store::SuccinctEdgeStore;
 use crate::typestore::RdfTypeStore;
 use se_litemat::{Dictionaries, InstanceDictionary, LiteMatDictionary};
-use se_sds::{ReadBin, Serialize, WriteBin};
+use se_sds::{
+    expect_section, read_container_header, write_container_header, write_section, ContainerError,
+    ReadBin, Serialize, WriteBin,
+};
 use std::io;
 use std::path::Path;
 
 /// Magic header of the persistent format.
 const MAGIC: &[u8; 8] = b"SEDGEv01";
+/// Magic header of a v02 shard layer file.
+const LAYER_MAGIC: &[u8; 8] = b"SESHLv02";
+/// Container format version of the layer file.
+const LAYER_VERSION: u32 = 2;
+
+/// The v01 baseline body: object layer, datatype layer, `rdf:type` pairs.
+impl Serialize for Baseline {
+    fn serialize<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+        self.objects.serialize(w)?;
+        self.datatypes.serialize(w)?;
+        self.types.serialize(w)
+    }
+
+    fn deserialize<R: io::Read>(r: &mut R) -> io::Result<Self> {
+        Ok(Self {
+            objects: TripleLayer::deserialize(r)?,
+            datatypes: DatatypeLayer::deserialize(r)?,
+            types: RdfTypeStore::deserialize(r)?,
+        })
+    }
+
+    fn serialized_size(&self) -> usize {
+        self.objects.serialized_size()
+            + self.datatypes.serialized_size()
+            + self.types.serialized_size()
+    }
+}
+
+impl Baseline {
+    /// The v02 layer file: the three structures, one checksummed section
+    /// each.
+    pub fn to_layer_file(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        (|| {
+            write_container_header(&mut buf, LAYER_MAGIC, LAYER_VERSION)?;
+            write_section(&mut buf, b"OBJL", &self.objects.to_bytes())?;
+            write_section(&mut buf, b"DATL", &self.datatypes.to_bytes())?;
+            write_section(&mut buf, b"TYPS", &self.types.to_bytes())
+        })()
+        .expect("serializing to Vec cannot fail");
+        buf
+    }
+
+    /// Parses a layer file written by [`Baseline::to_layer_file`]. A
+    /// section whose payload does not decode reports `InvalidData` naming
+    /// the section.
+    pub fn from_layer_file(bytes: &[u8]) -> Result<Self, ContainerError> {
+        fn section<T: Serialize>(r: &mut &[u8], tag: &[u8; 4]) -> Result<T, ContainerError> {
+            T::from_bytes(&expect_section(r, tag)?).map_err(|e| {
+                let tag = String::from_utf8_lossy(tag);
+                io::Error::new(io::ErrorKind::InvalidData, format!("section {tag}: {e}")).into()
+            })
+        }
+        let mut r = bytes;
+        read_container_header(&mut r, LAYER_MAGIC, LAYER_VERSION)?;
+        Ok(Self {
+            objects: section(&mut r, b"OBJL")?,
+            datatypes: section(&mut r, b"DATL")?,
+            types: section(&mut r, b"TYPS")?,
+        })
+    }
+}
 
 impl SuccinctEdgeStore {
     /// Writes the store's persistent form.
     pub fn save<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(MAGIC)?;
-        // Dictionaries.
-        self.dictionaries().concepts.serialize(w)?;
-        self.dictionaries().properties.serialize(w)?;
-        self.dictionaries().instances.serialize(w)?;
-        // Layers.
-        self.object_layer().serialize(w)?;
-        self.datatype_layer().serialize(w)?;
-        // rdf:type pairs.
-        w.write_u64(self.type_store().len() as u64)?;
-        for (s, c) in self.type_store().iter() {
-            w.write_u64(s)?;
-            w.write_u64(c)?;
-        }
-        // Stats.
+        self.dicts.concepts.serialize(w)?;
+        self.dicts.properties.serialize(w)?;
+        self.dicts.instances.serialize(w)?;
+        self.base.serialize(w)?;
         let st = self.stats();
         for v in [
             st.n_triples,
@@ -70,43 +134,25 @@ impl SuccinctEdgeStore {
                 "not a SuccinctEdge store file",
             ));
         }
-        let concepts = LiteMatDictionary::deserialize(r)?;
-        let properties = LiteMatDictionary::deserialize(r)?;
-        let instances = InstanceDictionary::deserialize(r)?;
-        let object_layer = TripleLayer::deserialize(r)?;
-        let datatype_layer = DatatypeLayer::deserialize(r)?;
-        // The count is unchecksummed: reserve at most 64K pairs up front and
-        // let a short file fail on read, not on allocation.
-        let n_types = r.read_u64()?;
-        let mut type_pairs = Vec::with_capacity(n_types.min(1 << 16) as usize);
-        for _ in 0..n_types {
-            type_pairs.push((r.read_u64()?, r.read_u64()?));
-        }
-        let type_store = RdfTypeStore::from_pairs(type_pairs);
-        let mut stats_fields = [0u64; 6];
-        for f in &mut stats_fields {
-            *f = r.read_u64()?;
+        let dicts = Dictionaries {
+            concepts: LiteMatDictionary::deserialize(r)?,
+            properties: LiteMatDictionary::deserialize(r)?,
+            instances: InstanceDictionary::deserialize(r)?,
+        };
+        let base = Baseline::deserialize(r)?;
+        let mut f = [0usize; 6];
+        for v in &mut f {
+            *v = r.read_u64()? as usize;
         }
         let stats = BuildStats {
-            n_triples: stats_fields[0] as usize,
-            n_type_triples: stats_fields[1] as usize,
-            n_object_triples: stats_fields[2] as usize,
-            n_datatype_triples: stats_fields[3] as usize,
-            n_augmented_classes: stats_fields[4] as usize,
-            n_augmented_properties: stats_fields[5] as usize,
+            n_triples: f[0],
+            n_type_triples: f[1],
+            n_object_triples: f[2],
+            n_datatype_triples: f[3],
+            n_augmented_classes: f[4],
+            n_augmented_properties: f[5],
         };
-        let dicts = Dictionaries {
-            concepts,
-            properties,
-            instances,
-        };
-        Ok(Self::from_parts(
-            dicts,
-            object_layer,
-            datatype_layer,
-            type_store,
-            stats,
-        ))
+        Ok(Self::from_parts(dicts, base, stats))
     }
 
     /// Loads from a file.
@@ -119,6 +165,7 @@ impl SuccinctEdgeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TripleSource;
     use se_ontology::Ontology;
     use se_rdf::{Graph, Term, Triple};
 

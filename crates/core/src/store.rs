@@ -1,26 +1,25 @@
-//! The assembled SuccinctEdge store: dictionaries + the three storage
-//! components, with triple-pattern evaluation in identifier space
-//! (Algorithms 2–4 of the paper). LiteMat property-interval reasoning runs
-//! over [`SuccinctEdgeStore::properties_in`] in [`crate::source`].
+//! The assembled SuccinctEdge store: dictionaries + one [`Baseline`] of
+//! the three storage components. Triple patterns are evaluated in
+//! identifier space (Algorithms 2–4 of the paper) through its
+//! [`TripleSource`](crate::TripleSource) implementation in
+//! [`crate::source`], the only copy of each probe.
 
-use crate::builder::{build_store, instance_key, key_to_term_arc, BuildStats};
+use crate::baseline::Baseline;
+use crate::builder::{build_store, BuildStats};
 use crate::datatype::DatatypeLayer;
 use crate::error::BuildError;
 use crate::layer::TripleLayer;
 use crate::typestore::RdfTypeStore;
-use crate::value::Value;
-use se_litemat::{Dictionaries, IdInterval};
+use se_litemat::Dictionaries;
 use se_ontology::Ontology;
-use se_rdf::{Graph, Literal, Term};
+use se_rdf::Graph;
 use se_sds::{HeapSize, Serialize};
 
 /// The SuccinctEdge RDF store (paper §4).
 #[derive(Debug, Clone)]
 pub struct SuccinctEdgeStore {
-    dicts: Dictionaries,
-    object_layer: TripleLayer,
-    datatype_layer: DatatypeLayer,
-    type_store: RdfTypeStore,
+    pub(crate) dicts: Dictionaries,
+    pub(crate) base: Baseline,
     stats: BuildStats,
 }
 
@@ -31,20 +30,8 @@ impl SuccinctEdgeStore {
         build_store(ontology, graph)
     }
 
-    pub(crate) fn from_parts(
-        dicts: Dictionaries,
-        object_layer: TripleLayer,
-        datatype_layer: DatatypeLayer,
-        type_store: RdfTypeStore,
-        stats: BuildStats,
-    ) -> Self {
-        Self {
-            dicts,
-            object_layer,
-            datatype_layer,
-            type_store,
-            stats,
-        }
+    pub(crate) fn from_parts(dicts: Dictionaries, base: Baseline, stats: BuildStats) -> Self {
+        Self { dicts, base, stats }
     }
 
     /// Construction statistics.
@@ -67,197 +54,14 @@ impl SuccinctEdgeStore {
         &self.dicts
     }
 
-    // ---------------------------------------------------------------- encode
-
-    /// Instance identifier of a subject/object resource term.
-    pub fn instance_id(&self, term: &Term) -> Option<u64> {
-        self.dicts.instances.id(&instance_key(term)?)
-    }
-
-    /// LiteMat identifier of a property IRI.
-    pub fn property_id(&self, iri: &str) -> Option<u64> {
-        self.dicts.properties.id(iri)
-    }
-
-    /// LiteMat identifier of a concept IRI.
-    pub fn concept_id(&self, iri: &str) -> Option<u64> {
-        self.dicts.concepts.id(iri)
-    }
-
-    /// Subsumption interval of a property (its whole sub-hierarchy).
-    pub fn property_interval(&self, iri: &str) -> Option<IdInterval> {
-        self.dicts.properties.interval(iri)
-    }
-
-    /// Subsumption interval of a concept.
-    pub fn concept_interval(&self, iri: &str) -> Option<IdInterval> {
-        self.dicts.concepts.interval(iri)
-    }
-
-    // ---------------------------------------------------------------- decode
-
-    /// Decodes any [`Value`] back to an RDF term (the `extract` direction
-    /// used when presenting an answer set, §4).
-    pub fn value_to_term(&self, value: Value) -> Option<Term> {
-        match value {
-            Value::Instance(id) => self.dicts.instances.term_arc(id).map(key_to_term_arc),
-            Value::Concept(id) => self.dicts.concepts.term_arc(id).map(Term::Iri),
-            Value::Property(id) => self.dicts.properties.term_arc(id).map(Term::Iri),
-            Value::Literal(idx) => self
-                .datatype_layer
-                .literal(idx)
-                .map(|l| Term::Literal(l.clone())),
-        }
-    }
-
-    /// The literal at flat-store position `idx`.
-    pub fn literal(&self, idx: u64) -> Option<&Literal> {
-        self.datatype_layer.literal(idx)
-    }
-
-    /// Join-aware equality: two values join if they are the same encoded
-    /// value, or if both are literals with equal content (the flat store
-    /// keeps duplicates, so equal literals may have different indices).
-    pub fn values_join(&self, a: Value, b: Value) -> bool {
-        if a == b {
-            return true;
-        }
-        match (a, b) {
-            (Value::Literal(x), Value::Literal(y)) => match self.datatype_layer.literal(x) {
-                Some(lx) => self.datatype_layer.literal(y) == Some(lx),
-                None => false,
-            },
-            _ => false,
-        }
-    }
-
-    // ----------------------------------------------------- TP eval (no inference)
-
-    /// `(s, p, ?o)` — paper Algorithm 3, routed to the right layer.
-    pub fn objects(&self, p: u64, s: u64) -> Vec<Value> {
-        let mut out: Vec<Value> = self
-            .object_layer
-            .objects(p, s)
-            .into_iter()
-            .map(Value::Instance)
-            .collect();
-        out.extend(
-            self.datatype_layer
-                .literal_indices(p, s)
-                .map(Value::Literal),
-        );
-        out
-    }
-
-    /// `(?s, p, o)` — paper Algorithm 4.
-    pub fn subjects(&self, p: u64, o: &Value) -> Vec<u64> {
-        match o {
-            Value::Instance(oid) => self.object_layer.subjects(p, *oid),
-            Value::Literal(idx) => match self.datatype_layer.literal(*idx) {
-                Some(lit) => self.datatype_layer.subjects_by_literal(p, lit),
-                None => Vec::new(),
-            },
-            _ => Vec::new(),
-        }
-    }
-
-    /// `(?s, p, o)` with a literal constant object.
-    pub fn subjects_by_literal(&self, p: u64, lit: &Literal) -> Vec<u64> {
-        self.datatype_layer.subjects_by_literal(p, lit)
-    }
-
-    /// `(?s, p, ?o)` — full predicate scan, `(subject, object)` pairs
-    /// **sorted by subject** (ties: instances before literals).
-    ///
-    /// Each layer yields subject-sorted pairs; for the rare predicate that
-    /// carries both resource and literal objects the two runs are merged,
-    /// keeping the global subject order the merge join (§5.2) relies on.
-    pub fn scan_predicate(&self, p: u64) -> Vec<(u64, Value)> {
-        let inst = self.object_layer.scan_predicate(p);
-        let lit = self.datatype_layer.scan_predicate(p);
-        let mut out = Vec::with_capacity(inst.len() + lit.len());
-        let (mut i, mut j) = (0, 0);
-        while i < inst.len() || j < lit.len() {
-            let take_inst = match (inst.get(i), lit.get(j)) {
-                (Some(a), Some(b)) => a.0 <= b.0,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_inst {
-                out.push((inst[i].0, Value::Instance(inst[i].1)));
-                i += 1;
-            } else {
-                out.push((lit[j].0, Value::Literal(lit[j].1)));
-                j += 1;
-            }
-        }
-        out
-    }
-
-    /// `(s, p, o)` membership.
-    pub fn contains(&self, p: u64, s: u64, o: &Value) -> bool {
-        match o {
-            Value::Instance(oid) => self.object_layer.contains(p, s, *oid),
-            Value::Literal(idx) => match self.datatype_layer.literal(*idx) {
-                Some(lit) => self.datatype_layer.contains(p, s, lit),
-                None => false,
-            },
-            _ => false,
-        }
-    }
-
-    /// Distinct property ids in `iv` held by either layer, ascending —
-    /// the fan-out set of a LiteMat interval pattern (§5.2).
-    pub fn properties_in(&self, iv: IdInterval) -> Vec<u64> {
-        let obj = self.object_layer.predicate_range(iv.lower, iv.upper);
-        let dt = self.datatype_layer.predicate_range(iv.lower, iv.upper);
-        let mut out: Vec<u64> = obj
-            .map(|k| self.object_layer.predicate_at(k))
-            .chain(dt.map(|k| self.datatype_layer.predicate_at(k)))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    // ----------------------------------------------------------- rdf:type TPs
-
-    /// `(?s, rdf:type, C)` over a concept interval: a singleton without
-    /// reasoning, C's LiteMat sub-hierarchy with it.
-    pub fn subjects_of_concept_interval(&self, iv: IdInterval) -> Vec<u64> {
-        self.type_store.subjects_of_interval(iv)
-    }
-
-    /// `(s, rdf:type, ?c)` — concepts of a subject.
-    pub fn concepts_of_subject(&self, s: u64) -> Vec<u64> {
-        self.type_store.concepts_of(s).collect()
-    }
-
-    /// `(s, rdf:type, C)` membership with reasoning.
-    pub fn has_type_in_interval(&self, s: u64, iv: IdInterval) -> bool {
-        self.type_store.has_type_in_interval(s, iv)
-    }
-
-    // ------------------------------------------------------------- statistics
-
-    /// Paper Algorithm 2: triples with predicate `p` (both layers).
-    pub fn predicate_count(&self, p: u64) -> usize {
-        self.object_layer.count_predicate(p) + self.datatype_layer.count_predicate(p)
-    }
-
-    /// `rdf:type` triples whose concept lies in the interval.
-    pub fn type_count(&self, iv: IdInterval) -> usize {
-        self.type_store.count_interval(iv)
-    }
-
     // ------------------------------------------------------------------ sizes
 
     /// Bytes of heap memory used by the triple structures and dictionaries
     /// (the paper's Figure 11 RAM-footprint metric).
     pub fn memory_footprint(&self) -> usize {
-        self.object_layer.heap_size()
-            + self.datatype_layer.heap_size()
-            + self.type_store.heap_size()
+        self.base.objects.heap_size()
+            + self.base.datatypes.heap_size()
+            + self.base.types.heap_size()
             + self.dictionary_heap_size()
     }
 
@@ -289,10 +93,7 @@ impl SuccinctEdgeStore {
     /// On-disk size of the triple structures, dictionary excluded (the
     /// paper's Figure 10 metric).
     pub fn triple_serialized_size(&self) -> usize {
-        self.object_layer.serialized_size()
-            + self.datatype_layer.serialized_size()
-            + 8
-            + self.type_store.len() * 16
+        self.base.serialized_size()
     }
 
     /// On-disk size of the dictionaries (the paper's Figure 9 metric).
@@ -302,24 +103,27 @@ impl SuccinctEdgeStore {
 
     /// Direct access to the object layer.
     pub fn object_layer(&self) -> &TripleLayer {
-        &self.object_layer
+        &self.base.objects
     }
 
     /// Direct access to the datatype layer.
     pub fn datatype_layer(&self) -> &DatatypeLayer {
-        &self.datatype_layer
+        &self.base.datatypes
     }
 
     /// Direct access to the RDFType store.
     pub fn type_store(&self) -> &RdfTypeStore {
-        &self.type_store
+        &self.base.types
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TripleSource, Value};
+    use se_litemat::IdInterval;
     use se_rdf::vocab::rdf;
+    use se_rdf::{Literal, Term};
 
     fn iri(s: &str) -> Term {
         Term::iri(format!("http://x/{s}"))

@@ -23,6 +23,8 @@
 //! inverted interval (`lower >= upper`) yields an empty run.
 
 use se_litemat::IdInterval;
+use se_sds::{capped, ReadBin, Serialize, WriteBin};
+use std::io;
 
 /// Sorted-array storage for `rdf:type` triples.
 #[derive(Debug, Clone, Default)]
@@ -122,6 +124,32 @@ impl RdfTypeStore {
         let begin = sc.partition_point(|&(s, _)| s < subject);
         let len = sc[begin..].partition_point(|&(s, _)| s == subject);
         &sc[begin..begin + len]
+    }
+}
+
+/// The persistent form: the pair count, then `(subject, concept)` pairs
+/// in subject order. Loading rebuilds both arrays.
+impl Serialize for RdfTypeStore {
+    fn serialize<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+        w.write_u64(self.len() as u64)?;
+        for (s, c) in self.iter() {
+            w.write_u64(s)?;
+            w.write_u64(c)?;
+        }
+        Ok(())
+    }
+
+    fn deserialize<R: io::Read>(r: &mut R) -> io::Result<Self> {
+        let n = r.read_u64()?;
+        let mut pairs = Vec::with_capacity(capped(n));
+        for _ in 0..n {
+            pairs.push((r.read_u64()?, r.read_u64()?));
+        }
+        Ok(Self::from_pairs(pairs))
+    }
+
+    fn serialized_size(&self) -> usize {
+        8 + 16 * self.len()
     }
 }
 

@@ -46,11 +46,22 @@ fn read_u32<R: io::Read>(r: &mut R) -> io::Result<u32> {
     r.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
 }
+/// Length-prefixed UTF-8. The length is untrusted: the bytes are read
+/// through `take`, so a hostile length fails on the missing input rather
+/// than on an up-front allocation.
 fn read_str<R: io::Read>(r: &mut R) -> io::Result<String> {
-    let len = read_u64(r)? as usize;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    let len = read_u64(r)?;
+    let mut buf = Vec::new();
+    if io::Read::read_to_end(&mut io::Read::take(&mut *r, len), &mut buf)? as u64 != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Pre-allocation for an untrusted entry count (the vector still grows
+/// to the real size as entries are read).
+fn capped(n: u64) -> usize {
+    n.min(1 << 16) as usize
 }
 
 /// A LiteMat-backed bidirectional dictionary for concepts or properties.
@@ -158,9 +169,9 @@ impl LiteMatDictionary {
 
     /// Reads the persistent form written by [`LiteMatDictionary::serialize`].
     pub fn deserialize<R: io::Read>(r: &mut R) -> io::Result<Self> {
-        let n = read_u64(r)? as usize;
+        let n = read_u64(r)?;
         let total_len = read_u32(r)?;
-        let mut entries = Vec::with_capacity(n);
+        let mut entries = Vec::with_capacity(capped(n));
         let mut counts = HashMap::new();
         for _ in 0..n {
             let term = read_str(r)?;
@@ -328,6 +339,26 @@ impl Dictionaries {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A hostile entry count must fail on the missing entries, not abort
+    /// on an up-front reservation.
+    #[test]
+    fn litemat_hostile_count_is_an_error() {
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&3u32.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        assert!(LiteMatDictionary::deserialize(&mut bytes.as_slice()).is_err());
+    }
+
+    /// A hostile string length must fail on the missing bytes, not abort
+    /// on a `len`-byte buffer.
+    #[test]
+    fn instance_hostile_string_length_is_an_error() {
+        let mut bytes = 1u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        assert!(InstanceDictionary::deserialize(&mut bytes.as_slice()).is_err());
+    }
 
     fn sample_encoding() -> LiteMatEncoding {
         LiteMatEncoding::encode(

@@ -4,7 +4,7 @@
 //! SuccinctEdge layers; once construction is finished it is frozen into an
 //! [`crate::RsBitVec`] which adds the rank/select directories.
 
-use crate::serialize::{ReadBin, Serialize, WriteBin};
+use crate::serialize::{capped, ReadBin, Serialize, WriteBin};
 use crate::HeapSize;
 use std::io;
 
@@ -143,13 +143,16 @@ impl Serialize for BitVec {
     }
 
     fn deserialize<R: io::Read>(r: &mut R) -> io::Result<Self> {
-        let len = r.read_u64()? as usize;
+        let len = r.read_u64()?;
         let n_words = len.div_ceil(64);
-        let mut words = Vec::with_capacity(n_words);
+        let mut words = Vec::with_capacity(capped(n_words));
         for _ in 0..n_words {
             words.push(r.read_u64()?);
         }
-        Ok(Self { words, len })
+        Ok(Self {
+            words,
+            len: len as usize,
+        })
     }
 
     fn serialized_size(&self) -> usize {
@@ -160,6 +163,15 @@ impl Serialize for BitVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A hostile bit count must fail on the missing words, not abort on
+    /// an up-front reservation.
+    #[test]
+    fn hostile_length_is_an_error() {
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 16]);
+        assert!(BitVec::from_bytes(&bytes).is_err());
+    }
 
     #[test]
     fn push_and_get() {

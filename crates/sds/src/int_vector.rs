@@ -4,7 +4,7 @@
 //! the wavelet-tree builder and by the flat literal store of the
 //! Datatype-triple layer.
 
-use crate::serialize::{ReadBin, Serialize, WriteBin};
+use crate::serialize::{capped, ReadBin, Serialize, WriteBin};
 use crate::{bits_for, HeapSize};
 use std::io;
 
@@ -178,7 +178,7 @@ impl Serialize for IntVector {
     }
 
     fn deserialize<R: io::Read>(r: &mut R) -> io::Result<Self> {
-        let len = r.read_u64()? as usize;
+        let len = r.read_u64()?;
         let width = r.read_u32()?;
         if !(1..=64).contains(&width) {
             return Err(io::Error::new(
@@ -186,12 +186,19 @@ impl Serialize for IntVector {
                 "bad int-vector width",
             ));
         }
-        let n_words = (len * width as usize).div_ceil(64);
-        let mut words = Vec::with_capacity(n_words);
+        let n_words = len
+            .checked_mul(u64::from(width))
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "int-vector size overflows"))?
+            .div_ceil(64);
+        let mut words = Vec::with_capacity(capped(n_words));
         for _ in 0..n_words {
             words.push(r.read_u64()?);
         }
-        Ok(Self { words, len, width })
+        Ok(Self {
+            words,
+            len: len as usize,
+            width,
+        })
     }
 
     fn serialized_size(&self) -> usize {
@@ -202,6 +209,19 @@ impl Serialize for IntVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A hostile length must fail on the missing words — and `len *
+    /// width` overflowing must be an error — not abort on an up-front
+    /// reservation.
+    #[test]
+    fn hostile_length_is_an_error() {
+        for width in [1u32, 64] {
+            let mut bytes = u64::MAX.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&width.to_le_bytes());
+            bytes.extend_from_slice(&[0u8; 16]);
+            assert!(IntVector::from_bytes(&bytes).is_err(), "width {width}");
+        }
+    }
 
     #[test]
     fn push_get_width_7() {

@@ -27,7 +27,7 @@ pub use bitvec::BitVec;
 pub use int_vector::IntVector;
 pub use rank_select::RsBitVec;
 pub use serialize::{
-    checksum64, expect_section, read_container_header, read_section, read_section_from,
+    capped, checksum64, expect_section, read_container_header, read_section, read_section_from,
     write_container_header, write_section, ContainerError, ReadBin, Serialize, WriteBin,
 };
 pub use wavelet_tree::WaveletTree;

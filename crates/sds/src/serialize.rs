@@ -67,6 +67,14 @@ pub trait ReadBin: io::Read {
 
 impl<R: io::Read + ?Sized> ReadBin for R {}
 
+/// Caps a pre-allocation driven by an untrusted length prefix (on-disk or
+/// on-the-wire): the vector still grows to the real element count as
+/// parsing proceeds, but a corrupted (huge) count can no longer abort the
+/// process on an up-front `with_capacity` before truncation is detected.
+pub fn capped(n: u64) -> usize {
+    n.min(1 << 16) as usize
+}
+
 /// Compact binary serialization with a known size.
 pub trait Serialize: Sized {
     /// Writes `self` to `w`.

@@ -41,7 +41,7 @@
 
 use crate::protocol::{self as proto, read_frame, write_frame};
 use crate::server::{
-    push_results, serve_connection, stats, subscribe, Cmd, ReplCounters, Sub, CONN_POLL,
+    push_results, spawn_acceptor, stats, subscribe, Cmd, ReplCounters, Sub, CONN_POLL,
 };
 use se_ontology::Ontology;
 use se_rdf::Graph;
@@ -126,29 +126,7 @@ impl Replica {
                 })?
         };
 
-        let accept = {
-            let stop = Arc::clone(&stop);
-            thread::Builder::new()
-                .name("se-replica-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        let tx = tx.clone();
-                        let slot = Arc::clone(&slot);
-                        let stop = Arc::clone(&stop);
-                        let cache = Arc::clone(&plan_cache);
-                        let addr = local;
-                        let _ = thread::Builder::new().name("se-replica-conn".into()).spawn(
-                            move || {
-                                let _ = serve_connection(stream, tx, slot, stop, cache, addr);
-                            },
-                        );
-                    }
-                })?
-        };
+        let accept = spawn_acceptor("se-replica", listener, tx, slot, stop, plan_cache)?;
 
         Ok(Replica {
             addr: local,

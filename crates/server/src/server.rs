@@ -226,34 +226,7 @@ impl Server {
                 })?
         };
 
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let tx = tx.clone();
-            let slot = Arc::clone(&slot);
-            thread::Builder::new()
-                .name("se-server-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        let tx = tx.clone();
-                        let slot = Arc::clone(&slot);
-                        let stop = Arc::clone(&stop);
-                        let cache = Arc::clone(&plan_cache);
-                        let addr = local;
-                        // Connection threads are detached: they exit when
-                        // their client hangs up or the writer goes away.
-                        let _ =
-                            thread::Builder::new()
-                                .name("se-server-conn".into())
-                                .spawn(move || {
-                                    let _ = serve_connection(stream, tx, slot, stop, cache, addr);
-                                });
-                    }
-                })?
-        };
+        let accept = spawn_acceptor("se-server", listener, tx, slot, stop, plan_cache)?;
 
         Ok(Server {
             addr: local,
@@ -305,43 +278,10 @@ fn writer_loop(
     loop {
         let Ok(first) = rx.recv() else { break };
         let mut pending: Vec<PendingIngest> = Vec::new();
-        match first {
-            Cmd::Shutdown => break,
-            Cmd::Subscribe {
-                id,
-                text,
-                options,
-                sink,
-                done,
-            } => {
-                subscribe(&mut session, &mut subs, id, text, options, sink, done);
-                continue;
-            }
-            Cmd::Stats { done } => {
-                repl.replicas = replicas.len() as u64;
-                let _ = done.send(stats(&session, subs.len(), repl));
-                continue;
-            }
-            Cmd::Replicate {
-                from_epoch,
-                sink,
-                done,
-            } => {
-                attach_replica(
-                    &mut session,
-                    &mut replicas,
-                    &mut repl,
-                    from_epoch,
-                    sink,
-                    done,
-                );
-                continue;
-            }
-            Cmd::Ingest {
-                inserts,
-                deletes,
-                done,
-            } => pending.push((inserts, deletes, done)),
+        match dispatch(first, &mut session, &mut subs, &mut replicas, &mut repl) {
+            Next::Shutdown => break,
+            Next::Handled => continue,
+            Next::Ingest(rider) => pending.push(rider),
         }
 
         // Group-commit window: coalesce every write that arrives within
@@ -352,38 +292,14 @@ fn writer_loop(
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             match rx.recv_timeout(left) {
-                Ok(Cmd::Ingest {
-                    inserts,
-                    deletes,
-                    done,
-                }) => pending.push((inserts, deletes, done)),
-                Ok(Cmd::Subscribe {
-                    id,
-                    text,
-                    options,
-                    sink,
-                    done,
-                }) => subscribe(&mut session, &mut subs, id, text, options, sink, done),
-                Ok(Cmd::Stats { done }) => {
-                    repl.replicas = replicas.len() as u64;
-                    let _ = done.send(stats(&session, subs.len(), repl));
-                }
-                Ok(Cmd::Replicate {
-                    from_epoch,
-                    sink,
-                    done,
-                }) => attach_replica(
-                    &mut session,
-                    &mut replicas,
-                    &mut repl,
-                    from_epoch,
-                    sink,
-                    done,
-                ),
-                Ok(Cmd::Shutdown) => {
-                    shutdown = true;
-                    break;
-                }
+                Ok(cmd) => match dispatch(cmd, &mut session, &mut subs, &mut replicas, &mut repl) {
+                    Next::Ingest(rider) => pending.push(rider),
+                    Next::Handled => {}
+                    Next::Shutdown => {
+                        shutdown = true;
+                        break;
+                    }
+                },
                 Err(RecvTimeoutError::Timeout) => break,
                 Err(RecvTimeoutError::Disconnected) => {
                     shutdown = true;
@@ -463,6 +379,52 @@ fn writer_loop(
             break;
         }
     }
+}
+
+/// What the writer does after one command.
+enum Next {
+    /// A write joins the current tick.
+    Ingest(PendingIngest),
+    /// Answered on the spot.
+    Handled,
+    /// Stop after the current tick.
+    Shutdown,
+}
+
+/// The writer's one handler per command: writes are returned for the
+/// group-commit tick, everything else is answered immediately.
+fn dispatch(
+    cmd: Cmd,
+    session: &mut StreamSession<ShardedHybridStore>,
+    subs: &mut HashMap<String, Sub>,
+    replicas: &mut Vec<ClientSink>,
+    repl: &mut ReplCounters,
+) -> Next {
+    match cmd {
+        Cmd::Shutdown => return Next::Shutdown,
+        Cmd::Ingest {
+            inserts,
+            deletes,
+            done,
+        } => return Next::Ingest((inserts, deletes, done)),
+        Cmd::Subscribe {
+            id,
+            text,
+            options,
+            sink,
+            done,
+        } => subscribe(session, subs, id, text, options, sink, done),
+        Cmd::Stats { done } => {
+            repl.replicas = replicas.len() as u64;
+            let _ = done.send(stats(session, subs.len(), *repl));
+        }
+        Cmd::Replicate {
+            from_epoch,
+            sink,
+            done,
+        } => attach_replica(session, replicas, repl, from_epoch, sink, done),
+    }
+    Next::Handled
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -630,6 +592,42 @@ pub(crate) fn stats(
 }
 
 // ---------------------------------------------------------- connections
+
+/// Starts the accept thread `{role}-accept`: every connection on
+/// `listener` is served by [`serve_connection`] on its own detached
+/// thread `{role}-conn` (it exits when its client hangs up or the
+/// writer goes away), until `stop` is set. The leader and a replica
+/// accept through this one loop.
+pub(crate) fn spawn_acceptor(
+    role: &str,
+    listener: TcpListener,
+    tx: mpsc::Sender<Cmd>,
+    slot: Arc<Mutex<StoreSnapshot>>,
+    stop: Arc<AtomicBool>,
+    plan_cache: Arc<PlanCache>,
+) -> io::Result<JoinHandle<()>> {
+    let addr = listener.local_addr()?;
+    let conn_name = format!("{role}-conn");
+    thread::Builder::new()
+        .name(format!("{role}-accept"))
+        .spawn(move || {
+            for conn in listener.incoming() {
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                let Ok(stream) = conn else { continue };
+                let tx = tx.clone();
+                let slot = Arc::clone(&slot);
+                let stop = Arc::clone(&stop);
+                let cache = Arc::clone(&plan_cache);
+                let _ = thread::Builder::new()
+                    .name(conn_name.clone())
+                    .spawn(move || {
+                        let _ = serve_connection(stream, tx, slot, stop, cache, addr);
+                    });
+            }
+        })
+}
 
 pub(crate) fn serve_connection(
     stream: TcpStream,

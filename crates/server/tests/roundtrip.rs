@@ -252,6 +252,31 @@ fn malformed_and_unknown_requests_leave_the_connection_usable() {
     server.join();
 }
 
+/// A subscription the executor could never evaluate (a variable
+/// predicate) is refused with ERR, and it leaves nothing behind that
+/// would turn later ingest acks into errors.
+#[test]
+fn subscribe_outside_the_fragment_is_refused_and_ingest_still_acks() {
+    let store = ShardedHybridStore::build(&water_ontology(), &Graph::new(), 2).unwrap();
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let refused = c.subscribe(
+        "vp",
+        "SELECT ?s ?p WHERE { ?s ?p <http://x/o> }",
+        &QueryOptions::default(),
+    );
+    assert!(
+        refused.is_err(),
+        "variable-predicate SUBSCRIBE must get ERR"
+    );
+    let ack = c
+        .ingest(&partition_batch(0, 0, PER_BATCH), &Graph::new())
+        .unwrap();
+    assert_eq!(ack.inserted, PER_BATCH as u64);
+    c.shutdown().unwrap();
+    server.join();
+}
+
 /// With a WAL attached (every record fsynced before `apply` returns), an
 /// ingest ack *is* a durability receipt: after `SHUTDOWN` (or a crash — the
 /// crash matrix in `tests/crash_recovery.rs` covers that side), a

@@ -253,6 +253,19 @@ pub fn concept_spec<S: TripleSource + ?Sized>(
     }
 }
 
+/// The target-fragment rule (§5.1) every pattern evaluation enforces: the
+/// predicate is a constant IRI, returned here. Continuous-query
+/// registration applies the same rule up front, so a query that could
+/// never run is refused instead of failing every later batch.
+pub fn constant_predicate(tp: &TriplePattern) -> Result<&str, QueryError> {
+    match &tp.predicate {
+        TermPattern::Term(Term::Iri(p)) => Ok(p),
+        _ => Err(QueryError::Unsupported(
+            "variable predicates are outside SuccinctEdge's target fragment (§5.1)".to_string(),
+        )),
+    }
+}
+
 /// Intermediate-relation size from which [`eval_pattern`] replaces
 /// per-row lookups with a merge join, when the pattern allows one.
 pub const MERGE_JOIN_MIN_ROWS: usize = 16;
@@ -268,11 +281,7 @@ pub fn eval_pattern<S: TripleSource + ?Sized>(
     vars: &HashMap<&str, usize>,
     options: &QueryOptions,
 ) -> Result<Vec<Row>, QueryError> {
-    let TermPattern::Term(Term::Iri(p_iri)) = &tp.predicate else {
-        return Err(QueryError::Unsupported(
-            "variable predicates are outside SuccinctEdge's target fragment (§5.1)".to_string(),
-        ));
-    };
+    let p_iri = constant_predicate(tp)?;
     if tp.is_type_pattern() {
         return eval_type_pattern(store, tp, rows, vars, options);
     }

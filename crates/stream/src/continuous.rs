@@ -21,7 +21,8 @@ use crate::wal::{WalHealth, WalRecord};
 use se_core::TripleSource;
 use se_rdf::Graph;
 use se_sparql::ast::Query;
-use se_sparql::error::{QueryError, SparqlParseError};
+use se_sparql::error::QueryError;
+use se_sparql::exec::constant_predicate;
 use se_sparql::{parse_query, PlanCache, QueryOptions, ResultSet};
 use std::sync::Arc;
 
@@ -207,7 +208,10 @@ impl ContinuousQueryRegistry {
     }
 
     /// Parses and registers a query under `id`, choosing its
-    /// [`EvalStrategy`]. Re-registering an id replaces the previous
+    /// [`EvalStrategy`]. A query outside the target fragment (a variable
+    /// predicate) is refused here, with the error its evaluation would
+    /// raise, rather than accepted to fail every later batch.
+    /// Re-registering an id replaces the previous
     /// query and drops its materialized state; the next evaluation
     /// seeds afresh from the store (mid-stream registrations therefore
     /// pick up all pre-existing state). Deltas the store captured while
@@ -217,9 +221,12 @@ impl ContinuousQueryRegistry {
         id: impl Into<String>,
         text: &str,
         options: QueryOptions,
-    ) -> Result<(), SparqlParseError> {
+    ) -> Result<(), QueryError> {
         let id = id.into();
         let query = parse_query(text)?;
+        for tp in query.groups.iter().flat_map(|g| &g.patterns) {
+            constant_predicate(tp)?;
+        }
         self.queries.retain(|q| q.id != id);
         let strategy = choose_strategy(&query);
         self.queries.push(ContinuousQuery {
@@ -451,7 +458,8 @@ impl<S: StreamStore> StreamSession<S> {
         self.force_delta_capture = on;
     }
 
-    /// Parses and registers a continuous query. The next batch (or
+    /// Parses and registers a continuous query (see
+    /// [`ContinuousQueryRegistry::register`]). The next batch (or
     /// evaluation) seeds its materialized answers with one full run
     /// over the current store state.
     pub fn register_query(
@@ -459,7 +467,7 @@ impl<S: StreamStore> StreamSession<S> {
         id: impl Into<String>,
         text: &str,
         options: QueryOptions,
-    ) -> Result<(), SparqlParseError> {
+    ) -> Result<(), QueryError> {
         self.registry.register(id, text, options)
     }
 
@@ -654,6 +662,34 @@ mod tests {
         assert_eq!(ids, vec!["two"]);
         assert!(reg.deregister("two"));
         assert!(reg.is_empty());
+    }
+
+    /// A variable predicate can never be evaluated: registration refuses
+    /// it, and the batches after the refusal apply and report normally
+    /// instead of failing on a query that was never going to run.
+    #[test]
+    fn registration_rejects_variable_predicates() {
+        let mut session = StreamSession::new(store_with([t("a", "knows", iri("b"))]));
+        let err = session
+            .register_query(
+                "vp",
+                "SELECT ?s ?p WHERE { ?s ?p <http://x/b> }",
+                QueryOptions::default(),
+            )
+            .expect_err("a variable predicate must be refused");
+        assert!(err.to_string().contains("variable predicates"), "{err}");
+        assert!(
+            session.registry().is_empty(),
+            "refused query leaves no residue"
+        );
+        let out = session
+            .apply_batch(
+                &Graph::from_triples([t("c", "knows", iri("b"))]),
+                &Graph::new(),
+            )
+            .unwrap();
+        assert_eq!(out.report.inserted, 1);
+        assert_eq!(session.store().epoch(), 1);
     }
 
     #[test]

@@ -45,8 +45,8 @@
 //!
 //! # Fallback
 //!
-//! Queries the delta path can't handle yet — FILTER, BIND, LIMIT, or a
-//! variable predicate — are registered with [`EvalStrategy::Full`] and
+//! Queries the delta path can't handle yet — FILTER, BIND or LIMIT —
+//! are registered with [`EvalStrategy::Full`] and
 //! transparently re-evaluated from scratch each batch; their multiset
 //! is still maintained (by diffing successive answers) so subscribers
 //! get `added`/`removed` rows and unchanged-tick suppression either
@@ -71,25 +71,21 @@ pub enum EvalStrategy {
     /// Semi-naive delta evaluation over the materialized multiset:
     /// per-batch cost O(delta).
     Incremental,
-    /// Full re-evaluation per batch (FILTER / BIND / LIMIT / variable
-    /// predicates), diffed against the previous answers.
+    /// Full re-evaluation per batch (FILTER / BIND / LIMIT), diffed
+    /// against the previous answers.
     Full,
 }
 
-/// Picks the strategy at registration time. Incremental requires a
-/// pure BGP (optionally UNION/DISTINCT) with constant predicates and
-/// no LIMIT — everything `eval_pattern` can replay over deltas.
+/// Picks the strategy at registration time (which has already refused
+/// variable predicates). Incremental requires a pure BGP (optionally
+/// UNION/DISTINCT) with no LIMIT — everything `eval_pattern` can replay
+/// over deltas.
 pub(crate) fn choose_strategy(query: &Query) -> EvalStrategy {
     let pure_bgp = query
         .groups
         .iter()
         .all(|g| g.binds.is_empty() && g.filters.is_empty());
-    let const_preds = query
-        .groups
-        .iter()
-        .flat_map(|g| &g.patterns)
-        .all(|tp| matches!(&tp.predicate, TermPattern::Term(Term::Iri(_))));
-    if pure_bgp && const_preds && query.limit.is_none() {
+    if pure_bgp && query.limit.is_none() {
         EvalStrategy::Incremental
     } else {
         EvalStrategy::Full
@@ -553,7 +549,7 @@ mod tests {
             strategy("SELECT ?s WHERE { ?s <http://x/p> ?o } UNION { ?s <http://x/q> ?o }"),
             EvalStrategy::Incremental
         );
-        // FILTER, BIND, LIMIT and variable predicates fall back.
+        // FILTER, BIND and LIMIT fall back.
         assert_eq!(
             strategy("SELECT ?s WHERE { ?s <http://x/p> ?o FILTER(?o > 3) }"),
             EvalStrategy::Full
@@ -566,7 +562,6 @@ mod tests {
             strategy("SELECT ?s WHERE { ?s <http://x/p> ?o } LIMIT 5"),
             EvalStrategy::Full
         );
-        assert_eq!(strategy("SELECT ?s WHERE { ?s ?p ?o }"), EvalStrategy::Full);
     }
 
     #[test]

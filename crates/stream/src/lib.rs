@@ -33,9 +33,11 @@
 //! # Architecture: shard routing and background compaction
 //!
 //! [`ShardedHybridStore`] partitions the triple space **by predicate**
-//! (`rdf:type` triples by concept) into N `baseline + overlay` shards,
-//! each compacted on its own, behind one scatter/gather
-//! [`TripleSource`](se_core::TripleSource):
+//! (`rdf:type` triples by concept) into N `baseline + overlay` shards —
+//! each an `Arc<`[`se_core::Baseline`]`>` (the static store's three
+//! structures, built by se-core's one encode pass and freeze step) plus
+//! a [`DeltaStore`] — each compacted on its own, behind one
+//! scatter/gather [`TripleSource`](se_core::TripleSource):
 //!
 //! ```text
 //!                  apply(inserts, deletes)

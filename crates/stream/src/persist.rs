@@ -47,8 +47,10 @@
 //!                          one, keeping save O(delta)
 //! shard-<i>-g<seq>.layers  magic "SESHLv02": sections OBJL (TripleLayer
 //!                          bytes), DATL (DatatypeLayer bytes), TYPS
-//!                          (count + (s,c) pairs) — rewritten only after
-//!                          shard <i> compacted
+//!                          (count + (s,c) pairs) — the shard's
+//!                          `se_core::Baseline`, written and read by
+//!                          se-core's persist module; rewritten only
+//!                          after shard <i> compacted
 //! shard-<i>-s<seq>.overlay magic "SESHOv02": section DELT — shard <i>'s
 //!                          raw overlay (entries only; literal ids point
 //!                          into the shared LITS table)
@@ -126,18 +128,14 @@
 use crate::continuous::StreamSession;
 use crate::delta::{DeltaObj, DeltaState, DeltaStore};
 use crate::error::StreamError;
-use crate::shard::{
-    CompactionPolicy, OverflowDict, ShardBase, ShardedHybridStore, LIT_SHARD_STRIDE,
-};
-use se_core::datatype::DatatypeLayer;
-use se_core::layer::TripleLayer;
-use se_core::typestore::RdfTypeStore;
+use crate::shard::{CompactionPolicy, OverflowDict, ShardedHybridStore, LIT_SHARD_STRIDE};
+use se_core::Baseline;
 use se_litemat::{Dictionaries, InstanceDictionary, LiteMatDictionary};
 use se_ontology::Ontology;
 use se_rdf::{Graph, Literal};
 use se_sds::{
-    expect_section, read_container_header, write_container_header, write_section, ReadBin,
-    Serialize, WriteBin,
+    capped, expect_section, read_container_header, write_container_header, write_section, ReadBin,
+    WriteBin,
 };
 use std::collections::HashMap;
 use std::io;
@@ -154,7 +152,6 @@ pub const SHARD_MANIFEST: &str = "store.manifest";
 pub const SESSION_FILE: &str = "session.v02";
 
 const SHARD_MANIFEST_MAGIC: &[u8; 8] = b"SESHMv02";
-const LAYER_MAGIC: &[u8; 8] = b"SESHLv02";
 const OVERLAY_MAGIC: &[u8; 8] = b"SESHOv02";
 const DICTS_MAGIC: &[u8; 8] = b"SESHDv02";
 const SEG_MAGIC: &[u8; 8] = b"SESHIv02";
@@ -295,14 +292,6 @@ fn invalid<T>(msg: impl Into<String>) -> io::Result<T> {
     Err(io::Error::new(io::ErrorKind::InvalidData, msg.into()))
 }
 
-/// Caps a pre-allocation driven by an untrusted on-disk length prefix:
-/// the vector still grows to the real element count as parsing proceeds,
-/// but a corrupted (huge) count can no longer abort the process on an
-/// up-front `with_capacity` before truncation is detected.
-fn capped(n: u64) -> usize {
-    n.min(1 << 16) as usize
-}
-
 // ------------------------------------------------------ literal encoding
 
 pub(crate) fn write_literal(w: &mut Vec<u8>, lit: &Literal) -> io::Result<()> {
@@ -439,52 +428,6 @@ fn ovf_dict_from_bytes(mut r: &[u8]) -> io::Result<OverflowDict> {
 }
 
 // ------------------------------------------------------ store file encoding
-
-/// One shard's layer file: the succinct layers, self-checksummed.
-fn layer_file_bytes(base: &ShardBase) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_container_header(&mut buf, LAYER_MAGIC, FORMAT_VERSION)
-        .expect("serializing to Vec cannot fail");
-    write_section(&mut buf, b"OBJL", &base.objects.to_bytes())
-        .expect("serializing to Vec cannot fail");
-    write_section(&mut buf, b"DATL", &base.datatypes.to_bytes())
-        .expect("serializing to Vec cannot fail");
-    let mut types = Vec::new();
-    types
-        .write_u64(base.types.len() as u64)
-        .expect("serializing to Vec cannot fail");
-    for (s, c) in base.types.iter() {
-        types.write_u64(s).expect("serializing to Vec cannot fail");
-        types.write_u64(c).expect("serializing to Vec cannot fail");
-    }
-    write_section(&mut buf, b"TYPS", &types).expect("serializing to Vec cannot fail");
-    buf
-}
-
-fn layer_file_parse(bytes: &[u8]) -> Result<ShardBase, StreamError> {
-    let mut r = bytes;
-    read_container_header(&mut r, LAYER_MAGIC, FORMAT_VERSION)?;
-    let objects =
-        TripleLayer::from_bytes(&expect_section(&mut r, b"OBJL")?).map_err(corrupt("OBJL"))?;
-    let datatypes =
-        DatatypeLayer::from_bytes(&expect_section(&mut r, b"DATL")?).map_err(corrupt("DATL"))?;
-    let payload = expect_section(&mut r, b"TYPS")?;
-    let mut t = payload.as_slice();
-    let types = (|| -> io::Result<RdfTypeStore> {
-        let n = t.read_u64()?;
-        let mut pairs = Vec::with_capacity(capped(n));
-        for _ in 0..n {
-            pairs.push((t.read_u64()?, t.read_u64()?));
-        }
-        Ok(RdfTypeStore::from_pairs(pairs))
-    })()
-    .map_err(corrupt("TYPS"))?;
-    Ok(ShardBase {
-        objects,
-        datatypes,
-        types,
-    })
-}
 
 /// One shard's overlay file: raw delta entries (shared-table literal ids).
 fn overlay_file_bytes(delta: &DeltaStore) -> Vec<u8> {
@@ -684,7 +627,7 @@ impl ShardedHybridStore {
             let mark = match prev_mark {
                 Some(m) if m.gen == shard.gen && dir.join(&m.file).is_file() => m,
                 _ => {
-                    let bytes = layer_file_bytes(&shard.base);
+                    let bytes = shard.base.to_layer_file();
                     let file = format!("shard-{i}-g{save_seq}.layers");
                     write_file_atomic(&dir.join(&file), &bytes)?;
                     report.baseline_files_written += 1;
@@ -944,7 +887,7 @@ impl ShardedHybridStore {
         let mut shards = Vec::with_capacity(n_shards);
         let mut shard_marks = Vec::with_capacity(n_shards);
         for (layer_file, _gen_at_save, overlay_file) in &shard_refs {
-            let base = layer_file_parse(&read_referenced(dir, layer_file)?)?;
+            let base = Baseline::from_layer_file(&read_referenced(dir, layer_file)?)?;
             let delta = overlay_file_parse(&read_referenced(dir, overlay_file)?)?;
             let gen = next_generation();
             shards.push(ShardedHybridStore::shard_from_loaded(base, delta, gen));
@@ -1050,7 +993,7 @@ impl StreamSession<ShardedHybridStore> {
         let mut session = StreamSession::new(store);
         for (id, text, options) in queries {
             session.register_query(&id, &text, options).map_err(|e| {
-                StreamError::Corrupt(format!("persisted query '{id}' no longer parses: {e}"))
+                StreamError::Corrupt(format!("persisted query '{id}' is no longer accepted: {e}"))
             })?;
         }
         Ok(session)

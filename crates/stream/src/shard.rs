@@ -31,10 +31,14 @@
 //!   k-way-merge the subject-sorted runs, so the merge-join contract
 //!   (`scan_predicate` subject-sorted, `subjects*` ascending/deduplicated)
 //!   holds across shards.
+//! * **One baseline type.** A shard is an `Arc<`[`Baseline`]`>` plus its
+//!   overlay. Build, compaction and the static `SuccinctEdgeStore` share
+//!   se-core's encode pass and freeze step, and every probe here is the
+//!   baseline's own probe plus tombstone filtering and overlay entries.
 //! * **Off-hot-path compaction.** Per-shard compaction is split into a
-//!   pure rebuild against a snapshot (the shard's immutable base layers
-//!   are `Arc`-shared; the rebuild folds the overlay into fresh layers
-//!   **in the same id space** — no re-encoding) and an atomic
+//!   pure rebuild against a snapshot (the shard's baseline is
+//!   `Arc`-shared; the rebuild freezes the shard's live triples into a
+//!   fresh baseline **in the same id space** — no re-encoding) and an atomic
 //!   [`swap`](ShardedHybridStore::flush_compactions): the live overlay is
 //!   rebased onto the new layers by a pure visibility rule, so writes that
 //!   raced the rebuild survive. Each background rebuild is one spawned
@@ -53,11 +57,9 @@
 
 use crate::delta::{BatchDelta, DeltaObj, DeltaState, DeltaStore, LiteralTable};
 use crate::error::StreamError;
+use se_core::baseline::{encode_partitions, Baseline, BaselineInput, PartitionKey};
 use se_core::builder::{instance_key, key_to_term_arc};
-use se_core::datatype::DatatypeLayer;
-use se_core::layer::TripleLayer;
 use se_core::source::kway_merge_by_subject;
-use se_core::typestore::RdfTypeStore;
 use se_core::{augment_ontology, BuildError, TripleSource, Value};
 use se_litemat::{Dictionaries, IdInterval};
 use se_ontology::Ontology;
@@ -267,45 +269,6 @@ impl LitSnapshot {
     }
 }
 
-/// The immutable baseline of one shard: succinct layers over the shard's
-/// predicate/concept partition, in the **global** id space. `Arc`-shared
-/// so a background compaction snapshots it for free.
-#[derive(Debug)]
-pub(crate) struct ShardBase {
-    pub(crate) objects: TripleLayer,
-    pub(crate) datatypes: DatatypeLayer,
-    pub(crate) types: RdfTypeStore,
-}
-
-impl ShardBase {
-    fn len(&self) -> usize {
-        self.objects.len() + self.datatypes.len() + self.types.len()
-    }
-}
-
-/// Sorted, deduplicated per-shard triple lists awaiting layer construction.
-#[derive(Debug, Default)]
-struct ShardInput {
-    objects: Vec<(u64, u64, u64)>,
-    datatypes: Vec<(u64, u64, Literal)>,
-    types: Vec<(u64, u64)>,
-}
-
-impl ShardInput {
-    fn build(mut self) -> ShardBase {
-        self.objects.sort_unstable();
-        self.objects.dedup();
-        self.datatypes
-            .sort_unstable_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
-        self.datatypes.dedup();
-        ShardBase {
-            objects: TripleLayer::build(&self.objects),
-            datatypes: DatatypeLayer::build(&self.datatypes),
-            types: RdfTypeStore::from_pairs(self.types),
-        }
-    }
-}
-
 /// A background rebuild in flight on its own thread: the thread folds a
 /// snapshot of the shard into fresh layers and hands the snapshot overlay
 /// back (the swap rebases the live overlay against it without probing any
@@ -320,10 +283,13 @@ struct PendingRebuild {
     stale: bool,
 }
 
-/// One predicate shard: immutable layers plus the mutable overlay.
+/// One predicate shard: an immutable [`Baseline`] over the shard's
+/// predicate/concept partition, in the **global** id space, plus the
+/// mutable overlay. The baseline is `Arc`-shared, so a background
+/// compaction or a snapshot takes it for free.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    pub(crate) base: Arc<ShardBase>,
+    pub(crate) base: Arc<Baseline>,
     pub(crate) delta: DeltaStore,
     pending: Option<PendingRebuild>,
     /// Identity of this shard's current layers, process-unique: bumped on
@@ -427,7 +393,7 @@ type OpCounts = (usize, usize, usize);
 
 /// What a rebuild thread returns on join: fresh layers, the snapshot
 /// overlay the swap rebases against, and the build wall time.
-type RebuildJobOut = (ShardBase, DeltaStore, Duration);
+type RebuildJobOut = (Baseline, DeltaStore, Duration);
 
 /// A predicate-sharded hybrid store: N independent baseline+overlay
 /// shards in one global id space, batch ingestion, scatter/gather
@@ -503,46 +469,16 @@ impl ShardedHybridStore {
             routes.assign_concept(enc.id);
         }
 
-        // Encode + route every triple to its shard's input list.
-        let mut parts: Vec<ShardInput> = (0..n_shards).map(|_| ShardInput::default()).collect();
-        for t in graph {
-            validate_triple(t)?;
-            let p_iri = t.predicate.as_iri().expect("validated predicate");
-            let s_key = instance_key(&t.subject).expect("validated subject");
-            let s = dicts.instances.get_or_insert(&s_key);
-            dicts.instances.record_occurrence(s);
-            if t.is_type_triple() {
-                let c_iri = t.object.as_iri().expect("validated rdf:type object");
-                let c = dicts
-                    .concepts
-                    .id(c_iri)
-                    .expect("augmentation covers all data classes");
-                dicts.concepts.record_occurrence(c);
-                parts[routes.concept(c)].types.push((s, c));
-            } else {
-                let p = dicts
-                    .properties
-                    .id(p_iri)
-                    .expect("augmentation covers all data properties");
-                dicts.properties.record_occurrence(p);
-                let shard = routes.prop(p);
-                match &t.object {
-                    Term::Literal(lit) => parts[shard].datatypes.push((p, s, lit.clone())),
-                    other => {
-                        let o_key = instance_key(other).expect("resource object");
-                        let o = dicts.instances.get_or_insert(&o_key);
-                        dicts.instances.record_occurrence(o);
-                        parts[shard].objects.push((p, s, o));
-                    }
-                }
-            }
-        }
-
-        // Freeze the per-shard layers, one worker per shard.
-        let bases: Vec<ShardBase> = std::thread::scope(|scope| {
+        // Encode + route every triple to its shard's input lists, then
+        // freeze the per-shard baselines, one worker per shard.
+        let parts = encode_partitions(&mut dicts, graph, n_shards, |key| match key {
+            PartitionKey::Property(p) => routes.prop(p),
+            PartitionKey::Concept(c) => routes.concept(c),
+        });
+        let bases: Vec<Baseline> = std::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .into_iter()
-                .map(|part| scope.spawn(move || part.build()))
+                .map(|part| scope.spawn(move || part.freeze()))
                 .collect();
             handles
                 .into_iter()
@@ -620,7 +556,7 @@ impl ShardedHybridStore {
     }
 
     /// Builds one shard from loaded parts (persistence only).
-    pub(crate) fn shard_from_loaded(base: ShardBase, delta: DeltaStore, gen: u64) -> Shard {
+    pub(crate) fn shard_from_loaded(base: Baseline, delta: DeltaStore, gen: u64) -> Shard {
         Shard {
             base: Arc::new(base),
             delta,
@@ -931,45 +867,29 @@ impl ShardedHybridStore {
     /// already resolved, literal ops carry their content, and per-shard
     /// compaction never re-encodes the id space.
     fn decode_effects(&self, effects: Vec<EffOp>) -> BatchDelta {
-        let decode_inst = |id: u64| {
-            key_to_term_arc(
-                self.dicts
-                    .instances
-                    .term_arc(id)
-                    .expect("dictionary-complete instance id"),
-            )
-        };
-        let prop_term = |id: u64| -> Term {
-            let iri = if id >= OVERFLOW_BASE {
-                self.ovf_properties.term(id)
-            } else {
-                self.dicts.properties.term_arc(id)
-            };
-            Term::Iri(iri.expect("dictionary-complete property id"))
-        };
-        let concept_term = |id: u64| -> Term {
-            let iri = if id >= OVERFLOW_BASE {
-                self.ovf_concepts.term(id)
-            } else {
-                self.dicts.concepts.term_arc(id)
-            };
-            Term::Iri(iri.expect("dictionary-complete concept id"))
-        };
         let rdf_type = Term::iri(se_rdf::vocab::rdf::TYPE);
         let events = effects
             .into_iter()
             .map(|eff| match eff {
                 EffOp::Type(op, insert) => (
-                    Triple::new(decode_inst(op.s), rdf_type.clone(), concept_term(op.c)),
+                    Triple::new(
+                        self.term(Value::Instance(op.s)),
+                        rdf_type.clone(),
+                        self.term(Value::Concept(op.c)),
+                    ),
                     if insert { 1 } else { -1 },
                 ),
                 EffOp::Obj(op, insert) => {
                     let object = match op.o {
-                        OpObj::Inst(o) => decode_inst(o),
+                        OpObj::Inst(o) => self.term(Value::Instance(o)),
                         OpObj::Lit(_, lit) => Term::Literal((*lit).clone()),
                     };
                     (
-                        Triple::new(decode_inst(op.s), prop_term(op.p), object),
+                        Triple::new(
+                            self.term(Value::Instance(op.s)),
+                            self.term(Value::Property(op.p)),
+                            object,
+                        ),
                         if insert { 1 } else { -1 },
                     )
                 }
@@ -1129,7 +1049,7 @@ impl ShardedHybridStore {
         let built = {
             let s = &self.shards[shard];
             let lits = LitSnapshot::for_delta(&s.delta, &self.literals);
-            rebuild_shard(&s.base, &s.delta, &lits)
+            live_triples(&s.base, &s.delta, &lits).freeze()
         };
         self.stats.total_compaction += t0.elapsed();
         // Inline: the snapshot IS the live overlay, so the rebase is a
@@ -1150,7 +1070,7 @@ impl ShardedHybridStore {
             .name(format!("se-compact-{shard}"))
             .spawn(move || {
                 let t0 = Instant::now();
-                let built = rebuild_shard(&base, &delta, &lits);
+                let built = live_triples(&base, &delta, &lits).freeze();
                 (built, delta, t0.elapsed())
             });
         match spawned {
@@ -1178,7 +1098,7 @@ impl ShardedHybridStore {
             // rebuild.
             return None;
         }
-        // `rebuild_shard` is pure id-space folding; a panic there is a bug.
+        // The rebuild is pure id-space folding; a panic there is a bug.
         let (built, snapshot, build_time) = joined.expect("compaction thread panicked");
         self.stats.total_compaction += build_time;
         self.stats.background_compactions += 1;
@@ -1234,12 +1154,7 @@ impl ShardedHybridStore {
     /// `snapshot: None` means the snapshot is the live overlay itself
     /// (inline compaction): everything collapses. Ids never change, so
     /// the whole rebase is O(overlay · log overlay) id-space work.
-    fn swap_shard_base(
-        &mut self,
-        shard: usize,
-        new_base: ShardBase,
-        snapshot: Option<&DeltaStore>,
-    ) {
+    fn swap_shard_base(&mut self, shard: usize, new_base: Baseline, snapshot: Option<&DeltaStore>) {
         let t0 = Instant::now();
         let s = &mut self.shards[shard];
         let old_delta = std::mem::take(&mut s.delta);
@@ -1288,6 +1203,13 @@ impl ShardedHybridStore {
         }
     }
 
+    /// Decodes an id the store itself stored or routed — dictionary-
+    /// complete by construction (inserts intern their terms, and per-shard
+    /// compaction never re-encodes the id space).
+    fn term(&self, value: Value) -> Term {
+        self.value_to_term(value).expect("dictionary-complete id")
+    }
+
     /// Delta key of a query `Value` object, if expressible.
     fn delta_key_of(&self, o: &Value) -> Option<DeltaObj> {
         match o {
@@ -1314,33 +1236,27 @@ impl ShardedHybridStore {
         }
     }
 
-    /// Subject-sorted merge of a tombstone-filtered baseline run with the
-    /// overlay's additions for one predicate of one shard.
-    fn merge_pairs(
+    /// A baseline subject run for `(?s, p, key)` minus the overlay's
+    /// tombstones, plus its `Added` entries; ascending and deduplicated.
+    fn live_subjects(
         &self,
         shard: usize,
-        base: Vec<(u64, Value)>,
-        added: Vec<(u64, Value)>,
         p: u64,
-    ) -> Vec<(u64, Value)> {
-        let mut out = Vec::with_capacity(base.len() + added.len());
-        let (mut i, mut j) = (0, 0);
-        while i < base.len() || j < added.len() {
-            let take_base = match (base.get(i), added.get(j)) {
-                (Some(b), Some(a)) => b.0 <= a.0,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_base {
-                let (s, v) = base[i];
-                i += 1;
-                if !self.tombstoned(shard, p, s, &v) {
-                    out.push((s, v));
-                }
-            } else {
-                out.push(added[j]);
-                j += 1;
-            }
+        key: Option<DeltaObj>,
+        mut out: Vec<u64>,
+    ) -> Vec<u64> {
+        if let Some(key) = key {
+            let delta = &self.shards[shard].delta;
+            out.retain(|&s| delta.state(p, s, key) != Some(DeltaState::Deleted));
+            out.extend(
+                delta
+                    .subjects(p, key)
+                    .into_iter()
+                    .filter(|&(_, st)| st == DeltaState::Added)
+                    .map(|(s, _)| s),
+            );
+            out.sort_unstable();
+            out.dedup();
         }
         out
     }
@@ -1348,81 +1264,31 @@ impl ShardedHybridStore {
     /// Materializes the full merged view as a term-space graph (baseline
     /// minus tombstones plus overlay insertions, across all shards).
     pub fn materialize(&self) -> Graph {
-        let decode_inst = |id: u64| {
-            key_to_term_arc(
-                self.dicts
-                    .instances
-                    .term_arc(id)
-                    .expect("dictionary-complete instance id"),
-            )
-        };
-        let prop_term = |id: u64| -> Term {
-            let iri = if id >= OVERFLOW_BASE {
-                self.ovf_properties.term(id)
-            } else {
-                self.dicts.properties.term_arc(id)
-            };
-            Term::Iri(iri.expect("dictionary-complete property id"))
-        };
-        let concept_term = |id: u64| -> Term {
-            let iri = if id >= OVERFLOW_BASE {
-                self.ovf_concepts.term(id)
-            } else {
-                self.dicts.concepts.term_arc(id)
-            };
-            Term::Iri(iri.expect("dictionary-complete concept id"))
-        };
         let rdf_type = Term::iri(se_rdf::vocab::rdf::TYPE);
         let mut g = Graph::new();
         for shard in &self.shards {
-            for (p, s, o) in shard.base.objects.iter() {
-                if shard.delta.state(p, s, DeltaObj::Inst(o)) != Some(DeltaState::Deleted) {
-                    g.insert(Triple::new(decode_inst(s), prop_term(p), decode_inst(o)));
-                }
+            let lits = LitSnapshot::for_delta(&shard.delta, &self.literals);
+            let live = live_triples(&shard.base, &shard.delta, &lits);
+            for (p, s, o) in live.objects {
+                g.insert(Triple::new(
+                    self.term(Value::Instance(s)),
+                    self.term(Value::Property(p)),
+                    self.term(Value::Instance(o)),
+                ));
             }
-            for (p, s, li) in shard.base.datatypes.iter() {
-                let lit = shard.base.datatypes.literal(li).expect("in-range literal");
-                let dead = self
-                    .literals
-                    .id(lit)
-                    .map(|l| shard.delta.state(p, s, DeltaObj::Lit(l)))
-                    == Some(Some(DeltaState::Deleted));
-                if !dead {
-                    g.insert(Triple::new(
-                        decode_inst(s),
-                        prop_term(p),
-                        Term::Literal(lit.clone()),
-                    ));
-                }
+            for (p, s, lit) in live.datatypes {
+                g.insert(Triple::new(
+                    self.term(Value::Instance(s)),
+                    self.term(Value::Property(p)),
+                    Term::Literal(lit),
+                ));
             }
-            for (s, c) in shard.base.types.iter() {
-                if shard.delta.type_state(s, c) != Some(DeltaState::Deleted) {
-                    g.insert(Triple::new(
-                        decode_inst(s),
-                        rdf_type.clone(),
-                        concept_term(c),
-                    ));
-                }
-            }
-            for (p, s, o, st) in shard.delta.iter() {
-                if st == DeltaState::Added {
-                    let object = match o {
-                        DeltaObj::Inst(id) => decode_inst(id),
-                        DeltaObj::Lit(l) => {
-                            Term::Literal(self.literals.get(l).expect("interned").clone())
-                        }
-                    };
-                    g.insert(Triple::new(decode_inst(s), prop_term(p), object));
-                }
-            }
-            for (s, c, st) in shard.delta.type_iter() {
-                if st == DeltaState::Added {
-                    g.insert(Triple::new(
-                        decode_inst(s),
-                        rdf_type.clone(),
-                        concept_term(c),
-                    ));
-                }
+            for (s, c) in live.types {
+                g.insert(Triple::new(
+                    self.term(Value::Instance(s)),
+                    rdf_type.clone(),
+                    self.term(Value::Concept(c)),
+                ));
             }
         }
         g
@@ -1467,7 +1333,7 @@ fn validate_triple(t: &Triple) -> Result<(), StreamError> {
 
 /// Applies one shard's routed operations against its baseline + overlay.
 fn run_shard_ops(
-    base: &ShardBase,
+    base: &Baseline,
     delta: &mut DeltaStore,
     ops: &ShardOps,
     mut effects: Option<&mut Vec<EffOp>>,
@@ -1544,7 +1410,7 @@ fn transition(old: Option<DeltaState>, base_has: bool, insert: bool) -> Option<D
     }
 }
 
-fn apply_op(base: &ShardBase, delta: &mut DeltaStore, op: &Op, insert: bool) -> bool {
+fn apply_op(base: &Baseline, delta: &mut DeltaStore, op: &Op, insert: bool) -> bool {
     let (key, base_has) = match &op.o {
         OpObj::Inst(o) => (DeltaObj::Inst(*o), base.objects.contains(op.p, op.s, *o)),
         OpObj::Lit(l, lit) => (
@@ -1561,7 +1427,7 @@ fn apply_op(base: &ShardBase, delta: &mut DeltaStore, op: &Op, insert: bool) -> 
     }
 }
 
-fn apply_type_op(base: &ShardBase, delta: &mut DeltaStore, op: &TypeOp, insert: bool) -> bool {
+fn apply_type_op(base: &Baseline, delta: &mut DeltaStore, op: &TypeOp, insert: bool) -> bool {
     let base_has = base.types.has_type(op.s, op.c);
     match transition(delta.type_state(op.s, op.c), base_has, insert) {
         Some(st) => {
@@ -1572,10 +1438,12 @@ fn apply_type_op(base: &ShardBase, delta: &mut DeltaStore, op: &TypeOp, insert: 
     }
 }
 
-/// Folds one shard's overlay into fresh layers — pure, id-space-stable,
-/// safe to run on a background thread against a snapshot.
-fn rebuild_shard(base: &ShardBase, delta: &DeltaStore, literals: &LitSnapshot) -> ShardBase {
-    let mut input = ShardInput::default();
+/// The one walk over a shard's live triples — baseline minus tombstones,
+/// plus `Added` overlay entries — as encoded input lists, in the shard's
+/// id space. Compaction freezes it into fresh layers (pure, safe to run
+/// on a background thread against a snapshot); `materialize` decodes it.
+fn live_triples(base: &Baseline, delta: &DeltaStore, literals: &LitSnapshot) -> BaselineInput {
+    let mut input = BaselineInput::default();
     for (p, s, o) in base.objects.iter() {
         if delta.state(p, s, DeltaObj::Inst(o)) != Some(DeltaState::Deleted) {
             input.objects.push((p, s, o));
@@ -1613,7 +1481,7 @@ fn rebuild_shard(base: &ShardBase, delta: &DeltaStore, literals: &LitSnapshot) -
             input.types.push((s, c));
         }
     }
-    input.build()
+    input
 }
 
 impl TripleSource for ShardedHybridStore {
@@ -1652,20 +1520,12 @@ impl TripleSource for ShardedHybridStore {
     fn value_to_term(&self, value: Value) -> Option<Term> {
         match value {
             Value::Instance(id) => self.dicts.instances.term_arc(id).map(key_to_term_arc),
-            Value::Concept(id) => {
-                if id >= OVERFLOW_BASE {
-                    self.ovf_concepts.term(id).map(Term::Iri)
-                } else {
-                    self.dicts.concepts.term_arc(id).map(Term::Iri)
-                }
+            Value::Concept(id) if id >= OVERFLOW_BASE => self.ovf_concepts.term(id).map(Term::Iri),
+            Value::Concept(id) => self.dicts.concepts.term_arc(id).map(Term::Iri),
+            Value::Property(id) if id >= OVERFLOW_BASE => {
+                self.ovf_properties.term(id).map(Term::Iri)
             }
-            Value::Property(id) => {
-                if id >= OVERFLOW_BASE {
-                    self.ovf_properties.term(id).map(Term::Iri)
-                } else {
-                    self.dicts.properties.term_arc(id).map(Term::Iri)
-                }
-            }
+            Value::Property(id) => self.dicts.properties.term_arc(id).map(Term::Iri),
             Value::Literal(idx) => self.literal_content(idx).map(|l| Term::Literal(l.clone())),
         }
     }
@@ -1677,19 +1537,8 @@ impl TripleSource for ShardedHybridStore {
     fn objects(&self, p: u64, s: u64) -> Vec<Value> {
         let i = self.routes.prop(p);
         let shard = &self.shards[i];
-        let mut out = Vec::new();
-        for o in shard.base.objects.objects(p, s) {
-            let v = Value::Instance(o);
-            if !self.tombstoned(i, p, s, &v) {
-                out.push(v);
-            }
-        }
-        for li in shard.base.datatypes.literal_indices(p, s) {
-            let v = Value::Literal(i as u64 * LIT_SHARD_STRIDE + li);
-            if !self.tombstoned(i, p, s, &v) {
-                out.push(v);
-            }
-        }
+        let mut out = shard.base.objects(p, s, i as u64 * LIT_SHARD_STRIDE);
+        out.retain(|v| !self.tombstoned(i, p, s, v));
         for (o, st) in shard.delta.objects(p, s) {
             if st == DeltaState::Added {
                 out.push(Self::obj_to_value(o));
@@ -1700,122 +1549,50 @@ impl TripleSource for ShardedHybridStore {
 
     fn subjects(&self, p: u64, o: &Value) -> Vec<u64> {
         let i = self.routes.prop(p);
-        let shard = &self.shards[i];
-        match o {
-            Value::Instance(oid) => {
-                let mut out: Vec<u64> = shard
-                    .base
-                    .objects
-                    .subjects(p, *oid)
-                    .into_iter()
-                    .filter(|&s| {
-                        shard.delta.state(p, s, DeltaObj::Inst(*oid)) != Some(DeltaState::Deleted)
-                    })
-                    .collect();
-                for (s, st) in shard.delta.subjects(p, DeltaObj::Inst(*oid)) {
-                    if st == DeltaState::Added {
-                        out.push(s);
-                    }
-                }
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
-            Value::Literal(idx) => match self.literal_content(*idx) {
-                Some(lit) => {
-                    let lit = lit.clone();
-                    self.subjects_by_literal(p, &lit)
-                }
-                None => Vec::new(),
-            },
-            _ => Vec::new(),
-        }
+        let base = self.shards[i]
+            .base
+            .subjects(p, o, |idx| self.literal_content(idx));
+        self.live_subjects(i, p, self.delta_key_of(o), base)
     }
 
     fn subjects_by_literal(&self, p: u64, lit: &Literal) -> Vec<u64> {
         let i = self.routes.prop(p);
-        let shard = &self.shards[i];
-        let local = self.literals.id(lit);
-        let mut out: Vec<u64> = shard
-            .base
-            .datatypes
-            .subjects_by_literal(p, lit)
-            .into_iter()
-            .filter(|&s| {
-                local.map(|l| shard.delta.state(p, s, DeltaObj::Lit(l)))
-                    != Some(Some(DeltaState::Deleted))
-            })
-            .collect();
-        if let Some(l) = local {
-            for (s, st) in shard.delta.subjects(p, DeltaObj::Lit(l)) {
-                if st == DeltaState::Added {
-                    out.push(s);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        let base = self.shards[i].base.datatypes.subjects_by_literal(p, lit);
+        self.live_subjects(i, p, self.literals.id(lit).map(DeltaObj::Lit), base)
     }
 
     fn scan_predicate(&self, p: u64) -> Vec<(u64, Value)> {
         let i = self.routes.prop(p);
         let shard = &self.shards[i];
-        let (mut added_inst, mut added_lit) = (Vec::new(), Vec::new());
-        for (s, o, st) in shard.delta.scan(p) {
-            if st == DeltaState::Added {
-                match o {
-                    DeltaObj::Inst(_) => added_inst.push((s, Self::obj_to_value(o))),
-                    DeltaObj::Lit(_) => added_lit.push((s, Self::obj_to_value(o))),
-                }
-            }
-        }
-        let base_inst: Vec<(u64, Value)> = shard
-            .base
-            .objects
-            .scan_predicate(p)
+        let mut base = shard.base.scan_predicate(p, i as u64 * LIT_SHARD_STRIDE);
+        base.retain(|(s, v)| !self.tombstoned(i, p, *s, v));
+        let added = shard
+            .delta
+            .scan(p)
             .into_iter()
-            .map(|(s, o)| (s, Value::Instance(o)))
+            .filter(|&(_, _, st)| st == DeltaState::Added)
+            .map(|(s, o, _)| (s, Self::obj_to_value(o)))
             .collect();
-        let base_lit: Vec<(u64, Value)> = shard
-            .base
-            .datatypes
-            .scan_predicate(p)
-            .into_iter()
-            .map(|(s, li)| (s, Value::Literal(i as u64 * LIT_SHARD_STRIDE + li)))
-            .collect();
-        let inst = self.merge_pairs(i, base_inst, added_inst, p);
-        let lit = self.merge_pairs(i, base_lit, added_lit, p);
-        kway_merge_by_subject(vec![inst, lit])
+        kway_merge_by_subject(vec![base, added])
     }
 
     fn contains(&self, p: u64, s: u64, o: &Value) -> bool {
-        let i = self.routes.prop(p);
-        let shard = &self.shards[i];
-        if let Some(key) = self.delta_key_of(o) {
-            if let Some(st) = shard.delta.state(p, s, key) {
-                return st.present();
-            }
-        }
-        match o {
-            Value::Instance(oid) => shard.base.objects.contains(p, s, *oid),
-            Value::Literal(idx) => match self.literal_content(*idx) {
-                Some(lit) => shard.base.datatypes.contains(p, s, lit),
-                None => false,
-            },
-            _ => false,
+        let shard = &self.shards[self.routes.prop(p)];
+        match self
+            .delta_key_of(o)
+            .and_then(|key| shard.delta.state(p, s, key))
+        {
+            Some(st) => st.present(),
+            None => shard
+                .base
+                .contains(p, s, o, |idx| self.literal_content(idx)),
         }
     }
 
     fn properties_in(&self, iv: IdInterval) -> Vec<u64> {
         let mut preds = BTreeSet::new();
         for shard in &self.shards {
-            for idx in shard.base.objects.predicate_range(iv.lower, iv.upper) {
-                preds.insert(shard.base.objects.predicate_at(idx));
-            }
-            for idx in shard.base.datatypes.predicate_range(iv.lower, iv.upper) {
-                preds.insert(shard.base.datatypes.predicate_at(idx));
-            }
+            preds.extend(shard.base.properties_in(iv));
             preds.extend(shard.delta.predicates_in(iv.lower, iv.upper));
         }
         preds.into_iter().collect()
@@ -1916,8 +1693,7 @@ impl TripleSource for ShardedHybridStore {
 
     fn predicate_count(&self, p: u64) -> usize {
         let shard = &self.shards[self.routes.prop(p)];
-        let base = shard.base.objects.count_predicate(p) + shard.base.datatypes.count_predicate(p);
-        let mut n = base as isize;
+        let mut n = shard.base.predicate_count(p) as isize;
         for (_, _, st) in shard.delta.scan(p) {
             match st {
                 DeltaState::Added => n += 1,

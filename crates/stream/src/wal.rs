@@ -76,9 +76,6 @@ pub const WAL_MAGIC: &[u8; 8] = b"SEWALSEG";
 pub const WAL_VERSION: u32 = 1;
 /// Section tag of one appended batch record.
 const REC_TAG: &[u8; 4] = b"WREC";
-/// Cap for length-prefixed pre-allocations while decoding (the counts
-/// are untrusted on-disk data; the vectors still grow to the real size).
-const PREALLOC_CAP: u64 = 1 << 16;
 
 /// Tuning knobs for an attached WAL.
 #[derive(Clone, Copy, Debug)]
@@ -521,8 +518,7 @@ fn write_triples(w: &mut Vec<u8>, triples: &[Triple]) {
 
 fn read_triples(r: &mut &[u8]) -> io::Result<Vec<Triple>> {
     let n = r.read_u64()?;
-    // The count is untrusted: cap the pre-allocation, let push grow it.
-    let mut triples = Vec::with_capacity(n.min(PREALLOC_CAP) as usize);
+    let mut triples = Vec::with_capacity(se_sds::capped(n));
     for _ in 0..n {
         let subject = read_term(r)?;
         let predicate = read_term(r)?;

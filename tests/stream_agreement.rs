@@ -270,7 +270,7 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
 
 /// The sharded acceptance property: across >= 12 batches with deletions
 /// and compactions, the scatter/gather [`ShardedHybridStore`] answers all
-/// eleven query shapes (reasoning on and off) identically to the 1-shard
+/// thirteen query shapes (reasoning on and off) identically to the 1-shard
 /// single store *and* a from-scratch rebuild — with inline per-shard
 /// compaction, and with background compaction racing the stream at 4 and
 /// at 3 shards.
@@ -470,7 +470,7 @@ fn sharded_agrees_with_single_store_and_rebuild() {
 /// dirty overlays, pending tombstones, overflow terms, background
 /// rebuilds possibly in flight — resume them from disk, continue the
 /// same `stream_agreement` batch schedule, and require every one of the
-/// eleven query shapes (reasoning on and off) to agree with the
+/// thirteen query shapes (reasoning on and off) to agree with the
 /// never-persisted sessions and a from-scratch rebuild, every batch.
 /// The save itself must not compact.
 #[test]
@@ -801,7 +801,7 @@ fn hybrid_matches_rebuild_pattern_accesses_directly() {
 /// The MVCC acceptance property: reader threads pin [`StoreSnapshot`]s
 /// mid-ingest while the writer applies batches and triggers compactions
 /// (including background rebuilds racing the readers). Every pinned
-/// snapshot must answer **all eleven query shapes** identically to a
+/// snapshot must answer **all thirteen query shapes** identically to a
 /// from-scratch [`SuccinctEdgeStore`] built from the stream prefix at
 /// the snapshot's epoch — i.e. a snapshot is exactly "the store as of
 /// batch N", no matter what the live store does afterwards.
