@@ -7,7 +7,8 @@
 //! * **v01** ([`SuccinctEdgeStore::save`]) — one compact binary file: the
 //!   magic `SEDGEv01`, the three dictionaries, the baseline (object
 //!   layer, datatype layer, `rdf:type` count + `(s, c)` pairs) and six
-//!   build-statistics words.
+//!   build-statistics words. The four triple counts among them must
+//!   match the loaded baseline, or `load` fails with `InvalidData`.
 //! * **v02 layer file** ([`Baseline::to_layer_file`]) — one shard's
 //!   baseline in `se-stream`'s store directory: an `se-sds` container
 //!   (magic `SESHLv02`, version 2) with the checksummed sections `OBJL`,
@@ -125,6 +126,8 @@ impl SuccinctEdgeStore {
     }
 
     /// Reads a store previously written by [`SuccinctEdgeStore::save`].
+    /// Stored triple counts that disagree with the loaded baseline are
+    /// `InvalidData`: the file is corrupt.
     pub fn load<R: io::Read>(r: &mut R) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -152,6 +155,21 @@ impl SuccinctEdgeStore {
             n_augmented_classes: f[4],
             n_augmented_properties: f[5],
         };
+        let layers = [
+            base.len(),
+            base.types.len(),
+            base.objects.len(),
+            base.datatypes.len(),
+        ];
+        if f[..4] != layers {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "stored triple counts {:?} disagree with the loaded layers {layers:?}",
+                    &f[..4]
+                ),
+            ));
+        }
         Ok(Self::from_parts(dicts, base, stats))
     }
 
@@ -238,6 +256,18 @@ mod tests {
         buf.truncate(count_at);
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(SuccinctEdgeStore::load(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn forged_triple_count_is_an_error() {
+        let store = sample_store();
+        let mut buf = Vec::new();
+        store.save(&mut buf).unwrap();
+        // `n_triples` is the first of the six trailing stats words.
+        let at = buf.len() - 6 * 8;
+        buf[at..at + 8].copy_from_slice(&(store.len() as u64 + 1).to_le_bytes());
+        let err = SuccinctEdgeStore::load(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

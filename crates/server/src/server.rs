@@ -27,6 +27,11 @@
 //!   thread: readers never enter the writer's queue and are never blocked
 //!   by ingest or compaction. Responses and pushes to one client are
 //!   serialized through a shared sink lock.
+//! * **Stalled peers.** Every accepted socket carries a write timeout
+//!   ([`SINK_WRITE_TIMEOUT`]). A subscriber or follower that stops
+//!   reading holds the writer up only until a write to it makes no
+//!   progress for that long; then its socket is shut down and its
+//!   subscription or feed retired.
 
 use crate::protocol::{self as proto, read_frame, write_frame};
 use se_sparql::{PlanCache, QueryOptions};
@@ -48,6 +53,15 @@ pub(crate) type ClientSink = Arc<Mutex<TcpStream>>;
 /// Bounded so `SHUTDOWN` never hangs on a quiet subscriber whose
 /// connection thread would otherwise block in a read forever.
 pub(crate) const CONN_POLL: Duration = Duration::from_millis(50);
+
+/// Write timeout of every accepted socket: how long one write call to a
+/// peer may block without progress before the peer counts as stalled.
+/// It bounds how long a subscriber or follower that stops reading can
+/// hold up the writer thread (and with it every other client's ingest
+/// acks). A call that makes partial progress restarts the clock, so
+/// while the peer's kernel still absorbs data the stall is a few times
+/// this.
+pub const SINK_WRITE_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// One active subscription as the writer sees it.
 pub(crate) struct Sub {
@@ -345,10 +359,7 @@ fn writer_loop(
                 if !replicas.is_empty() {
                     let delta = outcome.report.delta.unwrap_or_default();
                     let payload = se_stream::encode_record_payload(report.epoch, &delta);
-                    replicas.retain(|sink| {
-                        let mut sink = sink.lock().expect("replica sink poisoned");
-                        write_frame(&mut *sink, proto::resp::REPL_RECORD, &payload).is_ok()
-                    });
+                    replicas.retain(|sink| reply(sink, proto::resp::REPL_RECORD, &payload).is_ok());
                     repl.records_shipped += replicas.len() as u64;
                     if replicas.is_empty() {
                         session.set_force_delta_capture(false);
@@ -546,10 +557,7 @@ pub(crate) fn push_results(
                 }
             })
             .is_ok();
-        let ok = encoded && {
-            let mut sink = sub.sink.lock().expect("client sink poisoned");
-            write_frame(&mut *sink, proto::resp::PUSH, &payload).is_ok()
-        };
+        let ok = encoded && reply(&sub.sink, proto::resp::PUSH, &payload).is_ok();
         if ok {
             sub.primed = true;
         } else {
@@ -637,6 +645,7 @@ pub(crate) fn serve_connection(
     plan_cache: Arc<PlanCache>,
     server_addr: SocketAddr,
 ) -> io::Result<()> {
+    stream.set_write_timeout(Some(SINK_WRITE_TIMEOUT))?;
     let mut reader = stream.try_clone()?;
     let sink: ClientSink = Arc::new(Mutex::new(stream));
     loop {
@@ -828,9 +837,17 @@ pub(crate) fn serve_connection(
     }
 }
 
+/// Writes one frame to a client. A failed write (a stalled peer hits
+/// [`SINK_WRITE_TIMEOUT`]) may have sent part of the frame, so the socket
+/// is shut down before the error returns: the peer never reads bytes
+/// after a torn frame, and its connection thread sees the hang-up.
 pub(crate) fn reply(sink: &ClientSink, kind: u8, payload: &[u8]) -> io::Result<()> {
-    let mut sink = sink.lock().expect("client sink poisoned");
-    write_frame(&mut *sink, kind, payload)
+    let mut stream = sink.lock().expect("client sink poisoned");
+    let written = write_frame(&mut *stream, kind, payload);
+    if written.is_err() {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+    }
+    written
 }
 
 pub(crate) fn reply_err(sink: &ClientSink, msg: &str) -> io::Result<()> {

@@ -6,6 +6,7 @@ use se_datagen::water::{generate_stream, WaterConfig};
 use se_datagen::workload::water_anomaly_query;
 use se_ontology::water_ontology;
 use se_rdf::{Graph, Term, Triple};
+use se_server::server::SINK_WRITE_TIMEOUT;
 use se_server::{Client, Server, ServerConfig};
 use se_sparql::{QueryOptions, ResultSet};
 use se_stream::fault::{self, FaultMode};
@@ -275,6 +276,56 @@ fn subscribe_outside_the_fragment_is_refused_and_ingest_still_acks() {
     assert_eq!(ack.inserted, PER_BATCH as u64);
     c.shutdown().unwrap();
     server.join();
+}
+
+/// A subscriber that never reads must not freeze the writer: once its
+/// socket buffers are full, the push to it fails after
+/// `SINK_WRITE_TIMEOUT`, its subscription is retired, and another
+/// client's ingest acks keep arriving within a bounded wait.
+#[test]
+fn stalled_subscriber_does_not_block_other_clients_acks() {
+    let store = ShardedHybridStore::build(&water_ontology(), &Graph::new(), 2).unwrap();
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    // Subscribes, then never reads again.
+    let mut stalled = Client::connect(server.addr()).unwrap();
+    stalled
+        .subscribe(
+            "blobs",
+            "SELECT ?s ?o WHERE { ?s <http://x/blob> ?o }",
+            &QueryOptions::default(),
+        )
+        .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    // Each write call that makes progress restarts the server's write
+    // timeout, so allow several of them before calling the writer frozen.
+    c.set_read_timeout(Some(10 * SINK_WRITE_TIMEOUT));
+    // One tick whose answer (16 MiB) is far more than the loopback socket
+    // buffers hold. Its ack is sent before the push starts.
+    let blob = "x".repeat(128 << 10);
+    let big = Graph::from_triples((0..128).map(|i| {
+        Triple::new(
+            iri(format!("http://x/s{i}")),
+            iri("http://x/blob".to_string()),
+            Term::literal(format!("{i}{blob}")),
+        )
+    }));
+    assert_eq!(c.ingest(&big, &Graph::new()).unwrap().inserted, 128);
+    // The writer is now pushing the whole answer to the stalled
+    // subscriber; the next acks must still arrive.
+    for batch in 0..3 {
+        let ack = c
+            .ingest(&partition_batch(0, batch, PER_BATCH), &Graph::new())
+            .expect("ingest acks keep arriving while a subscriber stalls");
+        assert_eq!(ack.inserted, PER_BATCH as u64);
+    }
+    assert_eq!(
+        c.stats().unwrap().subscriptions,
+        0,
+        "stalled subscription retired"
+    );
+    c.shutdown().unwrap();
+    server.join();
+    drop(stalled);
 }
 
 /// With a WAL attached (every record fsynced before `apply` returns), an

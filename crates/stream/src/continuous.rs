@@ -603,11 +603,9 @@ mod tests {
         o
     }
 
-    /// The single-store configuration: one shard, inline compaction.
+    /// The single-store configuration: one shard.
     fn store_with(triples: impl IntoIterator<Item = Triple>) -> ShardedHybridStore {
-        ShardedHybridStore::build(&ontology(), &Graph::from_triples(triples), 1)
-            .unwrap()
-            .with_background_compaction(false)
+        ShardedHybridStore::build(&ontology(), &Graph::from_triples(triples), 1).unwrap()
     }
 
     #[test]
@@ -786,7 +784,6 @@ mod tests {
         assert!(out.results[0].incremental);
         assert_eq!(out.results[0].added.len(), 1);
         assert_eq!(out.results[0].results.len(), 3);
-        session.store_mut().flush_compactions();
     }
 
     /// A query registered mid-stream seeds from the store state that

@@ -17,9 +17,9 @@
 //!   single-store configuration; more shards partition the write path.
 //!   Terms unseen at build time go to *overflow dictionaries*
 //!   ([`OVERFLOW_BASE`]);
-//! * **compaction** — past a [`CompactionPolicy`] threshold a shard's
-//!   overlay is folded back into fresh succinct layers in the same id
-//!   space (overflow terms keep their ids);
+//! * **compaction** — past a [`CompactionPolicy`] threshold the `apply`
+//!   that crossed it folds the shard's overlay back into fresh succinct
+//!   layers in the same id space, inline (overflow terms keep their ids);
 //! * [`persist`] — delta-aware v02 persistence: layer files reused save
 //!   to save, plus a raw overlay snapshot (tombstones, overflow
 //!   dictionaries, interned literals) and a manifest, so `save` is
@@ -30,13 +30,13 @@
 //!   batch: the paper's "one query per graph instance" loop without the
 //!   per-instance rebuild.
 //!
-//! # Architecture: shard routing and background compaction
+//! # Architecture: shard routing and inline compaction
 //!
 //! [`ShardedHybridStore`] partitions the triple space **by predicate**
 //! (`rdf:type` triples by concept) into N `baseline + overlay` shards —
 //! each an `Arc<`[`se_core::Baseline`]`>` (the static store's three
 //! structures, built by se-core's one encode pass and freeze step) plus
-//! a [`DeltaStore`] — each compacted on its own, behind one
+//! a [`DeltaStore`] — each compacted on its own, inline, behind one
 //! scatter/gather [`TripleSource`](se_core::TripleSource):
 //!
 //! ```text
@@ -68,29 +68,25 @@
 //!
 //! # Architecture: one thread model
 //!
-//! A store starts no thread for ingest; its thread use follows three
-//! rules:
+//! `build` freezes each shard's baseline on a scoped thread, and every
+//! one is joined before `build` returns. After that the store never
+//! starts a thread:
 //!
 //! * **Ingest on the caller.** `apply` validates the batch, encodes and
 //!   routes every operation into recycled per-shard lists, then applies
 //!   each shard's list (baseline probes, ordered-map overlay insertion)
 //!   on the calling thread. Literal ops carry their content,
 //!   so effect capture decodes them without a table lookup.
-//! * **Queries fan out with `thread::scope`.** A
-//!   [`StreamSession`] with more than one continuous query evaluates them
-//!   on one scoped thread each, over the shared view; with one query or
-//!   one core it evaluates them in turn on the caller.
-//! * **One thread per rebuild.** When a shard's overlay crosses the
-//!   [`CompactionPolicy`] threshold, a spawned thread folds an `Arc`
-//!   snapshot of its layers + a clone of its overlay into fresh layers
-//!   (pure, id-stable), and a later `apply` **atomically swaps** the
-//!   result in, rebasing any writes that raced the rebuild via a pure
-//!   visibility rule. At most one rebuild per shard is in flight; if the
-//!   OS refuses the thread the shard compacts inline, and dropping the
-//!   store joins any rebuild still running — no thread outlives it.
-//!
-//! `apply` latency is therefore bounded by routing + overlay insertion +
-//! swap — never by layer construction.
+//! * **Compaction on the caller.** When a shard's overlay crosses the
+//!   [`CompactionPolicy`] threshold, the same `apply` folds the shard's
+//!   live triples into fresh layers (id-stable, no re-encoding),
+//!   installs them and clears the overlay. A snapshot taken earlier
+//!   keeps the old layers through its `Arc`.
+//! * **Queries fan out with `thread::scope`.** Only a [`StreamSession`]
+//!   starts threads after `build`: with more than one continuous query
+//!   it evaluates them on one scoped thread each (`EvalMode::Scoped`),
+//!   over the shared view; with one query or one core it evaluates them
+//!   in turn on the caller.
 
 pub mod continuous;
 pub mod delta;
@@ -161,11 +157,9 @@ mod tests {
         ])
     }
 
-    /// The single-store configuration: one shard, inline compaction.
+    /// The single-store configuration: one shard.
     fn single(onto: &Ontology, graph: &Graph) -> ShardedHybridStore {
-        ShardedHybridStore::build(onto, graph, 1)
-            .unwrap()
-            .with_background_compaction(false)
+        ShardedHybridStore::build(onto, graph, 1).unwrap()
     }
 
     fn store() -> ShardedHybridStore {
@@ -484,77 +478,6 @@ mod tests {
         assert!(h.literals.literals.is_empty(), "no overlay literal kept");
         assert_eq!(h.overlay_len(), 0);
         assert_eq!(h.len(), 6);
-    }
-
-    /// Split compaction — snapshot the shard, rebuild on a background
-    /// thread, swap the result in — lands on the same view as an inline
-    /// rebuild.
-    #[test]
-    fn split_compaction_plan_build_swap_equals_inline() {
-        let policy = CompactionPolicy { max_overlay: 2 };
-        let mut split = ShardedHybridStore::build(&ontology(), &seed_graph(), 1)
-            .unwrap()
-            .with_policy(policy)
-            .with_background_compaction(true);
-        let mut inline = store().with_policy(policy);
-        for h in [&mut split, &mut inline] {
-            h.apply(
-                &Graph::from_triples([t("newSensor", "emits", iri("a"))]),
-                &Graph::from_triples([t("a", "knows", iri("b"))]),
-            )
-            .unwrap();
-        }
-        assert_eq!(
-            split.pending_compactions(),
-            1,
-            "rebuild handed to its thread"
-        );
-        assert_eq!(split.flush_compactions(), 1);
-        assert_eq!(split.overlay_len(), 0, "covered overlay collapses away");
-        assert_eq!(inline.overlay_len(), 0);
-        assert_eq!(norm(&split.materialize()), norm(&inline.materialize()));
-        assert_eq!(split.stats().compactions, 1);
-        assert_eq!(split.stats().background_compactions, 1);
-    }
-
-    /// Writes that land while a background rebuild is in flight survive
-    /// the swap: the rebuild covers only its snapshot, and the swap
-    /// rebases the live overlay onto the new layers. Whether the rebuild
-    /// finishes before the racing batch (swap first) or after it (rebase
-    /// at the flush), the overlay ends up holding exactly the raced
-    /// writes.
-    #[test]
-    fn swap_baseline_rebases_writes_raced_between_plan_and_swap() {
-        let mut h = ShardedHybridStore::build(&ontology(), &seed_graph(), 1)
-            .unwrap()
-            .with_policy(CompactionPolicy { max_overlay: 1 })
-            .with_background_compaction(true);
-        insert(&mut h, t("c", "knows", iri("a")));
-        assert_eq!(h.pending_compactions(), 1);
-        // Raise the threshold so the racing batch starts no second
-        // rebuild, then race: a fresh insert, a delete of a triple the
-        // rebuild covers, and a delete of a baseline triple.
-        let mut h = h.with_policy(CompactionPolicy::default());
-        h.apply(
-            &Graph::from_triples([t("d", "knows", iri("a"))]),
-            &Graph::from_triples([t("c", "knows", iri("a")), t("a", "worksFor", iri("org"))]),
-        )
-        .unwrap();
-        h.flush_compactions();
-        assert_eq!(h.stats().compactions, 1);
-        // The raced writes survive the swap.
-        let knows = h.property_id("http://x/knows").unwrap();
-        let a = h.instance_id(&iri("a")).unwrap();
-        let d = h.instance_id(&iri("d")).unwrap();
-        assert_eq!(h.subjects(knows, &Value::Instance(a)), vec![d]);
-        let works = h.property_id("http://x/worksFor").unwrap();
-        assert_eq!(h.predicate_count(works), 0);
-        assert_eq!(h.len(), 6, "6 seed + c + d - c - worksFor = 6");
-        // And the overlay holds exactly the raced writes, nothing stale:
-        // d→a as an insert; tombstones for the two deletes (c→a is in
-        // the rebuilt layers, so its raced delete rebases to a tombstone).
-        assert_eq!(h.shards[0].delta.added(), 1);
-        assert_eq!(h.shards[0].delta.deleted(), 2);
     }
 
     #[test]

@@ -109,9 +109,8 @@
 //!
 //! # What is *not* persisted
 //!
-//! Runtime configuration (the background-compaction flag, an attached
-//! WAL, the plan cache) and lifetime statistics are not state of the
-//! data: loaders restore defaults.
+//! Runtime configuration (an attached WAL, the plan cache) and lifetime
+//! statistics are not state of the data: loaders restore defaults.
 //!
 //! Routing is round robin only. Manifests tagged "hash_iri" or "custom"
 //! (written by earlier builds with hashed or caller-supplied routing)
@@ -557,9 +556,8 @@ fn routing_from_bytes(r: &mut &[u8], n_shards: usize) -> io::Result<HashMap<u64,
 
 impl ShardedHybridStore {
     /// Writes the v02 manifest snapshot into `dir` — `&self`, no
-    /// compaction, no blocking on in-flight background rebuilds (the
-    /// snapshot captures the current layers + overlay, which is a
-    /// consistent view by construction). Layer files, the frozen
+    /// compaction (the snapshot captures the current layers + overlay,
+    /// which is a consistent view by construction). Layer files, the frozen
     /// dictionary file and instance-dictionary history are written only
     /// when they changed; shards are serialized one after another on the
     /// calling thread, a layer file only for a shard that compacted since
@@ -967,7 +965,7 @@ impl StreamSession<ShardedHybridStore> {
 
     /// Like [`StreamSession::resume`], but over a store the caller
     /// already loaded with [`ShardedHybridStore::load`] and configured
-    /// (compaction policy, background flag).
+    /// (say, its compaction policy).
     pub fn resume_with_store(dir: &Path, store: ShardedHybridStore) -> Result<Self, StreamError> {
         let bytes = std::fs::read(dir.join(SESSION_FILE))?;
         let mut r = bytes.as_slice();

@@ -3,8 +3,7 @@
 //! [`TripleSource`] seam.
 //!
 //! `ShardedHybridStore::build(ontology, graph, 1)` is the single-store
-//! configuration — one shard, one overlay; with inline compaction it
-//! never starts a thread. With N shards the triple space is partitioned
+//! configuration — one shard, one overlay. With N shards the triple space is partitioned
 //! **by predicate** (`rdf:type` triples by concept):
 //!
 //! * **One global identifier space.** The store owns the dictionaries:
@@ -35,23 +34,23 @@
 //!   overlay. Build, compaction and the static `SuccinctEdgeStore` share
 //!   se-core's encode pass and freeze step, and every probe here is the
 //!   baseline's own probe plus tombstone filtering and overlay entries.
-//! * **Off-hot-path compaction.** Per-shard compaction is split into a
-//!   pure rebuild against a snapshot (the shard's baseline is
-//!   `Arc`-shared; the rebuild freezes the shard's live triples into a
-//!   fresh baseline **in the same id space** — no re-encoding) and an atomic
-//!   [`swap`](ShardedHybridStore::flush_compactions): the live overlay is
-//!   rebased onto the new layers by a pure visibility rule, so writes that
-//!   raced the rebuild survive. Each background rebuild is one spawned
-//!   thread, at most one per shard; a later `apply` swaps it in once it
-//!   has finished, and dropping the store joins any still running. With
-//!   background compaction enabled, `apply` tail latency is bounded by
-//!   routing + overlay insertion + swap (each O(overlay)), never by layer
-//!   construction.
+//! * **Inline compaction.** When a shard's overlay crosses
+//!   [`CompactionPolicy::max_overlay`], the `apply` that crossed it folds
+//!   the shard's live triples into a fresh baseline **in the same id
+//!   space** (no re-encoding) on the calling thread, installs it and
+//!   clears the overlay ([`compact_shard`](ShardedHybridStore::compact_shard)).
+//!   The baseline is `Arc`-shared, so a snapshot taken before the fold
+//!   keeps the old one.
+//! * **Threads.** `build` freezes each shard's baseline on a scoped
+//!   thread that is joined before it returns. After `build` the store
+//!   never starts a thread: ingest, compaction and probes run on the
+//!   caller. Only a [`StreamSession`](crate::StreamSession)'s
+//!   continuous-query fan-out (`EvalMode::Scoped`) does.
 //!
 //! The price of never re-encoding: properties and concepts first seen in
 //! the stream keep their overflow singleton intervals even after
 //! compaction, so subsumption reasoning over a stream-born term sees only
-//! its own assertions. ROADMAP item 5 — LiteMat codes with headroom, so
+//! its own assertions. ROADMAP item 9 — LiteMat codes with headroom, so
 //! a stream-born subterm takes a free code inside its parent's interval
 //! without moving any existing id — would close that gap.
 
@@ -68,7 +67,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// First identifier of the overflow id space for properties, concepts and
@@ -110,15 +108,13 @@ pub struct IngestReport {
     /// Operations with no effect (duplicate inserts, deletes of absent
     /// triples).
     pub noops: usize,
-    /// `true` if this batch compacted a shard (inline, or by swapping in
-    /// a finished background rebuild).
+    /// `true` if this batch compacted a shard.
     pub compacted: bool,
     /// Time spent routing + applying the overlay mutations of this batch
     /// (compaction excluded).
     pub ingest: Duration,
-    /// Time this batch's `apply` call spent blocked on compaction work
-    /// (inline rebuild, or the atomic swap of a finished background
-    /// rebuild). Zero while a background rebuild is still running.
+    /// Time this batch's `apply` call spent folding overlays into fresh
+    /// layers; zero when it compacted nothing.
     pub compaction: Duration,
     /// The batch's net term-space changes, captured only when the store's
     /// delta capture is enabled (see `StreamStore::set_delta_capture`) —
@@ -235,63 +231,14 @@ impl RoutingTable {
     }
 }
 
-/// The literal content one shard rebuild needs: exactly the ids its
-/// overlay references (baseline literal content lives in the layers).
-/// Built in O(overlay) on the hot path — never a clone of the full shared
-/// table — and moved into the rebuild thread.
-#[derive(Debug, Clone, Default)]
-struct LitSnapshot {
-    by_id: HashMap<u64, Arc<Literal>>,
-    by_content: HashMap<Arc<Literal>, u64>,
-}
-
-impl LitSnapshot {
-    fn for_delta(delta: &DeltaStore, table: &LiteralTable) -> Self {
-        let mut snap = Self::default();
-        for (_, _, o, _) in delta.iter() {
-            if let DeltaObj::Lit(l) = o {
-                if !snap.by_id.contains_key(&l) {
-                    let lit = table.arc(l);
-                    snap.by_content.insert(Arc::clone(&lit), l);
-                    snap.by_id.insert(l, lit);
-                }
-            }
-        }
-        snap
-    }
-
-    fn id(&self, lit: &Literal) -> Option<u64> {
-        self.by_content.get(lit).copied()
-    }
-
-    fn get(&self, id: u64) -> Option<&Literal> {
-        self.by_id.get(&id).map(Arc::as_ref)
-    }
-}
-
-/// A background rebuild in flight on its own thread: the thread folds a
-/// snapshot of the shard into fresh layers and hands the snapshot overlay
-/// back (the swap rebases the live overlay against it without probing any
-/// layer) along with its wall time.
-#[derive(Debug)]
-struct PendingRebuild {
-    handle: JoinHandle<RebuildJobOut>,
-    /// Set when an inline `compact_shard` superseded this rebuild: its
-    /// output is discarded on join instead of swapped in — a running
-    /// thread cannot be cancelled, but a stale result must never clobber
-    /// fresher layers.
-    stale: bool,
-}
-
 /// One predicate shard: an immutable [`Baseline`] over the shard's
 /// predicate/concept partition, in the **global** id space, plus the
-/// mutable overlay. The baseline is `Arc`-shared, so a background
-/// compaction or a snapshot takes it for free.
+/// mutable overlay. The baseline is `Arc`-shared, so a snapshot takes it
+/// for free.
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) base: Arc<Baseline>,
     pub(crate) delta: DeltaStore,
-    pending: Option<PendingRebuild>,
     /// Identity of this shard's current layers, process-unique: bumped on
     /// every swap so the persistence layer knows when the on-disk layer
     /// file is stale (see [`crate::persist`]).
@@ -301,9 +248,10 @@ pub(crate) struct Shard {
 /// Lifetime counters of a [`ShardedHybridStore`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardedStats {
-    /// Shard compactions performed (inline + background).
+    /// Shard compactions performed.
     pub compactions: usize,
-    /// Of those, how many ran on a background thread.
+    /// Always 0: every compaction runs inline. Kept only because the
+    /// benchmark still reports it as `stream.background_compactions`.
     pub background_compactions: usize,
     /// Total triples inserted (effective).
     pub total_inserted: usize,
@@ -311,12 +259,8 @@ pub struct ShardedStats {
     pub total_deleted: usize,
     /// Total hot-path time: encode + route + overlay insertion.
     pub total_ingest: Duration,
-    /// Total layer-rebuild wall time (rebuild-thread time for background
-    /// runs — off the hot path).
+    /// Total compaction wall time: folding overlays into fresh layers.
     pub total_compaction: Duration,
-    /// Total hot-path time spent atomically swapping rebuilt layers in
-    /// and rebasing the live overlay.
-    pub total_swap: Duration,
     /// Logical write epoch: successful `apply` batches over the store's
     /// lifetime (restored across v02 save/load). Compactions do not
     /// advance it — they preserve content.
@@ -391,14 +335,10 @@ impl ShardOps {
 /// Per-shard ingest outcome: `(inserted, deleted, noops)`.
 type OpCounts = (usize, usize, usize);
 
-/// What a rebuild thread returns on join: fresh layers, the snapshot
-/// overlay the swap rebases against, and the build wall time.
-type RebuildJobOut = (Baseline, DeltaStore, Duration);
-
 /// A predicate-sharded hybrid store: N independent baseline+overlay
 /// shards in one global id space, batch ingestion, scatter/gather
-/// [`TripleSource`] view, and per-shard compaction that can run on
-/// background threads. See the module docs for the architecture.
+/// [`TripleSource`] view, and inline per-shard compaction. See the
+/// module docs for the architecture.
 #[derive(Debug)]
 pub struct ShardedHybridStore {
     pub(crate) dicts: Dictionaries,
@@ -409,7 +349,6 @@ pub struct ShardedHybridStore {
     pub(crate) ovf_concepts: OverflowDict,
     pub(crate) literals: LiteralTable,
     policy: CompactionPolicy,
-    background: bool,
     /// What this store already has on disk — lets `save` skip the
     /// O(baseline) parts (see [`crate::persist`]). Interior mutability
     /// because `save` takes `&self`.
@@ -450,8 +389,9 @@ pub struct ShardedHybridStore {
 
 impl ShardedHybridStore {
     /// Builds the store from an ontology and an initial graph, partitioned
-    /// into `n_shards` (predicates and concepts routed round-robin). Shard
-    /// bases are constructed in parallel, one worker per shard.
+    /// into `n_shards` (predicates and concepts routed round-robin). Each
+    /// shard's baseline is frozen on its own scoped thread, and every one
+    /// is joined before `build` returns.
     pub fn build(ontology: &Ontology, graph: &Graph, n_shards: usize) -> Result<Self, StreamError> {
         assert!(
             (1..=MAX_SHARDS).contains(&n_shards),
@@ -494,7 +434,6 @@ impl ShardedHybridStore {
                 .map(|base| Shard {
                     base: Arc::new(base),
                     delta: DeltaStore::new(),
-                    pending: None,
                     gen: crate::persist::next_generation(),
                 })
                 .collect(),
@@ -503,7 +442,6 @@ impl ShardedHybridStore {
             ovf_concepts: OverflowDict::default(),
             literals: LiteralTable::default(),
             policy: CompactionPolicy::default(),
-            background: true,
             persist_mark: std::sync::Mutex::new(None),
             staging: (0..n_shards).map(|_| ShardOps::default()).collect(),
             stats: ShardedStats::default(),
@@ -542,7 +480,6 @@ impl ShardedHybridStore {
             ovf_concepts,
             literals,
             policy,
-            background: true,
             persist_mark: std::sync::Mutex::new(mark),
             staging: (0..n_shards).map(|_| ShardOps::default()).collect(),
             stats: ShardedStats::default(),
@@ -560,7 +497,6 @@ impl ShardedHybridStore {
         Shard {
             base: Arc::new(base),
             delta,
-            pending: None,
             gen,
         }
     }
@@ -568,15 +504,6 @@ impl ShardedHybridStore {
     /// Replaces the per-shard compaction policy.
     pub fn with_policy(mut self, policy: CompactionPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Chooses where compactions run: `true` (default) rebuilds on a
-    /// spawned thread and swaps atomically on a later `apply`;
-    /// `false` rebuilds inline, inside the `apply` that crossed the
-    /// threshold.
-    pub fn with_background_compaction(mut self, background: bool) -> Self {
-        self.background = background;
         self
     }
 
@@ -651,8 +578,8 @@ impl ShardedHybridStore {
     /// the snapshot costs O(overlay + dictionaries) to take and the
     /// resulting [`StoreSnapshot`](crate::snapshot::StoreSnapshot) is
     /// O(1) to clone. Reader threads answer every [`TripleSource`]
-    /// access at a consistent epoch while `apply` and background
-    /// compaction proceed; while any clone of the snapshot is alive the
+    /// access at a consistent epoch while `apply` and compaction
+    /// proceed; while any clone of the snapshot is alive the
     /// store counts it as a pin ([`ShardedStats::live_pins`]) and the
     /// quiescence-only literal GC will not reclaim the shared literal
     /// table (ids handed out at this epoch must keep decoding to the
@@ -663,10 +590,8 @@ impl ShardedHybridStore {
     }
 
     /// A read-only deep-frozen clone backing [`snapshot`](Self::snapshot):
-    /// `Arc`-shared shard layers, cloned overlays (pending rebuilds are
-    /// irrelevant to a frozen view and dropped), no persist mark. Never
-    /// written to — background compaction is off and the snapshot
-    /// wrapper exposes it read-only.
+    /// `Arc`-shared shard layers, cloned overlays, no persist mark. Never
+    /// written to — the snapshot wrapper exposes it read-only.
     fn frozen_view(&self) -> ShardedHybridStore {
         ShardedHybridStore {
             dicts: self.dicts.clone(),
@@ -677,7 +602,6 @@ impl ShardedHybridStore {
                 .map(|s| Shard {
                     base: Arc::clone(&s.base),
                     delta: s.delta.clone(),
-                    pending: None,
                     gen: s.gen,
                 })
                 .collect(),
@@ -686,7 +610,6 @@ impl ShardedHybridStore {
             ovf_concepts: self.ovf_concepts.clone(),
             literals: self.literals.clone(),
             policy: self.policy,
-            background: false,
             persist_mark: std::sync::Mutex::new(None),
             staging: (0..self.shards.len())
                 .map(|_| ShardOps::default())
@@ -721,11 +644,6 @@ impl ShardedHybridStore {
         self.shards[shard].delta.overlay_len()
     }
 
-    /// Number of background rebuilds currently in flight.
-    pub fn pending_compactions(&self) -> usize {
-        self.shards.iter().filter(|s| s.pending.is_some()).count()
-    }
-
     // ------------------------------------------------------------- ingestion
 
     /// Applies one batch: deletions first, then insertions.
@@ -733,9 +651,7 @@ impl ShardedHybridStore {
     /// The calling thread encodes and routes every operation into
     /// per-shard lists, then applies each shard's list to its overlay.
     /// Shards whose overlay crossed the policy threshold afterwards are
-    /// compacted — on a spawned rebuild thread when background compaction
-    /// is on (finished rebuilds from earlier batches are swapped in at
-    /// the start of the call), inline otherwise.
+    /// compacted inline, on the calling thread.
     pub fn apply(&mut self, inserts: &Graph, deletes: &Graph) -> Result<IngestReport, StreamError> {
         // Validate the whole batch before mutating anything: a malformed
         // triple rejects the batch atomically, before routing interns a
@@ -744,8 +660,6 @@ impl ShardedHybridStore {
             validate_triple(t)?;
         }
         let mut report = IngestReport::default();
-        let (swap_time, swapped) = self.swap_in_rebuilds(false);
-        report.compacted = swapped > 0;
 
         let t0 = Instant::now();
         // The staging buffers are a store field (recycled across batches)
@@ -772,20 +686,16 @@ impl ShardedHybridStore {
         self.stats.total_deleted += report.deleted;
         self.stats.total_ingest += report.ingest;
 
-        let mut compaction_time = swap_time;
+        let t1 = Instant::now();
         for i in 0..self.shards.len() {
-            let shard = &self.shards[i];
-            if shard.delta.overlay_len() >= self.policy.max_overlay
-                && shard.pending.is_none()
-                && !(self.background && self.start_shard_compaction(i))
-            {
-                let t1 = Instant::now();
+            if self.shards[i].delta.overlay_len() >= self.policy.max_overlay {
                 self.compact_shard(i);
-                compaction_time += t1.elapsed();
                 report.compacted = true;
             }
         }
-        report.compaction = compaction_time;
+        if report.compacted {
+            report.compaction = t1.elapsed();
+        }
         self.gc_literals();
         self.epoch += 1;
         if let Some(cache) = &self.plan_cache {
@@ -900,12 +810,11 @@ impl ShardedHybridStore {
 
     /// Drops the shared overlay-literal table when nothing can reference
     /// it: table ids live only in overlay entries (layers store literal
-    /// *content*) and in snapshots owned by in-flight rebuilds, so once
-    /// every shard's overlay is empty and no rebuild is pending the
-    /// table is garbage. Keeps long streams from accumulating every
-    /// distinct literal ever ingested. (Steady streams with always-dirty
-    /// overlays still grow the table; ROADMAP item 2 retires the shared
-    /// table, keeping overlay literals in the one shard's delta.)
+    /// *content*), so once every shard's overlay is empty the table is
+    /// garbage. Keeps long streams from accumulating every distinct
+    /// literal ever ingested. (Steady streams with always-dirty overlays
+    /// still grow the table; ROADMAP item 6 retires the shared table,
+    /// keeping overlay literals in the one shard's delta.)
     ///
     /// A live [`StoreSnapshot`](crate::snapshot::StoreSnapshot) counts as
     /// non-quiescent: `Value::Literal(OVERFLOW_BASE + id)` values decoded
@@ -914,10 +823,7 @@ impl ShardedHybridStore {
     /// handed from snapshot to live store would silently decode to the
     /// wrong literal. Reclamation resumes once the last pin drops.
     fn gc_literals(&mut self) {
-        let quiescent = self
-            .shards
-            .iter()
-            .all(|s| s.delta.is_empty() && s.pending.is_none())
+        let quiescent = self.shards.iter().all(|s| s.delta.is_empty())
             && self.pins.load(Ordering::Acquire) == 0;
         if quiescent && !self.literals.literals.is_empty() {
             self.literals = LiteralTable::default();
@@ -1034,158 +940,18 @@ impl ShardedHybridStore {
 
     // ------------------------------------------------------------ compaction
 
-    /// Compacts one shard inline: fold baseline + overlay into fresh
-    /// layers (same id space — no re-encoding) and swap them in.
+    /// Compacts one shard inline: folds baseline + overlay into fresh
+    /// layers (same id space — no re-encoding), installs them and clears
+    /// the overlay.
     pub fn compact_shard(&mut self, shard: usize) {
-        // A background rebuild may be in flight against an older snapshot;
-        // its result is superseded by this inline fold. A running thread
-        // cannot be cancelled, so mark it stale — the join discards its
-        // output instead of swapping stale layers over the fresh ones
-        // (which would drop every write that landed in between).
-        if let Some(pending) = &mut self.shards[shard].pending {
-            pending.stale = true;
-        }
-        let t0 = Instant::now();
-        let built = {
-            let s = &self.shards[shard];
-            let lits = LitSnapshot::for_delta(&s.delta, &self.literals);
-            live_triples(&s.base, &s.delta, &lits).freeze()
-        };
-        self.stats.total_compaction += t0.elapsed();
-        // Inline: the snapshot IS the live overlay, so the rebase is a
-        // plain clear.
-        self.swap_shard_base(shard, built, None);
-    }
-
-    /// Starts a background rebuild of one shard on its own thread, against
-    /// an O(1) snapshot of its layers plus a clone of its overlay (both
-    /// O(overlay), bounded by the compaction threshold — never O(store)).
-    /// Returns `false`, with nothing started, if the OS refuses the
-    /// thread; the caller then compacts inline.
-    fn start_shard_compaction(&mut self, shard: usize) -> bool {
-        let base = Arc::clone(&self.shards[shard].base);
-        let delta = self.shards[shard].delta.clone();
-        let lits = LitSnapshot::for_delta(&delta, &self.literals);
-        let spawned = std::thread::Builder::new()
-            .name(format!("se-compact-{shard}"))
-            .spawn(move || {
-                let t0 = Instant::now();
-                let built = live_triples(&base, &delta, &lits).freeze();
-                (built, delta, t0.elapsed())
-            });
-        match spawned {
-            Ok(handle) => {
-                self.shards[shard].pending = Some(PendingRebuild {
-                    handle,
-                    stale: false,
-                });
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Joins one shard's rebuild thread and swaps the fresh layers in
-    /// (rebasing the live overlay), or discards a result a later inline
-    /// compaction already superseded. Returns the hot-path swap time, or
-    /// `None` for a discarded result.
-    fn consume_rebuild(&mut self, shard: usize) -> Option<Duration> {
-        let pending = self.shards[shard].pending.take().expect("pending rebuild");
-        let joined = pending.handle.join();
-        if pending.stale {
-            // Superseded by an inline fold: the result is dead by design —
-            // account nothing, swap nothing, and ignore even a panicked
-            // rebuild.
-            return None;
-        }
-        // The rebuild is pure id-space folding; a panic there is a bug.
-        let (built, snapshot, build_time) = joined.expect("compaction thread panicked");
-        self.stats.total_compaction += build_time;
-        self.stats.background_compactions += 1;
-        let t0 = Instant::now();
-        self.swap_shard_base(shard, built, Some(&snapshot));
-        Some(t0.elapsed())
-    }
-
-    /// Swaps in the background rebuilds that have finished — or, with
-    /// `wait`, every one in flight, blocking on those still running.
-    /// Returns `(hot-path swap time, shards swapped)`.
-    fn swap_in_rebuilds(&mut self, wait: bool) -> (Duration, usize) {
-        let mut spent = Duration::ZERO;
-        let mut swapped = 0;
-        for i in 0..self.shards.len() {
-            let ready = self.shards[i]
-                .pending
-                .as_ref()
-                .is_some_and(|p| wait || p.handle.is_finished());
-            if ready {
-                if let Some(t) = self.consume_rebuild(i) {
-                    spent += t;
-                    swapped += 1;
-                }
-            }
-        }
-        (spent, swapped)
-    }
-
-    /// Blocks until every in-flight background rebuild has been swapped
-    /// in. Returns the number of shards swapped.
-    pub fn flush_compactions(&mut self) -> usize {
-        let (_, swapped) = self.swap_in_rebuilds(true);
-        self.gc_literals();
-        swapped
-    }
-
-    /// Installs rebuilt layers and rebases the live overlay onto them —
-    /// atomically from the query perspective, and **without probing a
-    /// single layer**:
-    ///
-    /// * an entry whose state is unchanged since the snapshot is covered
-    ///   by the rebuild and collapses away;
-    /// * for an entry that changed (a write raced the rebuild), the new
-    ///   layers' membership is *derivable*: if the snapshot held the
-    ///   triple, membership is the snapshot state's visibility; if not,
-    ///   it is the old-baseline membership, which every [`DeltaState`]
-    ///   encodes by construction (`Added`/`Cancelled` ⇔ absent,
-    ///   `Deleted`/`Restored` ⇔ present). The entry then survives as
-    ///   `Added` iff it asserts visibility the new layers lack, `Deleted`
-    ///   iff it asserts invisibility they contradict.
-    ///
-    /// `snapshot: None` means the snapshot is the live overlay itself
-    /// (inline compaction): everything collapses. Ids never change, so
-    /// the whole rebase is O(overlay · log overlay) id-space work.
-    fn swap_shard_base(&mut self, shard: usize, new_base: Baseline, snapshot: Option<&DeltaStore>) {
         let t0 = Instant::now();
         let s = &mut self.shards[shard];
-        let old_delta = std::mem::take(&mut s.delta);
-        s.base = Arc::new(new_base);
+        let built = live_triples(&s.base, &s.delta, &self.literals).freeze();
+        s.base = Arc::new(built);
+        s.delta = DeltaStore::new();
         s.gen = crate::persist::next_generation();
-        if let Some(snap) = snapshot {
-            for (p, subj, o, st) in old_delta.iter() {
-                let new_has = match snap.state(p, subj, o) {
-                    Some(st0) => st0.present(),
-                    None => matches!(st, DeltaState::Deleted | DeltaState::Restored),
-                };
-                match (st.present(), new_has) {
-                    (true, false) => s.delta.set(p, subj, o, DeltaState::Added),
-                    (false, true) => s.delta.set(p, subj, o, DeltaState::Deleted),
-                    _ => {}
-                }
-            }
-            for (subj, c, st) in old_delta.type_iter() {
-                let new_has = match snap.type_state(subj, c) {
-                    Some(st0) => st0.present(),
-                    None => matches!(st, DeltaState::Deleted | DeltaState::Restored),
-                };
-                match (st.present(), new_has) {
-                    (true, false) => s.delta.set_type(subj, c, DeltaState::Added),
-                    (false, true) => s.delta.set_type(subj, c, DeltaState::Deleted),
-                    _ => {}
-                }
-            }
-        }
         self.stats.compactions += 1;
-        self.stats.total_swap += t0.elapsed();
+        self.stats.total_compaction += t0.elapsed();
     }
 
     // -------------------------------------------------------- decode helpers
@@ -1267,8 +1033,7 @@ impl ShardedHybridStore {
         let rdf_type = Term::iri(se_rdf::vocab::rdf::TYPE);
         let mut g = Graph::new();
         for shard in &self.shards {
-            let lits = LitSnapshot::for_delta(&shard.delta, &self.literals);
-            let live = live_triples(&shard.base, &shard.delta, &lits);
+            let live = live_triples(&shard.base, &shard.delta, &self.literals);
             for (p, s, o) in live.objects {
                 g.insert(Triple::new(
                     self.term(Value::Instance(s)),
@@ -1292,18 +1057,6 @@ impl ShardedHybridStore {
             }
         }
         g
-    }
-}
-
-impl Drop for ShardedHybridStore {
-    /// Joins every rebuild thread still in flight: no thread outlives the
-    /// store.
-    fn drop(&mut self) {
-        for shard in &mut self.shards {
-            if let Some(pending) = shard.pending.take() {
-                let _ = pending.handle.join();
-            }
-        }
     }
 }
 
@@ -1440,9 +1193,9 @@ fn apply_type_op(base: &Baseline, delta: &mut DeltaStore, op: &TypeOp, insert: b
 
 /// The one walk over a shard's live triples — baseline minus tombstones,
 /// plus `Added` overlay entries — as encoded input lists, in the shard's
-/// id space. Compaction freezes it into fresh layers (pure, safe to run
-/// on a background thread against a snapshot); `materialize` decodes it.
-fn live_triples(base: &Baseline, delta: &DeltaStore, literals: &LitSnapshot) -> BaselineInput {
+/// id space. Compaction freezes it into fresh layers; `materialize`
+/// decodes it.
+fn live_triples(base: &Baseline, delta: &DeltaStore, literals: &LiteralTable) -> BaselineInput {
     let mut input = BaselineInput::default();
     for (p, s, o) in base.objects.iter() {
         if delta.state(p, s, DeltaObj::Inst(o)) != Some(DeltaState::Deleted) {
@@ -1763,9 +1516,9 @@ mod tests {
         ShardedHybridStore::build(&ontology(), &seed_graph(), n).unwrap()
     }
 
-    /// The single-store configuration: one shard, inline compaction.
+    /// The single-store configuration: one shard.
     fn single() -> ShardedHybridStore {
-        sharded(1).with_background_compaction(false)
+        sharded(1)
     }
 
     fn norm(g: &Graph) -> Vec<String> {
@@ -1810,7 +1563,7 @@ mod tests {
     /// 1-shard single store fed the same batches answer identically.
     #[test]
     fn parallel_apply_matches_single_hybrid() {
-        let mut sh = sharded(4).with_background_compaction(false);
+        let mut sh = sharded(4);
         let mut single = single();
         let batches: Vec<(Graph, Graph)> = vec![
             (
@@ -1853,7 +1606,7 @@ mod tests {
 
     #[test]
     fn overflow_terms_are_queryable_and_survive_compaction() {
-        let mut h = sharded(3).with_background_compaction(false);
+        let mut h = sharded(3);
         h.apply(
             &Graph::from_triples([
                 t("newSensor", "emits", iri("a")),
@@ -1901,9 +1654,7 @@ mod tests {
 
     #[test]
     fn inline_compaction_triggered_by_policy() {
-        let mut h = sharded(2)
-            .with_background_compaction(false)
-            .with_policy(CompactionPolicy { max_overlay: 2 });
+        let mut h = sharded(2).with_policy(CompactionPolicy { max_overlay: 2 });
         let report = h
             .apply(
                 &Graph::from_triples([
@@ -1922,11 +1673,11 @@ mod tests {
         assert_eq!(h.predicate_count(knows), 4);
     }
 
+    /// A stream of inserts and deletes under a tight threshold compacts
+    /// inline between batches and ends on exactly the reference set.
     #[test]
-    fn background_compaction_with_raced_writes() {
-        let mut h = sharded(2)
-            .with_background_compaction(true)
-            .with_policy(CompactionPolicy { max_overlay: 4 });
+    fn inline_compaction_with_interleaved_writes_matches_reference() {
+        let mut h = sharded(2).with_policy(CompactionPolicy { max_overlay: 4 });
         let mut reference: BTreeSet<Triple> = seed_graph().iter().cloned().collect();
         let step = |h: &mut ShardedHybridStore,
                     reference: &mut BTreeSet<Triple>,
@@ -1941,7 +1692,7 @@ mod tests {
             h.apply(&Graph::from_triples(ins), &Graph::from_triples(del))
                 .unwrap();
         };
-        // Push several batches so rebuilds start while writes keep racing.
+        // Push several batches so compactions land between the writes.
         for round in 0..12 {
             let ins = (0..4)
                 .map(|k| t(&format!("s{round}_{k}"), "knows", iri("hub")))
@@ -1957,11 +1708,7 @@ mod tests {
             };
             step(&mut h, &mut reference, ins, del);
         }
-        h.flush_compactions();
-        assert!(
-            h.stats().background_compactions >= 1,
-            "stream must exercise the background path"
-        );
+        assert!(h.stats().compactions >= 1, "stream must cross a compaction");
         let expected: Vec<String> = {
             let mut v: Vec<String> = reference.iter().map(|t| t.to_string()).collect();
             v.sort();
@@ -2031,7 +1778,7 @@ mod tests {
     #[test]
     fn baseline_literal_membership_is_per_subject() {
         for n in [1, 4] {
-            let mut h = sharded(n).with_background_compaction(false);
+            let mut h = sharded(n);
             let age = h.property_id("http://x/age").unwrap();
             let a = h.instance_id(&iri("a")).unwrap();
             let b = h.instance_id(&iri("b")).unwrap();
@@ -2112,60 +1859,11 @@ mod tests {
         ));
     }
 
-    /// Regression: an inline `compact_shard` must invalidate any
-    /// in-flight background rebuild — otherwise a later poll would swap
-    /// stale layers over the fresh ones and silently drop the writes
-    /// that landed in between. A running thread cannot be cancelled, so
-    /// the rebuild is marked stale and its output discarded on join.
-    #[test]
-    fn inline_compact_discards_stale_background_rebuild() {
-        let mut h = sharded(1)
-            .with_background_compaction(true)
-            .with_policy(CompactionPolicy { max_overlay: 2 });
-        // Crosses the threshold: a background rebuild starts against a
-        // snapshot that lacks everything after this batch.
-        h.apply(
-            &Graph::from_triples([t("c", "knows", iri("a")), t("d", "knows", iri("a"))]),
-            &Graph::new(),
-        )
-        .unwrap();
-        assert_eq!(h.pending_compactions(), 1);
-        // Newer write, then an inline compact folding it in. (Whether the
-        // in-flight rebuild got swapped during the apply or marked stale
-        // by the fold is a race; either way no write may be lost.)
-        h.apply(
-            &Graph::from_triples([t("e", "knows", iri("a"))]),
-            &Graph::new(),
-        )
-        .unwrap();
-        h.compact_shard(0);
-        // Subsequent applies must never resurrect a stale snapshot.
-        h.apply(
-            &Graph::from_triples([t("f", "knows", iri("a"))]),
-            &Graph::new(),
-        )
-        .unwrap();
-        h.flush_compactions();
-        assert_eq!(h.pending_compactions(), 0, "stale rebuild reaped");
-        let knows = h.property_id("http://x/knows").unwrap();
-        let a = h.instance_id(&iri("a")).unwrap();
-        let mut subs = h.subjects(knows, &Value::Instance(a));
-        subs.sort_unstable();
-        let expect: Vec<u64> = ["c", "d", "e", "f"]
-            .iter()
-            .map(|s| h.instance_id(&iri(s)).unwrap())
-            .collect();
-        let mut expect = expect;
-        expect.sort_unstable();
-        assert_eq!(subs, expect, "no write lost across the race");
-    }
-
     /// The shared overlay-literal table is dropped once every overlay is
-    /// empty and no rebuild is pending (and queries still answer from
-    /// the folded layers).
+    /// empty (and queries still answer from the folded layers).
     #[test]
     fn literal_table_garbage_collected_when_quiescent() {
-        let mut h = sharded(2).with_background_compaction(false);
+        let mut h = sharded(2);
         h.apply(
             &Graph::from_triples([t("x", "note", Term::literal("hello"))]),
             &Graph::new(),
@@ -2194,7 +1892,7 @@ mod tests {
     /// it re-enables reclamation.
     #[test]
     fn literal_gc_blocked_by_pinned_snapshot() {
-        let mut h = sharded(2).with_background_compaction(false);
+        let mut h = sharded(2);
         h.apply(
             &Graph::from_triples([t("x", "note", Term::literal("hello"))]),
             &Graph::new(),
@@ -2233,16 +1931,11 @@ mod tests {
     }
 
     /// Small batches (2–4 ops) under a tight compaction threshold: a
-    /// 4-shard store compacting on background threads, one compacting
-    /// inline and the 1-shard single store end up identical.
+    /// 4-shard store compacting inline and the 1-shard single store end
+    /// up identical.
     #[test]
-    fn background_compaction_small_batches_match_inline_and_single() {
-        let mut background = sharded(4)
-            .with_background_compaction(true)
-            .with_policy(CompactionPolicy { max_overlay: 6 });
-        let mut inline = sharded(4)
-            .with_background_compaction(false)
-            .with_policy(CompactionPolicy { max_overlay: 6 });
+    fn inline_compaction_small_batches_match_single() {
+        let mut sharded = sharded(4).with_policy(CompactionPolicy { max_overlay: 6 });
         let mut single = single();
         for round in 0..10 {
             let ins = Graph::from_triples([
@@ -2259,48 +1952,12 @@ mod tests {
             } else {
                 Graph::new()
             };
-            let rb = background.apply(&ins, &del).unwrap();
-            let ri = inline.apply(&ins, &del).unwrap();
+            let rh = sharded.apply(&ins, &del).unwrap();
             let rs = single.apply(&ins, &del).unwrap();
-            assert_eq!((rb.inserted, rb.deleted), (ri.inserted, ri.deleted));
-            assert_eq!((rb.inserted, rb.deleted), (rs.inserted, rs.deleted));
+            assert_eq!((rh.inserted, rh.deleted), (rs.inserted, rs.deleted));
         }
-        background.flush_compactions();
-        inline.flush_compactions();
-        assert_eq!(background.pending_compactions(), 0);
-        assert!(background.stats().background_compactions >= 1);
-        assert!(inline.stats().compactions >= 1);
-        assert_eq!(inline.stats().background_compactions, 0);
-        assert_eq!(norm(&background.materialize()), norm(&inline.materialize()));
-        assert_eq!(norm(&background.materialize()), norm(&single.materialize()));
-    }
-
-    /// Dropping a store while a rebuild thread is still running joins
-    /// it: once `drop` returns, the thread has released its snapshot of
-    /// the shard's layers.
-    #[test]
-    fn dropping_store_joins_inflight_rebuild() {
-        let mut o = Ontology::new();
-        o.add_object_property("http://x/p");
-        // A baseline large enough that the rebuild is still running when
-        // the store drops.
-        let g = Graph::from_triples(
-            (0..20_000).map(|i| t(&format!("s{i}"), "p", iri(&format!("o{}", i % 97)))),
-        );
-        let mut h = ShardedHybridStore::build(&o, &g, 1)
-            .unwrap()
-            .with_policy(CompactionPolicy { max_overlay: 2 });
-        h.apply(
-            &Graph::from_triples([t("x", "p", iri("o1")), t("y", "p", iri("o2"))]),
-            &Graph::new(),
-        )
-        .unwrap();
-        assert_eq!(h.pending_compactions(), 1);
-        let layers = Arc::downgrade(&h.shards[0].base);
-        drop(h);
-        assert!(
-            layers.upgrade().is_none(),
-            "the rebuild thread was joined and released the layers"
-        );
+        assert!(sharded.stats().compactions >= 1);
+        assert_eq!(sharded.stats().background_compactions, 0);
+        assert_eq!(norm(&sharded.materialize()), norm(&single.materialize()));
     }
 }

@@ -106,11 +106,9 @@ mod tests {
         Graph::from_triples(triples)
     }
 
-    /// The single-store configuration: one shard, inline compaction.
+    /// The single-store configuration: one shard.
     fn single_store() -> ShardedHybridStore {
-        ShardedHybridStore::build(&ontology(), &Graph::new(), 1)
-            .unwrap()
-            .with_background_compaction(false)
+        ShardedHybridStore::build(&ontology(), &Graph::new(), 1).unwrap()
     }
 
     /// A snapshot keeps answering at its epoch while the live store moves
@@ -160,8 +158,7 @@ mod tests {
     fn sharded_snapshot_is_isolated_from_later_writes() {
         let mut h = ShardedHybridStore::build(&ontology(), &Graph::new(), 3)
             .unwrap()
-            .with_policy(CompactionPolicy { max_overlay: 2 })
-            .with_background_compaction(false);
+            .with_policy(CompactionPolicy { max_overlay: 2 });
         h.apply(
             &batch(vec![t("a", "age", Term::literal("41"))]),
             &Graph::new(),

@@ -6,15 +6,15 @@
 //! twice:
 //!
 //! 1. the single-store configuration — a long-lived 1-shard
-//!    [`ShardedHybridStore`] with inline compaction — and
-//! 2. three shards with **background** per-shard compaction (each
-//!    rebuild on its own thread) — behind the same [`StreamSession`] API.
+//!    [`ShardedHybridStore`] — and
+//! 2. three predicate shards, each compacted on its own — behind the
+//!    same [`StreamSession`] API.
 //!
+//! Both compact inline, inside the batch that crosses the threshold.
 //! Both ingest the same measurement batches (with a sliding retention
 //! window deleting expired observations), evaluate the same registered
-//! anomaly query per batch, and must raise identical alerts; the sharded
-//! run reports its apply-latency tail to show compaction leaving the hot
-//! path.
+//! anomaly query per batch, and must raise identical alerts; each run
+//! reports its apply-latency tail.
 //!
 //! A third run demonstrates **v02 recovery**: the sharded session is
 //! killed mid-stream (checkpointed with the O(delta) `save` — no
@@ -109,37 +109,28 @@ fn main() {
         water_anomaly_query()
     );
 
-    // ---- engine 1: one shard, inline compaction -----------------------------
+    // ---- engine 1: one shard ------------------------------------------------
     let store = ShardedHybridStore::build(&onto, &Graph::new(), 1)
         .expect("empty baseline builds")
-        .with_policy(policy)
-        .with_background_compaction(false);
+        .with_policy(policy);
     let mut single = StreamSession::new(store);
     register(&mut single);
     let (rows_single, lat_single) = drive("single ", &mut single, &batches, 0, |_| String::new());
     let alerts_single: usize = rows_single.iter().map(Vec::len).sum();
     let len_single = single.store().len();
 
-    // ---- engine 2: sharded store, background compaction --------------------
+    // ---- engine 2: three shards ---------------------------------------------
     println!();
     let build_sharded = || {
         ShardedHybridStore::build(&onto, &Graph::new(), 3)
             .expect("empty sharded baseline builds")
             .with_policy(policy)
-            .with_background_compaction(true)
     };
-    let sharded_extra = |s: &ShardedHybridStore| {
-        format!(
-            " | overlay {:3} | pending {}",
-            s.overlay_len(),
-            s.pending_compactions()
-        )
-    };
+    let sharded_extra = |s: &ShardedHybridStore| format!(" | overlay {:3}", s.overlay_len());
     let mut session = StreamSession::new(build_sharded());
     register(&mut session);
     let (rows_sharded, lat_sharded) = drive("sharded", &mut session, &batches, 0, sharded_extra);
     let alerts_sharded: usize = rows_sharded.iter().map(Vec::len).sum();
-    session.store_mut().flush_compactions();
     let len_sharded = session.store().len();
 
     // ---- engine 3: kill mid-stream, recover from the v02 manifest ----------
@@ -163,10 +154,8 @@ fn main() {
          (no compaction), {} baseline file(s) + {} delta bytes written",
         report.baseline_files_written, report.delta_bytes,
     );
-    drop(doomed); // the "kill": rebuild threads join, in-memory state is gone
-    let reloaded = ShardedHybridStore::load(&ckpt, &onto)
-        .expect("manifest loads")
-        .with_background_compaction(true);
+    drop(doomed); // the "kill": in-memory state is gone
+    let reloaded = ShardedHybridStore::load(&ckpt, &onto).expect("manifest loads");
     let mut recovered = StreamSession::resume_with_store(&ckpt, reloaded).expect("session resumes");
     println!(
         "recover restart: {} triples, {} continuous query re-registered from session.v02",
@@ -180,7 +169,6 @@ fn main() {
         restart_at,
         sharded_extra,
     );
-    recovered.store_mut().flush_compactions();
     let rows_recovered: Vec<Vec<String>> = rows_before.into_iter().chain(rows_after).collect();
     assert_eq!(
         rows_recovered, rows_sharded,
@@ -195,10 +183,9 @@ fn main() {
         p99(&lat_single)
     );
     println!(
-        "sharded: {alerts_sharded} alerts | {len_sharded} triples | p99 apply {:.3} ms | {} compactions ({} background) across {} shards",
+        "sharded: {alerts_sharded} alerts | {len_sharded} triples | p99 apply {:.3} ms | {} compactions across {} shards",
         p99(&lat_sharded),
         stats.compactions,
-        stats.background_compactions,
         session.store().shard_count(),
     );
     println!(
@@ -217,8 +204,7 @@ fn main() {
     println!(
         "note: both configurations raise identical alerts — the sliding window \
          retires old observations, both differently-annotated stations keep \
-         being caught by the single reasoning-enabled query (§2), the \
-         3-shard store keeps layer rebuilds off the ingest hot path, and a \
+         being caught by the single reasoning-enabled query (§2), and a \
          mid-stream kill + v02 reload reproduces the alert stream exactly."
     );
 }

@@ -27,10 +27,9 @@
 //!   [`stream::StreamSession::apply_batch`] with registered continuous
 //!   queries; the overlay compacts back into the succinct layers
 //!   automatically (see [`stream::CompactionPolicy`]).
-//! * Scale the write path: a shard count above 1 partitions by
-//!   predicate into parallel shards behind the same session API, with
-//!   background per-shard compaction keeping `apply` tail latency
-//!   bounded (see `se-stream`'s architecture docs).
+//! * Partition the write path: a shard count above 1 partitions by
+//!   predicate into shards behind the same session API, each compacted
+//!   on its own (see `se-stream`'s architecture docs).
 //! * Reproduce the paper's tables: `cargo run --release -p se-bench --bin
 //!   tables`; examples under `examples/` cover the §2 anomaly scenario in
 //!   both rebuild-per-instance and incremental form.

@@ -1,6 +1,7 @@
 //! Property-based correctness of every store configuration — the static
-//! SuccinctEdge store, 1- and 3-shard streaming stores and a snapshot —
-//! against a naive triple-scan reference, on randomly generated graphs.
+//! SuccinctEdge store, 1- and 3-shard streaming stores, a snapshot and a
+//! compacted 3-shard store — against a naive triple-scan reference, on
+//! randomly generated graphs.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -56,7 +57,9 @@ fn arb_graph() -> impl Strategy<Value = (Graph, Ontology)> {
 /// Runs `check` against every store configuration the executor answers
 /// from, each holding exactly `graph`: the static store, a 1-shard and a
 /// 3-shard streaming store (baseline plus overlay inserts and tombstones),
-/// and a snapshot of the 3-shard store read through its deref.
+/// a snapshot of the 3-shard store read through its deref, and the
+/// 3-shard store again after every shard compacted (overlay literals
+/// included), with the snapshot re-checked after that swap.
 fn for_each_store(
     graph: &Graph,
     onto: &Ontology,
@@ -64,10 +67,17 @@ fn for_each_store(
 ) -> Result<(), TestCaseError> {
     check("static", &SuccinctEdgeStore::build(onto, graph).unwrap())?;
     check("1-shard", &streamed(graph, onto, 1))?;
-    let three = streamed(graph, onto, 3);
+    let mut three = streamed(graph, onto, 3);
     check("3-shard", &three)?;
     let snap = three.snapshot();
-    check("3-shard snapshot", &*snap)
+    check("3-shard snapshot", &*snap)?;
+    for shard in 0..three.shard_count() {
+        three.compact_shard(shard);
+    }
+    prop_assert_eq!(three.stats().compactions, three.shard_count());
+    prop_assert_eq!(three.overlay_len(), 0);
+    check("3-shard compacted", &three)?;
+    check("3-shard snapshot after compaction", &*snap)
 }
 
 /// A streaming store built on the first half of `graph` plus decoy
@@ -112,9 +122,7 @@ fn streamed(graph: &Graph, onto: &Ontology, shards: usize) -> ShardedHybridStore
             rest.push(t.clone());
         }
     }
-    let mut store = ShardedHybridStore::build(onto, &Graph::from_triples(base), shards)
-        .unwrap()
-        .with_background_compaction(false);
+    let mut store = ShardedHybridStore::build(onto, &Graph::from_triples(base), shards).unwrap();
     store
         .apply(&Graph::from_triples(rest), &Graph::from_triples(decoys))
         .unwrap();

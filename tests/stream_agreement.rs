@@ -28,11 +28,9 @@ fn normalize(rs: &ResultSet) -> Vec<String> {
     rows
 }
 
-/// The single-store configuration: one shard, inline compaction.
+/// The single-store configuration: one shard.
 fn single_store(onto: &se_ontology::Ontology) -> ShardedHybridStore {
-    ShardedHybridStore::build(onto, &Graph::new(), 1)
-        .unwrap()
-        .with_background_compaction(false)
+    ShardedHybridStore::build(onto, &Graph::new(), 1).unwrap()
 }
 
 /// Queries covering every TP shape the executor distinguishes.
@@ -271,9 +269,9 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
 /// The sharded acceptance property: across >= 12 batches with deletions
 /// and compactions, the scatter/gather [`ShardedHybridStore`] answers all
 /// thirteen query shapes (reasoning on and off) identically to the 1-shard
-/// single store *and* a from-scratch rebuild — with inline per-shard
-/// compaction, and with background compaction racing the stream at 4 and
-/// at 3 shards.
+/// single store *and* a from-scratch rebuild — at 3 and at 4 shards, and
+/// at 3 shards under a tighter compaction threshold — and again after
+/// every shard is compacted at the end of the stream.
 #[test]
 fn sharded_agrees_with_single_store_and_rebuild() {
     let onto = water_ontology();
@@ -291,29 +289,26 @@ fn sharded_agrees_with_single_store_and_rebuild() {
     let single = single_store(&onto).with_policy(policy);
     let sharded_inline = ShardedHybridStore::build(&onto, &Graph::new(), 3)
         .unwrap()
-        .with_policy(policy)
-        .with_background_compaction(false);
-    // Background rebuilds racing the stream, over 4 and over 3 shards.
-    let sharded_bg = ShardedHybridStore::build(&onto, &Graph::new(), 4)
+        .with_policy(policy);
+    // Four shards, and three shards compacting about three times as often.
+    let sharded_4 = ShardedHybridStore::build(&onto, &Graph::new(), 4)
         .unwrap()
-        .with_policy(policy)
-        .with_background_compaction(true);
-    let sharded_rr = ShardedHybridStore::build(&onto, &Graph::new(), 3)
+        .with_policy(policy);
+    let sharded_tight = ShardedHybridStore::build(&onto, &Graph::new(), 3)
         .unwrap()
-        .with_policy(policy)
-        .with_background_compaction(true);
+        .with_policy(CompactionPolicy { max_overlay: 30 });
 
     let mut single = StreamSession::new(single);
     let mut sharded_inline = StreamSession::new(sharded_inline);
-    let mut sharded_bg = StreamSession::new(sharded_bg);
-    let mut sharded_rr = StreamSession::new(sharded_rr);
+    let mut sharded_4 = StreamSession::new(sharded_4);
+    let mut sharded_tight = StreamSession::new(sharded_tight);
     for (id, text, opts) in shape_queries() {
         single.register_query(id, &text, opts.clone()).unwrap();
         sharded_inline
             .register_query(id, &text, opts.clone())
             .unwrap();
-        sharded_bg.register_query(id, &text, opts.clone()).unwrap();
-        sharded_rr.register_query(id, &text, opts).unwrap();
+        sharded_4.register_query(id, &text, opts.clone()).unwrap();
+        sharded_tight.register_query(id, &text, opts).unwrap();
     }
 
     let mut reference: BTreeSet<Triple> = BTreeSet::new();
@@ -325,10 +320,10 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         let out_inline = sharded_inline
             .apply_batch(&batch.inserts, &batch.deletes)
             .unwrap();
-        let out_bg = sharded_bg
+        let out_4 = sharded_4
             .apply_batch(&batch.inserts, &batch.deletes)
             .unwrap();
-        let out_rr = sharded_rr
+        let out_tight = sharded_tight
             .apply_batch(&batch.inserts, &batch.deletes)
             .unwrap();
 
@@ -350,28 +345,28 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         );
         assert_eq!(
             (out_single.report.inserted, out_single.report.deleted),
-            (out_bg.report.inserted, out_bg.report.deleted),
-            "batch {tick}: ingest accounting diverged (background)"
+            (out_4.report.inserted, out_4.report.deleted),
+            "batch {tick}: ingest accounting diverged (4 shards)"
         );
         assert_eq!(
             (out_single.report.inserted, out_single.report.deleted),
-            (out_rr.report.inserted, out_rr.report.deleted),
-            "batch {tick}: ingest accounting diverged (background, round-robin)"
+            (out_tight.report.inserted, out_tight.report.deleted),
+            "batch {tick}: ingest accounting diverged (tight policy)"
         );
         assert_eq!(sharded_inline.store().len(), reference.len());
-        assert_eq!(sharded_bg.store().len(), reference.len());
-        assert_eq!(sharded_rr.store().len(), reference.len());
+        assert_eq!(sharded_4.store().len(), reference.len());
+        assert_eq!(sharded_tight.store().len(), reference.len());
 
         let rebuilt =
             SuccinctEdgeStore::build(&onto, &Graph::from_triples(reference.iter().cloned()))
                 .unwrap();
-        for ((((cq, rs_single), rs_inline), rs_bg), rs_rr) in single
+        for ((((cq, rs_single), rs_inline), rs_4), rs_tight) in single
             .registry()
             .iter()
             .zip(&out_single.results)
             .zip(&out_inline.results)
-            .zip(&out_bg.results)
-            .zip(&out_rr.results)
+            .zip(&out_4.results)
+            .zip(&out_tight.results)
         {
             let fresh = se_sparql::exec::execute(&rebuilt, &cq.query, &cq.options).unwrap();
             let want = normalize(&fresh);
@@ -388,50 +383,55 @@ fn sharded_agrees_with_single_store_and_rebuild() {
                 cq.id
             );
             assert_eq!(
-                normalize(&rs_bg.results),
+                normalize(&rs_4.results),
                 want,
-                "batch {tick}: '{}' sharded-background vs rebuild",
+                "batch {tick}: '{}' sharded-4 vs rebuild",
                 cq.id
             );
             assert_eq!(
-                normalize(&rs_rr.results),
+                normalize(&rs_tight.results),
                 want,
-                "batch {tick}: '{}' sharded-background-rr vs rebuild",
+                "batch {tick}: '{}' sharded-tight vs rebuild",
                 cq.id
             );
-            // Materialized set == full re-evaluation on the round-robin
-            // sharded engine.
+            // Materialized set == full re-evaluation on the
+            // tight-policy sharded engine.
             let refresh =
-                se_sparql::exec::execute(sharded_rr.store(), &cq.query, &cq.options).unwrap();
+                se_sparql::exec::execute(sharded_tight.store(), &cq.query, &cq.options).unwrap();
             assert_eq!(
                 normalize(&refresh),
                 want,
-                "batch {tick}: '{}' round-robin full re-evaluation vs rebuild",
+                "batch {tick}: '{}' tight-policy full re-evaluation vs rebuild",
                 cq.id
             );
         }
     }
 
-    // Drain in-flight background rebuilds and re-check agreement after
-    // the final swaps.
-    sharded_bg.store_mut().flush_compactions();
-    sharded_rr.store_mut().flush_compactions();
+    // Fold every overlay into its shard's layers and re-check agreement
+    // on the compacted baselines alone.
+    for session in [&mut sharded_4, &mut sharded_tight] {
+        let store = session.store_mut();
+        for shard in 0..store.shard_count() {
+            store.compact_shard(shard);
+        }
+        assert_eq!(store.overlay_len(), 0);
+    }
     let rebuilt =
         SuccinctEdgeStore::build(&onto, &Graph::from_triples(reference.iter().cloned())).unwrap();
-    for cq in sharded_bg.registry().iter().collect::<Vec<_>>() {
+    for cq in sharded_4.registry().iter().collect::<Vec<_>>() {
         let fresh = se_sparql::exec::execute(&rebuilt, &cq.query, &cq.options).unwrap();
-        let got = se_sparql::exec::execute(sharded_bg.store(), &cq.query, &cq.options).unwrap();
+        let got = se_sparql::exec::execute(sharded_4.store(), &cq.query, &cq.options).unwrap();
         assert_eq!(
             normalize(&got),
             normalize(&fresh),
-            "post-flush: '{}' sharded-background vs rebuild",
+            "post-compaction: '{}' sharded-4 vs rebuild",
             cq.id
         );
-        let got = se_sparql::exec::execute(sharded_rr.store(), &cq.query, &cq.options).unwrap();
+        let got = se_sparql::exec::execute(sharded_tight.store(), &cq.query, &cq.options).unwrap();
         assert_eq!(
             normalize(&got),
             normalize(&fresh),
-            "post-flush: '{}' sharded-background-rr vs rebuild",
+            "post-compaction: '{}' sharded-tight vs rebuild",
             cq.id
         );
     }
@@ -441,10 +441,12 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         sharded_inline.store().stats().compactions >= 1,
         "inline sharded store must compact"
     );
-    assert!(
-        sharded_bg.store().stats().compactions >= 1,
-        "background sharded store must compact"
-    );
+    for (name, session) in [("4-shard", &sharded_4), ("tight-policy", &sharded_tight)] {
+        assert!(
+            session.store().stats().compactions > session.store().shard_count(),
+            "{name} sharded store must compact during the stream"
+        );
+    }
     assert!(deletions > 0, "stream must exercise the deletion path");
     // Every configuration — the 1-shard store and all three sharded ones —
     // served the steady state differentially.
@@ -453,8 +455,8 @@ fn sharded_agrees_with_single_store_and_rebuild() {
     for (name, stats) in [
         ("single", single.stream_stats()),
         ("sharded-inline", sharded_inline.stream_stats()),
-        ("sharded-background", sharded_bg.stream_stats()),
-        ("sharded-background-rr", sharded_rr.stream_stats()),
+        ("sharded-4", sharded_4.stream_stats()),
+        ("sharded-tight", sharded_tight.stream_stats()),
     ] {
         assert_eq!(
             stats.incremental_evals,
@@ -466,9 +468,9 @@ fn sharded_agrees_with_single_store_and_rebuild() {
 }
 
 /// The v02 acceptance property: checkpoint the 1-shard single store and a
-/// 3-shard store compacting in the background **mid-stream** —
-/// dirty overlays, pending tombstones, overflow terms, background
-/// rebuilds possibly in flight — resume them from disk, continue the
+/// 3-shard store **mid-stream**, after compactions — dirty overlays over
+/// compacted layers, pending tombstones, overflow terms — resume them
+/// from disk, continue the
 /// same `stream_agreement` batch schedule, and require every one of the
 /// thirteen query shapes (reasoning on and off) to agree with the
 /// never-persisted sessions and a from-scratch rebuild, every batch.
@@ -493,19 +495,15 @@ fn save_load_mid_stream_preserves_agreement() {
     let sharded_dir = scratch("sharded");
 
     let single = || single_store(&onto).with_policy(policy);
-    let sharded = ShardedHybridStore::build(&onto, &Graph::new(), 3)
-        .unwrap()
-        .with_policy(policy)
-        .with_background_compaction(true);
-    let mut live_single = StreamSession::new(single());
-    let mut live_sharded = StreamSession::new(
+    let sharded = || {
         ShardedHybridStore::build(&onto, &Graph::new(), 3)
             .unwrap()
             .with_policy(policy)
-            .with_background_compaction(true),
-    );
+    };
+    let mut live_single = StreamSession::new(single());
+    let mut live_sharded = StreamSession::new(sharded());
     let mut ckpt_single = StreamSession::new(single());
-    let mut ckpt_sharded = StreamSession::new(sharded);
+    let mut ckpt_sharded = StreamSession::new(sharded());
     for (id, text, opts) in shape_queries() {
         live_single.register_query(id, &text, opts.clone()).unwrap();
         live_sharded
@@ -520,8 +518,7 @@ fn save_load_mid_stream_preserves_agreement() {
     for (tick, batch) in batches.iter().enumerate() {
         if tick == restart_at {
             // Mid-stream checkpoint: both stores are dirty (the policy
-            // guarantees overlay churn by now) and the sharded session
-            // may have rebuilds racing on their threads.
+            // guarantees overlay churn by now).
             let overlay = ckpt_single.store().overlay_len();
             assert!(overlay > 0, "checkpoint must capture a dirty overlay");
             let compactions = ckpt_single.store().stats().compactions;
@@ -620,8 +617,6 @@ fn save_load_mid_stream_preserves_agreement() {
             }
         }
     }
-    ckpt_sharded.store_mut().flush_compactions();
-    live_sharded.store_mut().flush_compactions();
     assert_eq!(
         se_core::TripleSource::len(ckpt_sharded.store()),
         reference.len()
@@ -800,7 +795,7 @@ fn hybrid_matches_rebuild_pattern_accesses_directly() {
 
 /// The MVCC acceptance property: reader threads pin [`StoreSnapshot`]s
 /// mid-ingest while the writer applies batches and triggers compactions
-/// (including background rebuilds racing the readers). Every pinned
+/// (the writer also holds a pin of its own across every apply). Every pinned
 /// snapshot must answer **all thirteen query shapes** identically to a
 /// from-scratch [`SuccinctEdgeStore`] built from the stream prefix at
 /// the snapshot's epoch — i.e. a snapshot is exactly "the store as of
@@ -834,14 +829,16 @@ fn pinned_snapshots_agree_with_rebuild_at_their_epoch() {
 
     let store = ShardedHybridStore::build(&onto, &Graph::new(), 4)
         .unwrap()
-        .with_policy(CompactionPolicy { max_overlay: 60 })
-        .with_background_compaction(true);
+        .with_policy(CompactionPolicy { max_overlay: 60 });
     let store = RwLock::new(store);
     let live_epoch = AtomicU64::new(0);
     let done = AtomicBool::new(false);
     // Set when a snapshot verified *after* the live store had moved past
     // its epoch — the isolation case the whole mechanism exists for.
     let verified_stale = AtomicBool::new(false);
+    // Set when a compaction installed new layers while a snapshot of the
+    // old ones was pinned, and that snapshot then verified.
+    let compacted_under_pin = AtomicBool::new(false);
 
     let shapes = shape_queries();
     let verify_at_epoch = |snap: &se_stream::StoreSnapshot| {
@@ -867,14 +864,23 @@ fn pinned_snapshots_agree_with_rebuild_at_their_epoch() {
 
     std::thread::scope(|scope| {
         // Writer: applies every batch, pacing so readers pin mid-stream.
+        // It pins the pre-batch state itself, so every compaction swaps
+        // layers under at least one live snapshot.
         scope.spawn(|| {
             for batch in &batches {
-                store
-                    .write()
-                    .unwrap()
-                    .apply(&batch.inserts, &batch.deletes)
-                    .unwrap();
+                let held = store.read().unwrap().snapshot();
+                let compacted = {
+                    let mut live = store.write().unwrap();
+                    let report = live.apply(&batch.inserts, &batch.deletes).unwrap();
+                    assert!(live.live_pins() >= 1, "the writer's own pin is live");
+                    report.compacted
+                };
                 live_epoch.fetch_add(1, Ordering::Release);
+                if compacted {
+                    verify_at_epoch(&held);
+                    compacted_under_pin.store(true, Ordering::Release);
+                }
+                drop(held);
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
             done.store(true, Ordering::Release);
@@ -906,6 +912,10 @@ fn pinned_snapshots_agree_with_rebuild_at_their_epoch() {
     assert!(
         stats.compactions >= 1,
         "the stream must cross at least one compaction while snapshots are pinned"
+    );
+    assert!(
+        compacted_under_pin.load(Ordering::Acquire),
+        "a snapshot pinned before a compaction must verify after it"
     );
     assert!(
         stats.snapshots >= 3,
