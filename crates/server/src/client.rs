@@ -99,16 +99,10 @@ pub struct ServerStats {
     pub compactions: u64,
     /// Active continuous-query subscriptions.
     pub subscriptions: u64,
-    /// Continuous-query evaluations served by the delta path.
-    pub incremental_evals: u64,
-    /// Continuous-query full (re-)evaluations.
+    /// Continuous-query evaluations: one per subscription per tick.
     pub full_evals: u64,
-    /// Net triples added across all captured batch deltas.
-    pub delta_added: u64,
-    /// Net triples removed across all captured batch deltas.
-    pub delta_removed: u64,
     /// Plan-cache executions that reused a cached plan with zero SPARQL
-    /// parsing (QUERY frames and continuous-query full evaluations).
+    /// parsing (QUERY frames and continuous-query evaluations).
     pub plan_hits: u64,
     /// Plan-cache executions that parsed and/or compiled.
     pub plan_misses: u64,
@@ -327,10 +321,7 @@ impl Client {
             snapshots: r.read_u64()?,
             compactions: r.read_u64()?,
             subscriptions: r.read_u64()?,
-            incremental_evals: r.read_u64()?,
             full_evals: r.read_u64()?,
-            delta_added: r.read_u64()?,
-            delta_removed: r.read_u64()?,
             plan_hits: r.read_u64()?,
             plan_misses: r.read_u64()?,
             plan_compiles: r.read_u64()?,

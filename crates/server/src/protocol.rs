@@ -69,9 +69,8 @@ pub mod resp {
     /// [`Client`](crate::client::Client)).
     pub const PUSH: u8 = 0x82;
     /// Stats: epoch `u64`, triples `u64`, live pins `u64`, snapshots
-    /// `u64`, compactions `u64`, subscriptions `u64`, incremental evals
-    /// `u64`, full evals `u64`, delta triples added `u64`, delta
-    /// triples removed `u64`, plan-cache hits `u64`, plan-cache misses
+    /// `u64`, compactions `u64`, subscriptions `u64`, continuous-query
+    /// evals `u64`, plan-cache hits `u64`, plan-cache misses
     /// `u64`, plan compiles `u64`, plan evictions `u64`, plan re-costs
     /// `u64`, WAL poisoned `u64`, WAL appends failed `u64`, replicas
     /// `u64`, replication records shipped `u64`, replication snapshots

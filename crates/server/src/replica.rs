@@ -194,7 +194,6 @@ impl FeedState {
     ) -> Self {
         let mut session = StreamSession::new(store);
         session.registry_mut().set_plan_cache(Arc::clone(&cache));
-        session.registry_mut().set_emit_full(false);
         Self {
             session,
             subs: HashMap::new(),
@@ -208,14 +207,13 @@ impl FeedState {
 
     /// Replaces the store (snapshot bootstrap, or reset after the leader
     /// lost history) and re-registers every live subscription. Each
-    /// subscriber's next push is a full frame again: the differential
-    /// chain broke with the old store.
+    /// subscriber's next push is a full frame again: its change chain
+    /// broke with the old store.
     fn install_store(&mut self, store: ShardedHybridStore) {
         let mut session = StreamSession::new(store);
         session
             .registry_mut()
             .set_plan_cache(Arc::clone(&self.cache));
-        session.registry_mut().set_emit_full(false);
         self.session = session;
         let specs: Vec<_> = self
             .specs

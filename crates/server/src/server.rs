@@ -27,11 +27,13 @@
 //!   thread: readers never enter the writer's queue and are never blocked
 //!   by ingest or compaction. Responses and pushes to one client are
 //!   serialized through a shared sink lock.
-//! * **Stalled peers.** Every accepted socket carries a write timeout
-//!   ([`SINK_WRITE_TIMEOUT`]). A subscriber or follower that stops
-//!   reading holds the writer up only until a write to it makes no
-//!   progress for that long; then its socket is shut down and its
-//!   subscription or feed retired.
+//! * **Stalled peers.** The writer thread's per-tick frames (`PUSH`,
+//!   `REPL_RECORD`) must each be written within [`SINK_WRITE_TIMEOUT`]. A
+//!   subscriber or follower that stops reading holds the writer up for at
+//!   most that long per frame; then its socket is shut down and its
+//!   subscription or feed retired. Every other frame (replies, catch-up
+//!   snapshots) only has to keep making progress, so a slow but moving
+//!   link can take as long as a large frame needs.
 
 use crate::protocol::{self as proto, read_frame, write_frame};
 use se_sparql::{PlanCache, QueryOptions};
@@ -54,13 +56,13 @@ pub(crate) type ClientSink = Arc<Mutex<TcpStream>>;
 /// connection thread would otherwise block in a read forever.
 pub(crate) const CONN_POLL: Duration = Duration::from_millis(50);
 
-/// Write timeout of every accepted socket: how long one write call to a
-/// peer may block without progress before the peer counts as stalled.
-/// It bounds how long a subscriber or follower that stops reading can
-/// hold up the writer thread (and with it every other client's ingest
-/// acks). A call that makes partial progress restarts the clock, so
-/// while the peer's kernel still absorbs data the stall is a few times
-/// this.
+/// How long a peer may go without taking data before it counts as
+/// stalled. A per-tick frame (`PUSH`, `REPL_RECORD`) shares this as one
+/// deadline for its whole write, which bounds how long a subscriber or
+/// follower that stops reading can hold up the writer thread (and with
+/// it every other client's ingest acks), even while its kernel keeps
+/// absorbing a trickle. Every other frame has it as the socket's write
+/// timeout: each write call may block this long without progress.
 pub const SINK_WRITE_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// One active subscription as the writer sees it.
@@ -164,16 +166,9 @@ pub struct StatsReport {
     pub compactions: u64,
     /// Active continuous-query subscriptions.
     pub subscriptions: u64,
-    /// Continuous-query evaluations served by the delta path.
-    pub incremental_evals: u64,
-    /// Continuous-query full (re-)evaluations: seeding, fallback
-    /// queries, and batches without a captured delta.
+    /// Continuous-query evaluations: one per subscription per tick.
     pub full_evals: u64,
-    /// Net triples added across all captured batch deltas.
-    pub delta_added: u64,
-    /// Net triples removed across all captured batch deltas.
-    pub delta_removed: u64,
-    /// Plan-cache executions (QUERY frames and continuous-query full
+    /// Plan-cache executions (QUERY frames and continuous-query
     /// evaluations) that reused a cached plan with zero SPARQL parsing.
     pub plan_hits: u64,
     /// Plan-cache executions that parsed and/or compiled.
@@ -285,10 +280,6 @@ fn writer_loop(
     // Attached replication feeds: every tick's WAL record goes to each.
     let mut replicas: Vec<ClientSink> = Vec::new();
     let mut repl = ReplCounters::default();
-    // Initial frames always come from a seeding (or fallback) evaluation,
-    // which carries the full answer set regardless of this flag — so the
-    // steady-state delta path never has to materialize full sets.
-    session.registry_mut().set_emit_full(false);
     loop {
         let Ok(first) = rx.recv() else { break };
         let mut pending: Vec<PendingIngest> = Vec::new();
@@ -355,14 +346,17 @@ fn writer_loop(
                 // Even an all-noop tick ships: the epoch advanced, and a
                 // follower's consecutive-epoch invariant needs the gap
                 // filled. A dead feed is dropped; when the last one goes
-                // the forced delta capture is released.
+                // delta capture is switched off.
                 if !replicas.is_empty() {
-                    let delta = outcome.report.delta.unwrap_or_default();
+                    let delta = outcome
+                        .report
+                        .delta
+                        .expect("delta capture is on while a replica is attached");
                     let payload = se_stream::encode_record_payload(report.epoch, &delta);
-                    replicas.retain(|sink| reply(sink, proto::resp::REPL_RECORD, &payload).is_ok());
+                    replicas.retain(|sink| push(sink, proto::resp::REPL_RECORD, &payload).is_ok());
                     repl.records_shipped += replicas.len() as u64;
                     if replicas.is_empty() {
-                        session.set_force_delta_capture(false);
+                        session.store_mut().set_delta_capture(false);
                     }
                 }
             }
@@ -521,7 +515,7 @@ fn attach_replica(
         }
     }
     replicas.push(sink);
-    session.set_force_delta_capture(true);
+    session.store_mut().set_delta_capture(true);
     let _ = done.send(Ok(()));
 }
 
@@ -557,7 +551,7 @@ pub(crate) fn push_results(
                 }
             })
             .is_ok();
-        let ok = encoded && reply(&sub.sink, proto::resp::PUSH, &payload).is_ok();
+        let ok = encoded && push(&sub.sink, proto::resp::PUSH, &payload).is_ok();
         if ok {
             sub.primed = true;
         } else {
@@ -581,10 +575,7 @@ pub(crate) fn stats(
         snapshots: s.snapshots as u64,
         compactions: s.compactions as u64,
         subscriptions: subscriptions as u64,
-        incremental_evals: cq.incremental_evals,
         full_evals: cq.full_evals,
-        delta_added: cq.delta_added,
-        delta_removed: cq.delta_removed,
         plan_hits: cq.plan_hits,
         plan_misses: cq.plan_misses,
         plan_compiles: cq.plan_compiles,
@@ -780,10 +771,7 @@ pub(crate) fn serve_connection(
                         se_sds::WriteBin::write_u64(&mut out, s.snapshots)?;
                         se_sds::WriteBin::write_u64(&mut out, s.compactions)?;
                         se_sds::WriteBin::write_u64(&mut out, s.subscriptions)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.incremental_evals)?;
                         se_sds::WriteBin::write_u64(&mut out, s.full_evals)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.delta_added)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.delta_removed)?;
                         se_sds::WriteBin::write_u64(&mut out, s.plan_hits)?;
                         se_sds::WriteBin::write_u64(&mut out, s.plan_misses)?;
                         se_sds::WriteBin::write_u64(&mut out, s.plan_compiles)?;
@@ -837,10 +825,12 @@ pub(crate) fn serve_connection(
     }
 }
 
-/// Writes one frame to a client. A failed write (a stalled peer hits
-/// [`SINK_WRITE_TIMEOUT`]) may have sent part of the frame, so the socket
-/// is shut down before the error returns: the peer never reads bytes
-/// after a torn frame, and its connection thread sees the hang-up.
+/// Writes one frame to a client. Each write call may block for up to
+/// [`SINK_WRITE_TIMEOUT`] without progress (the socket's write timeout),
+/// so a large frame to a slow but moving peer completes. A failed write
+/// may have sent part of the frame, so the socket is shut down before
+/// the error returns: the peer never reads bytes after a torn frame, and
+/// its connection thread sees the hang-up.
 pub(crate) fn reply(sink: &ClientSink, kind: u8, payload: &[u8]) -> io::Result<()> {
     let mut stream = sink.lock().expect("client sink poisoned");
     let written = write_frame(&mut *stream, kind, payload);
@@ -848,6 +838,51 @@ pub(crate) fn reply(sink: &ClientSink, kind: u8, payload: &[u8]) -> io::Result<(
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
     written
+}
+
+/// Writes one per-tick frame from the writer thread, like [`reply`] but
+/// within one [`SINK_WRITE_TIMEOUT`] for the whole frame, so a peer that
+/// reads a trickle cannot hold up every other client's acks for longer.
+/// The socket gets its per-call write timeout back before the sink lock
+/// is released.
+fn push(sink: &ClientSink, kind: u8, payload: &[u8]) -> io::Result<()> {
+    let stream = sink.lock().expect("client sink poisoned");
+    let mut timed = DeadlineWriter {
+        stream: &stream,
+        deadline: Instant::now() + SINK_WRITE_TIMEOUT,
+    };
+    let written = write_frame(&mut timed, kind, payload)
+        .and_then(|()| stream.set_write_timeout(Some(SINK_WRITE_TIMEOUT)));
+    if written.is_err() {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+    }
+    written
+}
+
+/// A socket writer with one deadline for a whole frame: before each
+/// write call the socket's write timeout is set to the time left, and
+/// once none is left the write fails with `TimedOut`.
+struct DeadlineWriter<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl io::Write for DeadlineWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "peer stalled: frame write deadline passed",
+            ));
+        }
+        self.stream.set_write_timeout(Some(left))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
 }
 
 pub(crate) fn reply_err(sink: &ClientSink, msg: &str) -> io::Result<()> {

@@ -6,13 +6,17 @@ use se_datagen::water::{generate_stream, WaterConfig};
 use se_datagen::workload::water_anomaly_query;
 use se_ontology::water_ontology;
 use se_rdf::{Graph, Term, Triple};
+use se_sds::WriteBin;
+use se_server::protocol as proto;
 use se_server::server::SINK_WRITE_TIMEOUT;
 use se_server::{Client, Server, ServerConfig};
 use se_sparql::{QueryOptions, ResultSet};
 use se_stream::fault::{self, FaultMode};
 use se_stream::{ShardedHybridStore, StreamSession, WalConfig};
+use std::io::Read;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("se-server-{}-{name}", std::process::id()));
@@ -128,12 +132,12 @@ fn concurrent_clients_agree_with_single_threaded_replay() {
     }
 
     // ---- Phase B: one client holds two subscriptions — the anomaly
-    // query (FILTER → full fallback) and a bare pattern scan (delta
-    // path) — while another streams the water batches. One batch per
-    // ack-gated request means one tick per batch. The server pushes
-    // each full set once, then only per-tick changes, and skips
-    // unchanged ticks entirely; the client's reconstructed view must
-    // match the replay's full evaluation anyway.
+    // query (FILTER + BIND) and a bare pattern scan — while another
+    // streams the water batches. One batch per ack-gated request means
+    // one tick per batch. The server pushes each full set once, then
+    // only per-tick changes, and skips unchanged ticks entirely; the
+    // client's reconstructed view must match the replay's full
+    // evaluation anyway.
     let scan_query = "SELECT ?s ?o WHERE { ?s <http://www.w3.org/ns/sosa/observes> ?o }";
     let mut sub = Client::connect(addr).unwrap();
     sub.subscribe("alerts", &water_anomaly_query(), &opts)
@@ -155,7 +159,7 @@ fn concurrent_clients_agree_with_single_threaded_replay() {
     let stream = generate_stream(&cfg, 8, 3);
     let feeder = &mut clients[0];
     let mut saw_alert = false;
-    let mut saw_delta_changes = false;
+    let mut saw_changes = false;
     let mut primed = std::collections::HashSet::new();
     for batch in &stream {
         let ack = feeder.ingest(&batch.inserts, &batch.deletes).unwrap();
@@ -181,7 +185,7 @@ fn concurrent_clients_agree_with_single_threaded_replay() {
             if !first {
                 assert_eq!(normalize(&push.added), normalize(&want.added));
                 assert_eq!(normalize(&push.removed), normalize(&want.removed));
-                saw_delta_changes |= want.incremental && !push.added.is_empty();
+                saw_changes |= !push.added.is_empty() || !push.removed.is_empty();
             }
             if want.id == "alerts" {
                 saw_alert |= !push.results.rows.is_empty();
@@ -189,7 +193,7 @@ fn concurrent_clients_agree_with_single_threaded_replay() {
         }
     }
     assert!(saw_alert, "the stream produced no anomaly to compare");
-    assert!(saw_delta_changes, "the scan never exercised the delta path");
+    assert!(saw_changes, "no post-priming push carried a change");
 
     // ---- Phase C: stats reflect the session; shutdown stops the server.
     let stats = sub.stats().unwrap();
@@ -202,17 +206,10 @@ fn concurrent_clients_agree_with_single_threaded_replay() {
     assert!(stats.epoch >= BATCHES_PER_WRITER as u64 + phase_b);
     assert!(stats.epoch <= (WRITERS * BATCHES_PER_WRITER) as u64 + phase_b);
     assert!(stats.triples > 0);
-    // "scan" seeds once then rides the delta path; "alerts" (FILTER)
-    // re-evaluates in full every tick. The replay session counted the
-    // identical work, delta sizes included.
-    assert_eq!(stats.incremental_evals, phase_b - 1);
-    assert_eq!(stats.full_evals, phase_b + 1);
-    let replayed = replay.stream_stats();
-    assert_eq!(stats.incremental_evals, replayed.incremental_evals);
-    assert_eq!(stats.full_evals, replayed.full_evals);
-    assert_eq!(stats.delta_added, replayed.delta_added);
-    assert_eq!(stats.delta_removed, replayed.delta_removed);
-    assert!(stats.delta_added > 0);
+    // Both subscriptions evaluate once per tick, and the replay session
+    // counted the identical work.
+    assert_eq!(stats.full_evals, 2 * phase_b);
+    assert_eq!(stats.full_evals, replay.stream_stats().full_evals);
     sub.shutdown().unwrap();
     server.join();
 }
@@ -296,9 +293,9 @@ fn stalled_subscriber_does_not_block_other_clients_acks() {
         )
         .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    // Each write call that makes progress restarts the server's write
-    // timeout, so allow several of them before calling the writer frozen.
-    c.set_read_timeout(Some(10 * SINK_WRITE_TIMEOUT));
+    // A whole frame shares one write deadline, so the writer is free
+    // again within one timeout of the stall.
+    c.set_read_timeout(Some(2 * SINK_WRITE_TIMEOUT));
     // One tick whose answer (16 MiB) is far more than the loopback socket
     // buffers hold. Its ack is sent before the push starts.
     let blob = "x".repeat(128 << 10);
@@ -326,6 +323,66 @@ fn stalled_subscriber_does_not_block_other_clients_acks() {
     c.shutdown().unwrap();
     server.join();
     drop(stalled);
+}
+
+/// Hands out at most `chunk` bytes per read and pauses before each: a
+/// peer on a slow link that keeps taking data.
+struct Trickle<'a> {
+    inner: &'a TcpStream,
+    chunk: usize,
+    pause: Duration,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        std::thread::sleep(self.pause);
+        let n = buf.len().min(self.chunk);
+        (&mut &*self.inner).read(&mut buf[..n])
+    }
+}
+
+/// Only the writer's per-tick frames share one write deadline. A reply
+/// that a slow but steady reader takes well over `SINK_WRITE_TIMEOUT`
+/// to drain still arrives whole: its writes fail only when the peer
+/// stops taking data.
+#[test]
+fn slow_steady_reader_receives_a_large_reply_whole() {
+    let store = ShardedHybridStore::build(&water_ontology(), &Graph::new(), 2).unwrap();
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    // 16 MiB of answers, far more than the loopback socket buffers hold.
+    let blob = "x".repeat(128 << 10);
+    let big = Graph::from_triples((0..128).map(|i| {
+        Triple::new(
+            iri(format!("http://x/s{i}")),
+            iri("http://x/blob".to_string()),
+            Term::literal(format!("{i}{blob}")),
+        )
+    }));
+    assert_eq!(c.ingest(&big, &Graph::new()).unwrap().inserted, 128);
+
+    let raw = TcpStream::connect(server.addr()).unwrap();
+    let mut request = Vec::new();
+    request
+        .write_str("SELECT ?s ?o WHERE { ?s <http://x/blob> ?o }")
+        .unwrap();
+    proto::write_options(&mut request, &QueryOptions::default()).unwrap();
+    proto::write_frame(&mut &raw, proto::req::QUERY, &request).unwrap();
+    // 64 KiB per 25 ms: about 2.5 MiB/s, so draining the reply takes
+    // about twice `SINK_WRITE_TIMEOUT`.
+    let started = Instant::now();
+    let mut slow = Trickle {
+        inner: &raw,
+        chunk: 64 << 10,
+        pause: Duration::from_millis(25),
+    };
+    let (kind, body) = proto::read_frame(&mut slow).expect("the whole reply arrives");
+    assert!(started.elapsed() > SINK_WRITE_TIMEOUT, "the read was slow");
+    assert_eq!(kind, proto::resp::ROWS);
+    let rows = proto::read_result_set(&mut &body[8..]).unwrap();
+    assert_eq!(rows.len(), 128);
+    c.shutdown().unwrap();
+    server.join();
 }
 
 /// With a WAL attached (every record fsynced before `apply` returns), an
@@ -510,11 +567,11 @@ fn failed_wal_append_still_reaches_primed_subscribers() {
     let mut sub = Client::connect(server.addr()).unwrap();
     sub.set_read_timeout(Some(Duration::from_secs(10)));
     let opts = QueryOptions::default();
-    // One incremental and one full-evaluation (FILTER) subscription.
-    sub.subscribe("inc", "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }", &opts)
+    // One plain and one FILTER subscription.
+    sub.subscribe("plain", "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }", &opts)
         .unwrap();
     sub.subscribe(
-        "full",
+        "filtered",
         "SELECT ?s ?o WHERE { ?s <http://x/p> ?o FILTER(?o != <http://x/o0>) }",
         &opts,
     )
@@ -531,7 +588,7 @@ fn failed_wal_append_still_reaches_primed_subscribers() {
     writer
         .ingest(&Graph::from_triples([triple(0)]), &Graph::new())
         .unwrap();
-    for id in ["inc", "full"] {
+    for id in ["plain", "filtered"] {
         let push = sub.next_push().unwrap();
         assert_eq!((push.id.as_str(), push.initial), (id, true));
     }
@@ -545,7 +602,7 @@ fn failed_wal_append_still_reaches_primed_subscribers() {
         let refused = writer.ingest(&Graph::from_triples([triple(i)]), &Graph::new());
         fault::disarm(&dir);
         assert!(refused.is_err(), "a failed append must not be acked");
-        for id in ["inc", "full"] {
+        for id in ["plain", "filtered"] {
             let push = sub.next_push().unwrap();
             assert_eq!(push.id, id);
             assert!(!push.initial);

@@ -4,12 +4,12 @@
 //! the TP order chosen at compile time, propagating variable bindings
 //! from one TP to the next ("one of our joining approaches amounts to
 //! propagate variable assignments from one TP to another"). This module
-//! holds the per-pattern step every plan — and `se-stream`'s delta
-//! evaluator — runs: [`eval_pattern`]. When the current intermediate
-//! relation is joined through its subject against a fresh `(?s, p, ?o)` /
-//! `(?s, p, o)` pattern, the PSO order of the layers makes both sides
-//! subject-sorted and a **merge join** replaces the per-row lookups
-//! (§5.2, Figure 7); otherwise index-nested-loop propagation is used.
+//! holds the per-pattern step every plan runs, `eval_pattern`. When the
+//! current intermediate relation is joined through its subject against a
+//! fresh `(?s, p, ?o)` / `(?s, p, o)` pattern, the PSO order of the
+//! layers makes both sides subject-sorted and a **merge join** replaces
+//! the per-row lookups (§5.2, Figure 7); otherwise index-nested-loop
+//! propagation is used.
 //!
 //! With reasoning enabled, constant concepts and properties evaluate
 //! through their LiteMat intervals — no materialization, no UNION
@@ -22,7 +22,7 @@ use crate::ir;
 use se_core::source::{objects_in, scan_in, subjects_by_literal_in, subjects_in};
 use se_core::{TripleSource, Value};
 use se_litemat::IdInterval;
-use se_rdf::Term;
+use se_rdf::{Literal, Term};
 use std::collections::HashMap;
 
 /// Execution options.
@@ -74,17 +74,18 @@ impl ResultSet {
 }
 
 /// A slot of the intermediate relation: an encoded store value, or a term
-/// computed by BIND (or seeded from a delta triple whose term no longer
-/// resolves in the store — see `se-stream::incremental`).
+/// computed by BIND.
 #[derive(Debug, Clone)]
-pub enum Slot {
+pub(crate) enum Slot {
     Enc(Value),
+    /// BIND output only: compile puts every BIND after its group's
+    /// pattern steps, so pattern evaluation never reads one.
     Term(Term),
 }
 
 /// One row of the intermediate relation; positions follow the group's
 /// column layout (see [`group_var_index`]).
-pub type Row = Vec<Option<Slot>>;
+pub(crate) type Row = Vec<Option<Slot>>;
 
 /// Executes a parsed query once, uncached: compiles it against `store`
 /// and runs the plan. Callers that repeat queries hold a
@@ -100,7 +101,7 @@ pub fn execute<S: TripleSource + ?Sized>(
 }
 
 /// Decodes one intermediate-relation slot back to an RDF term.
-pub fn slot_to_term<S: TripleSource + ?Sized>(store: &S, slot: &Slot) -> Term {
+pub(crate) fn slot_to_term<S: TripleSource + ?Sized>(store: &S, slot: &Slot) -> Term {
     match slot {
         Slot::Enc(v) => store
             .value_to_term(*v)
@@ -110,10 +111,8 @@ pub fn slot_to_term<S: TripleSource + ?Sized>(store: &S, slot: &Slot) -> Term {
 }
 
 /// The column layout of one group's intermediate relation: TP variables
-/// in first-occurrence order, then BIND variables. Shared by the plan
-/// compiler and `se-stream`'s incremental delta evaluator, so both build
-/// rows with identical shapes.
-pub fn group_var_index(group: &GroupPattern) -> HashMap<&str, usize> {
+/// in first-occurrence order, then BIND variables.
+pub(crate) fn group_var_index(group: &GroupPattern) -> HashMap<&str, usize> {
     let mut var_index: HashMap<&str, usize> = HashMap::new();
     for tp in &group.patterns {
         for v in tp.variables() {
@@ -130,7 +129,7 @@ pub fn group_var_index(group: &GroupPattern) -> HashMap<&str, usize> {
 
 /// Builds the expression environment of one intermediate row, for the
 /// plan's BIND and FILTER steps.
-pub fn row_env<'a, S: TripleSource + ?Sized>(
+pub(crate) fn row_env<'a, S: TripleSource + ?Sized>(
     store: &S,
     row: &Row,
     var_index: &HashMap<&'a str, usize>,
@@ -148,8 +147,8 @@ pub fn row_env<'a, S: TripleSource + ?Sized>(
 enum Pos {
     /// Bound to an encoded value.
     Enc(Value),
-    /// Bound to a decoded term (from BIND or a query literal constant).
-    Term(Term),
+    /// A literal constant of the query, matched by its text.
+    Literal(Literal),
     /// Unbound variable at column `usize`.
     Free(usize),
     /// A constant that does not exist in the dictionaries: no match.
@@ -169,9 +168,8 @@ fn resolve_subject<S: TripleSource + ?Sized>(
         },
         TermPattern::Var(v) => {
             let col = vars[v.as_str()];
-            match &row[col] {
-                Some(Slot::Enc(val)) => Pos::Enc(*val),
-                Some(Slot::Term(t)) => Pos::Term(t.clone()),
+            match pattern_slot(&row[col]) {
+                Some(val) => Pos::Enc(val),
                 None => Pos::Free(col),
             }
         }
@@ -186,7 +184,7 @@ fn resolve_object<S: TripleSource + ?Sized>(
 ) -> Pos {
     match pat {
         TermPattern::Term(t) => match t {
-            Term::Literal(_) => Pos::Term(t.clone()),
+            Term::Literal(lit) => Pos::Literal(lit.clone()),
             other => match store.instance_id(other) {
                 Some(id) => Pos::Enc(Value::Instance(id)),
                 None => Pos::NoMatch,
@@ -194,26 +192,34 @@ fn resolve_object<S: TripleSource + ?Sized>(
         },
         TermPattern::Var(v) => {
             let col = vars[v.as_str()];
-            match &row[col] {
-                Some(Slot::Enc(val)) => Pos::Enc(*val),
-                Some(Slot::Term(t)) => Pos::Term(t.clone()),
+            match pattern_slot(&row[col]) {
+                Some(val) => Pos::Enc(val),
                 None => Pos::Free(col),
             }
         }
     }
 }
 
+/// The store value bound at a column a pattern step reads. Only BIND
+/// writes `Slot::Term`, and it runs after every pattern step of its group.
+fn pattern_slot(slot: &Option<Slot>) -> Option<Value> {
+    match slot {
+        Some(Slot::Enc(v)) => Some(*v),
+        Some(Slot::Term(_)) => unreachable!("BIND runs after its group's pattern steps"),
+        None => None,
+    }
+}
+
 /// Subject position as an instance id, if it denotes one.
-fn pos_subject_id<S: TripleSource + ?Sized>(store: &S, pos: &Pos) -> Option<u64> {
+fn pos_subject_id(pos: &Pos) -> Option<u64> {
     match pos {
         Pos::Enc(Value::Instance(id)) => Some(*id),
-        Pos::Term(t) if t.is_resource() => store.instance_id(t),
         _ => None,
     }
 }
 
 /// How a constant predicate evaluates.
-pub enum PSpec {
+pub(crate) enum PSpec {
     /// One property id.
     Exact(u64),
     /// A LiteMat subproperty interval.
@@ -224,7 +230,11 @@ pub enum PSpec {
 
 /// Resolves a constant predicate IRI: its LiteMat interval with reasoning
 /// on, its exact id with reasoning off.
-pub fn predicate_spec<S: TripleSource + ?Sized>(store: &S, iri: &str, reasoning: bool) -> PSpec {
+pub(crate) fn predicate_spec<S: TripleSource + ?Sized>(
+    store: &S,
+    iri: &str,
+    reasoning: bool,
+) -> PSpec {
     if reasoning {
         match store.property_interval(iri) {
             Some(iv) if iv.is_singleton() => PSpec::Exact(iv.lower),
@@ -241,7 +251,7 @@ pub fn predicate_spec<S: TripleSource + ?Sized>(store: &S, iri: &str, reasoning:
 
 /// Resolves a constant concept IRI to the id interval it matches: the
 /// LiteMat subclass interval with reasoning on, a singleton otherwise.
-pub fn concept_spec<S: TripleSource + ?Sized>(
+pub(crate) fn concept_spec<S: TripleSource + ?Sized>(
     store: &S,
     iri: &str,
     reasoning: bool,
@@ -266,15 +276,15 @@ pub fn constant_predicate(tp: &TriplePattern) -> Result<&str, QueryError> {
     }
 }
 
-/// Intermediate-relation size from which [`eval_pattern`] replaces
+/// Intermediate-relation size from which `eval_pattern` replaces
 /// per-row lookups with a merge join, when the pattern allows one.
 pub const MERGE_JOIN_MIN_ROWS: usize = 16;
 
 /// Joins one triple pattern against the store, propagating the bindings
 /// of `rows` (index nested loop, or a merge join when the fast-path
-/// conditions of §5.2 hold). This is the pattern-matching entry point the
-/// incremental evaluator reuses to extend delta-seeded partial rows.
-pub fn eval_pattern<S: TripleSource + ?Sized>(
+/// conditions of §5.2 hold). Every compiled plan's pattern steps run
+/// through it.
+pub(crate) fn eval_pattern<S: TripleSource + ?Sized>(
     store: &S,
     tp: &TriplePattern,
     rows: Vec<Row>,
@@ -315,8 +325,8 @@ pub fn eval_pattern<S: TripleSource + ?Sized>(
         }
         match (&s_pos, &o_pos) {
             // (s, p, ?o)
-            (Pos::Enc(_) | Pos::Term(_), Pos::Free(o_col)) => {
-                let Some(s_id) = pos_subject_id(store, &s_pos) else {
+            (Pos::Enc(_), Pos::Free(o_col)) => {
+                let Some(s_id) = pos_subject_id(&s_pos) else {
                     continue;
                 };
                 let objects = match &spec {
@@ -331,7 +341,7 @@ pub fn eval_pattern<S: TripleSource + ?Sized>(
                 }
             }
             // (?s, p, o)
-            (Pos::Free(s_col), Pos::Enc(_) | Pos::Term(_)) => {
+            (Pos::Free(s_col), Pos::Enc(_) | Pos::Literal(_)) => {
                 let subjects = subjects_for(store, &spec, &o_pos);
                 for s in subjects {
                     let mut new_row = row.clone();
@@ -358,8 +368,8 @@ pub fn eval_pattern<S: TripleSource + ?Sized>(
                 }
             }
             // (s, p, o) — membership check.
-            (Pos::Enc(_) | Pos::Term(_), Pos::Enc(_) | Pos::Term(_)) => {
-                let Some(s_id) = pos_subject_id(store, &s_pos) else {
+            (Pos::Enc(_), Pos::Enc(_) | Pos::Literal(_)) => {
+                let Some(s_id) = pos_subject_id(&s_pos) else {
                     continue;
                 };
                 if check_membership(store, &spec, s_id, &o_pos) {
@@ -379,14 +389,10 @@ fn subjects_for<S: TripleSource + ?Sized>(store: &S, spec: &PSpec, o_pos: &Pos) 
             PSpec::Interval(iv) => subjects_in(store, *iv, v),
             PSpec::NoMatch => Vec::new(),
         },
-        Pos::Term(Term::Literal(lit)) => match spec {
+        Pos::Literal(lit) => match spec {
             PSpec::Exact(p) => store.subjects_by_literal(*p, lit),
             PSpec::Interval(iv) => subjects_by_literal_in(store, *iv, lit),
             PSpec::NoMatch => Vec::new(),
-        },
-        Pos::Term(t) => match store.instance_id(t) {
-            Some(id) => subjects_for(store, spec, &Pos::Enc(Value::Instance(id))),
-            None => Vec::new(),
         },
         _ => Vec::new(),
     }
@@ -406,7 +412,7 @@ fn check_membership<S: TripleSource + ?Sized>(
                 .any(|x| store.values_join(*x, *v)),
             PSpec::NoMatch => false,
         },
-        Pos::Term(Term::Literal(lit)) => {
+        Pos::Literal(lit) => {
             let objects = match spec {
                 PSpec::Exact(p) => store.objects(*p, s_id),
                 PSpec::Interval(iv) => objects_in(store, *iv, s_id),
@@ -417,10 +423,6 @@ fn check_membership<S: TripleSource + ?Sized>(
                 _ => false,
             })
         }
-        Pos::Term(t) => match store.instance_id(t) {
-            Some(id) => check_membership(store, spec, s_id, &Pos::Enc(Value::Instance(id))),
-            None => false,
-        },
         _ => false,
     }
 }
@@ -457,19 +459,14 @@ fn merge_join_subject<S: TripleSource + ?Sized>(
             match object {
                 TermPattern::Var(ov) => {
                     let o_col = vars[ov.as_str()];
-                    match &row[o_col] {
+                    match pattern_slot(&row[o_col]) {
                         None => {
                             let mut new_row = row.clone();
                             new_row[o_col] = Some(Slot::Enc(o));
                             out.push(new_row);
                         }
-                        Some(Slot::Enc(bound)) => {
-                            if store.values_join(*bound, o) {
-                                out.push(row.clone());
-                            }
-                        }
-                        Some(Slot::Term(t)) => {
-                            if store.value_to_term(o).as_ref() == Some(t) {
+                        Some(bound) => {
+                            if store.values_join(bound, o) {
                                 out.push(row.clone());
                             }
                         }
@@ -523,12 +520,8 @@ fn eval_type_pattern<S: TripleSource + ?Sized>(
             TermPattern::Term(_) => CPos::NoMatch,
             TermPattern::Var(v) => {
                 let col = vars[v.as_str()];
-                match &row[col] {
-                    Some(Slot::Enc(Value::Concept(c))) => CPos::Interval(IdInterval::point(*c)),
-                    Some(Slot::Term(Term::Iri(c))) => match concept_spec(store, c, false) {
-                        Some(iv) => CPos::Interval(iv),
-                        None => CPos::NoMatch,
-                    },
+                match pattern_slot(&row[col]) {
+                    Some(Value::Concept(c)) => CPos::Interval(IdInterval::point(c)),
                     Some(_) => CPos::NoMatch,
                     None => CPos::Free(col),
                 }
@@ -547,8 +540,8 @@ fn eval_type_pattern<S: TripleSource + ?Sized>(
                 }
             }
             // (s, type, C) — membership.
-            (Pos::Enc(_) | Pos::Term(_), CPos::Interval(iv)) => {
-                let Some(s_id) = pos_subject_id(store, &s_pos) else {
+            (Pos::Enc(_), CPos::Interval(iv)) => {
+                let Some(s_id) = pos_subject_id(&s_pos) else {
                     continue;
                 };
                 if store.has_type_in_interval(s_id, iv) {
@@ -556,8 +549,8 @@ fn eval_type_pattern<S: TripleSource + ?Sized>(
                 }
             }
             // (s, type, ?c)
-            (Pos::Enc(_) | Pos::Term(_), CPos::Free(c_col)) => {
-                let Some(s_id) = pos_subject_id(store, &s_pos) else {
+            (Pos::Enc(_), CPos::Free(c_col)) => {
+                let Some(s_id) = pos_subject_id(&s_pos) else {
                     continue;
                 };
                 for c in store.concepts_of_subject(s_id) {
@@ -575,7 +568,8 @@ fn eval_type_pattern<S: TripleSource + ?Sized>(
                     out.push(new_row);
                 }
             }
-            (Pos::NoMatch, _) | (_, CPos::NoMatch) => {}
+            // Subjects never resolve to a literal.
+            (Pos::NoMatch | Pos::Literal(_), _) | (_, CPos::NoMatch) => {}
         }
     }
     Ok(out)

@@ -23,16 +23,15 @@
 //!   own constants into the same plan.
 //!
 //! Join order is chosen at compile time by
-//! [`order_patterns_by_cardinality`]
+//! `optimizer::order_patterns_by_cardinality`
 //! from the O(1)-ish rank/select statistics the store answers
 //! ([`estimate`](crate::optimizer::estimate)). Because estimates
 //! drift as the store ingests, each plan records the store epoch it was
 //! costed at and is lazily **re-costed** (re-ordered, not re-parsed)
 //! once [`PlanCache::set_epoch`] advances past a staleness threshold.
 //!
-//! Pattern matching itself is delegated to [`eval_pattern`], the
-//! step `se-stream`'s delta evaluator also runs, so continuous-query
-//! deltas and full evaluations match patterns identically.
+//! Pattern matching itself is delegated to `exec::eval_pattern`, one
+//! call per pattern step.
 
 use crate::ast::{Expr, Query, TermPattern, TriplePattern};
 use crate::error::QueryError;
@@ -411,8 +410,10 @@ fn execute_plan_inner<S: TripleSource + ?Sized>(
                 }
             }
             PlanStep::Distinct => {
-                let mut seen = HashSet::new();
-                emitted.retain(|r| seen.insert(format!("{r:?}")));
+                let mut seen = HashSet::with_capacity(emitted.len());
+                let keep: Vec<bool> = emitted.iter().map(|r| seen.insert(r)).collect();
+                let mut keep = keep.into_iter();
+                emitted.retain(|_| keep.next().unwrap_or(false));
             }
             PlanStep::Limit { n } => emitted.truncate(*n),
         }

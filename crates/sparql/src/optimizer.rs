@@ -113,7 +113,7 @@ pub fn estimate<S: TripleSource + ?Sized>(tp: &TriplePattern, store: &S, reasoni
 }
 
 /// Cardinality-driven left-deep ordering — the one join orderer, used by
-/// plan compilation and by `se-stream`'s delta joins.
+/// plan compilation.
 ///
 /// Each candidate's [`estimate`] is discounted by
 /// how many of its subject/object positions are already bound
@@ -122,7 +122,7 @@ pub fn estimate<S: TripleSource + ?Sized>(tp: &TriplePattern, store: &S, reasoni
 /// (`base >> 4` per bound position). Join shape only breaks ties.
 /// Connectivity still constrains candidates: a disconnected pattern is
 /// chosen only when nothing connected remains (cartesian fallback).
-pub fn order_patterns_by_cardinality<S: TripleSource + ?Sized>(
+pub(crate) fn order_patterns_by_cardinality<S: TripleSource + ?Sized>(
     patterns: &[TriplePattern],
     store: &S,
     reasoning: bool,

@@ -1,11 +1,12 @@
 //! Continuous queries: parsed SPARQL queries registered once and
 //! kept answered against the live store after every ingested batch —
 //! the paper's execution model ("these queries are executed once per
-//! graph instance", §1) without rebuilding the store per instance, and
-//! without re-running the query per instance either: eligible queries
-//! are maintained **differentially** from the batch's captured delta
-//! (see [`crate::incremental`]), so steady-state evaluation cost is
-//! O(delta), not O(store).
+//! graph instance", §1) without rebuilding the store per instance.
+//! After every batch each registered query re-runs its cached plan
+//! (the registry's [`PlanCache`]) over the post-batch view, and its
+//! answers are diffed against the previous ones, so each result carries
+//! the rows that entered and left the answer set as well as the set
+//! itself.
 //!
 //! [`StreamSession`] is generic over any ingestible [`TripleSource`]
 //! (the [`StreamStore`] seam); [`ShardedHybridStore`] — at any shard
@@ -13,17 +14,16 @@
 //! registered query (and more than one core) the session evaluates them
 //! concurrently over the shared view, one scoped thread per query.
 
-use crate::delta::BatchDelta;
 use crate::error::StreamError;
-use crate::incremental::{self, choose_strategy, EvalStrategy, MaterializedState};
 use crate::shard::{IngestReport, ShardedHybridStore};
 use crate::wal::{WalHealth, WalRecord};
 use se_core::TripleSource;
-use se_rdf::Graph;
+use se_rdf::{Graph, Term};
 use se_sparql::ast::Query;
 use se_sparql::error::QueryError;
 use se_sparql::exec::constant_predicate;
 use se_sparql::{parse_query, PlanCache, QueryOptions, ResultSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An updatable [`TripleSource`]: the seam [`StreamSession`] drives.
@@ -35,10 +35,6 @@ pub trait StreamStore: TripleSource {
         inserts: &Graph,
         deletes: &Graph,
     ) -> Result<IngestReport, StreamError>;
-
-    /// Turns capture of per-batch net deltas on [`IngestReport::delta`]
-    /// on or off.
-    fn set_delta_capture(&mut self, on: bool);
 
     /// The store's current epoch: the count of successfully applied
     /// batches (plus any epoch alignment — see
@@ -91,10 +87,6 @@ impl StreamStore for ShardedHybridStore {
         self.apply(inserts, deletes)
     }
 
-    fn set_delta_capture(&mut self, on: bool) {
-        ShardedHybridStore::set_delta_capture(self, on);
-    }
-
     fn epoch(&self) -> u64 {
         ShardedHybridStore::epoch(self)
     }
@@ -108,7 +100,44 @@ impl StreamStore for ShardedHybridStore {
     }
 }
 
-/// One registered continuous query, with its materialized answers.
+/// A projected answer row: one optional binding per output variable.
+type OutRow = Vec<Option<Term>>;
+
+/// A query's last answers as a multiset (row → count), kept so the next
+/// evaluation can report what changed.
+#[derive(Debug, Clone, Default)]
+struct MaterializedState {
+    counts: HashMap<OutRow, usize>,
+    seeded: bool,
+}
+
+impl MaterializedState {
+    /// Replaces the multiset with `rows` and returns the bag difference
+    /// `(added, removed)`: a row appears as often as its count rose or
+    /// fell. The plan's own DISTINCT step has already deduplicated a
+    /// DISTINCT query's rows, so a bag diff is right for every query.
+    fn replace(&mut self, rows: &[OutRow]) -> (Vec<OutRow>, Vec<OutRow>) {
+        let mut counts: HashMap<OutRow, usize> = HashMap::with_capacity(rows.len());
+        for row in rows {
+            *counts.entry(row.clone()).or_insert(0) += 1;
+        }
+        let mut added = Vec::new();
+        for (row, &n) in &counts {
+            let old = self.counts.get(row).copied().unwrap_or(0);
+            added.extend(std::iter::repeat_n(row, n.saturating_sub(old)).cloned());
+        }
+        let mut removed = Vec::new();
+        for (row, &old) in &self.counts {
+            let n = counts.get(row).copied().unwrap_or(0);
+            removed.extend(std::iter::repeat_n(row, old.saturating_sub(n)).cloned());
+        }
+        self.counts = counts;
+        self.seeded = true;
+        (added, removed)
+    }
+}
+
+/// One registered continuous query, with its last answers.
 #[derive(Debug, Clone)]
 pub struct ContinuousQuery {
     /// Caller-chosen identifier (reported with every result).
@@ -121,45 +150,52 @@ pub struct ContinuousQuery {
     pub query: Query,
     /// Execution options (reasoning on/off).
     pub options: QueryOptions,
-    /// Evaluation strategy, chosen once at registration.
-    pub(crate) strategy: EvalStrategy,
-    /// The materialized multiset (seeded by the first evaluation).
-    pub(crate) state: MaterializedState,
+    /// The answers of the last evaluation (seeded by the first).
+    state: MaterializedState,
 }
 
 impl ContinuousQuery {
-    /// How this query is evaluated each batch.
-    pub fn strategy(&self) -> EvalStrategy {
-        self.strategy
+    /// `true` once the query has been evaluated, so the next evaluation
+    /// reports changes against its answers.
+    pub fn is_seeded(&self) -> bool {
+        self.state.seeded
     }
 
-    /// `true` once the materialized multiset holds the query's answers
-    /// (after its first evaluation).
-    pub fn is_seeded(&self) -> bool {
-        self.state.is_seeded()
+    /// Runs the query's cached plan over `store` and diffs the answers
+    /// against the previous evaluation's.
+    fn evaluate<S: TripleSource + ?Sized>(
+        &mut self,
+        store: &S,
+        cache: &PlanCache,
+    ) -> Result<ContinuousResult, QueryError> {
+        let results = cache.execute_ast(store, &self.query, &self.options)?;
+        let (added, removed) = self.state.replace(&results.rows);
+        let changes = |rows| ResultSet {
+            variables: results.variables.clone(),
+            rows,
+        };
+        Ok(ContinuousResult {
+            id: self.id.clone(),
+            added: changes(added),
+            removed: changes(removed),
+            results,
+        })
     }
 }
 
-/// The answer of one continuous query after a batch: the per-batch
-/// changes, plus (optionally) the full set.
+/// The answer of one continuous query after a batch: the full set, plus
+/// the changes since the query's previous evaluation.
 #[derive(Debug, Clone)]
 pub struct ContinuousResult {
     /// The query's registration id.
     pub id: String,
-    /// Its full answer set over the post-batch view. Empty when the
-    /// registry's `emit_full` is off and the delta path ran — the
-    /// changes below are then the whole story.
+    /// Its full answer set over the post-batch view.
     pub results: ResultSet,
     /// Rows that entered the answer set this batch. On the query's
     /// first (seeding) evaluation this is the entire answer set.
     pub added: ResultSet,
     /// Rows that left the answer set this batch.
     pub removed: ResultSet,
-    /// The query's registered strategy.
-    pub strategy: EvalStrategy,
-    /// Whether this batch was served by the delta path (`false` for the
-    /// seeding evaluation and for [`EvalStrategy::Full`] queries).
-    pub incremental: bool,
 }
 
 impl ContinuousResult {
@@ -178,27 +214,16 @@ enum EvalMode {
     Scoped,
 }
 
-/// Holds parsed continuous queries and their materialized answers, and
+/// Holds parsed continuous queries and their last answers, and
 /// evaluates them on demand.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ContinuousQueryRegistry {
     queries: Vec<ContinuousQuery>,
-    emit_full: bool,
-    /// Compiled-plan cache: seeding and full-fallback evaluations go
-    /// through it, so a re-registered or same-shape query skips
-    /// optimize entirely. A fresh cache by default; the server and
-    /// replica share theirs with their QUERY path.
+    /// Compiled-plan cache every evaluation runs through, so a query
+    /// compiles once and each batch binds into the cached plan. A fresh
+    /// cache by default; the server and replica share theirs with their
+    /// QUERY path.
     plan_cache: Arc<PlanCache>,
-}
-
-impl Default for ContinuousQueryRegistry {
-    fn default() -> Self {
-        Self {
-            queries: Vec::new(),
-            emit_full: true,
-            plan_cache: Arc::new(PlanCache::new()),
-        }
-    }
 }
 
 impl ContinuousQueryRegistry {
@@ -207,15 +232,13 @@ impl ContinuousQueryRegistry {
         Self::default()
     }
 
-    /// Parses and registers a query under `id`, choosing its
-    /// [`EvalStrategy`]. A query outside the target fragment (a variable
-    /// predicate) is refused here, with the error its evaluation would
-    /// raise, rather than accepted to fail every later batch.
-    /// Re-registering an id replaces the previous
-    /// query and drops its materialized state; the next evaluation
-    /// seeds afresh from the store (mid-stream registrations therefore
-    /// pick up all pre-existing state). Deltas the store captured while
-    /// the query was unregistered are irrelevant by construction.
+    /// Parses and registers a query under `id`. A query outside the
+    /// target fragment (a variable predicate) is refused here, with the
+    /// error its evaluation would raise, rather than accepted to fail
+    /// every later batch. Re-registering an id replaces the previous
+    /// query and drops its answers; the next evaluation seeds afresh
+    /// from the store (mid-stream registrations therefore pick up all
+    /// pre-existing state).
     pub fn register(
         &mut self,
         id: impl Into<String>,
@@ -228,20 +251,18 @@ impl ContinuousQueryRegistry {
             constant_predicate(tp)?;
         }
         self.queries.retain(|q| q.id != id);
-        let strategy = choose_strategy(&query);
         self.queries.push(ContinuousQuery {
             id,
             text: text.to_string(),
             query,
             options,
-            strategy,
             state: MaterializedState::default(),
         });
         Ok(())
     }
 
-    /// Removes the query registered under `id` — and frees its
-    /// materialized multiset; returns whether it existed.
+    /// Removes the query registered under `id` — and frees its last
+    /// answers; returns whether it existed.
     pub fn deregister(&mut self, id: &str) -> bool {
         let before = self.queries.len();
         self.queries.retain(|q| q.id != id);
@@ -263,68 +284,37 @@ impl ContinuousQueryRegistry {
         self.queries.iter()
     }
 
-    /// Registered queries per strategy: `(incremental, full)`.
-    pub fn strategy_counts(&self) -> (usize, usize) {
-        let incr = self
-            .queries
-            .iter()
-            .filter(|q| q.strategy == EvalStrategy::Incremental)
-            .count();
-        (incr, self.queries.len() - incr)
-    }
-
-    /// `true` if any registered query can use a captured batch delta.
-    pub fn wants_delta(&self) -> bool {
-        self.queries
-            .iter()
-            .any(|q| q.strategy == EvalStrategy::Incremental)
-    }
-
-    /// Whether evaluations materialize the full answer set on the delta
-    /// path (on by default). Turning it off makes [`ContinuousResult::
-    /// results`] empty for delta-served batches — subscribers that only
-    /// consume changes skip the O(result) copy per tick.
-    pub fn set_emit_full(&mut self, on: bool) {
-        self.emit_full = on;
-    }
-
     /// Replaces the registry's plan cache with `cache` (shared with
-    /// other consumers — e.g. the server's QUERY path). The delta path
-    /// is unaffected: it never re-plans.
+    /// other consumers — e.g. the server's QUERY path).
     pub fn set_plan_cache(&mut self, cache: Arc<PlanCache>) {
         self.plan_cache = cache;
     }
 
-    /// The plan cache seeding and full-fallback evaluations run through.
+    /// The plan cache every evaluation runs through.
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.plan_cache
     }
 
-    /// Evaluates every registered query against `source`, sequentially.
-    /// Without a captured delta every query (re-)seeds from the store —
-    /// results are always the query's exact answers over `source`.
+    /// Evaluates every registered query against `source`, sequentially:
+    /// each result is the query's exact answers over `source`, with the
+    /// changes since its previous evaluation.
     pub fn evaluate_all<S: TripleSource + ?Sized>(
         &mut self,
         source: &S,
     ) -> Result<Vec<ContinuousResult>, QueryError> {
-        self.evaluate_with(source, None, EvalMode::Sequential)
+        self.evaluate_with(source, EvalMode::Sequential)
     }
 
     /// The one evaluation driver behind every public variant: runs
-    /// [`incremental::evaluate_query`] once per registered query —
-    /// delta-fed for seeded incremental queries, full otherwise — and
-    /// only the distribution of those calls differs per [`EvalMode`].
+    /// [`ContinuousQuery::evaluate`] once per registered query; only the
+    /// distribution of those calls differs per [`EvalMode`].
     fn evaluate_with<S: TripleSource + ?Sized>(
         &mut self,
         source: &S,
-        delta: Option<&BatchDelta>,
         mode: EvalMode,
     ) -> Result<Vec<ContinuousResult>, QueryError> {
-        let emit_full = self.emit_full;
         let cache = Arc::clone(&self.plan_cache);
-        let eval = |q: &mut ContinuousQuery| {
-            incremental::evaluate_query(q, source, delta, emit_full, &cache)
-        };
+        let eval = |q: &mut ContinuousQuery| q.evaluate(source, &cache);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let answers: Vec<Result<ContinuousResult, QueryError>> = match mode {
             EvalMode::Scoped if self.queries.len() > 1 && cores > 1 => {
@@ -352,33 +342,27 @@ impl ContinuousQueryRegistry {
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Ingest accounting (insert/delete/no-op counts, compaction flag,
-    /// and — when any incremental query is registered — the captured
-    /// net [`BatchDelta`]).
+    /// and — when the store's delta capture is on — the captured net
+    /// [`BatchDelta`](crate::BatchDelta)).
     pub report: IngestReport,
     /// Continuous-query answers, in registration order.
     pub results: Vec<ContinuousResult>,
 }
 
-/// Session counters: how continuous queries were served and how big the
-/// captured batch deltas were, so the incremental-vs-fallback rate is
-/// observable (mirrored into the server's STATS reply).
+/// Session counters: batches, continuous-query evaluations, the
+/// registry plan cache and WAL health (mirrored into the server's STATS
+/// reply).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Batches applied through the session.
     pub batches: u64,
-    /// Query evaluations served by the delta path.
+    /// Always 0: every evaluation re-runs the query's plan and counts in
+    /// `full_evals`. Kept because the benchmark's
+    /// `stream.cq_incremental_share` still reads it.
     pub incremental_evals: u64,
-    /// Full (re-)evaluations: seeding, fallback queries, and batches
-    /// without a captured delta.
+    /// Continuous-query evaluations: one per registered query per batch,
+    /// plus those of `catch_up`.
     pub full_evals: u64,
-    /// Net triples added across all captured batch deltas.
-    pub delta_added: u64,
-    /// Net triples removed across all captured batch deltas.
-    pub delta_removed: u64,
-    /// Net added/removed sizes of the most recent captured delta.
-    pub last_delta_added: u64,
-    /// See [`StreamStats::last_delta_added`].
-    pub last_delta_removed: u64,
     /// Executions through the registry's [`PlanCache`] that reused a
     /// cached plan with zero parsing.
     pub plan_hits: u64,
@@ -400,26 +384,6 @@ pub struct StreamStats {
     pub wal_appends_failed: u64,
 }
 
-impl StreamStats {
-    fn record(&mut self, report: &IngestReport, results: &[ContinuousResult]) {
-        self.batches += 1;
-        if let Some(delta) = &report.delta {
-            let (a, r) = (delta.added.len() as u64, delta.removed.len() as u64);
-            self.delta_added += a;
-            self.delta_removed += r;
-            self.last_delta_added = a;
-            self.last_delta_removed = r;
-        }
-        for res in results {
-            if res.incremental {
-                self.incremental_evals += 1;
-            } else {
-                self.full_evals += 1;
-            }
-        }
-    }
-}
-
 /// A streaming session: an ingestible store (a [`ShardedHybridStore`]
 /// at any shard count) plus a [`ContinuousQueryRegistry`], driven batch
 /// by batch.
@@ -428,13 +392,8 @@ pub struct StreamSession<S: StreamStore> {
     store: S,
     registry: ContinuousQueryRegistry,
     stats: StreamStats,
-    /// Keep per-batch delta capture on even with no incremental query
-    /// registered — a leader shipping WAL records to replicas needs
-    /// every tick's net delta regardless of its own subscriptions.
-    force_delta_capture: bool,
     /// Set when an ingest failed after the store had applied the batch
-    /// (a failed WAL append): the queries missed that delta, so their
-    /// next evaluation runs in full and diffs against their old answers.
+    /// (a failed WAL append): the queries have not seen that batch yet.
     catch_up_pending: bool,
 }
 
@@ -445,23 +404,14 @@ impl<S: StreamStore> StreamSession<S> {
             store,
             registry: ContinuousQueryRegistry::new(),
             stats: StreamStats::default(),
-            force_delta_capture: false,
             catch_up_pending: false,
         }
     }
 
-    /// Forces per-batch delta capture on (or releases the force),
-    /// independent of whether any registered query wants deltas. The
-    /// server turns this on while replicas are attached so every tick's
-    /// net delta is available to ship.
-    pub fn set_force_delta_capture(&mut self, on: bool) {
-        self.force_delta_capture = on;
-    }
-
     /// Parses and registers a continuous query (see
     /// [`ContinuousQueryRegistry::register`]). The next batch (or
-    /// evaluation) seeds its materialized answers with one full run
-    /// over the current store state.
+    /// evaluation) seeds its answers with one run over the current store
+    /// state.
     pub fn register_query(
         &mut self,
         id: impl Into<String>,
@@ -476,7 +426,8 @@ impl<S: StreamStore> StreamSession<S> {
         &self.store
     }
 
-    /// Mutable access (manual compaction, policy changes).
+    /// Mutable access (manual compaction, policy changes, delta
+    /// capture).
     pub fn store_mut(&mut self) -> &mut S {
         &mut self.store
     }
@@ -497,8 +448,8 @@ impl<S: StreamStore> StreamSession<S> {
         (&self.store, &mut self.registry)
     }
 
-    /// Session counters (delta sizes, incremental-vs-full evaluations,
-    /// and the registry plan cache's cumulative counters).
+    /// Session counters (batches, evaluations, and the registry plan
+    /// cache's cumulative counters).
     pub fn stream_stats(&self) -> StreamStats {
         let mut stats = self.stats;
         let ps = self.registry.plan_cache().stats();
@@ -513,40 +464,43 @@ impl<S: StreamStore> StreamSession<S> {
         stats
     }
 
+    /// Evaluates every query over the store and records the evaluations.
+    fn evaluate(&mut self) -> Result<Vec<ContinuousResult>, QueryError> {
+        // The store's epoch, not the session's batch count (a store
+        // loaded from disk is already past batch 0): cached plans
+        // compiled against much older cardinalities re-cost.
+        self.registry.plan_cache().set_epoch(self.store.epoch());
+        let results = self.registry.evaluate_with(&self.store, EvalMode::Scoped)?;
+        self.catch_up_pending = false;
+        self.stats.full_evals += results.len() as u64;
+        Ok(results)
+    }
+
     /// Brings every query up to date after [`StreamSession::apply_batch`]
     /// failed on a batch the store had applied anyway (a failed WAL
     /// append: readers see the batch, but it is not durable). Each
     /// answer is diffed against what its query last reported, so the
     /// missed rows show up in `added`/`removed`. `None` when no such
     /// batch is pending. Without this call the next successful batch
-    /// catches up the same way.
+    /// reports them the same way.
     pub fn catch_up(&mut self) -> Result<Option<Vec<ContinuousResult>>, QueryError> {
         if !self.catch_up_pending {
             return Ok(None);
         }
-        self.registry.plan_cache().set_epoch(self.store.epoch());
-        let results = self
-            .registry
-            .evaluate_with(&self.store, None, EvalMode::Scoped)?;
-        self.catch_up_pending = false;
-        self.stats.full_evals += results.len() as u64;
-        Ok(Some(results))
+        self.evaluate().map(Some)
     }
 
     /// Ingests one batch (deletes, then inserts), compacts if the policy
-    /// demands it, and brings every registered query's answers up to
-    /// date over the new state — differentially from the batch's
-    /// captured delta where possible, by full re-evaluation otherwise.
-    /// Evaluation runs on one scoped thread per query when more than one
-    /// query is registered (and the machine has more than one core), on
-    /// the caller otherwise.
+    /// demands it, and re-evaluates every registered query over the new
+    /// state, reporting each query's answers and its changes since its
+    /// previous evaluation. Evaluation runs on one scoped thread per
+    /// query when more than one query is registered (and the machine
+    /// has more than one core), on the caller otherwise.
     pub fn apply_batch(
         &mut self,
         inserts: &Graph,
         deletes: &Graph,
     ) -> Result<BatchOutcome, StreamError> {
-        self.store
-            .set_delta_capture(self.force_delta_capture || self.registry.wants_delta());
         let before = self.store.epoch();
         let report = match self.store.apply_batch(inserts, deletes) {
             Ok(report) => report,
@@ -559,24 +513,8 @@ impl<S: StreamStore> StreamSession<S> {
                 return Err(e);
             }
         };
-        // Publish the post-batch epoch so cached plans compiled against
-        // much older cardinalities re-cost on their next use. The
-        // store's epoch, not the session's batch count: a store loaded
-        // from disk (or applied outside this session) is already past
-        // batch 0, and the plan cache's staleness clock must follow the
-        // store's true age.
-        self.registry.plan_cache().set_epoch(self.store.epoch());
-        // This delta alone would skip a batch the queries missed.
-        let delta = if self.catch_up_pending {
-            None
-        } else {
-            report.delta.as_ref()
-        };
-        let results = self
-            .registry
-            .evaluate_with(&self.store, delta, EvalMode::Scoped)?;
-        self.catch_up_pending = false;
-        self.stats.record(&report, &results);
+        let results = self.evaluate()?;
+        self.stats.batches += 1;
         Ok(BatchOutcome { report, results })
     }
 }
@@ -584,6 +522,7 @@ impl<S: StreamStore> StreamSession<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::BatchDelta;
     use crate::shard::CompactionPolicy;
     use se_ontology::Ontology;
     use se_rdf::{Term, Triple};
@@ -634,7 +573,6 @@ mod tests {
         assert_eq!(row[0].as_ref().unwrap(), &iri("c"));
         // The replacement re-seeded: its whole answer set is "added".
         assert_eq!(results[0].added.len(), 1);
-        assert!(!results[0].incremental);
     }
 
     #[test]
@@ -728,9 +666,8 @@ mod tests {
             );
             crossed |= out.report.compacted;
             if round > 0 {
-                // After the seeding batch every round is delta-served
-                // and reports exactly the inserted row as added.
-                assert!(out.results[0].incremental);
+                // After the seeding batch every round reports exactly
+                // the inserted row as added.
                 assert_eq!(out.results[0].added.len(), 1);
                 assert!(out.results[0].removed.is_empty());
             }
@@ -738,11 +675,8 @@ mod tests {
         assert!(crossed, "the stream must cross a compaction boundary");
         let stats = session.stream_stats();
         assert_eq!(stats.batches, 6);
-        assert_eq!(stats.incremental_evals, 5);
-        assert_eq!(stats.full_evals, 1, "only the seeding run was full");
-        assert_eq!(stats.delta_added, 6);
-        assert_eq!(stats.last_delta_added, 1);
-        // Evaluating again without a batch re-seeds to the same answers.
+        assert_eq!(stats.full_evals, 6, "one evaluation per batch");
+        // Evaluating again without a batch gives the same answers.
         let (store, reg) = session.parts_mut();
         let seq = reg.evaluate_all(store).unwrap();
         assert_eq!(seq.len(), 1);
@@ -774,14 +708,13 @@ mod tests {
             .unwrap();
         assert_eq!(out.report.inserted, 1);
         assert_eq!(out.results[0].results.len(), 2);
-        // Next batch is served differentially on the sharded engine too.
+        // The next batch reports just its new row on the sharded engine too.
         let out = session
             .apply_batch(
                 &Graph::from_triples([t("c", "knows", iri("hub"))]),
                 &Graph::new(),
             )
             .unwrap();
-        assert!(out.results[0].incremental);
         assert_eq!(out.results[0].added.len(), 1);
         assert_eq!(out.results[0].results.len(), 3);
     }
@@ -804,34 +737,28 @@ mod tests {
                 QueryOptions::default(),
             )
             .unwrap();
-        assert_eq!(
-            session.registry().iter().next().unwrap().strategy(),
-            EvalStrategy::Incremental
-        );
         let out = session
             .apply_batch(
                 &Graph::from_triples([t("c", "knows", iri("hub"))]),
                 &Graph::new(),
             )
             .unwrap();
-        // Seeding run: full evaluation, everything reported as added —
-        // including the pre-registration triples.
-        assert!(!out.results[0].incremental);
+        // Seeding run: everything reported as added — including the
+        // pre-registration triples.
         assert_eq!(out.results[0].results.len(), 3);
         assert_eq!(out.results[0].added.len(), 3);
-        // From here on, delta-served.
+        // From here on, only changes.
         let out = session
             .apply_batch(
                 &Graph::new(),
                 &Graph::from_triples([t("b", "knows", iri("hub"))]),
             )
             .unwrap();
-        assert!(out.results[0].incremental);
         assert_eq!(out.results[0].removed.len(), 1);
         assert_eq!(out.results[0].results.len(), 2);
     }
 
-    /// Deregistering frees the materialized state; re-registering the
+    /// Deregistering frees the query's answers; re-registering the
     /// same id starts unseeded and re-seeds on the next evaluation.
     #[test]
     fn reregister_after_deregister_reseeds() {
@@ -859,8 +786,9 @@ mod tests {
                 &Graph::new(),
             )
             .unwrap();
-        assert!(
-            !out.results[0].incremental,
+        assert_eq!(
+            out.results[0].added.len(),
+            3,
             "first run after re-register seeds"
         );
         assert_eq!(out.results[0].results.len(), 3);
@@ -869,10 +797,11 @@ mod tests {
 
     /// A batch that deletes a triple a rider in the same tick re-inserts
     /// (Restored / Cancelled overlay states) nets to no delta — and the
-    /// incremental path reports no changes.
+    /// query reports no changes.
     #[test]
     fn same_tick_delete_and_reinsert_nets_to_unchanged() {
         let mut session = StreamSession::new(store_with([t("a", "knows", iri("hub"))]));
+        session.store_mut().set_delta_capture(true);
         session
             .register_query(
                 "q",
@@ -886,7 +815,6 @@ mod tests {
         // triple and delete it in the same batch — net nothing.
         let both = Graph::from_triples([t("a", "knows", iri("hub"))]);
         let out = session.apply_batch(&both, &both).unwrap();
-        assert!(out.results[0].incremental);
         assert!(out.results[0].unchanged());
         assert_eq!(out.results[0].results.len(), 1);
         let delta = out.report.delta.as_ref().expect("capture was on");
@@ -899,13 +827,11 @@ mod tests {
                 &both,
             )
             .unwrap();
-        assert!(out.results[0].incremental);
         assert_eq!(out.results[0].added.len(), 1);
         assert!(out.results[0].removed.is_empty());
     }
 
-    /// FILTER queries fall back to full evaluation but still report
-    /// per-batch changes by diffing.
+    /// FILTER queries report per-batch changes like any other query.
     #[test]
     fn full_fallback_reports_diffs() {
         let mut session = StreamSession::new(store_with([t("a", "knows", iri("hub"))]));
@@ -916,17 +842,12 @@ mod tests {
                 QueryOptions::default(),
             )
             .unwrap();
-        assert_eq!(
-            session.registry().iter().next().unwrap().strategy(),
-            EvalStrategy::Full
-        );
         let out = session
             .apply_batch(
                 &Graph::from_triples([t("b", "knows", iri("hub"))]),
                 &Graph::new(),
             )
             .unwrap();
-        assert!(!out.results[0].incremental);
         assert_eq!(out.results[0].results.len(), 2);
         let out = session
             .apply_batch(
@@ -945,7 +866,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.results[0].removed.len(), 1);
-        assert_eq!(session.stream_stats().incremental_evals, 0);
         assert_eq!(
             session.stream_stats().full_evals,
             3,
@@ -986,8 +906,8 @@ mod tests {
             assert_eq!(rows(&a), rows(&b), "round {round}");
             assert_eq!(rows(&a).len(), 3 + round, "round {round}");
         }
-        // This FILTER query re-evaluates fully every batch: one compile,
-        // then shape-level hits with zero parsing — on either cache.
+        // The query runs its plan every batch: one compile, then
+        // shape-level hits with zero parsing — on either cache.
         for stats in [plain.stream_stats(), cached.stream_stats()] {
             assert_eq!(stats.plan_compiles, 1);
             assert_eq!(stats.plan_misses, 1);
@@ -1064,9 +984,8 @@ mod tests {
     }
 
     /// A batch whose WAL append fails is still applied; the queries must
-    /// still report its rows, or incremental answers miss that delta and
-    /// every later batch builds on the stale set, and a subscriber fed
-    /// only diffs never sees it. `catch_up` reports it at once; without
+    /// still report its rows, or a subscriber fed only diffs never sees
+    /// them. `catch_up` reports it at once; without
     /// that call the next successful batch reports it.
     #[test]
     fn failed_wal_append_is_reported_by_the_next_evaluation() {
@@ -1081,21 +1000,19 @@ mod tests {
         let mut session = StreamSession::new(store);
         session
             .register_query(
-                "inc",
+                "plain",
                 "PREFIX e: <http://x/> SELECT ?o WHERE { e:a e:knows ?o }",
                 QueryOptions::default(),
             )
             .unwrap();
         session
             .register_query(
-                "full",
+                "filtered",
                 "PREFIX e: <http://x/> SELECT ?o WHERE { e:a e:knows ?o FILTER(?o != e:b) }",
                 QueryOptions::default(),
             )
             .unwrap();
         let seeded = session.apply_batch(&Graph::new(), &Graph::new()).unwrap();
-        assert_eq!(seeded.results[0].strategy, EvalStrategy::Incremental);
-        assert_eq!(seeded.results[1].strategy, EvalStrategy::Full);
         assert_eq!(seeded.results[0].results.len(), 1);
         assert!(session.catch_up().unwrap().is_none(), "nothing missed yet");
 
@@ -1122,7 +1039,7 @@ mod tests {
         assert_eq!(session.store().len(), 3, "failed appends stay applied");
 
         // Healing the log by a checkpoint: the next batch's diffs carry
-        // both missed batches on both strategies.
+        // both missed batches for both queries.
         session.save(&dir).unwrap();
         let e = Graph::from_triples([t("a", "knows", iri("e"))]);
         let out = session.apply_batch(&e, &Graph::new()).unwrap();
@@ -1150,6 +1067,74 @@ mod tests {
             assert!(r.unchanged(), "query {} is behind the store", r.id);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The diff is a bag diff: a row counts as often as it appears.
+    #[test]
+    fn multiset_reports_bag_changes() {
+        let mut st = MaterializedState::default();
+        let row = |s: &str| vec![Some(iri(s))];
+        let (a, r) = st.replace(&[row("b"), row("b")]);
+        assert_eq!((a.len(), r.len()), (2, 0), "both copies are added");
+        let (a, r) = st.replace(&[row("b"), row("c")]);
+        assert_eq!((a, r), (vec![row("c")], vec![row("b")]));
+        let (a, r) = st.replace(&[]);
+        assert!(a.is_empty());
+        assert_eq!(r.len(), 2);
+    }
+
+    /// A LIMIT query's answers follow the store batch by batch: after
+    /// every batch they equal a one-shot run over the live store, and the
+    /// `added`/`removed` rows summed from the seeding batch on rebuild
+    /// them.
+    #[test]
+    fn limit_query_follows_the_store() {
+        let q = "PREFIX e: <http://x/> SELECT ?s ?o WHERE { ?s e:p ?o } LIMIT 2";
+        let mut session = StreamSession::new(store_with([]));
+        session
+            .register_query("limit", q, QueryOptions::default())
+            .unwrap();
+        let g = |names: &[&str]| Graph::from_triples(names.iter().map(|n| t(n, "p", iri("o"))));
+        let batches: [(&[&str], &[&str]); 6] = [
+            (&["s0"], &[]),
+            (&["s1", "s2", "s3"], &[]),
+            (&["s4"], &["s0", "s1"]),
+            (&[], &["s2", "s3", "s4"]),
+            (&["s5", "s6"], &[]),
+            (&["s0"], &["s5"]),
+        ];
+        let sorted = |rows: &[Vec<Option<Term>>]| {
+            let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+            v.sort();
+            v
+        };
+        let mut mirror: HashMap<String, i64> = HashMap::new();
+        for (i, (ins, del)) in batches.iter().enumerate() {
+            let out = session.apply_batch(&g(ins), &g(del)).unwrap();
+            let got = &out.results[0];
+            let want =
+                se_sparql::execute_query(session.store(), q, &QueryOptions::default()).unwrap();
+            assert!(want.len() <= 2, "batch {i}: LIMIT ignored");
+            assert_eq!(sorted(&got.results.rows), sorted(&want.rows), "batch {i}");
+            for row in sorted(&got.added.rows) {
+                *mirror.entry(row).or_insert(0) += 1;
+            }
+            for row in sorted(&got.removed.rows) {
+                *mirror.entry(row).or_insert(0) -= 1;
+            }
+            mirror.retain(|_, c| *c != 0);
+            let mut rebuilt: Vec<String> = Vec::new();
+            for (row, &c) in &mirror {
+                assert!(c > 0, "batch {i}: over-removed {row}");
+                rebuilt.extend(std::iter::repeat_n(row.clone(), c as usize));
+            }
+            rebuilt.sort();
+            assert_eq!(
+                rebuilt,
+                sorted(&got.results.rows),
+                "batch {i}: changes drifted"
+            );
+        }
     }
 
     /// `replay_record` is the follower's sole ingest path: it must apply

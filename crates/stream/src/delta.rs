@@ -30,8 +30,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The net visibility changes of one batch, in term space: what the
-/// incremental continuous-query evaluator feeds through the delta rules
-/// and what the write-ahead log records.
+/// write-ahead log records and a leader ships to its replicas.
 ///
 /// "Net" means intra-batch churn cancels out — a triple deleted and
 /// re-inserted by riders of the same batch (`Restored` in overlay terms)

@@ -26,9 +26,10 @@
 //!   `&self`, never compacts, and shutdown/restart is O(delta) — see the
 //!   byte-level format spec in the module docs;
 //! * [`ContinuousQueryRegistry`] / [`StreamSession`] — SPARQL queries
-//!   parsed once, re-evaluated over the live store after every ingested
-//!   batch: the paper's "one query per graph instance" loop without the
-//!   per-instance rebuild.
+//!   parsed once; after every ingested batch each re-runs its cached
+//!   plan over the live store and is diffed against its previous
+//!   answers: the paper's "one query per graph instance" loop without
+//!   the per-instance rebuild.
 //!
 //! # Architecture: shard routing and inline compaction
 //!
@@ -92,7 +93,6 @@ pub mod continuous;
 pub mod delta;
 pub mod error;
 pub mod fault;
-pub mod incremental;
 pub mod persist;
 pub mod shard;
 pub mod snapshot;
@@ -104,7 +104,6 @@ pub use continuous::{
 };
 pub use delta::{BatchDelta, DeltaObj, DeltaState, DeltaStore};
 pub use error::StreamError;
-pub use incremental::EvalStrategy;
 pub use persist::SaveReport;
 pub use shard::{
     CompactionPolicy, IngestReport, ShardedHybridStore, ShardedStats, LIT_SHARD_STRIDE, MAX_SHARDS,

@@ -117,8 +117,9 @@ pub struct IngestReport {
     /// layers; zero when it compacted nothing.
     pub compaction: Duration,
     /// The batch's net term-space changes, captured only when the store's
-    /// delta capture is enabled (see `StreamStore::set_delta_capture`) —
-    /// `None` otherwise, so plain ingest paths pay nothing for it.
+    /// delta capture is enabled (see
+    /// [`ShardedHybridStore::set_delta_capture`]) — `None` otherwise, so
+    /// plain ingest paths pay nothing for it.
     pub delta: Option<BatchDelta>,
 }
 
@@ -370,8 +371,8 @@ pub struct ShardedHybridStore {
     /// Snapshots taken over the store's lifetime (observability).
     snapshots_taken: AtomicUsize,
     /// When `true`, `apply` gathers each shard's effective ops and
-    /// reports the batch's net term-space changes (for incremental
-    /// continuous-query evaluation). Off by default.
+    /// reports the batch's net term-space changes (what a leader ships
+    /// to its replicas). Off by default.
     capture_delta: bool,
     /// Write-ahead log, when attached
     /// ([`attach_wal`](ShardedHybridStore::attach_wal)): every `apply`

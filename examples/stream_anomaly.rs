@@ -1,4 +1,4 @@
-//! The paper's §2 anomaly scenario, incremental edition.
+//! The paper's §2 anomaly scenario, streaming edition.
 //!
 //! `water_anomaly.rs` follows the paper's execution model: one fresh
 //! SuccinctEdge store per graph instance, the continuous query runs once

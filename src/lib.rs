@@ -25,14 +25,15 @@
 //!   [`sparql::execute_query`].
 //! * Stream: [`stream::ShardedHybridStore::build`]`(…, 1)` →
 //!   [`stream::StreamSession::apply_batch`] with registered continuous
-//!   queries; the overlay compacts back into the succinct layers
-//!   automatically (see [`stream::CompactionPolicy`]).
+//!   queries, each re-run through its cached plan after every batch and
+//!   diffed against its previous answers; the overlay compacts back into
+//!   the succinct layers automatically (see [`stream::CompactionPolicy`]).
 //! * Partition the write path: a shard count above 1 partitions by
 //!   predicate into shards behind the same session API, each compacted
 //!   on its own (see `se-stream`'s architecture docs).
 //! * Reproduce the paper's tables: `cargo run --release -p se-bench --bin
 //!   tables`; examples under `examples/` cover the §2 anomaly scenario in
-//!   both rebuild-per-instance and incremental form.
+//!   both rebuild-per-instance and streaming form.
 
 pub use se_baselines as baselines;
 pub use se_core as store;

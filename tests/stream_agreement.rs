@@ -2,7 +2,7 @@
 //! sequence of water-sensor batches (insertions *and* deletions), every
 //! registered continuous query answers identically on
 //!
-//! * the incremental [`ShardedHybridStore`] (baseline + delta overlay) —
+//! * the streaming [`ShardedHybridStore`] (baseline + delta overlay) —
 //!   as the 1-shard single store and at several shard counts — and
 //! * a [`SuccinctEdgeStore`] rebuilt from scratch from the same triples,
 //!
@@ -106,13 +106,13 @@ fn shape_queries() -> Vec<(&'static str, String, QueryOptions)> {
             q("SELECT ?s ?r WHERE { ?s a sosa:Observation . ?s sosa:hasResult ?r }"),
             QueryOptions::without_reasoning(),
         ),
-        // UNION: two groups feeding one multiset on the delta path.
+        // UNION: two groups feeding one answer multiset.
         (
             "union-groups",
             q("SELECT ?s ?o WHERE { ?s sosa:hosts ?o } UNION { ?s sosa:observes ?o }"),
             QueryOptions::default(),
         ),
-        // DISTINCT: support semantics over the materialized counts.
+        // DISTINCT: the plan's dedup step, then the bag diff.
         (
             "distinct-subjects",
             q("SELECT DISTINCT ?s WHERE { ?s sosa:observes ?o }"),
@@ -140,12 +140,6 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
     for (id, text, opts) in shape_queries() {
         session.register_query(id, &text, opts).unwrap();
     }
-
-    // Pure-BGP shapes run differentially; "anomaly" (FILTER + BIND)
-    // falls back to full re-evaluation.
-    let (incr, full) = session.registry().strategy_counts();
-    assert_eq!(full, 1, "only the anomaly query falls back");
-    assert_eq!(incr + full, shape_queries().len());
 
     let mut reference: BTreeSet<Triple> = BTreeSet::new();
     // Per query: the materialized multiset reconstructed purely from the
@@ -192,8 +186,8 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
                 "batch {tick}: query '{}' disagrees between live store and rebuild",
                 cq.id
             );
-            // Incremental materialized results == one full re-evaluation
-            // over the live store itself.
+            // The reported set == one uncached evaluation over the live
+            // store itself.
             let refresh =
                 se_sparql::exec::execute(session.store(), &cq.query, &cq.options).unwrap();
             assert_eq!(
@@ -249,21 +243,15 @@ fn hybrid_agrees_with_rebuild_across_stream_and_compaction() {
         anomaly_alerts > 0,
         "30% anomaly rate over 12 batches must raise alerts"
     );
-    // The delta path must actually have served the steady state: every
-    // batch after the seeding one, for every incremental-strategy query.
+    // Every query re-ran its plan on every batch.
     let stats = session.stream_stats();
     assert_eq!(stats.batches, batches.len() as u64);
     assert_eq!(
-        stats.incremental_evals,
-        (batches.len() as u64 - 1) * incr as u64,
-        "all post-seed batches must be delta-served"
-    );
-    assert_eq!(
         stats.full_evals,
-        incr as u64 + batches.len() as u64 * full as u64,
-        "full evals = one seed per incremental query + every batch for fallbacks"
+        (batches.len() * shape_queries().len()) as u64,
+        "one evaluation per query per batch"
     );
-    assert!(stats.delta_added > 0 && stats.delta_removed > 0);
+    assert_eq!(stats.incremental_evals, 0);
 }
 
 /// The sharded acceptance property: across >= 12 batches with deletions
@@ -394,7 +382,7 @@ fn sharded_agrees_with_single_store_and_rebuild() {
                 "batch {tick}: '{}' sharded-tight vs rebuild",
                 cq.id
             );
-            // Materialized set == full re-evaluation on the
+            // Reported set == one uncached evaluation on the
             // tight-policy sharded engine.
             let refresh =
                 se_sparql::exec::execute(sharded_tight.store(), &cq.query, &cq.options).unwrap();
@@ -448,23 +436,6 @@ fn sharded_agrees_with_single_store_and_rebuild() {
         );
     }
     assert!(deletions > 0, "stream must exercise the deletion path");
-    // Every configuration — the 1-shard store and all three sharded ones —
-    // served the steady state differentially.
-    let (incr, _) = single.registry().strategy_counts();
-    assert!(incr > 0);
-    for (name, stats) in [
-        ("single", single.stream_stats()),
-        ("sharded-inline", sharded_inline.stream_stats()),
-        ("sharded-4", sharded_4.stream_stats()),
-        ("sharded-tight", sharded_tight.stream_stats()),
-    ] {
-        assert_eq!(
-            stats.incremental_evals,
-            (batches.len() as u64 - 1) * incr as u64,
-            "{name}: all post-seed batches must be delta-served"
-        );
-        assert!(stats.delta_added > 0, "{name}: deltas captured");
-    }
 }
 
 /// The v02 acceptance property: checkpoint the 1-shard single store and a
@@ -538,9 +509,8 @@ fn save_load_mid_stream_preserves_agreement() {
             ckpt_sharded = StreamSession::resume(&sharded_dir, &onto).unwrap();
             assert_eq!(ckpt_single.registry().len(), shape_queries().len());
             assert_eq!(ckpt_sharded.registry().len(), shape_queries().len());
-            // Resume recomputes strategies but starts unseeded — the
-            // next batch re-seeds the materialized multisets.
-            assert!(ckpt_single.registry().wants_delta());
+            // Resume starts unseeded — the next batch re-seeds every
+            // query's answers.
             assert!(ckpt_single.registry().iter().all(|q| !q.is_seeded()));
         }
         let out_ls = live_single
@@ -601,19 +571,13 @@ fn save_load_mid_stream_preserves_agreement() {
                 "batch {tick}: '{}' resumed sharded vs rebuild",
                 cq.id
             );
-            // The checkpointed sessions seed on batch 0, re-seed on the
-            // first post-restart batch, and run differentially on every
-            // other batch — agreeing throughout.
-            if cq.id == "scan" {
-                let expect_incr = tick != 0 && tick != restart_at;
-                assert_eq!(
-                    rs_ckpt.incremental, expect_incr,
-                    "batch {tick}: resumed single"
-                );
-                assert_eq!(
-                    rs_ckpt_sh.incremental, expect_incr,
-                    "batch {tick}: resumed sharded"
-                );
+            // A resumed session re-seeds on its first batch: every row
+            // of the answer set is reported as added.
+            if tick == restart_at {
+                for rs in [rs_ckpt, rs_ckpt_sh] {
+                    assert_eq!(normalize(&rs.added), want, "'{}' re-seed", cq.id);
+                    assert!(rs.removed.is_empty());
+                }
             }
         }
     }

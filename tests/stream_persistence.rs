@@ -219,9 +219,9 @@ fn hybrid_steady_state_save_skips_the_baseline() {
 
 /// A 3-shard store that compacted inline mid-stream round-trips through
 /// a v02 save/load and keeps agreeing with the live store batch for
-/// batch. (The name is older than inline-only compaction.)
+/// batch.
 #[test]
-fn sharded_v02_roundtrip_with_background_rebuilds_in_flight() {
+fn sharded_v02_roundtrip_after_inline_compactions() {
     let dir = scratch("sharded-rt");
     let mut h = ShardedHybridStore::build(&ontology(), &seed_graph(), 3)
         .unwrap()
