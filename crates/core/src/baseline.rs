@@ -221,11 +221,14 @@ impl Baseline {
     /// Distinct property ids in `iv` held by either layer, ascending —
     /// the fan-out set of a LiteMat interval pattern (§5.2).
     pub fn properties_in(&self, iv: IdInterval) -> Vec<u64> {
-        let obj = self.objects.predicate_range(iv.lower, iv.upper);
-        let dt = self.datatypes.predicate_range(iv.lower, iv.upper);
+        let (obj, dt) = (self.objects.index(), self.datatypes.index());
         let mut out: Vec<u64> = obj
-            .map(|k| self.objects.predicate_at(k))
-            .chain(dt.map(|k| self.datatypes.predicate_at(k)))
+            .predicate_range(iv.lower, iv.upper)
+            .map(|k| obj.predicate_at(k))
+            .chain(
+                dt.predicate_range(iv.lower, iv.upper)
+                    .map(|k| dt.predicate_at(k)),
+            )
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -234,6 +237,6 @@ impl Baseline {
 
     /// Paper Algorithm 2: triples with predicate `p` (both layers).
     pub fn predicate_count(&self, p: u64) -> usize {
-        self.objects.count_predicate(p) + self.datatypes.count_predicate(p)
+        self.objects.index().count_predicate(p) + self.datatypes.index().count_predicate(p)
     }
 }

@@ -1,16 +1,21 @@
 //! The datatype-triple store (paper §4).
 //!
 //! Triples whose object is a literal get their own predicate/subject SDS
-//! layers, but their objects live in a *flat literal store*: "we prefer to
+//! layers — the shared `PsIndex` the object layer also uses — but their
+//! objects live in a *flat literal store* instead of `WT_o`: "we prefer to
 //! store the values as they have been sent by sensors, possibly with some
 //! redundancy, in order to prevent a complex and costly individual
 //! dictionary management." A literal is addressed by its position in the
 //! store, which — because triples are sorted `(p, s)` and literals appended
-//! in triple order — coincides with the triple's position in the layer.
+//! in triple order — coincides with the triple's column position in the
+//! index.
+//!
+//! The serialized form is the index, then the literal count and the
+//! literals; decoding rejects a count that differs from the index's.
 
-use crate::layer::{decode_predicates, predicate_range};
+use crate::index::PsIndex;
 use se_rdf::Literal;
-use se_sds::{HeapSize, RsBitVec, Serialize, WaveletTree};
+use se_sds::{HeapSize, Serialize};
 use std::io;
 use std::ops::Range;
 
@@ -18,12 +23,7 @@ use std::ops::Range;
 /// literal store.
 #[derive(Debug, Clone)]
 pub struct DatatypeLayer {
-    wt_p: WaveletTree,
-    /// `WT_p` decoded (derived; not serialized).
-    preds: Box<[u64]>,
-    bm_ps: RsBitVec,
-    wt_s: WaveletTree,
-    bm_so: RsBitVec,
+    index: PsIndex,
     literals: Vec<Literal>,
 }
 
@@ -38,36 +38,15 @@ impl DatatypeLayer {
                 .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)),
             "DatatypeLayer input must be sorted by (p, s)"
         );
-        let mut preds = Vec::new();
-        let mut ps_bits = Vec::new();
-        let mut subjects = Vec::new();
-        let mut so_bits = Vec::with_capacity(triples.len());
-        let mut literals = Vec::with_capacity(triples.len());
-        let mut last_p: Option<u64> = None;
-        let mut last_ps: Option<(u64, u64)> = None;
-        for (p, s, lit) in triples {
-            let new_pair = last_ps != Some((*p, *s));
-            if new_pair {
-                let new_pred = last_p != Some(*p);
-                if new_pred {
-                    preds.push(*p);
-                    last_p = Some(*p);
-                }
-                ps_bits.push(new_pred);
-                subjects.push(*s);
-                last_ps = Some((*p, *s));
-            }
-            so_bits.push(new_pair);
-            literals.push(lit.clone());
-        }
         Self {
-            wt_p: WaveletTree::new(&preds),
-            preds: preds.into_boxed_slice(),
-            bm_ps: RsBitVec::from_bits(ps_bits),
-            wt_s: WaveletTree::new(&subjects),
-            bm_so: RsBitVec::from_bits(so_bits),
-            literals,
+            index: PsIndex::build(triples.iter().map(|(p, s, _)| (*p, *s))),
+            literals: triples.iter().map(|t| t.2.clone()).collect(),
         }
+    }
+
+    /// The predicate/subject index.
+    pub(crate) fn index(&self) -> &PsIndex {
+        &self.index
     }
 
     /// Number of datatype triples.
@@ -88,66 +67,13 @@ impl DatatypeLayer {
         self.literals.get(idx as usize)
     }
 
-    /// Position of predicate `p` in this layer's `WT_p`.
-    pub fn predicate_index(&self, p: u64) -> Option<usize> {
-        self.wt_p.select(1, p)
-    }
-
-    /// Contiguous `WT_p` index run of predicates in `[lo, hi)` (LiteMat
-    /// reasoning over datatype-property hierarchies).
-    pub fn predicate_range(&self, lo: u64, hi: u64) -> Range<usize> {
-        predicate_range(&self.preds, lo, hi)
-    }
-
-    /// The predicate at `WT_p` position `k`.
-    pub fn predicate_at(&self, k: usize) -> u64 {
-        self.preds[k]
-    }
-
-    fn subject_bounds(&self, index_p: usize) -> (usize, usize) {
-        let begin = self
-            .bm_ps
-            .select1(index_p + 1)
-            .expect("predicate index within bounds");
-        let end = self
-            .bm_ps
-            .select1(index_p + 2)
-            .unwrap_or_else(|| self.wt_s.len());
-        (begin, end)
-    }
-
-    fn literal_bounds(&self, index_s: usize) -> (usize, usize) {
-        let begin = self
-            .bm_so
-            .select1(index_s + 1)
-            .expect("pair index within bounds");
-        let end = self
-            .bm_so
-            .select1(index_s + 2)
-            .unwrap_or(self.literals.len());
-        (begin, end)
-    }
-
-    /// `WT_s` position of the `(p, s)` pair. Subjects are distinct within
-    /// a predicate's run, so there is at most one: two wavelet-tree ranks
-    /// and a select, no scan.
-    fn pair_index(&self, p: u64, s: u64) -> Option<usize> {
-        let index_p = self.predicate_index(p)?;
-        let (s_begin, s_end) = self.subject_bounds(index_p);
-        let before = self.wt_s.rank(s_begin, s);
-        if self.wt_s.rank(s_end, s) == before {
-            return None;
-        }
-        self.wt_s.select(before + 1, s)
-    }
-
     /// `(s, p, ?o)`: literal-store indices of the objects of `(p, s)` —
     /// one contiguous run, empty if the pair is absent.
     pub fn literal_indices(&self, p: u64, s: u64) -> Range<u64> {
-        match self.pair_index(p, s) {
+        match self.index.pair(p, s) {
             Some(index_s) => {
-                let (begin, end) = self.literal_bounds(index_s);
-                begin as u64..end as u64
+                let run = self.index.pair_run(index_s);
+                run.start as u64..run.end as u64
             }
             None => 0..0,
         }
@@ -157,10 +83,9 @@ impl DatatypeLayer {
     /// `p`'s subject run, then a comparison against that pair's literal
     /// slice only. Does not allocate.
     pub fn contains(&self, p: u64, s: u64, o: &Literal) -> bool {
-        let run = self.literal_indices(p, s);
-        self.literals[run.start as usize..run.end as usize]
-            .iter()
-            .any(|l| l == o)
+        self.index
+            .pair(p, s)
+            .is_some_and(|index_s| self.literals[self.index.pair_run(index_s)].contains(o))
     }
 
     /// `(?s, p, o)` with a literal object: subjects, ascending, whose
@@ -168,20 +93,18 @@ impl DatatypeLayer {
     /// has no index on literal values (§4), so this scans the predicate's
     /// literal slice once and maps each match back to its pair.
     pub fn subjects_by_literal(&self, p: u64, o: &Literal) -> Vec<u64> {
-        let Some(index_p) = self.predicate_index(p) else {
-            return Vec::new();
-        };
-        let (begin, end) = self.predicate_literal_bounds(index_p);
+        let index = &self.index;
+        let run = index.predicate_run(p);
         let mut res = Vec::new();
         let mut last_pair = None;
-        for (i, l) in self.literals[begin..end].iter().enumerate() {
+        for (i, l) in self.literals[run.clone()].iter().enumerate() {
             if l != o {
                 continue;
             }
-            let index_s = self.bm_so.rank1(begin + i + 1) - 1;
+            let index_s = index.pair_of(run.start + i);
             if last_pair != Some(index_s) {
                 last_pair = Some(index_s);
-                res.push(self.wt_s.access(index_s));
+                res.push(index.subject(index_s));
             }
         }
         res
@@ -190,66 +113,18 @@ impl DatatypeLayer {
     /// `(?s, p, ?o)`: every `(subject, literal index)` pair of predicate
     /// `p`, in `(s, store-order)` order.
     pub fn scan_predicate(&self, p: u64) -> Vec<(u64, u64)> {
-        let Some(index_p) = self.predicate_index(p) else {
-            return Vec::new();
-        };
-        self.scan_predicate_index(index_p)
-    }
-
-    /// Like [`DatatypeLayer::scan_predicate`], addressed by `WT_p` position.
-    pub fn scan_predicate_index(&self, index_p: usize) -> Vec<(u64, u64)> {
-        let (s_begin, s_end) = self.subject_bounds(index_p);
-        let mut res = Vec::new();
-        for index_s in s_begin..s_end {
-            let s = self.wt_s.access(index_s);
-            let (begin, end) = self.literal_bounds(index_s);
-            res.extend((begin..end).map(|i| (s, i as u64)));
-        }
-        res
-    }
-
-    /// Number of triples with predicate `p` (Algorithm 2 on this layer).
-    pub fn count_predicate(&self, p: u64) -> usize {
-        let Some(index_p) = self.predicate_index(p) else {
-            return 0;
-        };
-        let (begin, end) = self.predicate_literal_bounds(index_p);
-        end - begin
-    }
-
-    /// The contiguous literal-store slice of every triple of predicate
-    /// `WT_p[index_p]`.
-    fn predicate_literal_bounds(&self, index_p: usize) -> (usize, usize) {
-        let (s_begin, s_end) = self.subject_bounds(index_p);
-        let begin = self
-            .bm_so
-            .select1(s_begin + 1)
-            .expect("pair start within bounds");
-        let end = self.bm_so.select1(s_end + 1).unwrap_or(self.literals.len());
-        (begin, end)
+        self.index.scan(p).map(|(s, i)| (s, i as u64)).collect()
     }
 
     /// Iterates `(p, s, literal index)` in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        (0..self.wt_p.len()).flat_map(move |index_p| {
-            let p = self.preds[index_p];
-            let (s_begin, s_end) = self.subject_bounds(index_p);
-            (s_begin..s_end).flat_map(move |index_s| {
-                let s = self.wt_s.access(index_s);
-                let (begin, end) = self.literal_bounds(index_s);
-                (begin..end).map(move |i| (p, s, i as u64))
-            })
-        })
+        self.index.iter().map(|(p, s, i)| (p, s, i as u64))
     }
 }
 
 impl HeapSize for DatatypeLayer {
     fn heap_size(&self) -> usize {
-        self.wt_p.heap_size()
-            + std::mem::size_of_val(&*self.preds)
-            + self.bm_ps.heap_size()
-            + self.wt_s.heap_size()
-            + self.bm_so.heap_size()
+        self.index.heap_size()
             + self.literals.capacity() * std::mem::size_of::<Literal>()
             + self
                 .literals
@@ -266,10 +141,7 @@ impl HeapSize for DatatypeLayer {
 impl Serialize for DatatypeLayer {
     fn serialize<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         use se_sds::WriteBin;
-        self.wt_p.serialize(w)?;
-        self.bm_ps.serialize(w)?;
-        self.wt_s.serialize(w)?;
-        self.bm_so.serialize(w)?;
+        self.index.serialize(w)?;
         w.write_u64(self.literals.len() as u64)?;
         for lit in &self.literals {
             w.write_str(&lit.value)?;
@@ -290,11 +162,9 @@ impl Serialize for DatatypeLayer {
 
     fn deserialize<R: io::Read>(r: &mut R) -> io::Result<Self> {
         use se_sds::ReadBin;
-        let wt_p = WaveletTree::deserialize(r)?;
-        let bm_ps = RsBitVec::deserialize(r)?;
-        let wt_s = WaveletTree::deserialize(r)?;
-        let bm_so = RsBitVec::deserialize(r)?;
+        let index = PsIndex::deserialize(r)?;
         let n = r.read_u64()?;
+        index.check_column("the literal count", n)?;
         let mut literals = Vec::with_capacity(se_sds::capped(n));
         for _ in 0..n {
             let value = r.read_str()?;
@@ -311,14 +181,7 @@ impl Serialize for DatatypeLayer {
             };
             literals.push(lit);
         }
-        Ok(Self {
-            preds: decode_predicates(&wt_p),
-            wt_p,
-            bm_ps,
-            wt_s,
-            bm_so,
-            literals,
-        })
+        Ok(Self { index, literals })
     }
 
     fn serialized_size(&self) -> usize {
@@ -335,12 +198,7 @@ impl Serialize for DatatypeLayer {
                     }
             })
             .sum();
-        self.wt_p.serialized_size()
-            + self.bm_ps.serialized_size()
-            + self.wt_s.serialized_size()
-            + self.bm_so.serialized_size()
-            + 8
-            + lits
+        self.index.serialized_size() + 8 + lits
     }
 }
 
@@ -359,6 +217,18 @@ mod tests {
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 16]);
         assert!(DatatypeLayer::from_bytes(&bytes).is_err());
+    }
+
+    /// A literal store shorter than `BM_so` is `InvalidData` at decode,
+    /// not an out-of-range slice in a later `contains`.
+    #[test]
+    fn literal_count_mismatch_is_an_error() {
+        let three = DatatypeLayer::build(&sample()[..3]);
+        let one = DatatypeLayer::build(&sample()[..1]);
+        let mut bytes = three.index.to_bytes();
+        bytes.extend_from_slice(&one.to_bytes()[one.index.serialized_size()..]);
+        let err = DatatypeLayer::from_bytes(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     fn lit(v: &str) -> Literal {
@@ -423,9 +293,9 @@ mod tests {
     #[test]
     fn count_predicate() {
         let layer = DatatypeLayer::build(&sample());
-        assert_eq!(layer.count_predicate(1), 3);
-        assert_eq!(layer.count_predicate(2), 2);
-        assert_eq!(layer.count_predicate(3), 0);
+        assert_eq!(layer.index.count_predicate(1), 3);
+        assert_eq!(layer.index.count_predicate(2), 2);
+        assert_eq!(layer.index.count_predicate(3), 0);
     }
 
     #[test]
@@ -448,17 +318,17 @@ mod tests {
             .map(|p| (p, 1, lit("v")))
             .collect();
         let layer = DatatypeLayer::build(&triples);
-        assert_eq!(layer.predicate_range(10, 15), 0..3);
-        assert_eq!(layer.predicate_range(11, 15), 1..3);
-        assert_eq!(layer.predicate_range(0, 100), 0..4);
-        assert_eq!(layer.predicate_range(15, 20), 3..3);
-        assert_eq!(layer.predicate_range(21, 99), 4..4);
-        assert!(layer.predicate_range(12, 12).is_empty());
-        assert!(layer.predicate_range(15, 11).is_empty());
-        assert!(layer.predicate_range(u64::MAX, 0).is_empty());
+        assert_eq!(layer.index.predicate_range(10, 15), 0..3);
+        assert_eq!(layer.index.predicate_range(11, 15), 1..3);
+        assert_eq!(layer.index.predicate_range(0, 100), 0..4);
+        assert_eq!(layer.index.predicate_range(15, 20), 3..3);
+        assert_eq!(layer.index.predicate_range(21, 99), 4..4);
+        assert!(layer.index.predicate_range(12, 12).is_empty());
+        assert!(layer.index.predicate_range(15, 11).is_empty());
+        assert!(layer.index.predicate_range(u64::MAX, 0).is_empty());
         let back = DatatypeLayer::from_bytes(&layer.to_bytes()).unwrap();
-        assert_eq!(back.predicate_range(11, 15), 1..3);
-        assert_eq!(back.predicate_at(3), 20);
+        assert_eq!(back.index.predicate_range(11, 15), 1..3);
+        assert_eq!(back.index.predicate_at(3), 20);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! storage components:
 //!
 //! * the **object-triple store** ([`layer::TripleLayer`]): triples whose
-//!   object is a resource, sorted `(P, S, O)` and represented as wavelet
-//!   trees (`WT_p`, `WT_s`, `WT_o`) linked by two bitmaps (`BM_ps`,
-//!   `BM_so`) — the structure of the paper's Figure 5(b);
+//!   object is a resource, sorted `(P, S, O)` — the structure of the
+//!   paper's Figure 5(b): the predicate/subject index (`PsIndex`:
+//!   wavelet trees `WT_p`, `WT_s` linked by bitmaps `BM_ps`, `BM_so`)
+//!   plus the object wavelet tree `WT_o`;
 //! * the **datatype-triple store** ([`datatype::DatatypeLayer`]): triples
-//!   whose object is a literal; same predicate/subject layers, objects in a
-//!   flat literal store ("we prefer to store the values as they have been
-//!   sent by sensors, possibly with some redundancy" §4);
+//!   whose object is a literal; the same predicate/subject index type,
+//!   objects in a flat literal store ("we prefer to store the values as
+//!   they have been sent by sensors, possibly with some redundancy" §4);
 //! * the **RDFType store** ([`typestore::RdfTypeStore`]): `rdf:type`
 //!   triples in two sorted arrays keyed `(concept, subject)` and
 //!   `(subject, concept)`.
@@ -19,7 +20,9 @@
 //! The three components form one [`baseline::Baseline`], built, probed
 //! and serialized in one place: the static [`store::SuccinctEdgeStore`]
 //! is dictionaries plus one baseline, and each shard of `se-stream`'s
-//! streaming store is a baseline plus its overlay.
+//! streaming store is a baseline plus its overlay. A baseline has one
+//! on-disk format, the checksummed v02 layer file of [`persist`], which
+//! `se-stream` writes next to the dictionaries in its store directory.
 //!
 //! Triple patterns are evaluated *without decompressing anything* by
 //! translating them into `access` / `rank` / `select` / `range_search`
@@ -32,6 +35,7 @@ pub mod baseline;
 pub mod builder;
 pub mod datatype;
 pub mod error;
+mod index;
 pub mod layer;
 pub mod persist;
 pub mod source;

@@ -1,66 +1,39 @@
-//! Store persistence: the two on-disk forms of a [`Baseline`].
+//! Store persistence: the v02 layer file of a [`Baseline`].
 //!
 //! The paper's administration model (§4) broadcasts LiteMat-encoded
 //! dictionaries from a central server to the edge instances, and §7.3.2
 //! persists "all the data structures existing in SuccinctEdge to disk".
+//! A baseline's on-disk form is one layer file
+//! ([`Baseline::to_layer_file`]) in `se-stream`'s store directory, which
+//! also holds the dictionaries: an `se-sds` container (magic
+//! `SESHLv02`, version 2) with three checksummed sections,
 //!
-//! * **v01** ([`SuccinctEdgeStore::save`]) — one compact binary file: the
-//!   magic `SEDGEv01`, the three dictionaries, the baseline (object
-//!   layer, datatype layer, `rdf:type` count + `(s, c)` pairs) and six
-//!   build-statistics words. The four triple counts among them must
-//!   match the loaded baseline, or `load` fails with `InvalidData`.
-//! * **v02 layer file** ([`Baseline::to_layer_file`]) — one shard's
-//!   baseline in `se-stream`'s store directory: an `se-sds` container
-//!   (magic `SESHLv02`, version 2) with the checksummed sections `OBJL`,
-//!   `DATL` and `TYPS`, holding the same three encodings.
+//! * `OBJL` — the object layer: triple count, the predicate/subject
+//!   index (`WT_p`, `BM_ps`, `WT_s`, `BM_so`), `WT_o`;
+//! * `DATL` — the datatype layer: the same index, then the literal count
+//!   and the literals;
+//! * `TYPS` — the `rdf:type` pair count and the `(s, c)` pairs.
 //!
+//! Their payload sizes sum to
+//! [`SuccinctEdgeStore::triple_serialized_size`](crate::SuccinctEdgeStore::triple_serialized_size),
+//! the paper's Figure 10 metric. Decoding checks that each layer's index
+//! and object column agree, so a section that passes its checksum but
+//! was written inconsistently is `InvalidData`, not a later panic.
 //! Loading rebuilds the rank/select directories and the sorted
 //! `rdf:type` arrays (they are cheap derived structures; only raw data is
 //! stored).
 
 use crate::baseline::Baseline;
-use crate::builder::BuildStats;
-use crate::datatype::DatatypeLayer;
-use crate::layer::TripleLayer;
-use crate::store::SuccinctEdgeStore;
-use crate::typestore::RdfTypeStore;
-use se_litemat::{Dictionaries, InstanceDictionary, LiteMatDictionary};
 use se_sds::{
     expect_section, read_container_header, write_container_header, write_section, ContainerError,
-    ReadBin, Serialize, WriteBin,
+    Serialize,
 };
 use std::io;
-use std::path::Path;
 
-/// Magic header of the persistent format.
-const MAGIC: &[u8; 8] = b"SEDGEv01";
 /// Magic header of a v02 shard layer file.
 const LAYER_MAGIC: &[u8; 8] = b"SESHLv02";
 /// Container format version of the layer file.
 const LAYER_VERSION: u32 = 2;
-
-/// The v01 baseline body: object layer, datatype layer, `rdf:type` pairs.
-impl Serialize for Baseline {
-    fn serialize<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        self.objects.serialize(w)?;
-        self.datatypes.serialize(w)?;
-        self.types.serialize(w)
-    }
-
-    fn deserialize<R: io::Read>(r: &mut R) -> io::Result<Self> {
-        Ok(Self {
-            objects: TripleLayer::deserialize(r)?,
-            datatypes: DatatypeLayer::deserialize(r)?,
-            types: RdfTypeStore::deserialize(r)?,
-        })
-    }
-
-    fn serialized_size(&self) -> usize {
-        self.objects.serialized_size()
-            + self.datatypes.serialized_size()
-            + self.types.serialized_size()
-    }
-}
 
 impl Baseline {
     /// The v02 layer file: the three structures, one checksummed section
@@ -95,97 +68,23 @@ impl Baseline {
             types: section(&mut r, b"TYPS")?,
         })
     }
-}
 
-impl SuccinctEdgeStore {
-    /// Writes the store's persistent form.
-    pub fn save<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        self.dicts.concepts.serialize(w)?;
-        self.dicts.properties.serialize(w)?;
-        self.dicts.instances.serialize(w)?;
-        self.base.serialize(w)?;
-        let st = self.stats();
-        for v in [
-            st.n_triples,
-            st.n_type_triples,
-            st.n_object_triples,
-            st.n_datatype_triples,
-            st.n_augmented_classes,
-            st.n_augmented_properties,
-        ] {
-            w.write_u64(v as u64)?;
-        }
-        Ok(())
-    }
-
-    /// Saves to a file.
-    pub fn save_to_file(&self, path: &Path) -> io::Result<()> {
-        let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-        self.save(&mut file)
-    }
-
-    /// Reads a store previously written by [`SuccinctEdgeStore::save`].
-    /// Stored triple counts that disagree with the loaded baseline are
-    /// `InvalidData`: the file is corrupt.
-    pub fn load<R: io::Read>(r: &mut R) -> io::Result<Self> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a SuccinctEdge store file",
-            ));
-        }
-        let dicts = Dictionaries {
-            concepts: LiteMatDictionary::deserialize(r)?,
-            properties: LiteMatDictionary::deserialize(r)?,
-            instances: InstanceDictionary::deserialize(r)?,
-        };
-        let base = Baseline::deserialize(r)?;
-        let mut f = [0usize; 6];
-        for v in &mut f {
-            *v = r.read_u64()? as usize;
-        }
-        let stats = BuildStats {
-            n_triples: f[0],
-            n_type_triples: f[1],
-            n_object_triples: f[2],
-            n_datatype_triples: f[3],
-            n_augmented_classes: f[4],
-            n_augmented_properties: f[5],
-        };
-        let layers = [
-            base.len(),
-            base.types.len(),
-            base.objects.len(),
-            base.datatypes.len(),
-        ];
-        if f[..4] != layers {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "stored triple counts {:?} disagree with the loaded layers {layers:?}",
-                    &f[..4]
-                ),
-            ));
-        }
-        Ok(Self::from_parts(dicts, base, stats))
-    }
-
-    /// Loads from a file.
-    pub fn load_from_file(path: &Path) -> io::Result<Self> {
-        let mut file = io::BufReader::new(std::fs::File::open(path)?);
-        Self::load(&mut file)
+    /// Payload bytes of the three layer-file sections.
+    pub fn serialized_size(&self) -> usize {
+        self.objects.serialized_size()
+            + self.datatypes.serialized_size()
+            + self.types.serialized_size()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TripleSource;
+    use crate::typestore::RdfTypeStore;
+    use crate::{SuccinctEdgeStore, TripleSource};
     use se_ontology::Ontology;
     use se_rdf::{Graph, Term, Triple};
+    use se_sds::read_section_from;
 
     fn sample_store() -> SuccinctEdgeStore {
         let iri = |s: &str| Term::iri(format!("http://x/{s}"));
@@ -204,15 +103,38 @@ mod tests {
         SuccinctEdgeStore::build(&o, &g).unwrap()
     }
 
+    /// The payloads of a layer file's sections, in file order.
+    fn payloads(file: &[u8]) -> Vec<([u8; 4], Vec<u8>)> {
+        let mut rest = &file[12..];
+        let mut out = Vec::new();
+        while !rest.is_empty() {
+            let (tag, payload, used) = read_section_from(rest).unwrap();
+            out.push((tag, payload.to_vec()));
+            rest = &rest[used..];
+        }
+        out
+    }
+
+    /// A layer file with the given section payloads, checksums computed
+    /// afresh: what a crafted (not bit-rotted) file looks like.
+    fn layer_file(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_container_header(&mut buf, LAYER_MAGIC, LAYER_VERSION).unwrap();
+        for (tag, payload) in sections {
+            write_section(&mut buf, tag, payload).unwrap();
+        }
+        buf
+    }
+
     #[test]
     fn roundtrip_preserves_answers() {
         let store = sample_store();
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-        let back = SuccinctEdgeStore::load(&mut buf.as_slice()).unwrap();
+        let file = store.base.to_layer_file();
+        let base = Baseline::from_layer_file(&file).unwrap();
+        assert_eq!(base.to_layer_file(), file);
+        let back = SuccinctEdgeStore::from_parts(store.dicts.clone(), base, store.stats().clone());
 
         assert_eq!(back.len(), store.len());
-        assert_eq!(back.stats(), store.stats());
         // Queries agree, including reasoning (intervals survive the trip).
         let iv = back.concept_interval("http://x/C1").unwrap();
         assert_eq!(iv, store.concept_interval("http://x/C1").unwrap());
@@ -238,56 +160,55 @@ mod tests {
     fn file_roundtrip() {
         let store = sample_store();
         let mut path = std::env::temp_dir();
-        path.push(format!("se-persist-test-{}.db", std::process::id()));
-        store.save_to_file(&path).unwrap();
-        let back = SuccinctEdgeStore::load_from_file(&path).unwrap();
+        path.push(format!("se-persist-test-{}.layers", std::process::id()));
+        std::fs::write(&path, store.base.to_layer_file()).unwrap();
+        let back = Baseline::from_layer_file(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(back.len(), store.len());
         std::fs::remove_file(&path).ok();
     }
 
+    /// A hostile `rdf:type` pair count fails on the missing pairs, in the
+    /// `TYPS` payload alone and through a re-checksummed layer file.
     #[test]
     fn hostile_type_count_is_an_error() {
         let store = sample_store();
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-        // The file ends with the type count, 16 bytes per pair and six
-        // stats words; keep everything before the count.
-        let count_at = buf.len() - 6 * 8 - 16 * store.type_store().len() - 8;
-        buf.truncate(count_at);
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(SuccinctEdgeStore::load(&mut buf.as_slice()).is_err());
+        let mut sections = payloads(&store.base.to_layer_file());
+        let typs = &mut sections[2].1;
+        typs[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(RdfTypeStore::from_bytes(typs).is_err());
+        assert!(Baseline::from_layer_file(&layer_file(&sections)).is_err());
     }
 
+    /// The object layer's stored triple count disagrees with its index in
+    /// a layer file whose checksums were recomputed: `InvalidData`.
     #[test]
     fn forged_triple_count_is_an_error() {
         let store = sample_store();
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-        // `n_triples` is the first of the six trailing stats words.
-        let at = buf.len() - 6 * 8;
-        buf[at..at + 8].copy_from_slice(&(store.len() as u64 + 1).to_le_bytes());
-        let err = SuccinctEdgeStore::load(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut sections = payloads(&store.base.to_layer_file());
+        assert_eq!(&sections[0].0, b"OBJL");
+        let forged = store.base.objects.len() as u64 + 1;
+        sections[0].1[..8].copy_from_slice(&forged.to_le_bytes());
+        match Baseline::from_layer_file(&layer_file(&sections)) {
+            Err(ContainerError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            other => panic!("expected InvalidData, got {other:?}"),
+        }
     }
 
     #[test]
     fn rejects_garbage() {
         let garbage = b"not a store file at all";
-        assert!(SuccinctEdgeStore::load(&mut garbage.as_slice()).is_err());
+        assert!(Baseline::from_layer_file(garbage).is_err());
+        assert!(RdfTypeStore::from_bytes(garbage).is_err());
     }
 
+    /// The Figure 10 accounting is exactly the layer file's payload bytes.
     #[test]
     fn persisted_size_matches_accounting() {
-        // The file must weigh roughly dictionary + triple sizes (plus the
-        // small magic/stats overhead).
         let store = sample_store();
-        let mut buf = Vec::new();
-        store.save(&mut buf).unwrap();
-        let accounted = store.dictionary_serialized_size() + store.triple_serialized_size();
-        assert!(
-            buf.len() >= accounted && buf.len() <= accounted + 256,
-            "file {} vs accounted {accounted}",
-            buf.len()
-        );
+        let sections = payloads(&store.base.to_layer_file());
+        let tags: Vec<&[u8; 4]> = sections.iter().map(|(t, _)| t).collect();
+        assert_eq!(tags, [b"OBJL", b"DATL", b"TYPS"]);
+        let payload: usize = sections.iter().map(|(_, p)| p.len()).sum();
+        assert_eq!(payload, store.triple_serialized_size());
     }
 }

@@ -13,7 +13,7 @@ use crate::typestore::RdfTypeStore;
 use se_litemat::Dictionaries;
 use se_ontology::Ontology;
 use se_rdf::Graph;
-use se_sds::{HeapSize, Serialize};
+use se_sds::HeapSize;
 
 /// The SuccinctEdge RDF store (paper §4).
 #[derive(Debug, Clone)]

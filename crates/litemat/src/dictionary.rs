@@ -264,36 +264,15 @@ impl InstanceDictionary {
         }
     }
 
-    /// Serialized size in bytes of the persistent form.
+    /// Serialized size in bytes of the persistent form: the entry count,
+    /// then each key (length-prefixed) and its occurrence count — the
+    /// `INST` payload of a store-directory segment holding every entry.
     pub fn serialized_size(&self) -> usize {
         8 + self
             .id_to_str
             .iter()
             .map(|s| 8 + s.len() + 8)
             .sum::<usize>()
-    }
-
-    /// Writes the persistent form.
-    pub fn serialize<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        write_u64(w, self.id_to_str.len() as u64)?;
-        for (i, s) in self.id_to_str.iter().enumerate() {
-            write_str(w, s)?;
-            write_u64(w, self.counts[i])?;
-        }
-        Ok(())
-    }
-
-    /// Reads the persistent form written by [`InstanceDictionary::serialize`].
-    pub fn deserialize<R: io::Read>(r: &mut R) -> io::Result<Self> {
-        let n = read_u64(r)? as usize;
-        let mut dict = Self::new();
-        for _ in 0..n {
-            let term = read_str(r)?;
-            let count = read_u64(r)?;
-            let id = dict.get_or_insert(&term);
-            dict.counts[id as usize] = count;
-        }
-        Ok(dict)
     }
 
     /// Iterates over `(id, term)` pairs.
@@ -353,11 +332,12 @@ mod tests {
     /// A hostile string length must fail on the missing bytes, not abort
     /// on a `len`-byte buffer.
     #[test]
-    fn instance_hostile_string_length_is_an_error() {
+    fn litemat_hostile_string_length_is_an_error() {
         let mut bytes = 1u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&3u32.to_le_bytes());
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 16]);
-        assert!(InstanceDictionary::deserialize(&mut bytes.as_slice()).is_err());
+        assert!(LiteMatDictionary::deserialize(&mut bytes.as_slice()).is_err());
     }
 
     fn sample_encoding() -> LiteMatEncoding {
@@ -435,12 +415,11 @@ mod tests {
         dict.serialize(&mut buf).unwrap();
         assert_eq!(buf.len(), dict.serialized_size());
 
+        // Entry count, then per entry a length-prefixed key and a count.
         let mut inst = InstanceDictionary::new();
         inst.get_or_insert("http://example.org/instance/1");
-        inst.get_or_insert("http://example.org/instance/2");
-        let mut buf = Vec::new();
-        inst.serialize(&mut buf).unwrap();
-        assert_eq!(buf.len(), inst.serialized_size());
+        inst.get_or_insert("http://example.org/i/2");
+        assert_eq!(inst.serialized_size(), 8 + (8 + 29 + 8) + (8 + 22 + 8));
     }
 
     #[test]

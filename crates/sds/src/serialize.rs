@@ -101,7 +101,7 @@ pub trait Serialize: Sized {
 // ---------------------------------------------------------------- container
 //
 // The versioned container layer underneath the stream-persistence v02
-// formats: every non-v01 file is a fixed 12-byte header (8-byte magic +
+// formats: every file is a fixed 12-byte header (8-byte magic +
 // little-endian u32 format version) followed by a sequence of *sections*.
 // A section is self-describing and self-verifying:
 //

@@ -1,11 +1,9 @@
 //! Delta-aware v02 persistence: overlay snapshots + a store manifest,
 //! making shutdown/restart O(delta) instead of O(rebuild).
 //!
-//! The retired v01 save collapsed the paper's baseline/overlay split at
-//! shutdown: it **compacted** (a full succinct rebuild) and dumped the
-//! result, so saving a dirty store cost as much as rebuilding it. v01
-//! files stay loadable as static stores
-//! (`SuccinctEdgeStore::load_from_file`); v02 keeps the split on disk:
+//! This is the store's one on-disk format. It keeps the paper's
+//! baseline/overlay split on disk, so saving a dirty store never costs a
+//! rebuild:
 //!
 //! * the immutable **shard layers** and the frozen LiteMat dictionaries
 //!   are written once per compaction generation and *reused* by every

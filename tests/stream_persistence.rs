@@ -10,7 +10,7 @@
 //! * every corruption class — truncation, bad magic, versions from the
 //!   future, checksum mismatch, dangling manifest references — surfaces
 //!   as a clean `StreamError`, never a panic;
-//! * v01 single-file stores stay loadable as static stores;
+//! * a plain file is refused: a store is a directory;
 //! * stores saved with the retired hashed or custom routing load with
 //!   every route kept;
 //! * a checkpointed `StreamSession` resumes its continuous queries.
@@ -467,23 +467,22 @@ fn legacy_routing_tags_load_and_keep_routes() {
     }
 }
 
-// ------------------------------------------------------- v01 compatibility
+// ------------------------------------------------------- plain files
 
-/// A v01 file is a bare `SuccinctEdgeStore` dump: it loads as a static
-/// store, and the streaming loader refuses it cleanly instead of
-/// misreading it.
+/// A store is a directory: the streaming loader refuses a plain file
+/// cleanly instead of misreading it.
 #[test]
-fn v01_single_file_stays_loadable() {
-    let dir = scratch("v01-compat");
+fn plain_file_is_not_a_store_directory() {
+    let dir = scratch("plain-file");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("legacy.v01");
-    let mut graph = seed_graph();
-    graph.insert(t("c", "knows", iri("a")));
-    let original = SuccinctEdgeStore::build(&ontology(), &graph).unwrap();
-    original.save_to_file(&path).unwrap();
-    let back = SuccinctEdgeStore::load_from_file(&path).unwrap();
-    assert_eq!(back.len(), graph.len());
-    assert_eq!(answers(&back), answers(&original));
+    let path = dir.join("store.bin");
+    let original = SuccinctEdgeStore::build(&ontology(), &seed_graph()).unwrap();
+    let layers = se_core::Baseline {
+        objects: original.object_layer().clone(),
+        datatypes: original.datatype_layer().clone(),
+        types: original.type_store().clone(),
+    };
+    std::fs::write(&path, layers.to_layer_file()).unwrap();
     assert!(ShardedHybridStore::load(&path, &ontology()).is_err());
     cleanup(&dir);
 }
