@@ -2,8 +2,11 @@
 //! streaming store to any number of clients.
 //!
 //! ```text
-//! se-server [--addr HOST:PORT] [--shards N] [--tick-ms MS] [--ontology FILE]
+//! se-server [--addr HOST:PORT] [--shards N] [--ontology FILE]
 //! ```
+//!
+//! Writes group-commit without a timer: whatever queues while the
+//! writer applies and fsyncs one batch is coalesced into the next.
 //!
 //! The ontology file is a plain line format (offline — no RDF parser
 //! dependency): one declaration per line, `#` comments allowed.
@@ -24,12 +27,10 @@ use se_rdf::Graph;
 use se_server::ontology_text::load_ontology;
 use se_server::{Server, ServerConfig};
 use se_stream::{ShardedHybridStore, MAX_SHARDS};
-use std::time::Duration;
 
 fn main() {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut shards = 4usize;
-    let mut tick_ms = 2u64;
     let mut ontology_file: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
@@ -47,13 +48,9 @@ fn main() {
                     (1..=MAX_SHARDS).contains(n)
                 })
             }
-            "--tick-ms" => tick_ms = parse(&value("--tick-ms"), "--tick-ms"),
             "--ontology" => ontology_file = Some(value("--ontology")),
             "--help" | "-h" => {
-                println!(
-                    "usage: se-server [--addr HOST:PORT] [--shards N] [--tick-ms MS] \
-                     [--ontology FILE]"
-                );
+                println!("usage: se-server [--addr HOST:PORT] [--shards N] [--ontology FILE]");
                 return;
             }
             other => {
@@ -79,10 +76,7 @@ fn main() {
         }
     };
 
-    let config = ServerConfig {
-        tick: Duration::from_millis(tick_ms),
-    };
-    let server = match Server::start(store, addr.as_str(), config) {
+    let server = match Server::start(store, addr.as_str(), ServerConfig::default()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("failed to bind {addr}: {e}");
@@ -90,17 +84,12 @@ fn main() {
         }
     };
     println!(
-        "se-server listening on {} ({} shards, {}ms group-commit tick)",
+        "se-server listening on {} ({} shards, group commit without a timer)",
         server.addr(),
-        shards,
-        tick_ms
+        shards
     );
     server.join();
     println!("se-server stopped");
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    parse_if(s, flag, |_| true)
 }
 
 /// Parses a flag value that must also satisfy `ok`; anything else exits

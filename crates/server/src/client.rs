@@ -5,7 +5,7 @@
 //! a push observed while waiting for a reply is queued and surfaced
 //! later through [`Client::next_push`].
 
-use crate::protocol::{self as proto, read_frame, write_frame};
+use crate::protocol::{self as proto, read_frame, write_frame, IngestAck, ServerStats};
 use se_rdf::Graph;
 use se_sds::{ReadBin, WriteBin};
 use se_sparql::{QueryOptions, ResultSet};
@@ -31,24 +31,6 @@ impl fmt::Display for ReadTimedOut {
 }
 
 impl std::error::Error for ReadTimedOut {}
-
-/// The ack of one ingest request: aggregate accounting for the whole
-/// group-commit tick the request rode in.
-#[derive(Debug, Clone, Copy)]
-pub struct IngestAck {
-    /// Store epoch after the tick.
-    pub epoch: u64,
-    /// Effective insertions across the tick.
-    pub inserted: u64,
-    /// Effective deletions across the tick.
-    pub deleted: u64,
-    /// No-op operations across the tick.
-    pub noops: u64,
-    /// Ingest requests coalesced into the tick (≥ 1, includes ours).
-    pub coalesced: u32,
-    /// Whether the tick triggered a compaction.
-    pub compacted: bool,
-}
 
 /// A point-query answer, stamped with the snapshot epoch it saw.
 #[derive(Debug, Clone)]
@@ -82,50 +64,6 @@ pub struct Push {
     /// The full answer set over the post-batch state, reconstructed
     /// from the change stream.
     pub results: ResultSet,
-}
-
-/// Server counters, as answered by a `STATS` request.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerStats {
-    /// Store epoch (group-commit ticks applied).
-    pub epoch: u64,
-    /// Triples visible in the live store.
-    pub triples: u64,
-    /// Snapshots currently pinning store resources.
-    pub live_pins: u64,
-    /// Snapshots taken over the store's lifetime.
-    pub snapshots: u64,
-    /// Shard compactions performed.
-    pub compactions: u64,
-    /// Active continuous-query subscriptions.
-    pub subscriptions: u64,
-    /// Continuous-query evaluations: one per subscription per tick.
-    pub full_evals: u64,
-    /// Plan-cache executions that reused a cached plan with zero SPARQL
-    /// parsing (QUERY frames and continuous-query evaluations).
-    pub plan_hits: u64,
-    /// Plan-cache executions that parsed and/or compiled.
-    pub plan_misses: u64,
-    /// Fresh plan compilations (excludes re-costs).
-    pub plan_compiles: u64,
-    /// Plan/text entries dropped by the cache's LRU caps.
-    pub plan_evictions: u64,
-    /// Stale plans re-ordered after the store epoch advanced past the
-    /// staleness threshold.
-    pub plan_recosts: u64,
-    /// 1 if the WAL refused appends after an earlier failure (reads keep
-    /// working; writes err until a checkpoint heals the log).
-    pub wal_poisoned: u64,
-    /// WAL append attempts that failed, refused-while-poisoned included.
-    pub wal_appends_failed: u64,
-    /// Replication feeds currently attached (leader only).
-    pub replicas: u64,
-    /// WAL records shipped to replication feeds, catch-up + live.
-    pub repl_records_shipped: u64,
-    /// Full-snapshot bootstraps served to lagging followers.
-    pub repl_snapshots_served: u64,
-    /// Feed drops this node recovered from by re-syncing (replica only).
-    pub repl_resyncs: u64,
 }
 
 /// The client-side materialized view of one subscription: row → count
@@ -226,23 +164,17 @@ impl Client {
         ready
     }
 
-    /// Sends one write batch; blocks until its group-commit tick is
-    /// applied and acked.
+    /// Sends one write batch; blocks until the server has applied it —
+    /// together with any other writes queued behind the writer's previous
+    /// apply — evaluated every continuous query, fsynced the WAL record
+    /// (when a WAL is attached) and acked.
     pub fn ingest(&mut self, inserts: &Graph, deletes: &Graph) -> io::Result<IngestAck> {
         let mut payload = Vec::new();
         proto::write_graph(&mut payload, inserts)?;
         proto::write_graph(&mut payload, deletes)?;
         let (kind, body) = self.request(proto::req::INGEST, &payload)?;
         expect(kind, proto::resp::INGEST, &body)?;
-        let mut r = body.as_slice();
-        Ok(IngestAck {
-            epoch: r.read_u64()?,
-            inserted: r.read_u64()?,
-            deleted: r.read_u64()?,
-            noops: r.read_u64()?,
-            coalesced: r.read_u32()?,
-            compacted: r.read_u8()? != 0,
-        })
+        IngestAck::decode(&body)
     }
 
     /// Executes a point query against the server's latest snapshot.
@@ -313,27 +245,7 @@ impl Client {
     pub fn stats(&mut self) -> io::Result<ServerStats> {
         let (kind, body) = self.request(proto::req::STATS, &[])?;
         expect(kind, proto::resp::STATS, &body)?;
-        let mut r = body.as_slice();
-        Ok(ServerStats {
-            epoch: r.read_u64()?,
-            triples: r.read_u64()?,
-            live_pins: r.read_u64()?,
-            snapshots: r.read_u64()?,
-            compactions: r.read_u64()?,
-            subscriptions: r.read_u64()?,
-            full_evals: r.read_u64()?,
-            plan_hits: r.read_u64()?,
-            plan_misses: r.read_u64()?,
-            plan_compiles: r.read_u64()?,
-            plan_evictions: r.read_u64()?,
-            plan_recosts: r.read_u64()?,
-            wal_poisoned: r.read_u64()?,
-            wal_appends_failed: r.read_u64()?,
-            replicas: r.read_u64()?,
-            repl_records_shipped: r.read_u64()?,
-            repl_snapshots_served: r.read_u64()?,
-            repl_resyncs: r.read_u64()?,
-        })
+        ServerStats::decode(&body)
     }
 
     /// Asks the server to stop; returns once the ack arrives.

@@ -12,10 +12,11 @@
 //!   [`StoreSnapshot`](se_stream::StoreSnapshot) (an `Arc` bump) and
 //!   executes SPARQL on its own thread at a consistent epoch, while
 //!   `apply` and compaction proceed on the live store.
-//! * **Group-commit ingest.** Concurrent small writes are coalesced into
-//!   one `apply` per tick, amortizing encode/route/query
-//!   re-evaluation across clients; every rider is acked with the tick's
-//!   aggregate report.
+//! * **Group-commit ingest.** Writes that queue while the writer
+//!   applies, evaluates and fsyncs are coalesced into its next `apply` —
+//!   no timer, the apply itself is the window — amortizing
+//!   encode/route/query re-evaluation and the fsync across clients;
+//!   every rider is acked with the batch's aggregate report.
 //! * **Continuous-query subscriptions.** Registered queries re-evaluate
 //!   once per tick (not per client) and their answers are pushed to the
 //!   subscribing connections.
@@ -30,6 +31,7 @@ pub mod protocol;
 pub mod replica;
 pub mod server;
 
-pub use client::{Client, IngestAck, PreparedQuery, Push, ReadTimedOut, Rows, ServerStats};
+pub use client::{Client, PreparedQuery, Push, ReadTimedOut, Rows};
+pub use protocol::{IngestAck, ServerStats};
 pub use replica::{Replica, ReplicaConfig};
-pub use server::{Server, ServerConfig, StatsReport, TickReport};
+pub use server::{Server, ServerConfig};

@@ -8,9 +8,10 @@
 //! `0x80..=0xFF`; see [`req`] and [`resp`]. The full frame and payload
 //! layouts are documented in `docs/server.md`.
 
-use se_rdf::{Graph, Literal, Term, Triple};
+use se_rdf::{Graph, Triple};
 use se_sds::{ReadBin, WriteBin};
 use se_sparql::{QueryOptions, ResultSet};
+use se_stream::wal::{read_term, write_term};
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame's declared length: a malformed or hostile
@@ -51,9 +52,10 @@ pub mod req {
 
 /// Response frame kinds (server → client).
 pub mod resp {
-    /// Group-commit ack: epoch `u64`, inserted `u64`, deleted `u64`,
-    /// noops `u64`, coalesced requests `u32`, compacted `u8`. Counts are
-    /// aggregates over the *whole tick* the request rode in.
+    /// Group-commit ack, one [`IngestAck`](super::IngestAck): epoch
+    /// `u64`, inserted `u64`, deleted `u64`, noops `u64`, coalesced
+    /// requests `u32`, compacted `u8`. Counts are aggregates over the
+    /// *whole batch* the request rode in.
     pub const INGEST: u8 = 0x80;
     /// Point-query answer: snapshot epoch `u64` +
     /// [`ResultSet`](super::ResultSet).
@@ -68,13 +70,8 @@ pub mod resp {
     /// interleaved with request replies; clients must queue it (see
     /// [`Client`](crate::client::Client)).
     pub const PUSH: u8 = 0x82;
-    /// Stats: epoch `u64`, triples `u64`, live pins `u64`, snapshots
-    /// `u64`, compactions `u64`, subscriptions `u64`, continuous-query
-    /// evals `u64`, plan-cache hits `u64`, plan-cache misses
-    /// `u64`, plan compiles `u64`, plan evictions `u64`, plan re-costs
-    /// `u64`, WAL poisoned `u64`, WAL appends failed `u64`, replicas
-    /// `u64`, replication records shipped `u64`, replication snapshots
-    /// served `u64`, replication re-syncs `u64`.
+    /// Stats, one [`ServerStats`](super::ServerStats): its 18 counters,
+    /// each a `u64`, in field order.
     pub const STATS: u8 = 0x83;
     /// Bare success (subscribe / shutdown ack). Empty payload.
     pub const OK: u8 = 0x84;
@@ -143,87 +140,25 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
 }
 
 // ------------------------------------------------------------- codecs
-
-const TERM_IRI: u8 = 0;
-const TERM_BLANK: u8 = 1;
-const TERM_LITERAL: u8 = 2;
-
-const LIT_DATATYPE: u8 = 0b01;
-const LIT_LANGUAGE: u8 = 0b10;
-
-/// Encodes a term: tag byte, then the tag-specific fields.
-pub fn write_term<W: Write>(w: &mut W, term: &Term) -> io::Result<()> {
-    match term {
-        Term::Iri(iri) => {
-            w.write_u8(TERM_IRI)?;
-            w.write_str(iri)
-        }
-        Term::Blank(label) => {
-            w.write_u8(TERM_BLANK)?;
-            w.write_str(label)
-        }
-        Term::Literal(lit) => {
-            w.write_u8(TERM_LITERAL)?;
-            w.write_str(&lit.value)?;
-            let flags = lit.datatype.as_ref().map_or(0, |_| LIT_DATATYPE)
-                | lit.language.as_ref().map_or(0, |_| LIT_LANGUAGE);
-            w.write_u8(flags)?;
-            if let Some(dt) = &lit.datatype {
-                w.write_str(dt)?;
-            }
-            if let Some(lang) = &lit.language {
-                w.write_str(lang)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Decodes a term written by [`write_term`].
-pub fn read_term<R: Read>(r: &mut R) -> io::Result<Term> {
-    match r.read_u8()? {
-        TERM_IRI => Ok(Term::iri(r.read_str()?)),
-        TERM_BLANK => Ok(Term::blank(r.read_str()?)),
-        TERM_LITERAL => {
-            let value = r.read_str()?;
-            let flags = r.read_u8()?;
-            let datatype = if flags & LIT_DATATYPE != 0 {
-                Some(r.read_str()?)
-            } else {
-                None
-            };
-            let language = if flags & LIT_LANGUAGE != 0 {
-                Some(r.read_str()?)
-            } else {
-                None
-            };
-            Ok(Term::Literal(Literal {
-                value: value.into(),
-                datatype: datatype.map(Into::into),
-                language: language.map(Into::into),
-            }))
-        }
-        tag => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown term tag {tag}"),
-        )),
-    }
-}
+//
+// Terms use se-stream's codec (`se_stream::wal::{write_term, read_term}`),
+// so a triple is the same bytes in a WAL record, a replication frame and
+// an INGEST payload.
 
 /// Encodes a graph: triple count, then subject/predicate/object terms.
-pub fn write_graph<W: Write>(w: &mut W, graph: &Graph) -> io::Result<()> {
+pub fn write_graph(w: &mut Vec<u8>, graph: &Graph) -> io::Result<()> {
     w.write_u64(graph.len() as u64)?;
     for t in graph.iter() {
-        write_term(w, &t.subject)?;
-        write_term(w, &t.predicate)?;
-        write_term(w, &t.object)?;
+        write_term(w, &t.subject);
+        write_term(w, &t.predicate);
+        write_term(w, &t.object);
     }
     Ok(())
 }
 
 /// Decodes a graph written by [`write_graph`]. Malformed triples (a
 /// literal subject, say) surface as `InvalidData`, not a panic.
-pub fn read_graph<R: Read>(r: &mut R) -> io::Result<Graph> {
+pub fn read_graph(r: &mut &[u8]) -> io::Result<Graph> {
     let n = r.read_u64()?;
     if n > MAX_FRAME as u64 {
         return Err(io::Error::new(
@@ -233,7 +168,7 @@ pub fn read_graph<R: Read>(r: &mut R) -> io::Result<Graph> {
     }
     // The count is untrusted: cap the pre-allocation and let push grow
     // the vec if a (frame-bounded) payload really carries more.
-    let mut triples = Vec::with_capacity((n as usize).min(1 << 16));
+    let mut triples = Vec::with_capacity(se_sds::capped(n));
     for _ in 0..n {
         let subject = read_term(r)?;
         let predicate = read_term(r)?;
@@ -270,7 +205,7 @@ pub fn read_options<R: Read>(r: &mut R) -> io::Result<QueryOptions> {
 }
 
 /// Encodes a result set: variables, then rows of optional terms.
-pub fn write_result_set<W: Write>(w: &mut W, rs: &ResultSet) -> io::Result<()> {
+pub fn write_result_set(w: &mut Vec<u8>, rs: &ResultSet) -> io::Result<()> {
     w.write_u32(rs.variables.len() as u32)?;
     for v in &rs.variables {
         w.write_str(v)?;
@@ -281,7 +216,7 @@ pub fn write_result_set<W: Write>(w: &mut W, rs: &ResultSet) -> io::Result<()> {
             match cell {
                 Some(term) => {
                     w.write_u8(1)?;
-                    write_term(w, term)?;
+                    write_term(w, term);
                 }
                 None => w.write_u8(0)?,
             }
@@ -291,7 +226,7 @@ pub fn write_result_set<W: Write>(w: &mut W, rs: &ResultSet) -> io::Result<()> {
 }
 
 /// Decodes a result set written by [`write_result_set`].
-pub fn read_result_set<R: Read>(r: &mut R) -> io::Result<ResultSet> {
+pub fn read_result_set(r: &mut &[u8]) -> io::Result<ResultSet> {
     let nvars = r.read_u32()? as usize;
     let mut variables = Vec::with_capacity(nvars.min(1024));
     for _ in 0..nvars {
@@ -312,9 +247,158 @@ pub fn read_result_set<R: Read>(r: &mut R) -> io::Result<ResultSet> {
     Ok(ResultSet { variables, rows })
 }
 
+// ------------------------------------------------------------- replies
+
+/// The [`resp::INGEST`] reply: aggregate accounting for the whole
+/// group-commit batch the request rode in (every coalesced request
+/// receives the same numbers).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IngestAck {
+    /// Store epoch after the batch's apply.
+    pub epoch: u64,
+    /// Effective insertions across the batch.
+    pub inserted: u64,
+    /// Effective deletions across the batch.
+    pub deleted: u64,
+    /// No-op operations across the batch.
+    pub noops: u64,
+    /// Ingest requests coalesced into the batch (≥ 1, includes ours).
+    pub coalesced: u32,
+    /// Whether the apply triggered a compaction.
+    pub compacted: bool,
+}
+
+impl IngestAck {
+    /// The reply payload, in the layout [`resp::INGEST`] documents.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Vec::with_capacity(37);
+        for v in [self.epoch, self.inserted, self.deleted, self.noops] {
+            w.extend_from_slice(&v.to_le_bytes());
+        }
+        w.extend_from_slice(&self.coalesced.to_le_bytes());
+        w.push(u8::from(self.compacted));
+        w
+    }
+
+    /// Decodes a payload written by [`IngestAck::encode`].
+    pub fn decode(mut r: &[u8]) -> io::Result<Self> {
+        Ok(Self {
+            epoch: r.read_u64()?,
+            inserted: r.read_u64()?,
+            deleted: r.read_u64()?,
+            noops: r.read_u64()?,
+            coalesced: r.read_u32()?,
+            compacted: r.read_u8()? != 0,
+        })
+    }
+}
+
+/// The [`resp::STATS`] reply: the server's counters, read by the thread
+/// that owns the store (the leader's writer or a replica's feed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerStats {
+    /// Store epoch (group-commit batches applied).
+    pub epoch: u64,
+    /// Triples visible in the live store.
+    pub triples: u64,
+    /// Snapshots currently pinning store resources.
+    pub live_pins: u64,
+    /// Snapshots taken over the store's lifetime.
+    pub snapshots: u64,
+    /// Shard compactions performed.
+    pub compactions: u64,
+    /// Active continuous-query subscriptions.
+    pub subscriptions: u64,
+    /// Continuous-query evaluations: one per subscription per batch.
+    pub full_evals: u64,
+    /// Plan-cache executions (QUERY frames and continuous-query
+    /// evaluations) that reused a cached plan with zero SPARQL parsing.
+    pub plan_hits: u64,
+    /// Plan-cache executions that parsed and/or compiled.
+    pub plan_misses: u64,
+    /// Fresh plan compilations (excludes re-costs).
+    pub plan_compiles: u64,
+    /// Plan/text entries dropped by the cache's LRU caps.
+    pub plan_evictions: u64,
+    /// Stale plans re-ordered after the store epoch advanced past the
+    /// staleness threshold.
+    pub plan_recosts: u64,
+    /// 1 if the WAL refused appends after an earlier failure (the store
+    /// serves reads but acks no writes until a checkpoint heals it).
+    pub wal_poisoned: u64,
+    /// WAL append attempts that failed (including those refused while
+    /// poisoned).
+    pub wal_appends_failed: u64,
+    /// Replication feeds currently attached (leader only).
+    pub replicas: u64,
+    /// WAL records shipped to replication feeds, catch-up + live.
+    pub repl_records_shipped: u64,
+    /// Full-snapshot bootstraps served to lagging followers.
+    pub repl_snapshots_served: u64,
+    /// Feed drops this node recovered from by re-syncing (replica only).
+    pub repl_resyncs: u64,
+}
+
+impl ServerStats {
+    /// The reply payload: every counter as a `u64`, in field order.
+    pub fn encode(&self) -> Vec<u8> {
+        let s = self;
+        [
+            s.epoch,
+            s.triples,
+            s.live_pins,
+            s.snapshots,
+            s.compactions,
+            s.subscriptions,
+            s.full_evals,
+            s.plan_hits,
+            s.plan_misses,
+            s.plan_compiles,
+            s.plan_evictions,
+            s.plan_recosts,
+            s.wal_poisoned,
+            s.wal_appends_failed,
+            s.replicas,
+            s.repl_records_shipped,
+            s.repl_snapshots_served,
+            s.repl_resyncs,
+        ]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect()
+    }
+
+    /// Decodes a payload written by [`ServerStats::encode`].
+    pub fn decode(mut r: &[u8]) -> io::Result<Self> {
+        // Struct-literal fields evaluate in the order written: field order.
+        let mut next = || r.read_u64();
+        Ok(Self {
+            epoch: next()?,
+            triples: next()?,
+            live_pins: next()?,
+            snapshots: next()?,
+            compactions: next()?,
+            subscriptions: next()?,
+            full_evals: next()?,
+            plan_hits: next()?,
+            plan_misses: next()?,
+            plan_compiles: next()?,
+            plan_evictions: next()?,
+            plan_recosts: next()?,
+            wal_poisoned: next()?,
+            wal_appends_failed: next()?,
+            replicas: next()?,
+            repl_records_shipped: next()?,
+            repl_snapshots_served: next()?,
+            repl_resyncs: next()?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use se_rdf::{Literal, Term};
 
     #[test]
     fn reserved_option_bits_are_ignored() {
@@ -327,6 +411,7 @@ mod tests {
         assert_eq!(buf, [OPT_REASONING]);
     }
 
+    /// Every term shape crosses the wire unchanged as a result-set cell.
     #[test]
     fn term_codec_round_trips_every_variant() {
         let terms = [
@@ -339,22 +424,56 @@ mod tests {
             )),
             Term::Literal(Literal::lang("bonjour", "fr")),
         ];
-        for term in &terms {
-            let mut buf = Vec::new();
-            write_term(&mut buf, term).unwrap();
-            let back = read_term(&mut buf.as_slice()).unwrap();
-            assert_eq!(&back, term);
-        }
+        let rs = ResultSet {
+            variables: vec!["t".into()],
+            rows: terms.iter().map(|t| vec![Some(t.clone())]).collect(),
+        };
+        let mut buf = Vec::new();
+        write_result_set(&mut buf, &rs).unwrap();
+        let back = read_result_set(&mut buf.as_slice()).unwrap();
+        let got: Vec<Term> = back
+            .rows
+            .into_iter()
+            .map(|r| r[0].clone().unwrap())
+            .collect();
+        assert_eq!(got, terms);
     }
 
     #[test]
     fn graph_codec_rejects_malformed_triples() {
         let mut buf = Vec::new();
         buf.write_u64(1).unwrap();
-        write_term(&mut buf, &Term::literal("bad-subject")).unwrap();
-        write_term(&mut buf, &Term::iri("http://x/p")).unwrap();
-        write_term(&mut buf, &Term::iri("http://x/o")).unwrap();
+        write_term(&mut buf, &Term::literal("bad-subject"));
+        write_term(&mut buf, &Term::iri("http://x/p"));
+        write_term(&mut buf, &Term::iri("http://x/o"));
         assert!(read_graph(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn reply_codecs_round_trip_and_reject_truncation() {
+        let ack = IngestAck {
+            epoch: 7,
+            inserted: 3,
+            deleted: 1,
+            noops: 2,
+            coalesced: 5,
+            compacted: true,
+        };
+        let bytes = ack.encode();
+        assert_eq!(bytes.len(), 4 * 8 + 4 + 1);
+        assert_eq!(IngestAck::decode(&bytes).unwrap(), ack);
+        assert!(IngestAck::decode(&bytes[..bytes.len() - 1]).is_err());
+
+        let mut stats = ServerStats::decode(&[0; 18 * 8]).unwrap();
+        stats.epoch = 1;
+        stats.plan_hits = 8;
+        stats.repl_resyncs = 18;
+        let bytes = stats.encode();
+        assert_eq!(bytes.len(), 18 * 8);
+        assert_eq!(bytes[..8], 1u64.to_le_bytes());
+        assert_eq!(bytes[7 * 8..8 * 8], 8u64.to_le_bytes());
+        assert_eq!(ServerStats::decode(&bytes).unwrap(), stats);
+        assert!(ServerStats::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]
@@ -379,11 +498,25 @@ mod tests {
     /// every payload with these codecs).
     #[test]
     fn hostile_declared_lengths_error_instead_of_allocating() {
-        // An IRI term whose string claims ~8 EB of content.
-        let mut buf = vec![TERM_IRI];
+        // A graph whose one IRI subject claims ~8 EB of content.
+        let mut buf = Vec::new();
+        buf.write_u64(1).unwrap();
+        buf.write_u8(0).unwrap(); // IRI tag
         buf.write_u64(u64::MAX / 2).unwrap();
         buf.extend_from_slice(b"short");
-        assert!(read_term(&mut buf.as_slice()).is_err());
+        assert!(read_graph(&mut buf.as_slice()).is_err());
+
+        // A literal object whose flags set a bit beyond datatype (0b01)
+        // and language (0b10).
+        let mut buf = Vec::new();
+        buf.write_u64(1).unwrap();
+        write_term(&mut buf, &Term::iri("http://x/s"));
+        write_term(&mut buf, &Term::iri("http://x/p"));
+        buf.write_u8(2).unwrap(); // literal tag
+        buf.write_str("v").unwrap();
+        buf.write_u8(0b100).unwrap();
+        let err = read_graph(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // A graph claiming the maximum in-bound triple count with a
         // near-empty body: the capacity cap keeps the pre-allocation

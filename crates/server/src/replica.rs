@@ -343,15 +343,9 @@ fn feed_loop(
                     let Ok(rec) = se_stream::decode_record_payload(&payload) else {
                         continue 'resync;
                     };
-                    let expected = state.session.store().epoch() + 1;
-                    if rec.epoch != expected {
-                        // A gap means this feed skipped history — replaying
-                        // would silently diverge. Re-sync instead.
-                        continue 'resync;
-                    }
-                    let inserts = Graph::from_triples(rec.delta.added.iter().cloned());
-                    let deletes = Graph::from_triples(rec.delta.removed.iter().cloned());
-                    let Ok(outcome) = state.session.apply_batch(&inserts, &deletes) else {
+                    // A gap means this feed skipped history — replaying
+                    // would silently diverge. Re-sync instead.
+                    let Ok(outcome) = state.session.replay_record(&rec) else {
                         continue 'resync;
                     };
                     let epoch = state.session.store().epoch();

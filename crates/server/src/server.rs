@@ -14,14 +14,17 @@
 //! ```
 //!
 //! * **Writer thread** — sole owner of the
-//!   [`StreamSession<ShardedHybridStore>`]. It drains the command channel
-//!   with a group-commit tick: the first `INGEST` opens a window of
-//!   [`ServerConfig::tick`]; every write arriving inside the window is
-//!   coalesced (all deletes, then all inserts) into **one**
-//!   [`apply`](se_stream::ShardedHybridStore::apply). After the apply it
-//!   publishes a fresh [`StoreSnapshot`], acks every coalesced request
-//!   with the tick's aggregate report, and pushes each continuous-query
-//!   answer to its subscriber.
+//!   [`StreamSession<ShardedHybridStore>`]. It group-commits without a
+//!   timer: it blocks for the first command, then takes whatever else is
+//!   already queued, and coalesces every write among them (all deletes,
+//!   then all inserts) into **one**
+//!   [`apply`](se_stream::ShardedHybridStore::apply) — a *tick*. The
+//!   apply evaluates every continuous query and fsyncs the WAL record;
+//!   then the writer publishes a fresh [`StoreSnapshot`], acks every
+//!   coalesced request with the tick's aggregate [`IngestAck`], and pushes
+//!   each continuous-query answer to its subscriber. Writes that arrive
+//!   meanwhile queue in the channel and form the next tick: the apply
+//!   and its fsync are the group-commit window.
 //! * **Connection threads** — one per client. Point queries clone the
 //!   published snapshot (an `Arc` bump) and execute on the connection
 //!   thread: readers never enter the writer's queue and are never blocked
@@ -35,14 +38,14 @@
 //!   snapshots) only has to keep making progress, so a slow but moving
 //!   link can take as long as a large frame needs.
 
-use crate::protocol::{self as proto, read_frame, write_frame};
+use crate::protocol::{self as proto, read_frame, write_frame, IngestAck, ServerStats};
 use se_sparql::{PlanCache, QueryOptions};
 use se_stream::{ShardedHybridStore, StoreSnapshot, StreamSession};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -74,40 +77,10 @@ pub(crate) struct Sub {
     pub(crate) primed: bool,
 }
 
-/// Server tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Group-commit window: how long the writer keeps coalescing after
-    /// the first write of a tick before applying. Zero degenerates to
-    /// one apply per request.
-    pub tick: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            tick: Duration::from_millis(2),
-        }
-    }
-}
-
-/// Aggregate ack for one group-commit tick (every coalesced request
-/// receives the same numbers).
-#[derive(Debug, Clone, Copy)]
-pub struct TickReport {
-    /// Store epoch after the tick's apply.
-    pub epoch: u64,
-    /// Effective insertions across the whole tick.
-    pub inserted: u64,
-    /// Effective deletions across the whole tick.
-    pub deleted: u64,
-    /// No-op operations across the whole tick.
-    pub noops: u64,
-    /// Ingest requests coalesced into this tick.
-    pub coalesced: u32,
-    /// Whether the apply triggered a compaction.
-    pub compacted: bool,
-}
+/// Server options. There are none: the group-commit window is the
+/// apply itself, not a setting.
+#[derive(Debug, Clone, Default)]
+pub struct ServerConfig {}
 
 /// Commands the connection threads hand to the writer (and, on a
 /// [`Replica`](crate::replica::Replica), to the feed thread).
@@ -115,7 +88,7 @@ pub(crate) enum Cmd {
     Ingest {
         inserts: se_rdf::Graph,
         deletes: se_rdf::Graph,
-        done: mpsc::Sender<Result<TickReport, String>>,
+        done: mpsc::Sender<Result<IngestAck, String>>,
     },
     Subscribe {
         id: String,
@@ -125,7 +98,7 @@ pub(crate) enum Cmd {
         done: mpsc::Sender<Result<(), String>>,
     },
     Stats {
-        done: mpsc::Sender<StatsReport>,
+        done: mpsc::Sender<ServerStats>,
     },
     Replicate {
         from_epoch: u64,
@@ -151,51 +124,6 @@ pub(crate) struct ReplCounters {
     pub(crate) resyncs: u64,
 }
 
-/// Snapshot of the server's counters, answered by the writer thread.
-#[derive(Debug, Clone, Copy)]
-pub struct StatsReport {
-    /// Store epoch (group-commit ticks applied).
-    pub epoch: u64,
-    /// Triples visible in the live store.
-    pub triples: u64,
-    /// Snapshots currently pinning store resources.
-    pub live_pins: u64,
-    /// Snapshots taken over the store's lifetime.
-    pub snapshots: u64,
-    /// Shard compactions performed.
-    pub compactions: u64,
-    /// Active continuous-query subscriptions.
-    pub subscriptions: u64,
-    /// Continuous-query evaluations: one per subscription per tick.
-    pub full_evals: u64,
-    /// Plan-cache executions (QUERY frames and continuous-query
-    /// evaluations) that reused a cached plan with zero SPARQL parsing.
-    pub plan_hits: u64,
-    /// Plan-cache executions that parsed and/or compiled.
-    pub plan_misses: u64,
-    /// Fresh plan compilations (excludes re-costs).
-    pub plan_compiles: u64,
-    /// Plan/text entries dropped by the cache's LRU caps.
-    pub plan_evictions: u64,
-    /// Stale plans re-ordered after the store epoch advanced past the
-    /// staleness threshold.
-    pub plan_recosts: u64,
-    /// 1 if the WAL refused appends after an earlier failure (the store
-    /// serves reads but acks no writes until a checkpoint heals it).
-    pub wal_poisoned: u64,
-    /// WAL append attempts that failed (including those refused while
-    /// poisoned).
-    pub wal_appends_failed: u64,
-    /// Replication feeds currently attached (leader only).
-    pub replicas: u64,
-    /// WAL records shipped to replication feeds, catch-up + live.
-    pub repl_records_shipped: u64,
-    /// Full-snapshot bootstraps served to lagging followers.
-    pub repl_snapshots_served: u64,
-    /// Feed drops this node recovered from by re-syncing (replica only).
-    pub repl_resyncs: u64,
-}
-
 /// A running server: its bound address plus the threads to join.
 pub struct Server {
     addr: SocketAddr,
@@ -210,7 +138,7 @@ impl Server {
     pub fn start(
         store: ShardedHybridStore,
         addr: impl ToSocketAddrs,
-        config: ServerConfig,
+        _config: ServerConfig,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -231,7 +159,7 @@ impl Server {
                 .spawn(move || {
                     let mut session = StreamSession::new(store);
                     session.registry_mut().set_plan_cache(cache);
-                    writer_loop(session, rx, slot, config.tick)
+                    writer_loop(session, rx, slot)
                 })?
         };
 
@@ -262,126 +190,130 @@ impl Server {
 
 // --------------------------------------------------------------- writer
 
-/// An ingest rider waiting in the tick window: inserts, deletes, ack.
+/// An ingest rider waiting for its tick: inserts, deletes, ack.
 type PendingIngest = (
     se_rdf::Graph,
     se_rdf::Graph,
-    mpsc::Sender<Result<TickReport, String>>,
+    mpsc::Sender<Result<IngestAck, String>>,
 );
 
+/// The writer's loop. Each turn blocks for one command, then drains what
+/// is already queued without waiting; the writes among them commit as
+/// one tick. No timer: whatever arrives while a tick applies, evaluates
+/// and fsyncs is the next tick's batch.
 fn writer_loop(
     mut session: StreamSession<ShardedHybridStore>,
     rx: mpsc::Receiver<Cmd>,
     slot: Arc<Mutex<StoreSnapshot>>,
-    tick: Duration,
 ) {
     // Active subscriptions: registry id → sink + primed flag.
     let mut subs: HashMap<String, Sub> = HashMap::new();
     // Attached replication feeds: every tick's WAL record goes to each.
     let mut replicas: Vec<ClientSink> = Vec::new();
     let mut repl = ReplCounters::default();
-    loop {
+    let mut shutdown = false;
+    while !shutdown {
         let Ok(first) = rx.recv() else { break };
         let mut pending: Vec<PendingIngest> = Vec::new();
-        match dispatch(first, &mut session, &mut subs, &mut replicas, &mut repl) {
-            Next::Shutdown => break,
-            Next::Handled => continue,
-            Next::Ingest(rider) => pending.push(rider),
-        }
-
-        // Group-commit window: coalesce every write that arrives within
-        // `tick` of the first one. Non-write commands are handled inline
-        // so a stats probe can't extend the window.
-        let mut shutdown = false;
-        let deadline = Instant::now() + tick;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(left) {
-                Ok(cmd) => match dispatch(cmd, &mut session, &mut subs, &mut replicas, &mut repl) {
-                    Next::Ingest(rider) => pending.push(rider),
-                    Next::Handled => {}
-                    Next::Shutdown => {
-                        shutdown = true;
-                        break;
-                    }
-                },
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
+        // Non-write commands are answered inline, in arrival order.
+        for cmd in std::iter::once(first).chain(rx.try_iter()) {
+            match dispatch(cmd, &mut session, &mut subs, &mut replicas, &mut repl) {
+                Next::Ingest(rider) => pending.push(rider),
+                Next::Handled => {}
+                Next::Shutdown => {
                     shutdown = true;
                     break;
                 }
             }
         }
+        if !pending.is_empty() {
+            commit(
+                &mut session,
+                &mut subs,
+                &mut replicas,
+                &mut repl,
+                &slot,
+                pending,
+            );
+        }
+    }
+}
 
-        // One apply for the whole tick: all deletes, then all inserts.
-        let coalesced = pending.len() as u32;
-        let mut inserts = se_rdf::Graph::new();
-        let mut deletes = se_rdf::Graph::new();
-        for (ins, del, _) in &pending {
-            for t in del.iter() {
-                deletes.insert(t.clone());
-            }
-            for t in ins.iter() {
-                inserts.insert(t.clone());
-            }
+/// One tick: a single apply for every rider (all deletes, then all
+/// inserts), then the snapshot publish, the acks, the pushes and the
+/// replication record.
+fn commit(
+    session: &mut StreamSession<ShardedHybridStore>,
+    subs: &mut HashMap<String, Sub>,
+    replicas: &mut Vec<ClientSink>,
+    repl: &mut ReplCounters,
+    slot: &Mutex<StoreSnapshot>,
+    pending: Vec<PendingIngest>,
+) {
+    let coalesced = pending.len() as u32;
+    let mut inserts = se_rdf::Graph::new();
+    let mut deletes = se_rdf::Graph::new();
+    for (ins, del, _) in &pending {
+        for t in del.iter() {
+            deletes.insert(t.clone());
         }
-        let epoch_before = session.store().epoch();
-        match session.apply_batch(&inserts, &deletes) {
-            Ok(outcome) => {
-                let snap = session.store().snapshot();
-                let report = TickReport {
-                    epoch: snap.epoch(),
-                    inserted: outcome.report.inserted as u64,
-                    deleted: outcome.report.deleted as u64,
-                    noops: outcome.report.noops as u64,
-                    coalesced,
-                    compacted: outcome.report.compacted,
-                };
-                *slot.lock().expect("snapshot slot poisoned") = snap;
-                for (_, _, done) in &pending {
-                    let _ = done.send(Ok(report));
-                }
-                push_results(&mut session, &mut subs, outcome.results, report.epoch);
-                // Ship this tick's WAL record to every attached feed.
-                // Even an all-noop tick ships: the epoch advanced, and a
-                // follower's consecutive-epoch invariant needs the gap
-                // filled. A dead feed is dropped; when the last one goes
-                // delta capture is switched off.
-                if !replicas.is_empty() {
-                    let delta = outcome
-                        .report
-                        .delta
-                        .expect("delta capture is on while a replica is attached");
-                    let payload = se_stream::encode_record_payload(report.epoch, &delta);
-                    replicas.retain(|sink| push(sink, proto::resp::REPL_RECORD, &payload).is_ok());
-                    repl.records_shipped += replicas.len() as u64;
-                    if replicas.is_empty() {
-                        session.store_mut().set_delta_capture(false);
-                    }
-                }
+        for t in ins.iter() {
+            inserts.insert(t.clone());
+        }
+    }
+    let epoch_before = session.store().epoch();
+    match session.apply_batch(&inserts, &deletes) {
+        Ok(outcome) => {
+            let snap = session.store().snapshot();
+            let ack = IngestAck {
+                epoch: snap.epoch(),
+                inserted: outcome.report.inserted as u64,
+                deleted: outcome.report.deleted as u64,
+                noops: outcome.report.noops as u64,
+                coalesced,
+                compacted: outcome.report.compacted,
+            };
+            *slot.lock().expect("snapshot slot poisoned") = snap;
+            for (_, _, done) in &pending {
+                let _ = done.send(Ok(ack));
             }
-            Err(e) => {
-                // A rejected batch fails this tick only: every rider
-                // learns what happened and the writer carries on. A
-                // failed WAL append leaves the batch applied (just not
-                // durable) and the epoch advanced: publish that state,
-                // so reads agree with what a follower bootstraps from.
-                // Subscribers follow the same state: push its changes.
-                let epoch = session.store().epoch();
-                if epoch != epoch_before {
-                    *slot.lock().expect("snapshot slot poisoned") = session.store().snapshot();
-                    if let Ok(Some(results)) = session.catch_up() {
-                        push_results(&mut session, &mut subs, results, epoch);
-                    }
-                }
-                let msg = e.to_string();
-                for (_, _, done) in &pending {
-                    let _ = done.send(Err(msg.clone()));
+            push_results(session, subs, outcome.results, ack.epoch);
+            // Ship this tick's WAL record to every attached feed. Even an
+            // all-noop tick ships: the epoch advanced, and a follower's
+            // consecutive-epoch invariant needs the gap filled. A dead
+            // feed is dropped; when the last one goes delta capture is
+            // switched off.
+            if !replicas.is_empty() {
+                let delta = outcome
+                    .report
+                    .delta
+                    .expect("delta capture is on while a replica is attached");
+                let payload = se_stream::encode_record_payload(ack.epoch, &delta);
+                replicas.retain(|sink| push(sink, proto::resp::REPL_RECORD, &payload).is_ok());
+                repl.records_shipped += replicas.len() as u64;
+                if replicas.is_empty() {
+                    session.store_mut().set_delta_capture(false);
                 }
             }
         }
-        if shutdown {
-            break;
+        Err(e) => {
+            // A rejected batch fails this tick only: every rider learns
+            // what happened and the writer carries on. A failed WAL
+            // append leaves the batch applied (just not durable) and the
+            // epoch advanced: publish that state, so reads agree with
+            // what a follower bootstraps from. Subscribers follow the
+            // same state: push its changes.
+            let epoch = session.store().epoch();
+            if epoch != epoch_before {
+                *slot.lock().expect("snapshot slot poisoned") = session.store().snapshot();
+                if let Ok(Some(results)) = session.catch_up() {
+                    push_results(session, subs, results, epoch);
+                }
+            }
+            let msg = e.to_string();
+            for (_, _, done) in &pending {
+                let _ = done.send(Err(msg.clone()));
+            }
         }
     }
 }
@@ -397,7 +329,7 @@ enum Next {
 }
 
 /// The writer's one handler per command: writes are returned for the
-/// group-commit tick, everything else is answered immediately.
+/// next tick, everything else is answered immediately.
 fn dispatch(
     cmd: Cmd,
     session: &mut StreamSession<ShardedHybridStore>,
@@ -565,10 +497,10 @@ pub(crate) fn stats(
     session: &StreamSession<ShardedHybridStore>,
     subscriptions: usize,
     repl: ReplCounters,
-) -> StatsReport {
+) -> ServerStats {
     let s = session.store().stats();
     let cq = session.stream_stats();
-    StatsReport {
+    ServerStats {
         epoch: s.epoch,
         triples: se_core::TripleSource::len(session.store()) as u64,
         live_pins: s.live_pins as u64,
@@ -687,15 +619,8 @@ pub(crate) fn serve_connection(
                             })
                             .is_ok();
                         match (sent, sent.then(|| ack.recv()).and_then(Result::ok)) {
-                            (true, Some(Ok(r))) => {
-                                let mut out = Vec::new();
-                                se_sds::WriteBin::write_u64(&mut out, r.epoch)?;
-                                se_sds::WriteBin::write_u64(&mut out, r.inserted)?;
-                                se_sds::WriteBin::write_u64(&mut out, r.deleted)?;
-                                se_sds::WriteBin::write_u64(&mut out, r.noops)?;
-                                se_sds::WriteBin::write_u32(&mut out, r.coalesced)?;
-                                se_sds::WriteBin::write_u8(&mut out, r.compacted as u8)?;
-                                reply(&sink, proto::resp::INGEST, &out)?;
+                            (true, Some(Ok(ack))) => {
+                                reply(&sink, proto::resp::INGEST, &ack.encode())?
                             }
                             (true, Some(Err(msg))) => reply_err(&sink, &msg)?,
                             _ => reply_err(&sink, "server is shutting down")?,
@@ -763,28 +688,7 @@ pub(crate) fn serve_connection(
                 let (done, ack) = mpsc::channel();
                 let sent = tx.send(Cmd::Stats { done }).is_ok();
                 match (sent, sent.then(|| ack.recv()).and_then(Result::ok)) {
-                    (true, Some(s)) => {
-                        let mut out = Vec::new();
-                        se_sds::WriteBin::write_u64(&mut out, s.epoch)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.triples)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.live_pins)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.snapshots)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.compactions)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.subscriptions)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.full_evals)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.plan_hits)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.plan_misses)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.plan_compiles)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.plan_evictions)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.plan_recosts)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.wal_poisoned)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.wal_appends_failed)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.replicas)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.repl_records_shipped)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.repl_snapshots_served)?;
-                        se_sds::WriteBin::write_u64(&mut out, s.repl_resyncs)?;
-                        reply(&sink, proto::resp::STATS, &out)?;
-                    }
+                    (true, Some(s)) => reply(&sink, proto::resp::STATS, &s.encode())?,
                     _ => reply_err(&sink, "server is shutting down")?,
                 }
             }

@@ -200,14 +200,7 @@ fn replica_agrees_across_checkpoint_compaction_and_resync() {
     }
     store.attach_wal(&dir, WalConfig::default()).unwrap();
 
-    let server = Server::start(
-        store,
-        "127.0.0.1:0",
-        ServerConfig {
-            tick: Duration::from_millis(2),
-        },
-    )
-    .unwrap();
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let replica = Replica::start(
         water_ontology(),
         server.addr(),

@@ -63,14 +63,7 @@ const PER_BATCH: usize = 5;
 fn concurrent_clients_agree_with_single_threaded_replay() {
     let ontology = water_ontology();
     let store = ShardedHybridStore::build(&ontology, &Graph::new(), 4).unwrap();
-    let server = Server::start(
-        store,
-        "127.0.0.1:0",
-        ServerConfig {
-            tick: Duration::from_millis(2),
-        },
-    )
-    .unwrap();
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.addr();
     let opts = QueryOptions::default();
 
@@ -451,6 +444,75 @@ fn server_restart_recovers_every_acked_batch() {
     assert_eq!(ack.epoch, last_acked + 1);
     c.shutdown().unwrap();
     server.join();
+    cleanup(&dir);
+}
+
+/// Group commit without a timer: writes that queue while the writer
+/// applies and fsyncs one tick form the next. Eight writers released by
+/// one barrier make their first writes queue behind one apply, so some
+/// tick must coalesce; every tick is one consecutive epoch, acked only
+/// once durable.
+#[test]
+fn concurrent_writers_group_commit_without_a_timer() {
+    const WRITERS: usize = 8;
+    const BATCHES: usize = 20;
+    const PER_BATCH: usize = 2;
+    let dir = scratch("group-commit");
+    let ontology = water_ontology();
+    let mut store = ShardedHybridStore::build(&ontology, &Graph::new(), 4).unwrap();
+    store.attach_wal(&dir, WalConfig::default()).unwrap();
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.addr();
+
+    let start = std::sync::Arc::new(std::sync::Barrier::new(WRITERS));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|k| {
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                start.wait();
+                (0..BATCHES)
+                    .map(|b| {
+                        c.ingest(&partition_batch(k, b, PER_BATCH), &Graph::new())
+                            .unwrap()
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let acks: Vec<_> = writers
+        .into_iter()
+        .flat_map(|w| w.join().unwrap())
+        .collect();
+
+    assert!(
+        acks.iter().any(|a| a.coalesced > 1),
+        "no tick coalesced two writes"
+    );
+    // Every tick is exactly one epoch, with no empty or skipped commit,
+    // and each tick's riders all carry its one aggregate ack.
+    let mut ticks = std::collections::BTreeMap::new();
+    for a in &acks {
+        ticks.entry(a.epoch).or_insert_with(Vec::new).push(a);
+    }
+    let last = *ticks.keys().last().unwrap();
+    assert!(ticks.keys().copied().eq(1..=last), "epochs skip: {ticks:?}");
+    for (epoch, riders) in &ticks {
+        assert_eq!(riders.len(), riders[0].coalesced as usize, "epoch {epoch}");
+        assert!(riders.iter().all(|a| *a == riders[0]), "epoch {epoch}");
+        assert_eq!(riders[0].inserted as usize, riders.len() * PER_BATCH);
+    }
+
+    let mut c = Client::connect(addr).unwrap();
+    c.shutdown().unwrap();
+    server.join();
+    // Every acked tick is on disk.
+    let recovered = ShardedHybridStore::load(&dir, &ontology).unwrap();
+    assert_eq!(recovered.epoch(), last);
+    assert_eq!(
+        se_core::TripleSource::len(&recovered),
+        WRITERS * BATCHES * PER_BATCH
+    );
     cleanup(&dir);
 }
 

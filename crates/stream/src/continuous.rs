@@ -54,30 +54,6 @@ pub trait StreamStore: TripleSource {
     fn wal_health(&self) -> WalHealth;
 }
 
-/// Replays one shipped WAL record into a store under the
-/// consecutive-epoch invariant: the record must carry exactly
-/// `store.epoch() + 1` (anything else is a gap or a replayed duplicate —
-/// the caller re-syncs instead of guessing), and the delta's removals
-/// apply before its additions, exactly like crash recovery's
-/// `replay_wal`.
-pub fn replay_record<S: StreamStore>(
-    store: &mut S,
-    rec: &WalRecord,
-) -> Result<IngestReport, StreamError> {
-    let expected = store.epoch() + 1;
-    if rec.epoch != expected {
-        return Err(StreamError::Corrupt(format!(
-            "replication gap: expected epoch {expected}, record carries {}",
-            rec.epoch
-        )));
-    }
-    let inserts = Graph::from_triples(rec.delta.added.iter().cloned());
-    let deletes = Graph::from_triples(rec.delta.removed.iter().cloned());
-    let report = store.apply_batch(&inserts, &deletes)?;
-    debug_assert_eq!(store.epoch(), rec.epoch, "apply advances exactly one epoch");
-    Ok(report)
-}
-
 impl StreamStore for ShardedHybridStore {
     fn apply_batch(
         &mut self,
@@ -516,6 +492,31 @@ impl<S: StreamStore> StreamSession<S> {
         let results = self.evaluate()?;
         self.stats.batches += 1;
         Ok(BatchOutcome { report, results })
+    }
+
+    /// Replays one shipped WAL record under the consecutive-epoch
+    /// invariant: the record must carry exactly `store.epoch() + 1`
+    /// (anything else is a gap or a replayed duplicate — the caller
+    /// re-syncs instead of guessing). The delta's removals apply before
+    /// its additions, exactly like crash recovery's `replay_wal`, and
+    /// every registered query evaluates as after [`Self::apply_batch`].
+    pub fn replay_record(&mut self, rec: &WalRecord) -> Result<BatchOutcome, StreamError> {
+        let expected = self.store.epoch() + 1;
+        if rec.epoch != expected {
+            return Err(StreamError::Corrupt(format!(
+                "replication gap: expected epoch {expected}, record carries {}",
+                rec.epoch
+            )));
+        }
+        let inserts = Graph::from_triples(rec.delta.added.iter().cloned());
+        let deletes = Graph::from_triples(rec.delta.removed.iter().cloned());
+        let outcome = self.apply_batch(&inserts, &deletes)?;
+        debug_assert_eq!(
+            self.store.epoch(),
+            rec.epoch,
+            "apply advances exactly one epoch"
+        );
+        Ok(outcome)
     }
 }
 
@@ -1141,7 +1142,7 @@ mod tests {
     /// exactly-once in order and reject anything else.
     #[test]
     fn replay_record_enforces_the_consecutive_epoch_invariant() {
-        let mut store = store_with([]);
+        let mut session = StreamSession::new(store_with([]));
         let rec = |epoch: u64, n: u64| WalRecord {
             epoch,
             delta: BatchDelta {
@@ -1149,19 +1150,23 @@ mod tests {
                 removed: vec![],
             },
         };
-        replay_record(&mut store, &rec(1, 1)).unwrap();
-        replay_record(&mut store, &rec(2, 2)).unwrap();
-        assert_eq!(store.epoch(), 2);
-        assert_eq!(store.len(), 2);
+        session.replay_record(&rec(1, 1)).unwrap();
+        session.replay_record(&rec(2, 2)).unwrap();
+        assert_eq!(session.store().epoch(), 2);
+        assert_eq!(session.store().len(), 2);
         // A gap or a replayed duplicate would silently fork history.
-        assert!(replay_record(&mut store, &rec(4, 3)).is_err());
-        assert!(replay_record(&mut store, &rec(2, 2)).is_err());
-        assert_eq!(store.epoch(), 2, "rejected records change nothing");
+        assert!(session.replay_record(&rec(4, 3)).is_err());
+        assert!(session.replay_record(&rec(2, 2)).is_err());
+        assert_eq!(
+            session.store().epoch(),
+            2,
+            "rejected records change nothing"
+        );
         // Deletions replay too.
         let mut del = rec(3, 9);
         del.delta.removed = vec![t("s1", "knows", iri("o"))];
-        let report = replay_record(&mut store, &del).unwrap();
+        let report = session.replay_record(&del).unwrap().report;
         assert_eq!((report.inserted, report.deleted), (1, 1));
-        assert_eq!(store.epoch(), 3);
+        assert_eq!(session.store().epoch(), 3);
     }
 }

@@ -99,8 +99,8 @@ pub mod snapshot;
 pub mod wal;
 
 pub use continuous::{
-    replay_record, BatchOutcome, ContinuousQuery, ContinuousQueryRegistry, ContinuousResult,
-    StreamSession, StreamStats, StreamStore,
+    BatchOutcome, ContinuousQuery, ContinuousQueryRegistry, ContinuousResult, StreamSession,
+    StreamStats, StreamStore,
 };
 pub use delta::{BatchDelta, DeltaObj, DeltaState, DeltaStore};
 pub use error::StreamError;

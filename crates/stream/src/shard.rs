@@ -529,9 +529,10 @@ impl ShardedHybridStore {
     }
 
     /// Forces the epoch to `epoch` without applying anything — the
-    /// replication bootstrap (see [`crate::replay_record`]): a follower
-    /// that rebuilt its state from a leader snapshot aligns to the
-    /// leader's epoch before replaying shipped records. Must not be used
+    /// replication bootstrap (see
+    /// [`StreamSession::replay_record`](crate::StreamSession::replay_record)):
+    /// a follower that rebuilt its state from a leader snapshot aligns to
+    /// the leader's epoch before replaying shipped records. Must not be used
     /// on a store with an attached WAL (it would corrupt the log's epoch
     /// sequence).
     pub fn align_epoch(&mut self, epoch: u64) {

@@ -477,7 +477,11 @@ pub fn read_tail(dir: &Path, from_epoch: u64) -> Result<Option<Vec<WalRecord>>, 
 
 // ------------------------------------------------------- record codec
 
-fn write_term(w: &mut Vec<u8>, term: &Term) {
+/// Encodes one term: a tag byte (0 IRI, 1 blank node, 2 literal), then
+/// its strings; a literal carries a flags byte (bit 0 datatype, bit 1
+/// language) before the optional datatype and language strings. The WAL,
+/// the replication feed and se-server's wire codecs all share it.
+pub fn write_term(w: &mut Vec<u8>, term: &Term) {
     // Writes to a Vec cannot fail.
     match term {
         Term::Iri(iri) => {
@@ -495,7 +499,10 @@ fn write_term(w: &mut Vec<u8>, term: &Term) {
     }
 }
 
-fn read_term(r: &mut &[u8]) -> io::Result<Term> {
+/// Decodes a term written by [`write_term`]. An unknown tag or literal
+/// flags above `0b11` are `InvalidData`; a string length beyond the input
+/// is a clean error, never an up-front allocation.
+pub fn read_term(r: &mut &[u8]) -> io::Result<Term> {
     match r.read_u8()? {
         0 => Ok(Term::Iri(r.read_str()?.into())),
         1 => Ok(Term::Blank(r.read_str()?.into())),

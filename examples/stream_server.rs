@@ -37,7 +37,6 @@
 //! recovered epoch equals every acked batch, re-serves the data and
 //! shuts down gracefully.
 
-use std::time::Duration;
 use succinct_edge::datagen::water::{generate_stream, WaterConfig};
 use succinct_edge::datagen::workload::water_anomaly_query;
 use succinct_edge::ontology::water_ontology;
@@ -156,14 +155,8 @@ fn main() {
     let opts = QueryOptions::default();
 
     let store = ShardedHybridStore::build(&onto, &Graph::new(), 4).expect("store builds");
-    let server = Server::start(
-        store,
-        "127.0.0.1:0",
-        ServerConfig {
-            tick: Duration::from_millis(2),
-        },
-    )
-    .expect("server binds");
+    let server =
+        Server::start(store, "127.0.0.1:0", ServerConfig::default()).expect("server binds");
     let addr = server.addr();
     println!("server listening on {addr}");
 
