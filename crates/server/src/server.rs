@@ -251,18 +251,27 @@ fn commit(
     pending: Vec<PendingIngest>,
 ) {
     let coalesced = pending.len() as u32;
-    let mut inserts = se_rdf::Graph::new();
-    let mut deletes = se_rdf::Graph::new();
-    for (ins, del, _) in &pending {
-        for t in del.iter() {
-            deletes.insert(t.clone());
+    // A lone rider is applied as it came; only several are merged.
+    let merged;
+    let (inserts, deletes) = match pending.as_slice() {
+        [(ins, del, _)] => (ins, del),
+        _ => {
+            let mut inserts = se_rdf::Graph::new();
+            let mut deletes = se_rdf::Graph::new();
+            for (ins, del, _) in &pending {
+                for t in del.iter() {
+                    deletes.insert(t.clone());
+                }
+                for t in ins.iter() {
+                    inserts.insert(t.clone());
+                }
+            }
+            merged = (inserts, deletes);
+            (&merged.0, &merged.1)
         }
-        for t in ins.iter() {
-            inserts.insert(t.clone());
-        }
-    }
+    };
     let epoch_before = session.store().epoch();
-    match session.apply_batch(&inserts, &deletes) {
+    match session.apply_batch(inserts, deletes) {
         Ok(outcome) => {
             let snap = session.store().snapshot();
             let ack = IngestAck {

@@ -4,12 +4,19 @@
 //! the TP order chosen at compile time, propagating variable bindings
 //! from one TP to the next ("one of our joining approaches amounts to
 //! propagate variable assignments from one TP to another"). This module
-//! holds the per-pattern step every plan runs, `eval_pattern`. When the
-//! current intermediate relation is joined through its subject against a
-//! fresh `(?s, p, ?o)` / `(?s, p, o)` pattern, the PSO order of the
-//! layers makes both sides subject-sorted and a **merge join** replaces
-//! the per-row lookups (§5.2, Figure 7); otherwise index-nested-loop
-//! propagation is used.
+//! holds the per-pattern step every plan runs, `eval_pattern`. A step
+//! whose subject variable, or whose object variable with the subject
+//! free, is bound to an instance in every row runs as one **keyed
+//! join**: the rows are sorted by that key, and the step either probes
+//! the store once per distinct key or scans the predicate once and
+//! merges the scan against the sorted subjects (§5.2, Figure 7: PSO
+//! order keeps the scan subject-sorted) or buckets it by object. The
+//! choice is made per step, by cost, after Selinger et al., "Access path
+//! selection in a relational database management system" (SIGMOD 1979):
+//! the constants `PROBE_CALL_NS`, `PROBE_HIT_NS` and `SCAN_NS` weigh the
+//! distinct keys against the predicate's triple count. Every other step
+//! (a group's first, a constant subject, a literal-bound key) runs row
+//! by row. [`AccessPath`] names the path a step took.
 //!
 //! With reasoning enabled, constant concepts and properties evaluate
 //! through their LiteMat intervals — no materialization, no UNION
@@ -19,7 +26,9 @@ use crate::ast::{GroupPattern, Query, TermPattern, TriplePattern};
 use crate::error::QueryError;
 use crate::expr::{Env, EvalValue};
 use crate::ir;
-use se_core::source::{objects_in, scan_in, subjects_by_literal_in, subjects_in};
+use se_core::source::{
+    objects_in, predicate_count_in, scan_in, subjects_by_literal_in, subjects_in,
+};
 use se_core::{TripleSource, Value};
 use se_litemat::IdInterval;
 use se_rdf::{Literal, Term};
@@ -276,46 +285,297 @@ pub fn constant_predicate(tp: &TriplePattern) -> Result<&str, QueryError> {
     }
 }
 
-/// Intermediate-relation size from which `eval_pattern` replaces
-/// per-row lookups with a merge join, when the pattern allows one.
-pub const MERGE_JOIN_MIN_ROWS: usize = 16;
+/// Cost of one `objects` probe call, in ns: measured per predicate on the
+/// repo benchmark's LUBM graph (`paper_bgp`, seed 7, a shared 2-core
+/// x86-64 machine) at 2.1–2.5 µs for every predicate with at most three
+/// objects per subject.
+const PROBE_CALL_NS: u128 = 2_200;
+/// Cost of each subject a `subjects` probe returns, in ns: the
+/// benchmark's `sds.wt_range_search_ns_per_hit` (1,277 on that machine).
+const PROBE_HIT_NS: u128 = 1_300;
+/// Cost of one `(subject, object)` pair of a predicate scan, in ns: the
+/// benchmark's `core.scan_ns_per_row` (372 on that machine).
+const SCAN_NS: u128 = 400;
+
+/// The access path a pattern step took, recorded in
+/// [`StepTrace`](crate::ir::StepTrace).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessPath {
+    /// Row by row: no variable of the pattern is bound to an instance in
+    /// every row (a group's first step, a constant subject, a key bound
+    /// to a literal, `?s p ?s`, an `rdf:type` pattern).
+    PerRow,
+    /// Keyed join: one `objects`/`subjects` probe per distinct key.
+    Probe,
+    /// Keyed join: one scan of the predicate, shared by every key.
+    Scan,
+}
+
+impl PSpec {
+    /// `(s, p, ?o)`.
+    fn objects<S: TripleSource + ?Sized>(&self, store: &S, s: u64) -> Vec<Value> {
+        match self {
+            PSpec::Exact(p) => store.objects(*p, s),
+            PSpec::Interval(iv) => objects_in(store, *iv, s),
+            PSpec::NoMatch => Vec::new(),
+        }
+    }
+
+    /// `(?s, p, o)`, ascending and deduplicated.
+    fn subjects<S: TripleSource + ?Sized>(&self, store: &S, o: &Value) -> Vec<u64> {
+        match self {
+            PSpec::Exact(p) => store.subjects(*p, o),
+            PSpec::Interval(iv) => subjects_in(store, *iv, o),
+            PSpec::NoMatch => Vec::new(),
+        }
+    }
+
+    /// `(?s, p, ?o)`, sorted by subject.
+    fn scan<S: TripleSource + ?Sized>(&self, store: &S) -> Vec<(u64, Value)> {
+        match self {
+            PSpec::Exact(p) => store.scan_predicate(*p),
+            PSpec::Interval(iv) => scan_in(store, *iv),
+            PSpec::NoMatch => Vec::new(),
+        }
+    }
+
+    /// The number of triples a scan returns.
+    fn count<S: TripleSource + ?Sized>(&self, store: &S) -> usize {
+        match self {
+            PSpec::Exact(p) => store.predicate_count(*p),
+            PSpec::Interval(iv) => predicate_count_in(store, *iv),
+            PSpec::NoMatch => 0,
+        }
+    }
+}
 
 /// Joins one triple pattern against the store, propagating the bindings
-/// of `rows` (index nested loop, or a merge join when the fast-path
-/// conditions of §5.2 hold). Every compiled plan's pattern steps run
-/// through it.
+/// of `rows`, and reports the access path it took. Every compiled plan's
+/// pattern steps run through it. A step whose subject variable is bound
+/// to an instance in every row runs as a [`subject_join`]; one whose
+/// object variable is, with the subject free, as an [`object_join`];
+/// every other step row by row.
 pub(crate) fn eval_pattern<S: TripleSource + ?Sized>(
     store: &S,
     tp: &TriplePattern,
     rows: Vec<Row>,
     vars: &HashMap<&str, usize>,
     options: &QueryOptions,
-) -> Result<Vec<Row>, QueryError> {
+) -> Result<(Vec<Row>, AccessPath), QueryError> {
     let p_iri = constant_predicate(tp)?;
     if tp.is_type_pattern() {
-        return eval_type_pattern(store, tp, rows, vars, options);
+        let out = eval_type_pattern(store, tp, rows, vars, options)?;
+        return Ok((out, AccessPath::PerRow));
     }
     let spec = predicate_spec(store, p_iri, options.reasoning);
-    if matches!(spec, PSpec::NoMatch) {
-        return Ok(Vec::new());
+    if matches!(spec, PSpec::NoMatch) || rows.is_empty() {
+        return Ok((Vec::new(), AccessPath::PerRow));
     }
-
-    // Merge-join fast path (§5.2): enough rows to amortize the scan,
-    // subject var bound in all rows, exact predicate, free or constant
-    // object.
-    if rows.len() >= MERGE_JOIN_MIN_ROWS {
-        if let (PSpec::Exact(p), TermPattern::Var(sv)) = (&spec, &tp.subject) {
-            let s_col = vars[sv.as_str()];
-            let all_bound_enc = rows
-                .iter()
-                .all(|r| matches!(r[s_col], Some(Slot::Enc(Value::Instance(_)))));
-            if all_bound_enc {
-                return Ok(merge_join_subject(store, *p, rows, s_col, &tp.object, vars));
+    if let TermPattern::Var(sv) = &tp.subject {
+        let s_col = vars[sv.as_str()];
+        let test = match &tp.object {
+            TermPattern::Var(ov) => ObjectTest::Column(vars[ov.as_str()]),
+            TermPattern::Term(Term::Literal(lit)) => ObjectTest::Literal(lit),
+            TermPattern::Term(t) => match store.instance_id(t) {
+                Some(id) => ObjectTest::Instance(Value::Instance(id)),
+                None => return Ok((Vec::new(), AccessPath::PerRow)),
+            },
+        };
+        match test {
+            // `?s p ?s` runs row by row.
+            ObjectTest::Column(o_col) if o_col == s_col => {}
+            _ if all_instances(&rows, s_col) => {
+                return Ok(subject_join(store, &spec, rows, s_col, &test));
             }
+            ObjectTest::Column(o_col)
+                if rows.iter().all(|r| r[s_col].is_none()) && all_instances(&rows, o_col) =>
+            {
+                return Ok(object_join(store, &spec, rows, o_col, s_col));
+            }
+            _ => {}
         }
     }
+    Ok((
+        eval_per_row(store, tp, &spec, rows, vars),
+        AccessPath::PerRow,
+    ))
+}
 
-    // Binding propagation (index nested loop).
+/// The instance id bound at `col`, if the row binds one there.
+fn instance_at(row: &Row, col: usize) -> Option<u64> {
+    match row[col] {
+        Some(Slot::Enc(Value::Instance(id))) => Some(id),
+        _ => None,
+    }
+}
+
+fn all_instances(rows: &[Row], col: usize) -> bool {
+    rows.iter().all(|r| instance_at(r, col).is_some())
+}
+
+/// The rows keyed by the instance id at `col` (bound in every row) and
+/// sorted by it; rows that share a key keep their order.
+fn keyed_rows(rows: Vec<Row>, col: usize) -> Vec<(u64, Row)> {
+    let mut keyed: Vec<(u64, Row)> = rows
+        .into_iter()
+        .filter_map(|r| Some((instance_at(&r, col)?, r)))
+        .collect();
+    keyed.sort_by_key(|(k, _)| *k);
+    keyed
+}
+
+/// What a subject-keyed join keeps of each object of a row's subject.
+enum ObjectTest<'a> {
+    /// An object variable: each object is bound into the column when the
+    /// row leaves it free; a row that binds it is kept once if some
+    /// object joins its value.
+    Column(usize),
+    /// A constant IRI: the row is kept once if it is an object.
+    Instance(Value),
+    /// A constant literal, matched by its text.
+    Literal(&'a Literal),
+}
+
+/// Subject-keyed join. The rows are sorted by subject, with `k` distinct
+/// subjects, and the predicate holds `n` triples. Probing costs one
+/// `objects` call per distinct subject, and scanning costs `n` scanned
+/// pairs merged against the sorted rows (§5.2, Figure 7: the PSO layers
+/// scan subject-sorted). The step scans when `k · PROBE_CALL_NS >
+/// n · SCAN_NS`.
+fn subject_join<S: TripleSource + ?Sized>(
+    store: &S,
+    spec: &PSpec,
+    rows: Vec<Row>,
+    s_col: usize,
+    test: &ObjectTest,
+) -> (Vec<Row>, AccessPath) {
+    let rows = keyed_rows(rows, s_col);
+    let k = rows.chunk_by(|a, b| a.0 == b.0).count() as u128;
+    let scan = k * PROBE_CALL_NS > spec.count(store) as u128 * SCAN_NS;
+    let path = if scan {
+        AccessPath::Scan
+    } else {
+        AccessPath::Probe
+    };
+    let pairs = if scan { spec.scan(store) } else { Vec::new() };
+    let mut out = Vec::new();
+    let mut objects = Vec::new();
+    let mut current = None;
+    let mut j = 0;
+    for (s, row) in rows {
+        if current != Some(s) {
+            current = Some(s);
+            if scan {
+                while j < pairs.len() && pairs[j].0 < s {
+                    j += 1;
+                }
+                objects.clear();
+                while j < pairs.len() && pairs[j].0 == s {
+                    objects.push(pairs[j].1);
+                    j += 1;
+                }
+            } else {
+                objects = spec.objects(store, s);
+            }
+        }
+        let keep = match *test {
+            ObjectTest::Column(col) => match pattern_slot(&row[col]) {
+                None => {
+                    for &o in &objects {
+                        let mut new_row = row.clone();
+                        new_row[col] = Some(Slot::Enc(o));
+                        out.push(new_row);
+                    }
+                    false
+                }
+                Some(bound) => objects.iter().any(|&o| store.values_join(bound, o)),
+            },
+            ObjectTest::Instance(v) => objects.contains(&v),
+            ObjectTest::Literal(lit) => objects
+                .iter()
+                .any(|o| matches!(o, Value::Literal(idx) if store.literal(*idx) == Some(lit))),
+        };
+        if keep {
+            out.push(row);
+        }
+    }
+    (out, path)
+}
+
+/// Object-keyed join: `(?s, p, ?o)` with `?o` bound to an instance in
+/// every row and `?s` free. The rows are sorted by object, with `k`
+/// distinct objects. A probe's cost grows with its hits, which no O(1)
+/// statistic gives, so the first object is probed, and its answer kept.
+/// With `h` its hits and `n` the predicate's triples, the other objects
+/// share one scan, bucketed by object, when `(k − 1) · (PROBE_CALL_NS +
+/// h · PROBE_HIT_NS) > n · SCAN_NS`, and are probed otherwise.
+fn object_join<S: TripleSource + ?Sized>(
+    store: &S,
+    spec: &PSpec,
+    rows: Vec<Row>,
+    o_col: usize,
+    s_col: usize,
+) -> (Vec<Row>, AccessPath) {
+    let rows = keyed_rows(rows, o_col);
+    let mut keys: Vec<u64> = rows.iter().map(|(o, _)| *o).collect();
+    keys.dedup();
+    let first = spec.subjects(store, &Value::Instance(keys[0]));
+    let rest = keys.len() as u128 - 1;
+    let scan = rest > 0
+        && rest * (PROBE_CALL_NS + first.len() as u128 * PROBE_HIT_NS)
+            > spec.count(store) as u128 * SCAN_NS;
+    let path = if scan {
+        AccessPath::Scan
+    } else {
+        AccessPath::Probe
+    };
+    let mut subjects = vec![first];
+    if scan {
+        subjects.resize(keys.len(), Vec::new());
+        for (s, o) in spec.scan(store) {
+            if let Value::Instance(id) = o {
+                if let Ok(i) = keys[1..].binary_search(&id) {
+                    subjects[i + 1].push(s);
+                }
+            }
+        }
+        // The scan is subject-sorted, so every bucket is ascending. An
+        // interval scan repeats a pair held under two of its properties,
+        // next to each other; `subjects_in` answers it once.
+        for bucket in &mut subjects[1..] {
+            bucket.dedup();
+        }
+    } else {
+        subjects.extend(
+            keys[1..]
+                .iter()
+                .map(|&o| spec.subjects(store, &Value::Instance(o))),
+        );
+    }
+    let mut out = Vec::new();
+    let mut i = 0;
+    for (o, row) in rows {
+        while keys[i] != o {
+            i += 1;
+        }
+        for &s in &subjects[i] {
+            let mut new_row = row.clone();
+            new_row[s_col] = Some(Slot::Enc(Value::Instance(s)));
+            out.push(new_row);
+        }
+    }
+    (out, path)
+}
+
+/// Index nested loop: each row resolves the pattern's positions and
+/// probes the store on its own.
+fn eval_per_row<S: TripleSource + ?Sized>(
+    store: &S,
+    tp: &TriplePattern,
+    spec: &PSpec,
+    rows: Vec<Row>,
+    vars: &HashMap<&str, usize>,
+) -> Vec<Row> {
     let mut out = Vec::new();
     for row in rows {
         let s_pos = resolve_subject(store, &tp.subject, &row, vars);
@@ -329,12 +589,7 @@ pub(crate) fn eval_pattern<S: TripleSource + ?Sized>(
                 let Some(s_id) = pos_subject_id(&s_pos) else {
                     continue;
                 };
-                let objects = match &spec {
-                    PSpec::Exact(p) => store.objects(*p, s_id),
-                    PSpec::Interval(iv) => objects_in(store, *iv, s_id),
-                    PSpec::NoMatch => unreachable!(),
-                };
-                for o in objects {
+                for o in spec.objects(store, s_id) {
                     let mut new_row = row.clone();
                     new_row[*o_col] = Some(Slot::Enc(o));
                     out.push(new_row);
@@ -342,7 +597,7 @@ pub(crate) fn eval_pattern<S: TripleSource + ?Sized>(
             }
             // (?s, p, o)
             (Pos::Free(s_col), Pos::Enc(_) | Pos::Literal(_)) => {
-                let subjects = subjects_for(store, &spec, &o_pos);
+                let subjects = subjects_for(store, spec, &o_pos);
                 for s in subjects {
                     let mut new_row = row.clone();
                     new_row[*s_col] = Some(Slot::Enc(Value::Instance(s)));
@@ -351,13 +606,8 @@ pub(crate) fn eval_pattern<S: TripleSource + ?Sized>(
             }
             // (?s, p, ?o)
             (Pos::Free(s_col), Pos::Free(o_col)) => {
-                let pairs = match &spec {
-                    PSpec::Exact(p) => store.scan_predicate(*p),
-                    PSpec::Interval(iv) => scan_in(store, *iv),
-                    PSpec::NoMatch => unreachable!(),
-                };
                 let same_var = s_col == o_col;
-                for (s, o) in pairs {
+                for (s, o) in spec.scan(store) {
                     if same_var && !matches!(o, Value::Instance(oid) if oid == s) {
                         continue;
                     }
@@ -372,23 +622,19 @@ pub(crate) fn eval_pattern<S: TripleSource + ?Sized>(
                 let Some(s_id) = pos_subject_id(&s_pos) else {
                     continue;
                 };
-                if check_membership(store, &spec, s_id, &o_pos) {
+                if check_membership(store, spec, s_id, &o_pos) {
                     out.push(row);
                 }
             }
             _ => {}
         }
     }
-    Ok(out)
+    out
 }
 
 fn subjects_for<S: TripleSource + ?Sized>(store: &S, spec: &PSpec, o_pos: &Pos) -> Vec<u64> {
     match o_pos {
-        Pos::Enc(v) => match spec {
-            PSpec::Exact(p) => store.subjects(*p, v),
-            PSpec::Interval(iv) => subjects_in(store, *iv, v),
-            PSpec::NoMatch => Vec::new(),
-        },
+        Pos::Enc(v) => spec.subjects(store, v),
         Pos::Literal(lit) => match spec {
             PSpec::Exact(p) => store.subjects_by_literal(*p, lit),
             PSpec::Interval(iv) => subjects_by_literal_in(store, *iv, lit),
@@ -412,85 +658,12 @@ fn check_membership<S: TripleSource + ?Sized>(
                 .any(|x| store.values_join(*x, *v)),
             PSpec::NoMatch => false,
         },
-        Pos::Literal(lit) => {
-            let objects = match spec {
-                PSpec::Exact(p) => store.objects(*p, s_id),
-                PSpec::Interval(iv) => objects_in(store, *iv, s_id),
-                PSpec::NoMatch => return false,
-            };
-            objects.iter().any(|o| match o {
-                Value::Literal(idx) => store.literal(*idx) == Some(lit),
-                _ => false,
-            })
-        }
+        Pos::Literal(lit) => spec.objects(store, s_id).iter().any(|o| match o {
+            Value::Literal(idx) => store.literal(*idx) == Some(lit),
+            _ => false,
+        }),
         _ => false,
     }
-}
-
-/// Merge join (§5.2 Figure 7): both the intermediate relation (sorted here)
-/// and the predicate's `(s, o)` pairs (PSO order) are subject-sorted.
-fn merge_join_subject<S: TripleSource + ?Sized>(
-    store: &S,
-    p: u64,
-    rows: Vec<Row>,
-    s_col: usize,
-    object: &TermPattern,
-    vars: &HashMap<&str, usize>,
-) -> Vec<Row> {
-    let mut indexed: Vec<(u64, Row)> = rows
-        .into_iter()
-        .filter_map(|r| match r[s_col] {
-            Some(Slot::Enc(Value::Instance(id))) => Some((id, r)),
-            _ => None,
-        })
-        .collect();
-    indexed.sort_by_key(|(id, _)| *id);
-    let pairs = store.scan_predicate(p); // subject-sorted by construction
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for (s_id, row) in indexed {
-        // Advance to the first pair with subject >= s_id.
-        while j < pairs.len() && pairs[j].0 < s_id {
-            j += 1;
-        }
-        let mut k = j;
-        while k < pairs.len() && pairs[k].0 == s_id {
-            let o = pairs[k].1;
-            match object {
-                TermPattern::Var(ov) => {
-                    let o_col = vars[ov.as_str()];
-                    match pattern_slot(&row[o_col]) {
-                        None => {
-                            let mut new_row = row.clone();
-                            new_row[o_col] = Some(Slot::Enc(o));
-                            out.push(new_row);
-                        }
-                        Some(bound) => {
-                            if store.values_join(bound, o) {
-                                out.push(row.clone());
-                            }
-                        }
-                    }
-                }
-                TermPattern::Term(t) => {
-                    let matches = match (t, o) {
-                        (Term::Literal(lit), Value::Literal(idx)) => {
-                            store.literal(idx) == Some(lit)
-                        }
-                        (other, Value::Instance(oid)) => store.instance_id(other) == Some(oid),
-                        _ => false,
-                    };
-                    if matches {
-                        out.push(row.clone());
-                    }
-                }
-            }
-            k += 1;
-        }
-        // NOTE: do not advance j past this subject run — several rows may
-        // share the same subject id.
-    }
-    out
 }
 
 fn eval_type_pattern<S: TripleSource + ?Sized>(
@@ -863,96 +1036,242 @@ mod tests {
         assert_eq!(names(&rs, "c"), vec!["http://x/Manager"]);
     }
 
-    /// 20 subjects joined through `?s`: the second pattern sees ≥ 16
-    /// bound rows and takes the merge-join path. Every answer is checked
-    /// against a nested loop over the graph's own triples, for a free,
-    /// a constant and an already-bound object.
-    #[test]
-    fn merge_join_equals_nested_loop() {
+    /// Runs a query through a compiled plan and returns its answer rows,
+    /// sorted, with the plan's trace.
+    fn traced(
+        st: &SuccinctEdgeStore,
+        text: &str,
+        opts: &QueryOptions,
+    ) -> (Vec<Vec<String>>, ir::PlanTrace) {
+        let q = crate::parse_query(text).unwrap();
+        let plan = ir::compile(&q, st, opts, 0);
+        let (_, consts) = ir::normalize(&q);
+        let mut trace = ir::PlanTrace::default();
+        let rs = ir::execute_plan_traced(st, &plan, &consts, opts, &mut trace).unwrap();
+        let mut rows: Vec<Vec<String>> = rs
+            .rows
+            .iter()
+            .map(|r| r.iter().map(|c| c.as_ref().unwrap().to_string()).collect())
+            .collect();
+        rows.sort();
+        (rows, trace)
+    }
+
+    /// A pattern position of [`bgp_text`] and [`nested_loop`]: `?v` is a
+    /// variable, `"v"` a plain literal, anything else an IRI under
+    /// `http://x/`.
+    fn position(t: &str) -> String {
+        match t.strip_prefix('"') {
+            Some(lit) => Term::literal(lit.trim_end_matches('"')).to_string(),
+            None => iri(t).to_string(),
+        }
+    }
+
+    fn bgp_text(select: &[&str], bgp: &[[&str; 3]]) -> String {
+        let tps: Vec<String> = bgp
+            .iter()
+            .map(|tp| {
+                tp.map(|t| match t.starts_with(['?', '"']) {
+                    true => t.to_string(),
+                    false => format!("e:{t}"),
+                })
+                .join(" ")
+            })
+            .collect();
+        format!(
+            "PREFIX e: <http://x/> SELECT {} WHERE {{ {} }}",
+            select.join(" "),
+            tps.join(" . ")
+        )
+    }
+
+    /// The BGP evaluated by a nested loop over `triples`, a set: each
+    /// solution extends each earlier one by every matching triple.
+    fn nested_loop(
+        triples: &[[String; 3]],
+        select: &[&str],
+        bgp: &[[&str; 3]],
+    ) -> Vec<Vec<String>> {
+        let mut solutions = vec![HashMap::<&str, String>::new()];
+        for tp in bgp {
+            let mut next = Vec::new();
+            for sol in &solutions {
+                for triple in triples {
+                    let mut sol = sol.clone();
+                    let matches = tp.iter().zip(triple).all(|(&t, value)| {
+                        if !t.starts_with('?') {
+                            return position(t) == *value;
+                        }
+                        sol.entry(t).or_insert_with(|| value.clone()) == value
+                    });
+                    if matches {
+                        next.push(sol);
+                    }
+                }
+            }
+            solutions = next;
+        }
+        let mut rows: Vec<Vec<String>> = solutions
+            .iter()
+            .map(|sol| select.iter().map(|v| sol[v].clone()).collect())
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// The graph the keyed-join tests run on, with `filler` extra `p` and
+    /// `r` triples that tip both joins from a scan to a probe.
+    ///
+    /// - `q`: every `s{i}` (i < 20) to `hub`, the even ones to `m{i % 3}`
+    ///   too, every fourth one to the literal `"v{i}"` too;
+    /// - `p`: `s{i}` to `m0`…`m{i % 5 - 1}`, to `"v{i}"` for every fourth
+    ///   and to `hub` for every seventh; `filler` `x{j}` to `m0`;
+    /// - `q2`: `a{i}` (i < 8) to `t{i % 4}`;
+    /// - `r`: 30 subjects per `t{j}` (j < 4); its sub-property `rsub`
+    ///   repeats five of them and adds three of its own per `t{j}`;
+    ///   `filler` `z{j}` to `w{j}`.
+    fn join_graph(filler: usize) -> (SuccinctEdgeStore, Graph) {
         let mut o = Ontology::new();
-        o.add_object_property("http://x/q");
-        o.add_object_property("http://x/p");
+        o.add_property("http://x/rsub", "http://x/r");
         let mut g = Graph::new();
-        let t = |s: String, p: &str, o: Term| Triple::new(iri(&s), iri(p), o);
+        let mut t = |s: String, p: &str, o: Term| g.insert(Triple::new(iri(&s), iri(p), o));
         for i in 0..20 {
-            g.insert(t(format!("s{i}"), "q", iri(&format!("m{}", i % 3))));
-            // Multiple p-objects per subject, none for every fifth.
-            for k in 0..(i % 5) {
-                g.insert(t(format!("s{i}"), "p", iri(&format!("m{k}"))));
+            let s = format!("s{i}");
+            t(s.clone(), "q", iri("hub"));
+            if i % 2 == 0 {
+                t(s.clone(), "q", iri(&format!("m{}", i % 3)));
+            }
+            for k in 0..i % 5 {
+                t(s.clone(), "p", iri(&format!("m{k}")));
+            }
+            if i % 4 == 0 {
+                t(s.clone(), "q", Term::literal(format!("v{i}")));
+                t(s.clone(), "p", Term::literal(format!("v{i}")));
+            }
+            if i % 7 == 0 {
+                t(s, "p", iri("hub"));
             }
         }
-        // Enough p triples that q runs first even when p's object is a
-        // constant (a bound position discounts the estimate 16-fold).
-        for i in 0..400 {
-            g.insert(t(format!("x{i}"), "p", iri("m0")));
+        for i in 0..8 {
+            t(format!("a{i}"), "q2", iri(&format!("t{}", i % 4)));
         }
-        let st = SuccinctEdgeStore::build(&o, &g).unwrap();
-        let triples = |p: &str| -> Vec<(String, String)> {
-            g.iter()
-                .filter(|tr| tr.predicate == iri(p))
-                .map(|tr| (tr.subject.to_string(), tr.object.to_string()))
-                .collect()
-        };
-        let (qs, ps) = (triples("q"), triples("p"));
-        let sorted = |mut v: Vec<Vec<String>>| {
-            v.sort();
-            v
-        };
-        let answers = |rs: &ResultSet| {
-            sorted(
-                rs.rows
-                    .iter()
-                    .map(|r| r.iter().map(|c| c.as_ref().unwrap().to_string()).collect())
-                    .collect(),
-            )
-        };
-        let cases: [(&str, Vec<Vec<String>>); 3] = [
-            (
-                "SELECT ?s ?o WHERE { ?s e:q ?m . ?s e:p ?o }",
-                sorted(
-                    qs.iter()
-                        .flat_map(|(s, _)| {
-                            ps.iter()
-                                .filter(move |(ps, _)| ps == s)
-                                .map(move |(_, o)| vec![s.clone(), o.clone()])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "SELECT ?s WHERE { ?s e:q ?m . ?s e:p e:m1 }",
-                sorted(
-                    qs.iter()
-                        .filter(|(s, _)| ps.contains(&(s.clone(), iri("m1").to_string())))
-                        .map(|(s, _)| vec![s.clone()])
-                        .collect(),
-                ),
-            ),
-            (
-                "SELECT ?s ?m WHERE { ?s e:q ?m . ?s e:p ?m }",
-                sorted(
-                    qs.iter()
-                        .filter(|&sm| ps.contains(sm))
-                        .map(|(s, m)| vec![s.clone(), m.clone()])
-                        .collect(),
-                ),
-            ),
+        for j in 0..4 {
+            let o = iri(&format!("t{j}"));
+            for i in 0..30 {
+                t(format!("y{j}_{i}"), "r", o.clone());
+            }
+            for i in 0..5 {
+                t(format!("y{j}_{i}"), "rsub", o.clone());
+            }
+            for i in 0..3 {
+                t(format!("u{j}_{i}"), "rsub", o.clone());
+            }
+        }
+        for j in 0..filler {
+            t(format!("x{j}"), "p", iri("m0"));
+            t(format!("z{j}"), "r", iri(&format!("w{j}")));
+        }
+        (SuccinctEdgeStore::build(&o, &g).unwrap(), g)
+    }
+
+    /// Every keyed-join path — subject- and object-keyed, each probing
+    /// and scanning — answers what a nested loop over the graph's
+    /// triples answers. The subject-keyed step sees a free object, a
+    /// constant IRI, a constant literal and an already-bound object, on
+    /// a predicate with both instance and literal objects. The
+    /// object-keyed step runs with and without reasoning; with it, `r`
+    /// is the interval `r ∪ rsub`, and `rsub` repeats some of `r`'s
+    /// triples, which the join must answer once.
+    #[test]
+    fn keyed_join_paths_equal_nested_loop() {
+        use AccessPath::{Probe, Scan};
+        let subject_keyed: [(&[&str], &[[&str; 3]]); 4] = [
+            (&["?s", "?m", "?o"], &[["?s", "q", "?m"], ["?s", "p", "?o"]]),
+            (&["?s"], &[["?s", "q", "hub"], ["?s", "p", "m1"]]),
+            (&["?s"], &[["?s", "q", "hub"], ["?s", "p", "\"v4\""]]),
+            (&["?s", "?m"], &[["?s", "q", "?m"], ["?s", "p", "?m"]]),
         ];
-        let opts = QueryOptions::default();
-        for (body, want) in cases {
-            let q = crate::parse_query(&format!("PREFIX e: <http://x/> {body}")).unwrap();
-            let plan = ir::compile(&q, &st, &opts, 0);
-            let (_, consts) = ir::normalize(&q);
-            let mut trace = ir::PlanTrace::default();
-            let rs = ir::execute_plan_traced(&st, &plan, &consts, &opts, &mut trace).unwrap();
-            assert_eq!(trace.steps[0].src, 0, "{body}: q runs first");
-            assert!(
-                trace.steps[1].rows_in >= MERGE_JOIN_MIN_ROWS,
-                "{body}: the p step must see enough rows to merge"
-            );
-            assert!(!want.is_empty(), "{body}: vacuous case");
-            assert_eq!(answers(&rs), want, "{body}");
+        let object_keyed: (&[&str], &[[&str; 3]]) = (
+            &["?a", "?t", "?s"],
+            &[["?a", "q2", "?t"], ["?s", "r", "?t"]],
+        );
+        for (filler, path) in [(0, Scan), (400, Probe)] {
+            let (st, g) = join_graph(filler);
+            let triples: Vec<[String; 3]> = g
+                .iter()
+                .map(|t| [&t.subject, &t.predicate, &t.object].map(|x| x.to_string()))
+                .collect();
+            // With reasoning, an `rsub` triple is an `r` triple too.
+            let mut entailed = triples.clone();
+            for [s, p, o] in &triples {
+                if *p == iri("rsub").to_string() {
+                    entailed.push([s.clone(), iri("r").to_string(), o.clone()]);
+                }
+            }
+            entailed.sort();
+            entailed.dedup();
+            let runs = subject_keyed
+                .iter()
+                .map(|&case| (case, &triples, QueryOptions::without_reasoning()))
+                .chain([
+                    (object_keyed, &triples, QueryOptions::without_reasoning()),
+                    (object_keyed, &entailed, QueryOptions::default()),
+                ]);
+            for ((select, bgp), facts, opts) in runs {
+                let text = bgp_text(select, bgp);
+                let case = format!("{text}, filler {filler}, {opts:?}");
+                let (got, trace) = traced(&st, &text, &opts);
+                let want = nested_loop(facts, select, bgp);
+                assert!(!want.is_empty(), "{case}: vacuous");
+                assert_eq!(got, want, "{case}");
+                let src: Vec<usize> = trace.steps.iter().map(|s| s.src).collect();
+                assert_eq!(src, [0, 1], "{case}: the keyed step runs second");
+                assert_eq!(trace.steps[1].path, path, "{case}");
+            }
         }
+    }
+
+    /// 16 rows bound on `?s` against a predicate of 10,000 pairs probe
+    /// 16 subjects instead of scanning the predicate.
+    #[test]
+    fn few_subject_keys_probe_a_large_predicate() {
+        let mut g = Graph::new();
+        for i in 0..16 {
+            g.insert(Triple::new(iri(&format!("s{i}")), iri("q"), iri("hub")));
+            g.insert(Triple::new(iri(&format!("s{i}")), iri("p"), iri("m")));
+        }
+        for j in 0..10_000 {
+            g.insert(Triple::new(iri(&format!("x{j}")), iri("p"), iri("m")));
+        }
+        let st = SuccinctEdgeStore::build(&Ontology::new(), &g).unwrap();
+        let text = "PREFIX e: <http://x/> SELECT ?s ?o WHERE { ?s e:q e:hub . ?s e:p ?o }";
+        let (rows, trace) = traced(&st, text, &QueryOptions::default());
+        assert_eq!(rows.len(), 16);
+        assert_eq!(trace.steps[1].rows_in, 16);
+        assert_eq!(trace.steps[1].path, AccessPath::Probe);
+    }
+
+    /// Three object keys that hold most of a predicate's triples share
+    /// one scan of it instead of three reverse probes.
+    #[test]
+    fn object_keys_covering_a_predicate_scan_it() {
+        let mut g = Graph::new();
+        for j in 0..3 {
+            let t = iri(&format!("t{j}"));
+            g.insert(Triple::new(iri(&format!("a{j}")), iri("q"), t.clone()));
+            for i in 0..200 {
+                g.insert(Triple::new(iri(&format!("y{j}_{i}")), iri("r"), t.clone()));
+            }
+        }
+        for j in 0..20 {
+            g.insert(Triple::new(iri(&format!("z{j}")), iri("r"), iri("w")));
+        }
+        let st = SuccinctEdgeStore::build(&Ontology::new(), &g).unwrap();
+        let text = "PREFIX e: <http://x/> SELECT ?a ?s WHERE { ?a e:q ?t . ?s e:r ?t }";
+        let (rows, trace) = traced(&st, text, &QueryOptions::default());
+        assert_eq!(rows.len(), 600);
+        assert_eq!(trace.steps[1].rows_in, 3);
+        assert_eq!(trace.steps[1].path, AccessPath::Scan);
     }
 
     #[test]

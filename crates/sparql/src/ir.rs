@@ -36,7 +36,8 @@
 use crate::ast::{Expr, Query, TermPattern, TriplePattern};
 use crate::error::QueryError;
 use crate::exec::{
-    eval_pattern, group_var_index, row_env, slot_to_term, QueryOptions, ResultSet, Row, Slot,
+    eval_pattern, group_var_index, row_env, slot_to_term, AccessPath, QueryOptions, ResultSet, Row,
+    Slot,
 };
 use crate::expr::eval;
 use crate::optimizer::order_patterns_by_cardinality;
@@ -58,7 +59,8 @@ pub enum PlanStep {
     /// row of `n_cols` columns. `vars[i]` names column `i`.
     BeginGroup { n_cols: usize, vars: Vec<String> },
     /// Match one triple pattern — a scan when nothing is bound yet, a
-    /// binding-propagation / merge-join extension afterwards. `tp` is a
+    /// keyed join (probe or scan, chosen by cost) or a per-row
+    /// extension afterwards. `tp` is a
     /// template: when `s_slot`/`o_slot` is set, that position is
     /// replaced by the caller's constant before matching (the hollowed
     /// slots of the normalized shape). Predicates and `rdf:type`
@@ -143,6 +145,8 @@ pub struct StepTrace {
     pub rows_in: usize,
     /// Working rows after the step.
     pub rows_out: usize,
+    /// How the step reached the store.
+    pub path: AccessPath,
 }
 
 /// Execution trace of one compiled run: one entry per executed pattern
@@ -373,13 +377,16 @@ fn execute_plan_inner<S: TripleSource + ?Sized>(
                     tp
                 };
                 let rows_in = work.len();
-                work = eval_pattern(store, tp_ref, std::mem::take(&mut work), &vars_map, options)?;
+                let (out, path) =
+                    eval_pattern(store, tp_ref, std::mem::take(&mut work), &vars_map, options)?;
+                work = out;
                 if let Some(tr) = trace.as_deref_mut() {
                     tr.steps.push(StepTrace {
                         src: *src,
                         pattern: tp_ref.to_string(),
                         rows_in,
                         rows_out: work.len(),
+                        path,
                     });
                 }
             }

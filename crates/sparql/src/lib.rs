@@ -30,7 +30,7 @@ pub mod parser;
 
 pub use ast::{Query, TermPattern, TriplePattern};
 pub use error::{QueryError, SparqlParseError};
-pub use exec::{QueryOptions, ResultSet};
+pub use exec::{AccessPath, QueryOptions, ResultSet};
 pub use ir::{CompiledPlan, PlanCache, PlanCacheConfig, PlanCacheStats, PlanTrace};
 pub use parser::parse_query;
 

@@ -404,8 +404,8 @@ mod tests {
 
     #[test]
     fn merge_join_sees_overlay_literals_on_mixed_predicate() {
-        // Baseline: p -> instance objects for 20 subjects (enough rows to
-        // enable the merge-join fast path). Overlay: p -> literal objects
+        // Baseline: p -> instance objects for 20 subjects (20 keys against
+        // 40 pairs: the keyed join scans). Overlay: p -> literal objects
         // for the same subjects. The second join TP must bind BOTH kinds,
         // which requires scan_predicate to stay globally subject-sorted.
         let mut o = Ontology::new();
@@ -437,9 +437,8 @@ mod tests {
         let mut trace = se_sparql::PlanTrace::default();
         let rs = se_sparql::ir::execute_plan_traced(&h, &plan, &consts, &opts, &mut trace).unwrap();
         assert!(
-            trace.steps[1].src == 1
-                && trace.steps[1].rows_in >= se_sparql::exec::MERGE_JOIN_MIN_ROWS,
-            "the e:p step must be fed enough bound rows to merge"
+            trace.steps[1].src == 1 && trace.steps[1].path == se_sparql::AccessPath::Scan,
+            "the e:p step must merge against the overlay-merged scan"
         );
         let mut got: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
         got.sort();
